@@ -137,7 +137,7 @@ def iter_time_chunks(path: str, chunk: int):
 
     Bounded-memory reader for the streaming metrics path; the header is
     validated once, then the payload is consumed in chunks of `chunk`
-    time steps.
+    time steps. A non-finite value fails with the path and its time index.
     """
     header = _load_header(path)
     nt, nlat, nlon = header["dims"]
@@ -149,6 +149,10 @@ def iter_time_chunks(path: str, chunk: int):
         for t0 in range(0, nt, chunk):
             n = min(chunk, nt - t0)
             raw = np.frombuffer(fh.read(4 * n * slab), dtype="<f4")
+            finite = np.isfinite(raw)
+            if not finite.all():
+                t = t0 + int(np.argmin(finite)) // slab
+                raise ValidationError(f"payload in {path} is non-finite at time index {t} ({header['time'][t]})")
             yield t0, raw.astype(np.float64).reshape(n, nlat, nlon)
 
 

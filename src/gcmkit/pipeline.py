@@ -30,9 +30,10 @@ from .geogrid import (
 )
 from .metrics import (
     MetricReport,
+    PooledSample,
     StreamingPool,
     ZONE_OVERALL,
-    full_report,
+    compute_report,
     report_rows_to_csv,
     report_rows_to_json,
 )
@@ -203,97 +204,82 @@ class PipelineConfig:
         )
 
 
-def _zone_key_to_code(key: str):
-    return ZONE_OVERALL if key == ZONE_OVERALL else ZONE_BY_NAME[key]
+def _context_index(months: np.ndarray, mask: ZoneMask, zones: Sequence[str], seasons: Sequence[str]):
+    """(context, time rows, flat cell indices) for every (zone, season), built once per rank run."""
+    rows = {s: np.flatnonzero(np.isin(months, sorted(SEASONS[s].months))) for s in seasons}
+    for season_id, r in rows.items():
+        _require(r.size > 0, "metrics", f"no time steps fall in season {season_id}")
+    cells = {
+        z: np.flatnonzero(mask.cells_in(LAND_ZONES if z == ZONE_OVERALL else {ZONE_BY_NAME[z]}))
+        for z in zones
+    }
+    return [((z, s), rows[s], cells[z]) for z in zones for s in seasons]
 
 
-def _model_reports(
-    model_cubes: Dict[str, DataCube],
-    obs: DataCube,
-    mask: ZoneMask,
-    zones: Sequence[str],
-    seasons: Sequence[str],
-    bins: int,
-    jobs: int = 1,
-) -> Dict[Tuple[str, str], List[Tuple[str, MetricReport]]]:
-    """Reports for every (zone, season, model); optionally model-parallel."""
+def _pairs(block_m: np.ndarray, block_o: np.ndarray, rows, cells, fill_m: float, fill_o: float):
+    """Paired non-fill values of one context inside a (time x lat x lon) block.
 
-    def one_model(item):
-        label, cube = item
-        out = {}
-        for zone_key in zones:
-            for season_id in seasons:
-                rep = full_report(cube, obs, mask, _zone_key_to_code(zone_key), SEASONS[season_id], bins=bins)
-                out[(zone_key, season_id)] = rep
-        return label, out
+    The values come out in the order of `block[np.ix_(rows, cells)]`; a
+    contiguous run of rows is sliced, not copied, before the cell gather.
+    """
+    if rows[-1] - rows[0] == len(rows) - 1:
+        rows = slice(rows[0], rows[-1] + 1)
+    m = block_m.reshape(len(block_m), -1)[rows].take(cells, axis=1)
+    o = block_o.reshape(len(block_o), -1)[rows].take(cells, axis=1)
+    ok = (m != fill_m) & (o != fill_o)
+    return (m.ravel(), o.ravel()) if ok.all() else (m[ok], o[ok])
 
-    items = sorted(model_cubes.items())
+
+def _cube_reports(label: str, cube: DataCube, obs: DataCube, index, bins: int) -> Dict[Tuple[str, str], MetricReport]:
+    """Every context of one in-memory model; the same sample as `full_report`."""
+    _require(cube.time == obs.time, "metrics", f"model {label} and the reference cover different times")
+    out = {}
+    for ctx, rows, cells in index:
+        m, o = _pairs(cube.data, obs.data, rows, cells, cube.fill, obs.fill)
+        _require(m.size >= 2, "metrics", f"empty pooled sample for model {label} in {ctx}")
+        out[ctx] = compute_report(PooledSample(m, o), bins=bins)
+    return out
+
+
+def _stream_reports(model_path: str, obs_path: str, index, bins: int, chunk: int) -> Dict[Tuple[str, str], MetricReport]:
+    """Every context of one model from two passes over both GCF payloads.
+
+    Each block is dispatched to the `StreamingPool` of every context, so a
+    pool sees the same update sequence as a sweep over its context alone.
+    """
+    meta_m, meta_o = gcf._load_header(model_path), gcf._load_header(obs_path)
+    _require(meta_m["time"] == meta_o["time"], "metrics", f"{model_path} and the reference cover different times")
+    fill_m, fill_o = gcf.canonical_fill(meta_m["fill_value"]), gcf.canonical_fill(meta_o["fill_value"])
+    pools = [StreamingPool(bins=bins) for _ in index]
+
+    def sweep(feed):
+        blocks = zip(gcf.iter_time_chunks(model_path, chunk), gcf.iter_time_chunks(obs_path, chunk))
+        for (t0, block_m), (_, block_o) in blocks:
+            for pool, (_, rows, cells) in zip(pools, index):
+                lo, hi = np.searchsorted(rows, (t0, t0 + len(block_m)))
+                if hi > lo:
+                    feed(pool, *_pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o))
+
+    sweep(StreamingPool.update)
+    for pool, (ctx, _, _) in zip(pools, index):
+        _require(pool.n >= 2, "metrics", f"empty pooled sample for {model_path} in {ctx}")
+        pool.freeze()
+    sweep(StreamingPool.update_hist)
+    return {ctx: pool.report() for pool, (ctx, _, _) in zip(pools, index)}
+
+
+def _model_reports(one_model, labels: Sequence[str], index, jobs: int = 1):
+    """Reports for every (zone, season, model); `one_model(label, index)` sweeps one model.
+
+    With `jobs` > 1 the models are swept in parallel threads.
+    """
+    labels = sorted(labels)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_model = dict(pool.map(one_model, items))
+            per_model = dict(zip(labels, pool.map(lambda label: one_model(label, index), labels)))
     else:
-        per_model = dict(map(one_model, items))
-
-    reports: Dict[Tuple[str, str], List[Tuple[str, MetricReport]]] = {}
-    for zone_key in zones:
-        for season_id in seasons:
-            ctx = (zone_key, season_id)
-            reports[ctx] = [(label, per_model[label][ctx]) for label, _ in items]
-    return reports
-
-
-def _streaming_report(model_path: str, obs_path: str, mask: ZoneMask, zone, season, bins: int, chunk: int) -> MetricReport:
-    """Bounded-memory full_report reading both GCF payloads in time chunks."""
-    cells = mask.cells_in(LAND_ZONES) if zone == ZONE_OVERALL else mask.cells_in({zone})
-    meta_m = gcf._load_header(model_path)
-    meta_o = gcf._load_header(obs_path)
-    if meta_m["time"] != meta_o["time"]:
-        raise ValidationError("model and reference cubes cover different times")
-    months = [int(t.split("-")[1]) for t in meta_m["time"]]
-    fill_m = gcf.canonical_fill(meta_m["fill_value"])
-    fill_o = gcf.canonical_fill(meta_o["fill_value"])
-    pool = StreamingPool(bins=bins)
-
-    def chunks():
-        it_o = gcf.iter_time_chunks(obs_path, chunk)
-        for (t0, block_m), (_, block_o) in zip(gcf.iter_time_chunks(model_path, chunk), it_o):
-            keep_t = [i for i in range(block_m.shape[0]) if months[t0 + i] in season.months]
-            if not keep_t:
-                continue
-            m = block_m[keep_t][:, cells]
-            o = block_o[keep_t][:, cells]
-            ok = (m != fill_m) & (o != fill_o)
-            yield m[ok], o[ok]
-
-    for m, o in chunks():
-        pool.update(m, o)
-    pool.freeze()
-    for m, o in chunks():
-        pool.update_hist(m, o)
-    return pool.report()
-
-
-def _model_reports_streaming(
-    model_paths: Dict[str, str],
-    obs_path: str,
-    mask: ZoneMask,
-    zones: Sequence[str],
-    seasons: Sequence[str],
-    bins: int,
-    chunk: int = 64,
-) -> Dict[Tuple[str, str], List[Tuple[str, MetricReport]]]:
-    reports: Dict[Tuple[str, str], List[Tuple[str, MetricReport]]] = {}
-    for zone_key in zones:
-        for season_id in seasons:
-            ctx = (zone_key, season_id)
-            reports[ctx] = []
-            for label in sorted(model_paths):
-                rep = _streaming_report(
-                    model_paths[label], obs_path, mask,
-                    _zone_key_to_code(zone_key), SEASONS[season_id], bins, chunk,
-                )
-                reports[ctx].append((label, rep))
-    return reports
+        per_model = {label: one_model(label, index) for label in labels}
+    return {ctx: [(label, per_model[label][ctx]) for label in labels] for ctx, _, _ in index}
 
 
 def run_rank(config: PipelineConfig, run_dir: str, jobs: int = 1, full_scale: bool = False, chunk: int = 64) -> RunManifest:
@@ -306,42 +292,43 @@ def run_rank(config: PipelineConfig, run_dir: str, jobs: int = 1, full_scale: bo
     os.makedirs(run_dir, exist_ok=True)
     manifest = RunManifest(config_hash=config_hash(config.raw))
 
-    if full_scale:
-        with _StageTimer(manifest, "load"):
+    with _StageTimer(manifest, "load"):
+        mask = gcf.read_mask(config.mask)
+        if full_scale:
             _require("path" in config.reference, "load", "full-scale mode needs a single-cube reference source")
             obs_path = config.reference["path"]
-            mask = gcf.read_mask(config.mask)
             obs_header = gcf._load_header(obs_path)
+            ref_lat, ref_lon = obs_header["lat"], obs_header["lon"]
+            months = np.array([int(t.split("-")[1]) for t in obs_header["time"]])
             model_paths = {}
             for spec in config.models:
                 _require("path" in spec, "load", f"full-scale mode needs a single-cube source for {spec['label']}")
                 header = gcf._load_header(spec["path"])
                 _require(
-                    header["lat"] == obs_header["lat"] and header["lon"] == obs_header["lon"],
+                    header["lat"] == ref_lat and header["lon"] == ref_lon,
                     "load",
                     f"model {spec['label']} is not on the reference grid; regrid it first",
                 )
                 model_paths[spec["label"]] = spec["path"]
-        with _StageTimer(manifest, "metrics"):
-            reports = _model_reports_streaming(
-                model_paths, obs_path, mask, config.zones, config.seasons, config.pdf_bins, chunk=chunk
-            )
-    else:
-        with _StageTimer(manifest, "load"):
+            one_model = lambda label, index: _stream_reports(model_paths[label], obs_path, index, config.pdf_bins, chunk)
+        else:
             obs = _load_cube_source(config.reference, "load")
-            mask = gcf.read_mask(config.mask)
-            _require(
-                np.array_equal(mask.lat.values, obs.lat.values) and np.array_equal(mask.lon.values, obs.lon.values),
-                "load",
-                "zone mask must be on the reference grid",
-            )
+            ref_lat, ref_lon = obs.lat.values, obs.lon.values
+            months = obs.months()
             model_cubes = {}
             for spec in config.models:
                 cube = _load_cube_source(spec, "load")
                 model_cubes[spec["label"]] = regrid_bilinear(cube, obs.lat, obs.lon)
+            one_model = lambda label, index: _cube_reports(label, model_cubes[label], obs, index, config.pdf_bins)
+        _require(
+            np.array_equal(mask.lat.values, ref_lat) and np.array_equal(mask.lon.values, ref_lon),
+            "load",
+            "zone mask must be on the reference grid",
+        )
 
-        with _StageTimer(manifest, "metrics"):
-            reports = _model_reports(model_cubes, obs, mask, config.zones, config.seasons, config.pdf_bins, jobs=jobs)
+    with _StageTimer(manifest, "metrics"):
+        index = _context_index(months, mask, config.zones, config.seasons)
+        reports = _model_reports(one_model, [spec["label"] for spec in config.models], index, jobs)
 
     with _StageTimer(manifest, "weights"):
         weight_source = config.weights
@@ -358,6 +345,8 @@ def run_rank(config: PipelineConfig, run_dir: str, jobs: int = 1, full_scale: bo
                     indent=1,
                 )
                 fh.write("\n")
+            for rel in ("weightnet_history.json", "weightnet.ckpt/manifest.json", "weightnet.ckpt/params.bin"):
+                manifest.add_output(run_dir, rel)
             weight_source = net
         elif isinstance(weight_source, dict):
             weight_source = WeightNet.load(weight_source["checkpoint"])
@@ -409,7 +398,7 @@ def _write_rank_outputs(run_dir, manifest, config, reports, results, weights_use
 
     weights_obj = {
         f"{ctx[0]}/{ctx[1]}": {"weights": [float(v) for v in wv.w], "source": src,
-                               "criteria": [c.name for c in _criteria_for(ctx, reports, config)]}
+                               "criteria": [c.name for c in by_context[ctx].criteria]}
         for ctx, (wv, src) in sorted(weights_used.items())
     }
     with open(os.path.join(run_dir, "weights.json"), "w") as fh:
@@ -438,15 +427,6 @@ def _write_rank_outputs(run_dir, manifest, config, reports, results, weights_use
 
     for rel in ("reports.csv", "reports.json", "ranking.csv", "heatmap.csv", "weights.json", "top5.csv", "config.json"):
         manifest.add_output(run_dir, rel)
-    if os.path.isdir(os.path.join(run_dir, "weightnet.ckpt")):
-        manifest.add_output(run_dir, os.path.join("weightnet.ckpt", "manifest.json"))
-        manifest.add_output(run_dir, os.path.join("weightnet.ckpt", "params.bin"))
-
-
-def _criteria_for(ctx, reports, config):
-    # columns actually used in a context can shrink if one was all-invalid
-    dm = assemble_matrix(reports[ctx], config.criteria, context=ctx)
-    return dm.criteria
 
 
 def run_downscale(

@@ -114,6 +114,7 @@ class RankingResult:
     d_plus: np.ndarray
     d_minus: np.ndarray
     order: List[str] = field(default_factory=list)
+    criteria: List[Criterion] = field(default_factory=list)  # the columns actually scored
 
     def __post_init__(self):
         if not self.order:
@@ -207,7 +208,8 @@ def topsis_score(
     d_minus = np.sqrt(np.sum((weighted - anti[None, :]) ** 2, axis=1))
     total = d_plus + d_minus
     cc = np.where(total > 0, d_minus / np.where(total > 0, total, 1.0), 0.5)
-    return RankingResult(context=context, models=list(models), cc=cc, d_plus=d_plus, d_minus=d_minus)
+    return RankingResult(context=context, models=list(models), cc=cc, d_plus=d_plus, d_minus=d_minus,
+                         criteria=list(criteria))
 
 
 def rank_matrix(dm: DecisionMatrix, weights: WeightVector) -> RankingResult:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -93,6 +94,10 @@ class TestRank:
         assert len(winners) == 30  # 6 zones x 5 seasons
         assert set(winners.values()) == {GOOD_MODEL}
 
+        history = os.path.join(run1, "weightnet_history.json")
+        outputs = json.loads(m1)["outputs"]
+        assert outputs["weightnet_history.json"] == hashlib.sha256(open(history, "rb").read()).hexdigest()
+
         weights = json.load(open(os.path.join(run1, "weights.json")))
         for ctx, spec in weights.items():
             assert spec["source"] == "weightnet"
@@ -146,6 +151,25 @@ class TestRank:
         assert mem.keys() == stream.keys()
         for key in mem:
             assert stream[key] == pytest.approx(mem[key], rel=1e-7, abs=1e-9)
+
+
+    def test_full_scale_names_non_finite_payload(self, tmp_path, fixture_paths, capsys):
+        config = json.load(open(fixture_paths["config"]))
+        for spec in config["models"]:
+            dest = str(tmp_path / f"rg_{spec['label']}")
+            assert main(["regrid", spec["path"], "--like", fixture_paths["obs"], dest]) == 0
+            spec["path"] = dest
+        bad = config["models"][-1]["path"]
+        cube = gcf.read_cube(bad)
+        data = cube.data.copy()
+        data[100, 3, 4] = np.nan
+        with open(os.path.join(bad, "data.bin"), "wb") as fh:
+            fh.write(data.astype("<f4").tobytes())
+        cfg_path = tmp_path / "nan.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--full-scale"]) == 2
+        err = capsys.readouterr().err
+        assert bad in err and "time index 100" in err
 
 
 class TestDownscaleCli:

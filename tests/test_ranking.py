@@ -288,6 +288,16 @@ class TestRankAll:
         assert np.all(matrix >= 0.0) and np.all(matrix <= 1.0)
         assert models == ["bad", "good"]
 
+    def test_results_carry_the_criteria_actually_scored(self):
+        reports = self._reports()
+        reports[("polar", "DJF")] = [(label, report(kge=None, flags={"kge": False})) for label in ("good", "bad")]
+        with pytest.warns(UserWarning, match="kge"):
+            results, weights, _ = rk.rank_all(reports, "uniform")
+        for res in results:
+            names = [c.name for c in res.criteria]
+            assert len(names) == len(weights[res.context][0])
+            assert ("kge" in names) == (res.context != ("polar", "DJF"))
+
     def test_weightnet_source(self):
         net = rk.WeightNet(9, seed=1)
         results, weights, _ = rk.rank_all(self._reports(), net)
