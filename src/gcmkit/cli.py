@@ -71,12 +71,24 @@ def cmd_rank(args) -> int:
     return 0
 
 
+def _read_pair_spec(path: str) -> dict:
+    """A downscale data spec: a JSON object naming the coarse and fine cubes."""
+    with open(path) as fh:
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"data spec {path} is not valid JSON: {exc}") from None
+    if not isinstance(spec, dict):
+        raise ValidationError(f"data spec {path} is not a JSON object")
+    for key in ("coarse", "fine"):
+        if key not in spec:
+            raise ValidationError(f"data spec {path} lacks key {key!r}")
+    return spec
+
+
 def cmd_downscale_train(args) -> int:
     run_dir = os.path.join(_out_root(args), args.name)
-    data_spec = None
-    if args.data:
-        with open(args.data) as fh:
-            data_spec = json.load(fh)
+    data_spec = _read_pair_spec(args.data) if args.data else None
     overrides = {}
     if args.config:
         with open(args.config) as fh:
@@ -96,8 +108,7 @@ def cmd_downscale_train(args) -> int:
 
 def cmd_downscale_eval(args) -> int:
     if args.data:
-        with open(args.data) as fh:
-            spec = json.load(fh)
+        spec = _read_pair_spec(args.data)
         coarse = gcf.read_cube(spec["coarse"])
         fine = gcf.read_cube(spec["fine"])
         test_set = dsc.windows_from_pair(coarse, fine, spec.get("window", 4))

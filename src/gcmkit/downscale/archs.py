@@ -237,8 +237,7 @@ class CnnLstm(DownscaleModel):
         for conv in self.convs:
             frames = conv(frames).relu()
         flat = frames.reshape(n, t, -1)
-        h_t = Tensor(np.zeros((n, self.cfg.lstm_hidden)))
-        c_t = Tensor(np.zeros((n, self.cfg.lstm_hidden)))
+        h_t = c_t = None
         for step in range(t):
             h_t, c_t = self.cell.step(flat[:, step, :], h_t, c_t)
         out = self.head(h_t)
@@ -288,8 +287,7 @@ class ConvLstmNet(DownscaleModel):
             raise ValidationError(f"expected coarse grid {(self.h, self.w)}, got {(h, w)}")
         seq = [Tensor(x[:, step]) for step in range(t)]
         for cell, bn in zip(self.cells, self.norms):
-            h_t = Tensor(np.zeros((n, cell.hidden, h, w)))
-            c_t = Tensor(np.zeros((n, cell.hidden, h, w)))
+            h_t = c_t = None
             outputs = []
             norm = (lambda z: bn(z, training=training))
             for frame in seq:

@@ -3,9 +3,9 @@
 Training runs on standardized inputs/targets (statistics fitted on the
 training split and stored with the model), with seeded shuffling, per-epoch
 train/validation logging, best-validation checkpointing and an abort path
-that keeps the last good parameters when the loss goes non-finite. Logged
-losses are converted back to squared data units so they are comparable
-across configurations.
+that keeps the last good parameters when the loss or a parameter goes
+non-finite. Logged losses are converted back to squared data units so they
+are comparable across configurations.
 """
 
 import math
@@ -150,6 +150,8 @@ def train(
                     raise NumericFault("non-finite training loss")
                 loss.backward()
                 opt.step()
+                if not all(np.all(np.isfinite(p.data)) for p in params):
+                    raise NumericFault("non-finite parameters after an optimizer step")
             except NumericFault:
                 bad = True
                 break

@@ -20,7 +20,7 @@ from .nn import (
     mse,
 )
 from .optim import SGD, Adam, make_optimizer
-from .tensor import Tensor, concat, conv2d, conv2d_transpose, set_finite_checks, softmax
+from .tensor import Tensor, batch_norm, concat, conv2d, conv2d_transpose, layer_norm, lstm_gates, softmax
 
 __all__ = [
     "Adam",
@@ -36,6 +36,7 @@ __all__ = [
     "Tensor",
     "TransformerBlock",
     "attention",
+    "batch_norm",
     "concat",
     "conv2d",
     "conv2d_transpose",
@@ -43,11 +44,12 @@ __all__ = [
     "dense",
     "grad_check",
     "he_uniform",
+    "layer_norm",
     "load_checkpoint",
     "lstm_cell",
+    "lstm_gates",
     "make_optimizer",
     "mse",
     "save_checkpoint",
-    "set_finite_checks",
     "softmax",
 ]

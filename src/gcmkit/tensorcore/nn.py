@@ -8,13 +8,13 @@ contract.
 """
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ValidationError
 from ..rng import SplitMix64
-from .tensor import Tensor, conv2d, conv2d_transpose, softmax
+from .tensor import Tensor, batch_norm, conv2d, conv2d_transpose, layer_norm, lstm_gates, softmax
 
 
 def he_uniform(rng: SplitMix64, shape, fan_in: int) -> np.ndarray:
@@ -31,26 +31,28 @@ def dense(x: Tensor, weight: Tensor, bias_t: Tensor) -> Tensor:
     return x @ weight + bias_t
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: "LSTMCell") -> Tuple[Tensor, Tensor]:
+def lstm_cell(
+    x: Tensor,
+    h_prev: Optional[Tensor],
+    c_prev: Optional[Tensor],
+    params: "LSTMCell",
+) -> Tuple[Tensor, Tensor]:
     """One LSTM step: three sigmoid gates, a tanh candidate, gated state update.
 
     Gate order in the stacked weights is (input, forget, output, candidate).
+    `None` states are zero states: the recurrent product and the forget
+    term are skipped.
     """
-    d_h = params.hidden
-    z = x @ params.wx + h_prev @ params.wh + params.b
-    i = z[:, 0 * d_h : 1 * d_h].sigmoid()
-    f = z[:, 1 * d_h : 2 * d_h].sigmoid()
-    o = z[:, 2 * d_h : 3 * d_h].sigmoid()
-    g = z[:, 3 * d_h : 4 * d_h].tanh()
-    c_t = f * c_prev + i * g
-    h_t = o * c_t.tanh()
-    return h_t, c_t
+    z = x @ params.wx
+    if h_prev is not None:
+        z = z + h_prev @ params.wh
+    return lstm_gates(z + params.b, c_prev)
 
 
 def convlstm_cell(
     x: Tensor,
-    h_prev: Tensor,
-    c_prev: Tensor,
+    h_prev: Optional[Tensor],
+    c_prev: Optional[Tensor],
     params: "ConvLSTMCell",
     norm=None,
 ) -> Tuple[Tensor, Tensor]:
@@ -59,18 +61,14 @@ def convlstm_cell(
 
     `norm`, when given, is applied to the stacked gate pre-activations
     (the output of the gate convolution block) before the nonlinearities.
+    `None` states are zero states, as in `lstm_cell`.
     """
-    ch = params.hidden
-    z = conv2d(x, params.wx, params.b, padding="same") + conv2d(h_prev, params.wh, padding="same")
+    z = conv2d(x, params.wx, params.b, padding="same")
+    if h_prev is not None:
+        z = z + conv2d(h_prev, params.wh, padding="same")
     if norm is not None:
         z = norm(z)
-    i = z[:, 0 * ch : 1 * ch].sigmoid()
-    f = z[:, 1 * ch : 2 * ch].sigmoid()
-    o = z[:, 2 * ch : 3 * ch].sigmoid()
-    g = z[:, 3 * ch : 4 * ch].tanh()
-    c_t = f * c_prev + i * g
-    h_t = o * c_t.tanh()
-    return h_t, c_t
+    return lstm_gates(z, c_prev)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -150,7 +148,7 @@ class LSTMCell:
         self.wh = Tensor(he_uniform(rng, (d_h, 4 * d_h), d_h), requires_grad=True)
         self.b = Tensor(np.zeros(4 * d_h), requires_grad=True)
 
-    def step(self, x, h_prev, c_prev):
+    def step(self, x, h_prev=None, c_prev=None):
         return lstm_cell(x, h_prev, c_prev, self)
 
     def params(self):
@@ -166,7 +164,7 @@ class ConvLSTMCell:
         self.wh = Tensor(he_uniform(rng, (4 * c_h, c_h, k, k), c_h * k * k), requires_grad=True)
         self.b = Tensor(np.zeros(4 * c_h), requires_grad=True)
 
-    def step(self, x, h_prev, c_prev, norm=None):
+    def step(self, x, h_prev=None, c_prev=None, norm=None):
         return convlstm_cell(x, h_prev, c_prev, self, norm=norm)
 
     def params(self):
@@ -180,10 +178,7 @@ class LayerNorm:
         self.beta = Tensor(np.zeros(d), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / (var + self.eps).sqrt() * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
     def params(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
@@ -205,18 +200,12 @@ class BatchNorm2d:
         self.running_var = np.ones(channels)
 
     def __call__(self, x: Tensor, training: bool = True) -> Tensor:
-        g = self.gamma.reshape(1, -1, 1, 1)
-        b = self.beta.reshape(1, -1, 1, 1)
+        stats = None if training else (self.running_mean, self.running_var)
+        out, mu, var = batch_norm(x, self.gamma, self.beta, self.eps, stats)
         if training:
-            mu = x.mean(axis=(0, 2, 3), keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=(0, 2, 3), keepdims=True)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu.data.reshape(-1)
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var.data.reshape(-1)
-            return centered / (var + self.eps).sqrt() * g + b
-        mu = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-        var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-        return (x - mu) / (var + self.eps).sqrt() * g + b
+            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
+            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+        return out
 
     def params(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]

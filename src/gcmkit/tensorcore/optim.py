@@ -45,14 +45,22 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * p.grad
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * (p.grad * p.grad)
-            m_hat = self.m[i] / (1 - self.beta1 ** t)
-            v_hat = self.v[i] / (1 - self.beta2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, but the same operations in the same order as
+            # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            m *= self.beta1
+            m += (1 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1 - self.beta2) * (p.grad * p.grad)
+            update = m / (1 - self.beta1 ** t)
+            update *= self.lr
+            denom = v / (1 - self.beta2 ** t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p.data -= update
 
 
 def make_optimizer(kind: str, params: List[Tensor], lr: float):

@@ -5,20 +5,29 @@ Every op builds a node holding its parents and a backward closure; calling
 order. Parents are kept as ordered tuples and the traversal is iterative,
 so gradient accumulation order is fixed and runs are bit-reproducible.
 
-All math is float64. By default every op output is checked for NaN/Inf and
-a `NumericFault` is raised at the op that produced it; `set_finite_checks`
-can switch that off for hot loops.
+Hot composites are single fused nodes with hand-written backwards: the
+LSTM gate step (`lstm_gates`, two nodes: cell state and hidden state),
+`batch_norm` and `layer_norm`. Their backwards evaluate the same
+expressions, in the same order, as the composite graphs they replace,
+except that the normalizations use the closed-form input gradient.
+
+All math is float64. Every op output is checked for NaN/Inf and a
+`NumericFault` is raised at the op that produced it.
 """
 
 import numpy as np
 
 from ..errors import NumericFault, ValidationError
 
-_FINITE_CHECKS = [True]
 
-
-def set_finite_checks(enabled: bool) -> None:
-    _FINITE_CHECKS[0] = bool(enabled)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|)."""
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    d = 1.0 + e
+    y = np.divide(1.0, d)
+    np.divide(e, d, out=y, where=x < 0)
+    return y
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -37,7 +46,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        if _FINITE_CHECKS[0] and not np.all(np.isfinite(self.data)):
+        if not np.all(np.isfinite(self.data)):
             raise NumericFault(f"non-finite values produced by op {_op!r}")
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = np.zeros_like(self.data) if (self.requires_grad and not _parents) else None
@@ -64,10 +73,25 @@ class Tensor:
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add `g` into the gradient.
+
+        The first contribution is adopted when `fresh` says no one else holds
+        the buffer and its layout is the data's; otherwise it is copied into
+        a buffer laid out like the data, so BLAS sees the same strides.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif fresh and g.flags.c_contiguous and self.data.flags.c_contiguous:
+            self.grad = g
+        else:
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+
+    def _accum_at(self, key, g: np.ndarray) -> None:
+        """Add `g` into the gradient entries a basic index `key` selects."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad[key] += g
 
     def backward(self, grad=None) -> None:
         if grad is None:
@@ -127,9 +151,9 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
+                self._accum(_unbroadcast(g * other.data, self.data.shape), fresh=True)
             if other.requires_grad:
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
+                other._accum(_unbroadcast(g * self.data, other.data.shape), fresh=True)
 
         out._backward = back
         return out
@@ -151,9 +175,10 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.data.shape))
+                self._accum(_unbroadcast(g / other.data, self.data.shape), fresh=True)
             if other.requires_grad:
-                other._accum(_unbroadcast(-g * self.data / (other.data * other.data), other.data.shape))
+                grad = -g * self.data / (other.data * other.data)
+                other._accum(_unbroadcast(grad, other.data.shape), fresh=True)
 
         out._backward = back
         return out
@@ -165,7 +190,7 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accum(g * exponent * self.data ** (exponent - 1))
+                self._accum(g * exponent * self.data ** (exponent - 1), fresh=True)
 
         out._backward = back
         return out
@@ -181,9 +206,9 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accum(_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape))
+                self._accum(_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape), fresh=True)
             if other.requires_grad:
-                other._accum(_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))
+                other._accum(_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape), fresh=True)
 
         out._backward = back
         return out
@@ -216,12 +241,21 @@ class Tensor:
 
     def __getitem__(self, key):
         out = Tensor(self.data[key], _parents=(self,), _op="slice")
+        basic = all(
+            k is None or k is Ellipsis or isinstance(k, slice)
+            or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+            for k in (key if isinstance(key, tuple) else (key,))
+        )
 
         def back(g):
-            if self.requires_grad:
+            if not self.requires_grad:
+                return
+            if basic:
+                self._accum_at(key, g)
+            else:
                 full = np.zeros_like(self.data)
                 np.add.at(full, key, g)
-                self._accum(full)
+                self._accum(full, fresh=True)
 
         out._backward = back
         return out
@@ -236,14 +270,14 @@ class Tensor:
             if not self.requires_grad:
                 return
             if axis is None:
-                self._accum(np.broadcast_to(g, shape).copy() if np.ndim(g) else np.full(shape, g))
+                self._accum(np.broadcast_to(g, shape).copy() if np.ndim(g) else np.full(shape, g), fresh=True)
             else:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 gg = g
                 if not keepdims:
                     for ax in sorted(a % len(shape) for a in axes):
                         gg = np.expand_dims(gg, ax)
-                self._accum(np.broadcast_to(gg, shape).copy())
+                self._accum(np.broadcast_to(gg, shape).copy(), fresh=True)
 
         out._backward = back
         return out
@@ -263,19 +297,18 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accum(g * (self.data > 0.0))
+                self._accum(g * (self.data > 0.0), fresh=True)
 
         out._backward = back
         return out
 
     def sigmoid(self):
-        x = self.data
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        y = _sigmoid(self.data)
         out = Tensor(y, _parents=(self,), _op="sigmoid")
 
         def back(g):
             if self.requires_grad:
-                self._accum(g * y * (1.0 - y))
+                self._accum(g * y * (1.0 - y), fresh=True)
 
         out._backward = back
         return out
@@ -286,7 +319,7 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accum(g * (1.0 - y * y))
+                self._accum(g * (1.0 - y * y), fresh=True)
 
         out._backward = back
         return out
@@ -297,7 +330,7 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accum(g * y)
+                self._accum(g * y, fresh=True)
 
         out._backward = back
         return out
@@ -308,7 +341,7 @@ class Tensor:
 
         def back(g):
             if self.requires_grad:
-                self._accum(g * 0.5 / y)
+                self._accum(g * 0.5 / y, fresh=True)
 
         out._backward = back
         return out
@@ -341,10 +374,108 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def back(g):
         if x.requires_grad:
             dot = np.sum(g * y, axis=axis, keepdims=True)
-            x._accum(y * (g - dot))
+            x._accum(y * (g - dot), fresh=True)
 
     out._backward = back
     return out
+
+
+def lstm_gates(z: Tensor, c_prev: Tensor = None):
+    """LSTM state update from stacked gate pre-activations.
+
+    z holds the gates on axis 1 in the order input, forget, output,
+    candidate; c_prev is the previous cell state, `None` for a zero state
+    (the forget term then drops out). Returns (h_t, c_t) with
+    c_t = f * c_prev + i * g and h_t = o * tanh(c_t) as two nodes: c_t
+    writes the i, f and g bands of the gate gradient, h_t the o band.
+    """
+    d = z.data.shape[1] // 4
+    bands = [(slice(None), slice(k * d, (k + 1) * d)) for k in range(4)]
+    i, f, o = (_sigmoid(z.data[band]) for band in bands[:3])
+    g = np.tanh(z.data[bands[3]])
+    c = i * g if c_prev is None else f * c_prev.data + i * g
+    tanh_c = np.tanh(c)
+    c_t = Tensor(c, _parents=(z,) if c_prev is None else (z, c_prev), _op="lstm_cell_state")
+    h_t = Tensor(o * tanh_c, _parents=(z, c_t), _op="lstm_hidden")
+
+    def back_c(gc):
+        if z.requires_grad:
+            z._accum_at(bands[0], gc * g * i * (1.0 - i))
+            if c_prev is not None:
+                z._accum_at(bands[1], gc * c_prev.data * f * (1.0 - f))
+            z._accum_at(bands[3], gc * i * (1.0 - g * g))
+        if c_prev is not None and c_prev.requires_grad:
+            c_prev._accum(gc * f, fresh=True)
+
+    def back_h(gh):
+        if z.requires_grad:
+            z._accum_at(bands[2], gh * tanh_c * o * (1.0 - o))
+        if c_t.requires_grad:
+            c_t._accum(gh * o * (1.0 - tanh_c * tanh_c), fresh=True)
+
+    c_t._backward = back_c
+    h_t._backward = back_h
+    return h_t, c_t
+
+
+def _normalize(
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stat_axes, channel_axis: int, op: str, stats=None
+):
+    """(x - mean) / sqrt(var + eps) * gamma + beta with gamma and beta along
+    `channel_axis`; the statistics run over `stat_axes` unless `stats` fixes
+    them. Returns the output node and the (broadcastable) mean and var."""
+    nd = x.data.ndim
+    bshape = [1] * nd
+    bshape[channel_axis] = -1
+    param_axes = tuple(a for a in range(nd) if a != channel_axis % nd)
+    scale = gamma.data.reshape(bshape)
+    if stats is None:
+        count = int(np.prod([x.data.shape[a] for a in stat_axes]))
+        mu = x.data.sum(axis=stat_axes, keepdims=True) * (1.0 / count)
+        centered = x.data - mu
+        var = (centered * centered).sum(axis=stat_axes, keepdims=True) * (1.0 / count)
+    else:
+        mu, var = (np.reshape(s, bshape) for s in stats)
+        centered = x.data - mu
+    std = np.sqrt(var + eps)
+    xhat = np.divide(centered, std, out=centered)
+    y = xhat * scale
+    y += beta.data.reshape(bshape)
+    out = Tensor(y, _parents=(x, gamma, beta), _op=op)
+
+    def back(g):
+        if x.requires_grad:
+            dxhat = g * scale
+            if stats is None:  # the batch statistics depend on x too
+                mean_dxhat = dxhat.mean(axis=stat_axes, keepdims=True)
+                projection = (dxhat * xhat).mean(axis=stat_axes, keepdims=True)
+                dxhat -= mean_dxhat
+                dxhat -= xhat * projection
+            dxhat /= std
+            x._accum(dxhat, fresh=True)
+        if gamma.requires_grad:
+            gamma._accum((g * xhat).sum(axis=param_axes).reshape(gamma.data.shape), fresh=True)
+        if beta.requires_grad:
+            beta._accum(g.sum(axis=param_axes).reshape(beta.data.shape), fresh=True)
+
+    out._backward = back
+    return out, mu, var
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
+    """Per-channel normalization of x (n, c, h, w) over (n, h, w).
+
+    With `stats` None (training) the batch mean and biased variance are
+    used; a (mean, var) pair of per-channel arrays (eval) is used instead.
+    Returns (output, mean, var), the statistics as per-channel arrays.
+    """
+    out, mu, var = _normalize(x, gamma, beta, eps, (0, 2, 3), 1, "batch_norm", stats)
+    return out, mu.reshape(-1), var.reshape(-1)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalization over the last axis, scaled and shifted per feature."""
+    return _normalize(x, gamma, beta, eps, (-1,), -1, "layer_norm")[0]
 
 
 # -- convolution ----------------------------------------------------------
@@ -406,12 +537,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor = None, stride: int = 1, padd
         g2 = g.reshape(n, c_out, oh * ow)
         if kernel.requires_grad:
             dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            kernel._accum(dk.reshape(kernel.data.shape))
+            kernel._accum(dk.reshape(kernel.data.shape), fresh=True)
         if x.requires_grad:
             dcols = np.matmul(k2.T, g2)
-            x._accum(_col2im(dcols, n, c_in, h, w, kh, kw, stride, ph, pw, oh, ow))
+            x._accum(_col2im(dcols, n, c_in, h, w, kh, kw, stride, ph, pw, oh, ow), fresh=True)
         if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
+            bias._accum(g.sum(axis=(0, 2, 3)), fresh=True)
 
     out._backward = back
     return out
@@ -444,12 +575,12 @@ def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor = 
         gcols, _, _ = _im2col(g, kh, kw, stride, 0, 0)
         if x.requires_grad:
             dx = np.matmul(k2, gcols).reshape(n, c_out, h, w)
-            x._accum(dx)
+            x._accum(dx, fresh=True)
         if kernel.requires_grad:
             dk = np.matmul(x2, gcols.transpose(0, 2, 1)).sum(axis=0)
-            kernel._accum(dk.reshape(kernel.data.shape))
+            kernel._accum(dk.reshape(kernel.data.shape), fresh=True)
         if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=(0, 2, 3)))
+            bias._accum(g.sum(axis=(0, 2, 3)), fresh=True)
 
     out._backward = back
     return out

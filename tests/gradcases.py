@@ -129,6 +129,47 @@ def _case_convlstm(rng):
     return f, [x, cell.wx, cell.wh, cell.b]
 
 
+@op_case("lstm_cell_zero_state")
+def _case_lstm_zero_state(rng):
+    cell = tc.LSTMCell(rng.split(), 3, 4)
+    x = Tensor(rand(rng, (2, 3)), requires_grad=True)
+    t = rand(rng, (2, 4))
+
+    def f():
+        h1, c1 = cell.step(x, None, None)
+        return tc.mse(h1 * c1, t)
+
+    return f, [x, cell.wx, cell.b]
+
+
+@op_case("convlstm_cell_zero_state")
+def _case_convlstm_zero_state(rng):
+    cell = tc.ConvLSTMCell(rng.split(), 1, 2, 3)
+    x = Tensor(rand(rng, (2, 1, 5, 5)), requires_grad=True)
+    t = rand(rng, (2, 2, 5, 5))
+
+    def f():
+        h1, c1 = cell.step(x, None, None)
+        return tc.mse(h1 + c1, t)
+
+    return f, [x, cell.wx, cell.b]
+
+
+@op_case("lstm_two_steps")
+def _case_lstm_two_steps(rng):
+    # the second step's state gradients flow back through the first step
+    cell = tc.LSTMCell(rng.split(), 3, 4)
+    x = Tensor(rand(rng, (2, 2, 3)), requires_grad=True)
+    t = rand(rng, (2, 4))
+
+    def f():
+        h, c = cell.step(x[:, 0], None, None)
+        h, c = cell.step(x[:, 1], h, c)
+        return tc.mse(h * c, t)
+
+    return f, [x, cell.wx, cell.wh, cell.b]
+
+
 @op_case("attention")
 def _case_attention(rng):
     q = Tensor(rand(rng, (2, 3, 4)), requires_grad=True)
@@ -160,6 +201,17 @@ def _case_bn(rng):
     x = Tensor(rand(rng, (4, 3, 5, 5)), requires_grad=True)
     t = rand(rng, (4, 3, 5, 5))
     return lambda: tc.mse(bn(x, training=True), t), [x, bn.gamma, bn.beta]
+
+
+@op_case("batch_norm_eval")
+def _case_bn_eval(rng):
+    bn = tc.BatchNorm2d(3)
+    bn.running_mean = rand(rng, (3,))
+    bn.running_var = np.abs(rand(rng, (3,))) + 0.5
+    bn.gamma.data[...] = rand(rng, (3,))
+    x = Tensor(rand(rng, (4, 3, 5, 5)), requires_grad=True)
+    t = rand(rng, (4, 3, 5, 5))
+    return lambda: tc.mse(bn(x, training=False), t), [x, bn.gamma, bn.beta]
 
 
 @op_case("reductions_and_shapes")

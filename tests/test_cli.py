@@ -204,6 +204,21 @@ class TestDownscaleCli:
         assert len(lines) == 3  # header + vit + baseline
 
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("missing", ["coarse", "fine"])
+    def test_spec_without_cube_key_exits_2(self, tmp_path, capsys, command, missing):
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps({k: str(tmp_path / k) for k in ("coarse", "fine") if k != missing}))
+        argv = ["downscale", command, "--data", str(spec)]
+        if command == "train":
+            argv += ["--arch", "vit", "--out", str(tmp_path)]
+        else:
+            argv += ["--ckpt", str(tmp_path / "none.ckpt"), "--report", str(tmp_path / "eval.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"lacks key '{missing}'" in err and str(spec) in err
+
+
 class TestJobs:
     def test_parallel_metrics_are_schedule_invariant(self, tmp_path, fixture_paths):
         out_root = str(tmp_path)
@@ -260,6 +275,23 @@ class TestExitCodes:
             ])
         assert code == 3
         assert "numeric fault" in capsys.readouterr().err
+
+    def test_non_finite_parameter_step_exits_3(self, tmp_path, capsys, monkeypatch):
+        from gcmkit.tensorcore import Adam, load_checkpoint
+
+        real_step = Adam.step
+
+        def poisoned_step(opt):
+            real_step(opt)
+            opt.params[0].data[...] = np.nan
+
+        monkeypatch.setattr(Adam, "step", poisoned_step)
+        code = main(["downscale", "train", "--arch", "cnn_lstm", "--epochs", "1",
+                     "--name", "poisoned", "--out", str(tmp_path)])
+        assert code == 3
+        assert "numeric fault" in capsys.readouterr().err
+        arrays, _ = load_checkpoint(str(tmp_path / "poisoned" / "cnn_lstm.ckpt"))
+        assert all(np.all(np.isfinite(arr)) for arr in arrays.values())
 
     def test_io_error_exits_4(self, tmp_path, capsys):
         csv_path = make_csv_fixture(str(tmp_path / "fx.csv"))

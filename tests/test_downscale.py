@@ -94,6 +94,26 @@ class TestShapeContracts:
         y = model.forward(x, coords=coords, training=False)
         assert y.data.shape == (2, 16, 16)
 
+    # Tensor nodes one training step builds at the mini config (forward,
+    # loss and backward); the fused gate and norm nodes keep these low
+    @pytest.mark.parametrize(
+        "kind, limit", [("cnn_lstm", 29), ("convlstm", 32), ("vit", 56), ("geostanet", 86)]
+    )
+    def test_training_step_node_budget(self, kind, limit, mini_data, monkeypatch):
+        model = ds.build_model(mini_cfg(kind), (8, 8))
+        coords = mini_data.patch_coords(4) if kind in ("vit", "geostanet") else None
+        built = []
+        real_init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        pred = model.forward(mini_data.inputs[:3], coords=coords, training=True)
+        tc.mse(pred, mini_data.targets[:3]).backward()
+        assert len(built) <= limit
+
     def test_vit_token_count(self):
         model = ds.build_model(mini_cfg("vit"), (8, 8))
         assert model.n_tokens == (8 // 4) * (8 // 4)
@@ -263,6 +283,30 @@ class TestTrainer:
         assert res.aborted
         for _, arr in model.state_entries():
             assert np.all(np.isfinite(arr))
+
+    def test_non_finite_parameter_step_keeps_last_good_checkpoint(self, tmp_path, mini_data, monkeypatch):
+        # step 2 writes NaN into a parameter after a finite loss; the check
+        # after the update must keep step 1's state as the last good one
+        real_step = tc.Adam.step
+        after_first = []
+
+        def poisoned_step(opt):
+            real_step(opt)
+            if opt.step_count == 1:
+                after_first.extend(p.data.copy() for p in opt.params)
+            else:
+                opt.params[0].data[0] = np.nan
+
+        monkeypatch.setattr(tc.Adam, "step", poisoned_step)
+        cfg = mini_cfg("cnn_lstm", seed=26)
+        path = str(tmp_path / "poisoned.ckpt")
+        res = ds.train(cfg, mini_data, ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3), ckpt_path=path)
+        assert res.aborted
+        arrays, _ = tc.load_checkpoint(path)
+        for name, arr in arrays.items():
+            assert np.all(np.isfinite(arr)), name
+        for (name, _), saved in zip(res.model.params(), after_first):
+            assert np.array_equal(arrays[name], saved), name
 
     def test_log_csv_columns(self, tmp_path, mini_data):
         cfg = mini_cfg("vit", seed=24)

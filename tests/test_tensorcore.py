@@ -212,6 +212,61 @@ class TestLstmOracles:
         assert np.allclose(interior, interior[:, :, :1, :1], atol=1e-12)
 
 
+class TestFusedNodes:
+    @staticmethod
+    def _oracle(z, c_prev, gh, gc):
+        """Forward and backward of the gate step, composed in plain numpy."""
+        sig = lambda v: 1.0 / (1.0 + np.exp(-v))
+        zi, zf, zo, zg = np.split(z, 4, axis=1)
+        i, f, o, g = sig(zi), sig(zf), sig(zo), np.tanh(zg)
+        c = f * c_prev + i * g
+        h = o * np.tanh(c)
+        dc = gc + gh * o * (1.0 - np.tanh(c) ** 2)
+        dz = np.concatenate(
+            [
+                dc * g * i * (1 - i),
+                dc * c_prev * f * (1 - f),
+                gh * np.tanh(c) * o * (1 - o),
+                dc * i * (1 - g * g),
+            ],
+            axis=1,
+        )
+        return h, c, dz, dc * f
+
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 4, 4)])
+    @pytest.mark.parametrize("zero_state", [False, True])
+    def test_lstm_gates_match_numpy_composition(self, shape, zero_state):
+        rng = SplitMix64(40)
+        gate_shape = (shape[0], 4 * shape[1]) + shape[2:]
+        z = Tensor(rand(rng, gate_shape), requires_grad=True)
+        c_prev = None if zero_state else Tensor(rand(rng, shape), requires_grad=True)
+        gh, gc = rand(rng, shape), rand(rng, shape)
+        h, c = tc.lstm_gates(z, c_prev)
+        ((h * Tensor(gh)).sum() + (c * Tensor(gc)).sum()).backward()
+
+        h_ref, c_ref, dz_ref, dc_prev_ref = self._oracle(
+            z.data, np.zeros(shape) if zero_state else c_prev.data, gh, gc
+        )
+        for got, want in ((h.data, h_ref), (c.data, c_ref), (z.grad, dz_ref)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        if not zero_state:
+            assert np.max(np.abs(c_prev.grad - dc_prev_ref)) <= 1e-12
+
+    def test_batch_norm_returns_the_statistics_it_used(self):
+        rng = SplitMix64(41)
+        x = Tensor(rand(rng, (4, 3, 5, 5)) * 2.0 + 1.0)
+        gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+        out, mu, var = tc.batch_norm(x, gamma, beta, 1e-5)
+        assert np.allclose(mu, x.data.mean(axis=(0, 2, 3)), atol=1e-12)
+        assert np.allclose(var, x.data.var(axis=(0, 2, 3)), atol=1e-12)
+        assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
+        stats = (np.array([0.5, -1.0, 2.0]), np.array([1.0, 4.0, 0.25]))
+        out, mu, var = tc.batch_norm(x, gamma, beta, 0.0, stats)
+        assert np.array_equal(mu, stats[0]) and np.array_equal(var, stats[1])
+        expected = (x.data - stats[0].reshape(1, -1, 1, 1)) / np.sqrt(stats[1]).reshape(1, -1, 1, 1)
+        assert np.allclose(out.data, expected, atol=1e-12)
+
+
 class TestGradChecks:
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_op_gradients(self, name):
