@@ -108,10 +108,7 @@ def cmd_downscale_train(args) -> int:
 
 def cmd_downscale_eval(args) -> int:
     if args.data:
-        spec = _read_pair_spec(args.data)
-        coarse = gcf.read_cube(spec["coarse"])
-        fine = gcf.read_cube(spec["fine"])
-        test_set = dsc.windows_from_pair(coarse, fine, spec.get("window", 4))
+        _, test_set = dsc.spec_split(_read_pair_spec(args.data))
     else:
         _, test_set = dsc.benchmark_sets()
     model = dsc.load_model(args.ckpt, test_set.coarse_hw)
@@ -203,9 +200,10 @@ def main(argv=None) -> int:
     pt.add_argument("--seed", type=int)
     pt.add_argument("--epochs", type=int, help="override the preset epoch count")
     pt.set_defaults(func=cmd_downscale_train)
-    pe = dsub.add_parser("eval", help="evaluate a checkpoint on the bundled benchmark")
+    pe = dsub.add_parser("eval", help="evaluate a checkpoint on a held-out test split")
     pe.add_argument("--ckpt", required=True)
-    pe.add_argument("--data", help="JSON pair spec; default is the bundled benchmark test split")
+    pe.add_argument("--data", help="JSON pair spec, scored on the windows train holds out "
+                    "(default: the bundled benchmark test split)")
     pe.add_argument("--report", required=True)
     pe.set_defaults(func=cmd_downscale_eval)
 

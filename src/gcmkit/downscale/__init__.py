@@ -6,7 +6,6 @@ from .archs import (
     CnnLstm,
     ConvLstmNet,
     DownscaleModel,
-    DownscaleSample,
     GeoSTANet,
     ViTNet,
     build_model,
@@ -18,6 +17,7 @@ from .data import (
     benchmark_sets,
     capacity_set,
     make_dataset,
+    spec_split,
     windows_from_pair,
 )
 from .evaluate import (
@@ -39,7 +39,6 @@ __all__ = [
     "ConvLstmNet",
     "DownscaleDataset",
     "DownscaleModel",
-    "DownscaleSample",
     "GeoSTANet",
     "TrainConfig",
     "TrainResult",
@@ -57,6 +56,7 @@ __all__ = [
     "make_dataset",
     "predict_dataset",
     "rmse_to_target",
+    "spec_split",
     "train",
     "windows_from_pair",
     "write_log_csv",

@@ -66,15 +66,6 @@ class ArchConfig:
         return 2 * self.kernel_radius + 1
 
 
-@dataclass(frozen=True, eq=False)
-class DownscaleSample:
-    """One training example: coarse sequence, fine target, fine-cell coords."""
-
-    input: np.ndarray  # (t, h_c, w_c, c)
-    target: np.ndarray  # (h_f, w_f)
-    coords: np.ndarray  # (h_f, w_f, 2) as (lat, lon)
-
-
 def _stride_plan(total: int) -> List[int]:
     """Greedy decomposition of an upsample factor into transposed-conv strides."""
     plan = []

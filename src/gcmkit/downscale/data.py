@@ -11,10 +11,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .. import gcf
 from ..errors import ValidationError
 from ..geogrid import DataCube, GridAxis, synth_pair
 from ..rng import SplitMix64
-from .archs import DownscaleSample
 
 
 @dataclass(eq=False)
@@ -56,14 +56,6 @@ class DownscaleDataset:
             inputs=self.inputs[idx],
             targets=self.targets[idx],
             times=tuple(self.times[i] for i in idx),
-        )
-
-    def sample(self, i: int) -> DownscaleSample:
-        lat2d, lon2d = np.meshgrid(self.fine_lat.values, self.fine_lon.values, indexing="ij")
-        return DownscaleSample(
-            input=np.transpose(self.inputs[i], (0, 2, 3, 1)),
-            target=self.targets[i],
-            coords=np.stack([lat2d, lon2d], axis=-1),
         )
 
     def patch_coords(self, patch: int) -> np.ndarray:
@@ -129,6 +121,23 @@ def windows_from_pair(coarse: DataCube, fine: DataCube, t: int) -> DownscaleData
         fine_lat=fine.lat,
         fine_lon=fine.lon,
     )
+
+
+def spec_split(spec: dict) -> Tuple[DownscaleDataset, DownscaleDataset]:
+    """(train, test) windows of a data spec {"coarse": gcf, "fine": gcf, "window": t}.
+
+    Windows are `window` frames long (default 4) and the last 20% of them
+    are held out, so `downscale train` and `downscale eval` share one split.
+    """
+    window = spec.get("window", 4)
+    if not isinstance(window, int) or window < 1:
+        raise ValidationError(f"data spec window must be a positive integer, got {window!r}")
+    full = windows_from_pair(gcf.read_cube(spec["coarse"]), gcf.read_cube(spec["fine"]), window)
+    n = len(full)
+    split = int(round(0.8 * n))
+    if not 0 < split < n:
+        raise ValidationError(f"{n} windows of {window} frames are too few for an 80/20 train/test split")
+    return full.subset(range(split)), full.subset(range(split, n))
 
 
 def make_dataset(

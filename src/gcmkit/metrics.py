@@ -1,10 +1,18 @@
 """Skill metrics over pooled model/reference sample pairs.
 
-Each metric takes a `PooledSample` (paired, fill-free, finite series) and
-returns a float. Degenerate samples (constant series, zero means) raise
-`DegenerateSampleError` from the bare functions; `compute_report` catches
-those per metric and marks the slot invalid instead, because a silent NaN
-or a fake zero would poison the downstream ranking.
+Every report comes from one engine, `StreamingPool`, a two-pass
+accumulator of shifted moments, extremes and shared-range histograms.
+`sweep` drives it over paired time blocks of `BLOCK` steps and fills every
+(zone, season) context of one model at once; `full_report` runs that sweep
+on one context of two in-memory cubes, and `compute_report` feeds one
+materialised `PooledSample` to it. The engine flags the metrics a
+degenerate sample (constant series, zero means) cannot support instead of
+reporting them, because a silent NaN or a fake zero would poison the
+downstream ranking.
+
+The bare metric functions (`bias`, `rmse`, `pearson_r`, ...) take a
+`PooledSample` and are the reference implementations the engine is tested
+against; on a degenerate sample they raise `DegenerateSampleError`.
 
 Standard deviations use the population (1/n) convention throughout, so
 the variability ratio inside KGE and the plain deviation difference stay
@@ -14,15 +22,19 @@ consistent with each other.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .geogrid import DataCube, SeasonSelector, ZoneMask, LAND_ZONES, select_season
+from .geogrid import DataCube, LAND_ZONES, SEASONS, SeasonSelector, ZoneMask
 
 # Pseudo-zone meaning "union of all land zones".
 ZONE_OVERALL = "overall"
+
+# Time steps per block of a sweep. It is fixed so that every caller feeds
+# each context's pool the same update sequence and writes the same bytes.
+BLOCK = 64
 
 METRIC_NAMES = (
     "bias",
@@ -189,76 +201,83 @@ class MetricReport:
 
 
 def compute_report(s: PooledSample, bins: int = 100) -> MetricReport:
-    """Run every metric on one pooled sample, flagging degenerate slots."""
-    flags = {name: True for name in METRIC_NAMES}
-    values: Dict[str, Optional[float]] = {}
-
-    values["bias"] = bias(s)
-    values["rmse"] = rmse(s)
-    try:
-        r = pearson_r(s)
-        values["r"] = r
-        values["r2"] = r * r
-    except DegenerateSampleError:
-        values["r"] = None
-        values["r2"] = None
-        flags["r"] = False
-        flags["r2"] = False
-    try:
-        values["nse"] = nse(s)
-    except DegenerateSampleError:
-        values["nse"] = None
-        flags["nse"] = False
-    try:
-        values["kge"] = kge(s)
-    except DegenerateSampleError:
-        values["kge"] = None
-        flags["kge"] = False
-    values["pdf_overlap"] = pdf_overlap(s, bins=bins)
-    values["txx_err"], values["tnn_err"] = extreme_errors(s)
-    values["sd_diff"] = sd_diff(s)
-
-    return MetricReport(n=s.n, flags=flags, **values)
+    """Run every metric on one pooled sample, fed once to each engine pass."""
+    pool = StreamingPool(bins=bins)
+    pool.update(s.model, s.obs)
+    pool.freeze()
+    pool.update_hist(s.model, s.obs)
+    return pool.report()
 
 
 def _zone_cells(mask: ZoneMask, zone) -> np.ndarray:
+    """Flat cell indices of a land zone code; ZONE_OVERALL is the union of all land zones."""
     if zone == ZONE_OVERALL:
-        return mask.cells_in(LAND_ZONES)
+        return np.flatnonzero(mask.cells_in(LAND_ZONES))
     if zone not in LAND_ZONES:
         raise ValidationError(f"zone must be one of {LAND_ZONES} or {ZONE_OVERALL!r}, got {zone!r}")
-    return mask.cells_in({zone})
+    return np.flatnonzero(mask.cells_in({zone}))
 
 
-def pool(
-    model: DataCube,
-    obs: DataCube,
-    mask: ZoneMask,
-    zone,
-    season: SeasonSelector,
-) -> PooledSample:
-    """Pool all paired non-fill values inside zone and season into one sample.
+def context_index(months: np.ndarray, mask: ZoneMask, zones: Mapping, seasons: Sequence[str]):
+    """[((zone key, season id), time rows, flat cell indices)] for every context, zone-major.
 
-    The cubes must share axes with each other and with the mask; pairs where
-    either side is fill are excluded.
+    `zones` maps each zone key to a land zone code or ZONE_OVERALL; the rows
+    of each season and the cells of each zone are computed once.
     """
-    if model.shape != obs.shape:
-        raise ValidationError(f"cube shapes differ: {model.shape} vs {obs.shape}")
-    if not (np.array_equal(model.lat.values, obs.lat.values) and np.array_equal(model.lon.values, obs.lon.values)):
-        raise ValidationError("model and reference cubes are on different grids")
-    if model.time != obs.time:
-        raise ValidationError("model and reference cubes cover different times")
-    m_season = select_season(model, season)
-    o_season = select_season(obs, season)
-    cells = _zone_cells(mask, zone)
-    if not (np.array_equal(model.lat.values, mask.lat.values) and np.array_equal(model.lon.values, mask.lon.values)):
-        raise ValidationError("mask grid does not match the cubes")
-    m = m_season.data[:, cells]
-    o = o_season.data[:, cells]
-    keep = (m != model.fill) & (o != obs.fill)
-    m, o = m[keep], o[keep]
-    if m.size < 2:
-        raise ValidationError(f"empty pooled sample for zone={zone!r} season={season.id}")
-    return PooledSample(m, o)
+    rows = {}
+    for season_id in seasons:
+        rows[season_id] = np.flatnonzero(np.isin(months, sorted(SEASONS[season_id].months)))
+        if rows[season_id].size == 0:
+            raise ValidationError(f"no time steps fall in season {season_id}")
+    cells = {key: _zone_cells(mask, zone) for key, zone in zones.items()}
+    return [((key, season_id), rows[season_id], cells[key]) for key in zones for season_id in seasons]
+
+
+def time_blocks(data: np.ndarray) -> List[Tuple[int, np.ndarray]]:
+    """An in-memory (time x lat x lon) array as (t0, block) views of BLOCK steps."""
+    return [(t0, data[t0 : t0 + BLOCK]) for t0 in range(0, len(data), BLOCK)]
+
+
+def _pairs(block_m: np.ndarray, block_o: np.ndarray, rows, cells, fill_m: float, fill_o: float):
+    """Paired non-fill values of one context inside a (time x lat x lon) block.
+
+    The values come out in the order of `block[np.ix_(rows, cells)]`; a
+    contiguous run of rows is sliced, not copied, before the cell gather.
+    """
+    if rows[-1] - rows[0] == len(rows) - 1:
+        rows = slice(rows[0], rows[-1] + 1)
+    m = block_m.reshape(len(block_m), -1)[rows].take(cells, axis=1)
+    o = block_o.reshape(len(block_o), -1)[rows].take(cells, axis=1)
+    ok = (m != fill_m) & (o != fill_o)
+    return (m.ravel(), o.ravel()) if ok.all() else (m[ok], o[ok])
+
+
+def sweep(model_blocks: Iterable, obs_blocks: Iterable, index, fill_m: float, fill_o: float,
+          bins: int = 100, label: str = "model") -> Dict[Tuple, MetricReport]:
+    """Reports of every context in `index` from two passes over paired time blocks.
+
+    `model_blocks` and `obs_blocks` are re-iterable sources of aligned
+    (t0, block) pairs of BLOCK time steps on the grid the index was built
+    for; each is iterated once per pass. Every block is dispatched to the
+    `StreamingPool` of every context, so a pool sees the same update
+    sequence as a sweep over its context alone.
+    """
+    pools = [StreamingPool(bins=bins) for _ in index]
+
+    def feed(update):
+        for (t0, block_m), (_, block_o) in zip(model_blocks, obs_blocks):
+            for pool, (_, rows, cells) in zip(pools, index):
+                lo, hi = np.searchsorted(rows, (t0, t0 + len(block_m)))
+                if hi > lo:
+                    update(pool, *_pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o))
+
+    feed(StreamingPool.update)
+    for pool, ((zone, season_id), _, _) in zip(pools, index):
+        if pool.n < 2:
+            raise ValidationError(f"empty pooled sample for {label} in zone={zone!r} season={season_id}")
+        pool.freeze()
+    feed(StreamingPool.update_hist)
+    return {ctx: pool.report() for pool, (ctx, _, _) in zip(pools, index)}
 
 
 def full_report(
@@ -269,18 +288,35 @@ def full_report(
     season: SeasonSelector,
     bins: int = 100,
 ) -> MetricReport:
-    """Pool one context and run the whole metric suite on it."""
-    return compute_report(pool(model, obs, mask, zone, season), bins=bins)
+    """Every metric of one (zone, season) context of two in-memory cubes.
+
+    The cubes must share axes with each other and with the mask; pairs where
+    either side is fill are excluded.
+    """
+    if model.shape != obs.shape:
+        raise ValidationError(f"cube shapes differ: {model.shape} vs {obs.shape}")
+    if not (np.array_equal(model.lat.values, obs.lat.values) and np.array_equal(model.lon.values, obs.lon.values)):
+        raise ValidationError("model and reference cubes are on different grids")
+    if model.time != obs.time:
+        raise ValidationError("model and reference cubes cover different times")
+    if not (np.array_equal(model.lat.values, mask.lat.values) and np.array_equal(model.lon.values, mask.lon.values)):
+        raise ValidationError("mask grid does not match the cubes")
+    index = context_index(obs.months(), mask, {zone: zone}, (season.id,))
+    (report,) = sweep(time_blocks(model.data), time_blocks(obs.data), index, model.fill, obs.fill, bins).values()
+    return report
 
 
 class StreamingPool:
-    """Two-pass bounded-memory replacement for `pool` + `compute_report`.
+    """The one metric accumulator: every report is read from one of these.
 
-    Pass 1 (`update`) accumulates shifted moments, extremes and the count;
-    pass 2 (`update_hist`) fills shared-range histograms once `freeze` has
-    fixed the bin edges. Moments are accumulated around the first value
-    seen, which keeps the centered statistics well-conditioned for large
-    pooled counts.
+    It takes the paired chunks of one context in two passes, so memory is
+    bounded by the chunk, not the pooled sample. Pass 1 (`update`)
+    accumulates shifted moments, extremes and the count; pass 2
+    (`update_hist`) fills shared-range histograms once `freeze` has fixed
+    the bin edges. Moments are accumulated around the first value seen,
+    which keeps the centered statistics well-conditioned for large pooled
+    counts. `report` flags the metrics a degenerate sample cannot support;
+    the values match the bare reference functions up to rounding.
     """
 
     def __init__(self, bins: int = 100):

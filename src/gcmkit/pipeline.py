@@ -24,18 +24,17 @@ from .geogrid import (
     LAND_ZONES,
     SEASONS,
     ZONE_NAMES,
-    ZoneMask,
     derive_dtr,
     regrid_bilinear,
 )
 from .metrics import (
-    MetricReport,
-    PooledSample,
-    StreamingPool,
+    BLOCK,
     ZONE_OVERALL,
-    compute_report,
+    context_index,
     report_rows_to_csv,
     report_rows_to_json,
+    sweep,
+    time_blocks,
 )
 from .ranking import (
     Criterion,
@@ -204,93 +203,44 @@ class PipelineConfig:
         )
 
 
-def _context_index(months: np.ndarray, mask: ZoneMask, zones: Sequence[str], seasons: Sequence[str]):
-    """(context, time rows, flat cell indices) for every (zone, season), built once per rank run."""
-    rows = {s: np.flatnonzero(np.isin(months, sorted(SEASONS[s].months))) for s in seasons}
-    for season_id, r in rows.items():
-        _require(r.size > 0, "metrics", f"no time steps fall in season {season_id}")
-    cells = {
-        z: np.flatnonzero(mask.cells_in(LAND_ZONES if z == ZONE_OVERALL else {ZONE_BY_NAME[z]}))
-        for z in zones
-    }
-    return [((z, s), rows[s], cells[z]) for z in zones for s in seasons]
+class _PayloadBlocks:
+    """A GCF payload as a re-iterable source of (t0, block) time blocks for `sweep`."""
 
+    def __init__(self, path: str):
+        self.path = path
 
-def _pairs(block_m: np.ndarray, block_o: np.ndarray, rows, cells, fill_m: float, fill_o: float):
-    """Paired non-fill values of one context inside a (time x lat x lon) block.
-
-    The values come out in the order of `block[np.ix_(rows, cells)]`; a
-    contiguous run of rows is sliced, not copied, before the cell gather.
-    """
-    if rows[-1] - rows[0] == len(rows) - 1:
-        rows = slice(rows[0], rows[-1] + 1)
-    m = block_m.reshape(len(block_m), -1)[rows].take(cells, axis=1)
-    o = block_o.reshape(len(block_o), -1)[rows].take(cells, axis=1)
-    ok = (m != fill_m) & (o != fill_o)
-    return (m.ravel(), o.ravel()) if ok.all() else (m[ok], o[ok])
-
-
-def _cube_reports(label: str, cube: DataCube, obs: DataCube, index, bins: int) -> Dict[Tuple[str, str], MetricReport]:
-    """Every context of one in-memory model; the same sample as `full_report`."""
-    _require(cube.time == obs.time, "metrics", f"model {label} and the reference cover different times")
-    out = {}
-    for ctx, rows, cells in index:
-        m, o = _pairs(cube.data, obs.data, rows, cells, cube.fill, obs.fill)
-        _require(m.size >= 2, "metrics", f"empty pooled sample for model {label} in {ctx}")
-        out[ctx] = compute_report(PooledSample(m, o), bins=bins)
-    return out
-
-
-def _stream_reports(model_path: str, obs_path: str, index, bins: int, chunk: int) -> Dict[Tuple[str, str], MetricReport]:
-    """Every context of one model from two passes over both GCF payloads.
-
-    Each block is dispatched to the `StreamingPool` of every context, so a
-    pool sees the same update sequence as a sweep over its context alone.
-    """
-    meta_m, meta_o = gcf._load_header(model_path), gcf._load_header(obs_path)
-    _require(meta_m["time"] == meta_o["time"], "metrics", f"{model_path} and the reference cover different times")
-    fill_m, fill_o = gcf.canonical_fill(meta_m["fill_value"]), gcf.canonical_fill(meta_o["fill_value"])
-    pools = [StreamingPool(bins=bins) for _ in index]
-
-    def sweep(feed):
-        blocks = zip(gcf.iter_time_chunks(model_path, chunk), gcf.iter_time_chunks(obs_path, chunk))
-        for (t0, block_m), (_, block_o) in blocks:
-            for pool, (_, rows, cells) in zip(pools, index):
-                lo, hi = np.searchsorted(rows, (t0, t0 + len(block_m)))
-                if hi > lo:
-                    feed(pool, *_pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o))
-
-    sweep(StreamingPool.update)
-    for pool, (ctx, _, _) in zip(pools, index):
-        _require(pool.n >= 2, "metrics", f"empty pooled sample for {model_path} in {ctx}")
-        pool.freeze()
-    sweep(StreamingPool.update_hist)
-    return {ctx: pool.report() for pool, (ctx, _, _) in zip(pools, index)}
+    def __iter__(self):
+        return gcf.iter_time_chunks(self.path, BLOCK)
 
 
 def _model_reports(one_model, labels: Sequence[str], index, jobs: int = 1):
-    """Reports for every (zone, season, model); `one_model(label, index)` sweeps one model.
+    """Reports for every (zone, season, model); `one_model(label)` sweeps one model.
 
     With `jobs` > 1 the models are swept in parallel threads.
     """
     labels = sorted(labels)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_model = dict(zip(labels, pool.map(lambda label: one_model(label, index), labels)))
+            per_model = dict(zip(labels, pool.map(one_model, labels)))
     else:
-        per_model = {label: one_model(label, index) for label in labels}
+        per_model = {label: one_model(label) for label in labels}
     return {ctx: [(label, per_model[label][ctx]) for label in labels] for ctx, _, _ in index}
 
 
-def run_rank(config: PipelineConfig, run_dir: str, jobs: int = 1, full_scale: bool = False, chunk: int = 64) -> RunManifest:
-    """Full ranking stage: regrid, pool, score, rank, export.
+def run_rank(config: PipelineConfig, run_dir: str, jobs: int = 1, full_scale: bool = False) -> RunManifest:
+    """Full ranking stage: load, score every (zone, season) context, rank, export.
 
-    With `full_scale` the pooling runs in bounded memory directly over the
-    GCF payloads; the model cubes must already sit on the reference grid
-    (run the regrid subcommand first) and must be single-variable sources.
+    Both modes sweep each model once with the same metric engine and the
+    same time blocks, so they write the same bytes; only the source of the
+    blocks differs. In memory, each model is loaded, DTR-derived and
+    regridded inside its own sweep, so one model cube is held per job.
+    With `full_scale` the blocks are read straight from the GCF payloads;
+    the model cubes must then already sit on the reference grid (run the
+    regrid subcommand first) and be single-variable sources.
     """
     os.makedirs(run_dir, exist_ok=True)
     manifest = RunManifest(config_hash=config_hash(config.raw))
+    specs = {spec["label"]: spec for spec in config.models}
 
     with _StageTimer(manifest, "load"):
         mask = gcf.read_mask(config.mask)
@@ -300,26 +250,30 @@ def run_rank(config: PipelineConfig, run_dir: str, jobs: int = 1, full_scale: bo
             obs_header = gcf._load_header(obs_path)
             ref_lat, ref_lon = obs_header["lat"], obs_header["lon"]
             months = np.array([int(t.split("-")[1]) for t in obs_header["time"]])
-            model_paths = {}
-            for spec in config.models:
-                _require("path" in spec, "load", f"full-scale mode needs a single-cube source for {spec['label']}")
+            obs_blocks, obs_fill = _PayloadBlocks(obs_path), gcf.canonical_fill(obs_header["fill_value"])
+            sources = {}
+            for label, spec in specs.items():
+                _require("path" in spec, "load", f"full-scale mode needs a single-cube source for {label}")
                 header = gcf._load_header(spec["path"])
                 _require(
                     header["lat"] == ref_lat and header["lon"] == ref_lon,
                     "load",
-                    f"model {spec['label']} is not on the reference grid; regrid it first",
+                    f"model {label} is not on the reference grid; regrid it first",
                 )
-                model_paths[spec["label"]] = spec["path"]
-            one_model = lambda label, index: _stream_reports(model_paths[label], obs_path, index, config.pdf_bins, chunk)
+                _require(header["time"] == obs_header["time"], "load", f"model {label} and the reference cover different times")
+                sources[label] = (_PayloadBlocks(spec["path"]), gcf.canonical_fill(header["fill_value"]))
+            model_blocks = sources.__getitem__
         else:
             obs = _load_cube_source(config.reference, "load")
             ref_lat, ref_lon = obs.lat.values, obs.lon.values
             months = obs.months()
-            model_cubes = {}
-            for spec in config.models:
-                cube = _load_cube_source(spec, "load")
-                model_cubes[spec["label"]] = regrid_bilinear(cube, obs.lat, obs.lon)
-            one_model = lambda label, index: _cube_reports(label, model_cubes[label], obs, index, config.pdf_bins)
+            obs_blocks, obs_fill = time_blocks(obs.data), obs.fill
+
+            def model_blocks(label):
+                cube = regrid_bilinear(_load_cube_source(specs[label], "load"), obs.lat, obs.lon)
+                _require(cube.time == obs.time, "load", f"model {label} and the reference cover different times")
+                return time_blocks(cube.data), cube.fill
+
         _require(
             np.array_equal(mask.lat.values, ref_lat) and np.array_equal(mask.lon.values, ref_lon),
             "load",
@@ -327,8 +281,13 @@ def run_rank(config: PipelineConfig, run_dir: str, jobs: int = 1, full_scale: bo
         )
 
     with _StageTimer(manifest, "metrics"):
-        index = _context_index(months, mask, config.zones, config.seasons)
-        reports = _model_reports(one_model, [spec["label"] for spec in config.models], index, jobs)
+        index = context_index(months, mask, {z: ZONE_BY_NAME.get(z, z) for z in config.zones}, config.seasons)
+
+        def one_model(label):
+            blocks, fill = model_blocks(label)
+            return sweep(blocks, obs_blocks, index, fill, obs_fill, config.pdf_bins, label=f"model {label}")
+
+        reports = _model_reports(one_model, specs, index, jobs)
 
     with _StageTimer(manifest, "weights"):
         weight_source = config.weights
@@ -434,28 +393,20 @@ def run_downscale(
     archs: Sequence[str] = dsc.ARCH_KINDS,
     data_spec: Optional[dict] = None,
     seed: int = 0,
-    window: int = 4,
     train_overrides: Optional[dict] = None,
 ) -> RunManifest:
     """Downscale stage: train each architecture, evaluate against baseline.
 
     Without a data spec the bundled synthetic benchmark is used; a data
-    spec {"coarse": gcf_path, "fine": gcf_path} trains on real cube pairs
-    split 80/20 along the window list.
+    spec {"coarse": gcf_path, "fine": gcf_path, "window": t} trains on the
+    first 80% of its windows and evaluates on the held-out rest, the same
+    split `downscale eval --data` scores (`dsc.spec_split`).
     """
     os.makedirs(run_dir, exist_ok=True)
     manifest = RunManifest(config_hash=config_hash({"archs": list(archs), "seed": seed, "data": data_spec or "bundled"}))
 
     with _StageTimer(manifest, "data"):
-        if data_spec:
-            coarse = gcf.read_cube(data_spec["coarse"])
-            fine = gcf.read_cube(data_spec["fine"])
-            full = dsc.windows_from_pair(coarse, fine, window)
-            n = len(full)
-            split = int(round(0.8 * n))
-            train_set, test_set = full.subset(range(split)), full.subset(range(split, n))
-        else:
-            train_set, test_set = dsc.benchmark_sets()
+        train_set, test_set = dsc.spec_split(data_spec) if data_spec else dsc.benchmark_sets()
 
     predictions = {}
     rows_log = []
@@ -475,9 +426,7 @@ def run_downscale(
             rows_log.append((kind, log_path, ckpt))
 
     with _StageTimer(manifest, "evaluate"):
-        mask = None
-        rows = dsc.comparison_table(predictions, test_set, mask=mask, zones=(ZONE_OVERALL,), seasons=("ANNUAL",))
-        # order: baseline last for readability
+        rows = dsc.comparison_table(predictions, test_set, zones=(ZONE_OVERALL,), seasons=("ANNUAL",))
         report_rows_to_csv(rows, os.path.join(run_dir, "downscale_report.csv"))
 
     manifest.add_output(run_dir, "downscale_report.csv")

@@ -10,6 +10,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from gcmkit import downscale as ds
 from gcmkit import gcf
@@ -210,6 +211,7 @@ def test_c4_weightnet_training():
         assert np.max(np.abs(pred - target)) <= 0.05
 
 
+@pytest.mark.slow
 def test_c5_downscaler_capacity_and_benchmark():
     with _Criterion("criterion 5: downscaler capacity and benchmark", 1800):
         capacity = ds.capacity_set()

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -69,6 +71,15 @@ class TestRegridAndMetrics:
         lines = open(dest).read().strip().split("\n")
         assert len(lines) == 2
         assert "rmse" in lines[0]
+
+    def test_metrics_on_season_without_days_exits_2(self, tmp_path, capsys, year_cube, all_land_mask):
+        winter = dataclasses.replace(year_cube, time=year_cube.time[:59], data=year_cube.data[:59])  # Jan + Feb
+        gcf.write_cube(winter, str(tmp_path / "cube"))
+        gcf.write_mask(all_land_mask, str(tmp_path / "mask"))
+        argv = ["metrics", "--model", str(tmp_path / "cube"), "--obs", str(tmp_path / "cube"),
+                "--mask", str(tmp_path / "mask"), "--season", "JJA"]
+        assert main(argv) == 2
+        assert "season JJA" in capsys.readouterr().err
 
 
 class TestRank:
@@ -202,6 +213,27 @@ class TestDownscaleCli:
         assert code == 0
         lines = open(report).read().strip().split("\n")
         assert len(lines) == 3  # header + vit + baseline
+
+    def test_train_and_eval_score_the_same_held_out_windows(self, tmp_path):
+        from gcmkit.geogrid import synth_pair
+
+        coarse, fine = synth_pair(31, 4, 30, 32, 32, bias=0.5, noise_sd=0.1)
+        gcf.write_cube(coarse, str(tmp_path / "coarse"))
+        gcf.write_cube(fine, str(tmp_path / "fine"))
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps({"coarse": str(tmp_path / "coarse"), "fine": str(tmp_path / "fine"), "window": 10}))
+        held_out = 4  # 21 ten-frame windows: the first 17 train, the last 4 are held out
+
+        out_root = str(tmp_path)
+        argv = ["downscale", "train", "--arch", "vit", "--data", str(spec), "--epochs", "1", "--name", "ds", "--out", out_root]
+        assert main(argv) == 0
+        report = str(tmp_path / "eval.csv")
+        assert main(["downscale", "eval", "--ckpt", os.path.join(out_root, "ds", "vit.ckpt"),
+                     "--data", str(spec), "--report", report]) == 0
+        for path in (os.path.join(out_root, "ds", "downscale_report.csv"), report):
+            with open(path) as fh:
+                rows = list(csv.DictReader(fh))
+            assert [int(row["n"]) for row in rows] == [held_out * 32 * 32] * 2  # vit + baseline
 
 
     @pytest.mark.parametrize("command", ["train", "eval"])

@@ -6,7 +6,7 @@ import pytest
 
 from gcmkit import downscale as ds
 from gcmkit import tensorcore as tc
-from gcmkit.downscale.archs import DownscaleSample, _stride_plan
+from gcmkit.downscale.archs import _stride_plan
 from gcmkit.errors import ValidationError
 from gcmkit.rng import SplitMix64
 from gcmkit.tensorcore.tensor import Tensor
@@ -55,12 +55,25 @@ class TestDatasets:
         assert coords.shape == (4, 2)
         assert coords.min() >= -1.0 and coords.max() <= 1.0
 
-    def test_sample_accessor_layout(self, mini_data):
-        s = mini_data.sample(0)
-        assert isinstance(s, DownscaleSample)
-        assert s.input.shape == (2, 8, 8, 1)
-        assert s.target.shape == (16, 16)
-        assert s.coords.shape == (16, 16, 2)
+    def test_spec_split_holds_out_the_last_fifth_of_windows(self, tmp_path):
+        from gcmkit import gcf
+        from gcmkit.geogrid import synth_pair
+
+        coarse, fine = synth_pair(9, 2, 30, 16, 16)
+        gcf.write_cube(coarse, str(tmp_path / "coarse"))
+        gcf.write_cube(fine, str(tmp_path / "fine"))
+        spec = {"coarse": str(tmp_path / "coarse"), "fine": str(tmp_path / "fine")}
+        for window, counts in ((None, (22, 5)), (10, (17, 4))):  # 27 or 21 windows
+            if window:
+                spec["window"] = window
+            train_set, test_set = ds.spec_split(spec)
+            assert (len(train_set), len(test_set)) == counts
+            assert train_set.inputs.shape[1] == spec.get("window", 4)
+            assert test_set.times == fine.time[-counts[1]:]
+        for window in (0, "4", 29):  # not a positive integer; 2 windows, too few to hold one out
+            spec["window"] = window
+            with pytest.raises(ValidationError):
+                ds.spec_split(spec)
 
     def test_benchmark_split_sizes_and_determinism(self):
         a_train, a_test = ds.benchmark_sets()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gcmkit import metrics as mx
 from gcmkit.errors import ValidationError
-from gcmkit.geogrid import ANNUAL, DJF
+from gcmkit.geogrid import ANNUAL, DJF, GridAxis, date_range
 from gcmkit.metrics import (
     DegenerateSampleError,
     PooledSample,
@@ -254,8 +254,41 @@ class TestReportsAndFlags:
         rep = full_report(year_cube, year_cube, all_land_mask, 5, DJF)
         assert rep.n == 90 * int(np.count_nonzero(all_land_mask.codes == 5))
 
+    @pytest.mark.parametrize("mismatch", ["shape", "grid", "time", "mask"])
+    def test_full_report_rejects_mismatched_inputs(self, year_cube, all_land_mask, mismatch):
+        model, mask = year_cube, all_land_mask
+        if mismatch == "shape":
+            model = dataclasses.replace(year_cube, time=year_cube.time[:300], data=year_cube.data[:300])
+        elif mismatch == "grid":
+            model = dataclasses.replace(year_cube, lat=GridAxis(year_cube.lat.values + 0.5, "lat"))
+        elif mismatch == "time":
+            model = dataclasses.replace(year_cube, time=tuple(date_range("standard", (1986, 1, 1), 365)))
+        else:
+            mask = dataclasses.replace(all_land_mask, lon=GridAxis(all_land_mask.lon.values + 0.5, "lon"))
+        message = {"shape": "shapes differ", "grid": "different grids", "time": "different times", "mask": "mask grid"}
+        with pytest.raises(ValidationError, match=message[mismatch]):
+            full_report(model, year_cube, mask, 1, ANNUAL)
+
 
 class TestStreaming:
+    @pytest.mark.parametrize(
+        "m, o",
+        [
+            (15 + 2.5 * np.random.default_rng(4).normal(size=300), 15 + 2.0 * np.random.default_rng(5).normal(size=300)),
+            ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]),  # constant model: r, r2, kge flagged
+            ([1.0, 2.0], [3.0, 3.0]),  # constant reference: r, r2, nse, kge flagged
+            ([1.0, -1.0], [2.0, -2.0]),  # zero means: kge flagged
+            ([2.0, 2.0], [2.0, 2.0]),  # one shared value: the histogram range collapses
+        ],
+    )
+    def test_compute_report_is_one_hand_fed_pool(self, m, o):
+        s = sample(m, o)
+        pool = StreamingPool()
+        pool.update(s.model, s.obs)
+        pool.freeze()
+        pool.update_hist(s.model, s.obs)
+        assert compute_report(s).as_dict() == pool.report().as_dict()
+
     def test_streaming_matches_in_memory(self):
         rng = np.random.default_rng(3)
         m = 15 + 2.5 * rng.normal(size=5000)

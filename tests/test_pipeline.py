@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gcmkit import gcf, metrics
+from gcmkit import gcf, geogrid
 from gcmkit.cli import main
 from gcmkit.fixtures import make_ranking_fixture
 from gcmkit.geogrid import LAND_ZONES, SEASONS, regrid_bilinear
@@ -70,15 +70,15 @@ class TestContextSweep:
     def test_in_memory_reports_equal_full_report(self, tmp_path, setup, monkeypatch):
         cfg_path, config = setup
         seasons_selected = Counter()
-        original = metrics.select_season
+        original = geogrid.select_season
 
         def counting(cube, season):
             seasons_selected[season.id] += 1
             return original(cube, season)
 
-        monkeypatch.setattr(metrics, "select_season", counting)
+        monkeypatch.setattr(geogrid, "select_season", counting)
         reports = _run(tmp_path, cfg_path)
-        assert not seasons_selected  # the sweep gathers each context by index, never through pool
+        assert not seasons_selected  # the sweep gathers each context by index, never through select_season
 
         obs = gcf.read_cube(config["reference"]["path"])
         mask = gcf.read_mask(config["mask"])
@@ -122,4 +122,11 @@ class TestContextSweep:
             argv = ["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", name, "--jobs", jobs]
             assert main(argv + ["--full-scale"]) == 0
         manifests = [open(os.path.join(str(tmp_path), name, "manifest.json")).read() for name in ("serial", "parallel")]
+        assert manifests[0] == manifests[1]
+
+    def test_in_memory_and_full_scale_write_identical_bytes(self, tmp_path, setup):
+        cfg_path, _ = setup
+        for name, extra in (("memory", []), ("full", ["--full-scale"])):
+            assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", name, *extra]) == 0
+        manifests = [open(os.path.join(str(tmp_path), name, "manifest.json")).read() for name in ("memory", "full")]
         assert manifests[0] == manifests[1]
