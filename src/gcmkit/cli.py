@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     p.add_argument("--model", required=True)
     p.add_argument("--obs", required=True)
     p.add_argument("--mask", required=True)
-    p.add_argument("--zone", default="overall")
+    p.add_argument("--zone", default=ZONE_OVERALL, choices=sorted(pipeline.ZONE_BY_NAME) + [ZONE_OVERALL])
     p.add_argument("--season", default="ANNUAL", choices=sorted(SEASONS))
     p.add_argument("--bins", type=int, default=100)
     p.add_argument("--dest", help="write CSV/JSON here instead of stdout")

@@ -164,12 +164,13 @@ class DownscaleModel:
         return entries
 
     def predict(self, x: np.ndarray, coords: Optional[np.ndarray] = None, batch: int = 64) -> np.ndarray:
-        """Raw-unit inference in eval mode, batched to bound memory."""
+        """Raw-unit inference in eval mode without a graph, batched to bound memory."""
         outs = []
-        for lo in range(0, x.shape[0], batch):
-            xb = (x[lo : lo + batch] - self.norm.in_mean) / self.norm.in_sd
-            y = self.forward(xb, coords=coords, training=False)
-            outs.append(y.data * self.norm.out_sd + self.norm.out_mean)
+        with tc.no_grad():
+            for lo in range(0, x.shape[0], batch):
+                xb = (x[lo : lo + batch] - self.norm.in_mean) / self.norm.in_sd
+                y = self.forward(xb, coords=coords, training=False)
+                outs.append(y.data * self.norm.out_sd + self.norm.out_mean)
         return np.concatenate(outs, axis=0)
 
     def save(self, path: str) -> None:

@@ -122,11 +122,12 @@ def train(
         if idx.size == 0:
             return math.nan
         total = 0.0
-        for lo in range(0, idx.size, tcfg.batch_size):
-            sel = idx[lo : lo + tcfg.batch_size]
-            pred = model.forward(xs[sel], coords=coords, training=False)
-            diff = pred.data - ys[sel]
-            total += float(np.sum(diff * diff))
+        with tc.no_grad():
+            for lo in range(0, idx.size, tcfg.batch_size):
+                sel = idx[lo : lo + tcfg.batch_size]
+                pred = model.forward(xs[sel], coords=coords, training=False)
+                diff = pred.data - ys[sel]
+                total += float(np.sum(diff * diff))
         return total / (idx.size * ys.shape[1] * ys.shape[2]) * raw_scale
 
     result = TrainResult(model=model)

@@ -268,9 +268,9 @@ def _bracket(src: np.ndarray, dst: np.ndarray):
 def regrid_bilinear(src: DataCube, dst_lat: GridAxis, dst_lon: GridAxis) -> DataCube:
     """Bilinear interpolation of every time slice onto a new lat/lon grid.
 
-    Each output value blends the 4 surrounding source nodes; if any of the
-    4 is fill, the output is fill. Interpolating onto the source axes is an
-    exact identity.
+    Each output value blends the 4 surrounding source nodes; if a node with
+    a non-zero weight is fill, the output is fill. Interpolating onto the
+    source axes is an exact identity, fill cells included.
     """
     if len(src.lat) < 2 or len(src.lon) < 2:
         raise ValidationError("regridding needs at least 2 source nodes per axis")
@@ -285,13 +285,14 @@ def regrid_bilinear(src: DataCube, dst_lat: GridAxis, dst_lon: GridAxis) -> Data
 
     ty2 = ty[None, :, None]
     tx2 = tx[None, None, :]
-    out = (
-        (1.0 - ty2) * (1.0 - tx2) * v00
-        + (1.0 - ty2) * tx2 * v01
-        + ty2 * (1.0 - tx2) * v10
-        + ty2 * tx2 * v11
+    w00, w01, w10, w11 = (1.0 - ty2) * (1.0 - tx2), (1.0 - ty2) * tx2, ty2 * (1.0 - tx2), ty2 * tx2
+    out = w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11
+    hit_fill = (
+        ((v00 == src.fill) & (w00 != 0.0))
+        | ((v01 == src.fill) & (w01 != 0.0))
+        | ((v10 == src.fill) & (w10 != 0.0))
+        | ((v11 == src.fill) & (w11 != 0.0))
     )
-    hit_fill = (v00 == src.fill) | (v01 == src.fill) | (v10 == src.fill) | (v11 == src.fill)
     out[hit_fill] = src.fill
     return DataCube(dst_lat, dst_lon, src.time, src.calendar, src.variable, out, src.fill, src.units)
 

@@ -318,7 +318,8 @@ class WeightNet:
         return tc.softmax(self.fc3(h), axis=-1)
 
     def predict(self, features: np.ndarray) -> WeightVector:
-        out = self.forward(features).data[0]
+        with tc.no_grad():
+            out = self.forward(features).data[0]
         # softmax guarantees nonnegativity; renormalize the float64 sum
         return WeightVector(out / out.sum())
 

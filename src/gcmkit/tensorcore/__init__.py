@@ -20,7 +20,7 @@ from .nn import (
     mse,
 )
 from .optim import SGD, Adam, make_optimizer
-from .tensor import Tensor, batch_norm, concat, conv2d, conv2d_transpose, layer_norm, lstm_gates, softmax
+from .tensor import Tensor, batch_norm, concat, conv2d, conv2d_transpose, layer_norm, lstm_gates, no_grad, softmax
 
 __all__ = [
     "Adam",
@@ -50,6 +50,7 @@ __all__ = [
     "lstm_gates",
     "make_optimizer",
     "mse",
+    "no_grad",
     "save_checkpoint",
     "softmax",
 ]

@@ -1,9 +1,18 @@
 """Reverse-mode autodiff over numpy arrays.
 
-Every op builds a node holding its parents and a backward closure; calling
-`backward()` on a scalar output walks the graph once in reverse topological
-order. Parents are kept as ordered tuples and the traversal is iterative,
-so gradient accumulation order is fixed and runs are bit-reproducible.
+An op whose output requires a gradient records a node: its parents and a
+backward closure. `backward()` on a scalar output walks that graph once in
+reverse topological order. Parents are kept as ordered tuples and the
+traversal is iterative, so gradient accumulation order is fixed and runs
+are bit-reproducible. As soon as a non-leaf node's backward has run, the
+node drops its gradient, its parents and its closure, so the graph is
+freed while backward consumes it; a second `backward()` through a consumed
+graph raises. Leaves keep their accumulated `.grad`.
+
+Under `no_grad()` ops record nothing: outputs have no parents, keep no
+closure and do not require a gradient, so inference holds only the arrays
+that are still referenced. Ops on inputs that need no gradient record
+nothing either.
 
 Hot composites are single fused nodes with hand-written backwards: the
 LSTM gate step (`lstm_gates`, two nodes: cell state and hidden state),
@@ -11,13 +20,37 @@ LSTM gate step (`lstm_gates`, two nodes: cell state and hidden state),
 expressions, in the same order, as the composite graphs they replace,
 except that the normalizations use the closed-form input gradient.
 
-All math is float64. Every op output is checked for NaN/Inf and a
-`NumericFault` is raised at the op that produced it.
+All math is float64. Every op output, with or without a graph, is checked
+for NaN/Inf and a `NumericFault` is raised at the op that produced it.
 """
+
+import contextlib
+import threading
 
 import numpy as np
 
 from ..errors import NumericFault, ValidationError
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording a graph (per thread); values are unchanged."""
+    previous, _grad_mode.enabled = _grad_mode.enabled, False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
+def _consumed(g):
+    raise ValidationError("backward() through a graph that an earlier backward() already consumed")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -42,17 +75,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_back", "op", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise NumericFault(f"non-finite values produced by op {_op!r}")
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self.grad = np.zeros_like(self.data) if (self.requires_grad and not _parents) else None
-        self._parents = _parents
-        self._backward = None
+        self.requires_grad = bool(requires_grad) or (
+            _grad_mode.enabled and any(p.requires_grad for p in _parents)
+        )
+        self._parents = _parents if self.requires_grad else ()
+        self.grad = np.zeros_like(self.data) if (self.requires_grad and not self._parents) else None
+        self._back = None
         self.op = _op
+
+    @property
+    def _backward(self):
+        return self._back
+
+    @_backward.setter
+    def _backward(self, fn):
+        # a node that needs no gradient keeps no closure: closures hold parents
+        if self.requires_grad:
+            self._back = fn
 
     # -- graph ----------------------------------------------------------
 
@@ -94,6 +139,8 @@ class Tensor:
         self.grad[key] += g
 
     def backward(self, grad=None) -> None:
+        if not self.requires_grad:
+            raise ValidationError(f"backward() on a tensor (op {self.op!r}) that recorded no graph")
         if grad is None:
             if self.data.size != 1:
                 raise ValidationError("backward() without a cotangent needs a scalar output")
@@ -114,6 +161,8 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._back is _consumed:
+                _consumed(None)  # raises before any gradient is touched
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -122,8 +171,11 @@ class Tensor:
 
         self._accum(grad)
         for node in reversed(order):
-            if node._backward is not None and node.requires_grad:
-                node._backward(node.grad)
+            if node._back is not None:
+                node._back(node.grad)
+                node.grad = None
+                node._parents = ()
+                node._back = _consumed
 
     # -- arithmetic -----------------------------------------------------
 

@@ -82,6 +82,16 @@ class TestRegridAndMetrics:
         assert "season JJA" in capsys.readouterr().err
 
 
+    def test_metrics_unknown_zone_exits_2(self, fixture_paths, capsys):
+        argv = ["metrics", "--model", fixture_paths[GOOD_MODEL], "--obs", fixture_paths["obs"],
+                "--mask", fixture_paths["mask"], "--zone", "boreal"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'boreal'" in err
+        assert all(name in err for name in ("arid", "continental", "overall", "polar", "temperate", "tropical"))
+
 class TestRank:
     def test_end_to_end_rank_and_determinism(self, tmp_path, fixture_paths):
         out_root = str(tmp_path)

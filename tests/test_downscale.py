@@ -1,5 +1,6 @@
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +140,71 @@ class TestShapeContracts:
         assert _stride_plan(4) == [4]
         assert _stride_plan(3) == [3]
         assert _stride_plan(1) == []
+
+
+def reference_backward(loss):
+    """Backward as a plain graph walk that releases nothing: every recorded
+    node's closure runs once, in the reverse topological order `backward` uses."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    loss._accum(np.ones_like(loss.data))
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+class TestGraphLifetime:
+    @pytest.mark.parametrize("kind", ds.ARCH_KINDS)
+    def test_backward_releases_the_graph_and_keeps_leaf_gradients(self, kind, mini_data):
+        model = ds.build_model(mini_cfg(kind), (8, 8))
+        coords = mini_data.patch_coords(4) if kind in ("vit", "geostanet") else None
+        params = [t for _, t in model.params()]
+
+        def step(backward):
+            for p in params:
+                p.zero_grad()
+            pred = model.forward(mini_data.inputs[:3], coords=coords, training=True)
+            loss = tc.mse(pred, mini_data.targets[:3])
+            intermediate = weakref.ref(pred)
+            del pred
+            backward(loss)
+            return loss, intermediate, [p.grad.copy() for p in params]
+
+        _, _, want = step(reference_backward)
+        loss, intermediate, got = step(Tensor.backward)
+        assert intermediate() is None
+        assert loss._parents == () and loss.grad is None
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("kind", ds.ARCH_KINDS)
+    def test_no_grad_forward_matches_and_records_nothing(self, kind, mini_data, monkeypatch):
+        model = ds.build_model(mini_cfg(kind), (8, 8))
+        coords = mini_data.patch_coords(4) if kind in ("vit", "geostanet") else None
+        x = mini_data.inputs[:3]
+        want = model.forward(x, coords=coords, training=False).data
+        grads = [(p.grad, p.grad.copy()) for _, p in model.params()]
+        built = []
+        real_init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        with tc.no_grad():
+            got = model.forward(x, coords=coords, training=False)
+        assert np.array_equal(got.data, want)
+        assert built and all(t._parents == () and t._backward is None and not t.requires_grad for t in built)
+        for (_, p), (buffer, before) in zip(model.params(), grads):
+            assert p.grad is buffer and np.array_equal(p.grad, before)
 
 
 class TestArchitectureSemantics:

@@ -155,6 +155,22 @@ class TestRegrid:
         assert out.data[0, 0, 0] == cube.fill  # blended corner touches the fill node
         assert out.data[1, 0, 0] != cube.fill  # other time step unaffected
 
+    def test_identity_keeps_fill_cells_in_place(self):
+        cube = DataCube(
+            lat=GridAxis([40.0, 41.0, 42.0], "lat"),
+            lon=GridAxis([10.0, 11.0, 12.0], "lon"),
+            time=((1985, 1, 1),),
+            calendar="standard",
+            variable="t",
+            data=np.arange(9.0).reshape(1, 3, 3),
+        )
+        data = cube.data.copy()
+        data[0, 1, 1] = cube.fill
+        cube = dataclasses.replace(cube, data=data)
+        out = regrid_bilinear(cube, cube.lat, cube.lon)
+        assert np.array_equal(out.data, cube.data)
+        assert np.count_nonzero(out.data == cube.fill) == 1
+
 class TestMaskDtrSeason:
     def test_keep_all_is_identity(self, year_cube, all_land_mask):
         out = apply_mask(year_cube, all_land_mask, {1, 2, 3, 4, 5})

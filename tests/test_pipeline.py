@@ -5,6 +5,7 @@ read, and that both metric paths give exactly the reports of a sweep over
 one context at a time.
 """
 
+import dataclasses
 import json
 import os
 from collections import Counter
@@ -32,6 +33,24 @@ def setup(tmp_path_factory):
         gcf.write_cube(regrid_bilinear(gcf.read_cube(spec["path"]), obs.lat, obs.lon), dest)
         spec["path"] = dest
     config["weights"] = "uniform"
+    cfg_path = root / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    return str(cfg_path), config
+
+
+@pytest.fixture(scope="module")
+def setup_with_fill(tmp_path_factory, setup):
+    """The regridded models of `setup` with fill in one cell for the whole
+    record and in a second cell for its first 40 days."""
+    root = tmp_path_factory.mktemp("sweep_fill")
+    config = json.loads(json.dumps(setup[1]))
+    for spec in config["models"]:
+        cube = gcf.read_cube(spec["path"])
+        data = cube.data.copy()
+        data[:, 3, 4] = cube.fill
+        data[:40, 7, 2] = cube.fill
+        spec["path"] = str(root / f"fill_{spec['label']}")
+        gcf.write_cube(dataclasses.replace(cube, data=data), spec["path"])
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(config))
     return str(cfg_path), config
@@ -126,6 +145,13 @@ class TestContextSweep:
 
     def test_in_memory_and_full_scale_write_identical_bytes(self, tmp_path, setup):
         cfg_path, _ = setup
+        for name, extra in (("memory", []), ("full", ["--full-scale"])):
+            assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", name, *extra]) == 0
+        manifests = [open(os.path.join(str(tmp_path), name, "manifest.json")).read() for name in ("memory", "full")]
+        assert manifests[0] == manifests[1]
+
+    def test_in_memory_and_full_scale_agree_on_inputs_with_fill(self, tmp_path, setup_with_fill):
+        cfg_path, _ = setup_with_fill
         for name, extra in (("memory", []), ("full", ["--full-scale"])):
             assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", name, *extra]) == 0
         manifests = [open(os.path.join(str(tmp_path), name, "manifest.json")).read() for name in ("memory", "full")]

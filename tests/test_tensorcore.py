@@ -267,6 +267,38 @@ class TestFusedNodes:
         assert np.allclose(out.data, expected, atol=1e-12)
 
 
+class TestGraphModes:
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        rng = SplitMix64(41)
+        w = Tensor(rand(rng, (3, 3)), requires_grad=True)
+        x = Tensor(rand(rng, (2, 3)))
+        shared = (x @ w).tanh()
+        loss = shared.sum()
+        loss.backward()
+        first = w.grad.copy()
+        with pytest.raises(ValidationError, match="already consumed"):
+            loss.backward()
+        with pytest.raises(ValidationError, match="already consumed"):
+            (shared * shared).sum().backward()
+        assert np.array_equal(w.grad, first)
+
+    def test_no_grad_outputs_refuse_backward(self):
+        w = Tensor(np.array([0.5, -1.5]), requires_grad=True)
+        with tc.no_grad():
+            loss = (w * w).sum()
+        assert not loss.requires_grad and loss._parents == ()
+        with pytest.raises(ValidationError, match="recorded no graph"):
+            loss.backward()
+        assert np.array_equal(w.grad, np.zeros(2))
+
+    def test_no_grad_restores_the_mode_and_keeps_the_finite_check(self):
+        w = Tensor(np.array([1.0, 0.0]), requires_grad=True)
+        with pytest.raises(NumericFault), np.errstate(divide="ignore", invalid="ignore"):
+            with tc.no_grad():
+                w / Tensor(np.array([0.0, 0.0]))
+        assert (w * 2.0).requires_grad
+
+
 class TestGradChecks:
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_op_gradients(self, name):
