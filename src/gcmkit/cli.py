@@ -66,7 +66,7 @@ def cmd_rank(args) -> int:
         config.raw["seed"] = args.seed
         config = pipeline.PipelineConfig.from_dict(config.raw)
     run_dir = os.path.join(_out_root(args), args.name)
-    manifest = pipeline.run_rank(config, run_dir, jobs=args.jobs, full_scale=args.full_scale)
+    manifest = pipeline.run_rank(config, run_dir)
     print(f"rank run complete -> {run_dir} ({len(manifest.outputs)} outputs)")
     return 0
 
@@ -133,7 +133,7 @@ def cmd_selftest(args) -> int:
         paths = make_ranking_fixture(fixture_dir, seed=args.seed if args.seed is not None else 4242)
         config = pipeline.PipelineConfig.from_file(paths["config"])
         run_dir = os.path.join(tmp, "run")
-        pipeline.run_rank(config, run_dir, jobs=args.jobs)
+        pipeline.run_rank(config, run_dir)
         failures = []
         with open(os.path.join(run_dir, "ranking.csv")) as fh:
             next(fh)
@@ -184,8 +184,9 @@ def main(argv=None) -> int:
     p.add_argument("--name", default="rank")
     p.add_argument("--out", help="output root (default $GCMKIT_OUT or ./gcmkit_out)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--full-scale", action="store_true", help="stream pooling in bounded memory")
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: models are swept one at a time")
+    p.add_argument("--full-scale", action="store_true",
+                   help="accepted and ignored: rank always streams in bounded memory")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("downscale", help="train or evaluate downscaling architectures")
@@ -216,7 +217,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("selftest", help="end-to-end check on the bundled synthetic fixture")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_selftest)
 
     args = parser.parse_args(argv)

@@ -23,12 +23,13 @@ grid with no duplicates.
 import csv
 import json
 import os
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
-from .geogrid import CALENDARS, DataCube, GridAxis, ZoneMask
+from .geogrid import CALENDARS, DataCube, Date, GridAxis, ZoneMask, validate_times
 
 _HEADER = "header.json"
 _PAYLOAD = "data.bin"
@@ -112,32 +113,50 @@ def _load_payload(path: str, count: int) -> np.ndarray:
     return raw.astype(np.float64)
 
 
+@dataclass(frozen=True, eq=False)
+class CubeHeader:
+    """The validated header of a GCF directory: a cube's axes and metadata without its payload."""
+
+    lat: GridAxis
+    lon: GridAxis
+    time: Tuple[Date, ...]
+    calendar: str
+    variable: str
+    units: str
+    fill: float  # canonical, see `canonical_fill`
+
+
+def read_header(path: str) -> CubeHeader:
+    """Read and validate a GCF header: keys, dims, both axes and every date."""
+    header = _load_header(path)
+    try:
+        lat = GridAxis(np.asarray(header["lat"], dtype=np.float64), "lat")
+        lon = GridAxis(np.asarray(header["lon"], dtype=np.float64), "lon")
+        time = validate_times(header["calendar"], [_parse_date(t) for t in header["time"]])
+    except ValidationError as exc:
+        raise ValidationError(f"header in {path}: {exc}") from None
+    return CubeHeader(lat, lon, time, header["calendar"], header["variable"], header["units"],
+                      canonical_fill(header["fill_value"]))
+
+
 def read_cube(path: str) -> DataCube:
     """Read and validate a GCF directory into a DataCube."""
-    header = _load_header(path)
-    nt, nlat, nlon = header["dims"]
+    head = read_header(path)
+    nt, nlat, nlon = len(head.time), len(head.lat), len(head.lon)
     values = _load_payload(path, nt * nlat * nlon).reshape(nt, nlat, nlon)
-    fill = canonical_fill(header["fill_value"])
     if np.any(~np.isfinite(values)):
         raise ValidationError(f"payload in {path} contains non-finite values")
-    return DataCube(
-        lat=GridAxis(np.asarray(header["lat"], dtype=np.float64), "lat"),
-        lon=GridAxis(np.asarray(header["lon"], dtype=np.float64), "lon"),
-        time=tuple(_parse_date(t) for t in header["time"]),
-        calendar=header["calendar"],
-        variable=header["variable"],
-        data=values,
-        fill=fill,
-        units=header["units"],
-    )
+    return DataCube(head.lat, head.lon, head.time, head.calendar, head.variable, values, head.fill, head.units)
 
 
 def iter_time_chunks(path: str, chunk: int):
     """Yield (t0, block) pairs of float64 time slabs without loading the cube.
 
-    Bounded-memory reader for the streaming metrics path; the header is
-    validated once, then the payload is consumed in chunks of `chunk`
-    time steps. A non-finite value fails with the path and its time index.
+    The bounded-memory reader behind every `run_rank` source: the payload
+    is consumed in chunks of `chunk` time steps, each holding the same bits
+    as that slice of `read_cube(path).data`. Only the header keys and dims
+    are checked here; validate the axes and dates once with `read_header`.
+    A non-finite value fails with the path and its time index.
     """
     header = _load_header(path)
     nt, nlat, nlon = header["dims"]

@@ -60,6 +60,20 @@ def validate_date(calendar: str, date: Date) -> None:
         raise ValidationError(f"day {day} invalid for {year}-{month:02d} under {calendar} calendar")
 
 
+def validate_times(calendar: str, time) -> Tuple[Date, ...]:
+    """A time axis as a tuple of int dates: non-empty, valid under `calendar`, strictly increasing."""
+    if calendar not in CALENDARS:
+        raise ValidationError(f"unknown calendar {calendar!r}")
+    times = tuple(tuple(int(v) for v in t) for t in time)
+    if len(times) == 0:
+        raise ValidationError("empty cube rejected: at least one time step required")
+    for t in times:
+        validate_date(calendar, t)
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValidationError("time axis must be strictly increasing")
+    return times
+
+
 def next_date(calendar: str, date: Date) -> Date:
     """The day after `date` under the given calendar."""
     year, month, day = date
@@ -119,30 +133,6 @@ class GridAxis:
 
 
 @dataclass(frozen=True, eq=False)
-class GridField:
-    """Single 2-D raster on a lat/lon grid."""
-
-    lat: GridAxis
-    lon: GridAxis
-    data: np.ndarray
-    fill: float = -9999.0
-    units: str = ""
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.shape != (len(self.lat), len(self.lon)):
-            raise ValidationError(
-                f"field shape {data.shape} does not match axes ({len(self.lat)}, {len(self.lon)})"
-            )
-        if not np.all(np.isfinite(data[data != self.fill])):
-            raise ValidationError("field contains non-finite values outside the fill sentinel")
-        object.__setattr__(self, "data", _readonly(data))
-
-    def mask_missing(self) -> np.ndarray:
-        return self.data == self.fill
-
-
-@dataclass(frozen=True, eq=False)
 class DataCube:
     """3-D (time x lat x lon) gridded variable under a declared calendar."""
 
@@ -156,15 +146,7 @@ class DataCube:
     units: str = "degC"
 
     def __post_init__(self):
-        if self.calendar not in CALENDARS:
-            raise ValidationError(f"unknown calendar {self.calendar!r}")
-        times = tuple(tuple(int(v) for v in t) for t in self.time)
-        if len(times) == 0:
-            raise ValidationError("empty cube rejected: at least one time step required")
-        for t in times:
-            validate_date(self.calendar, t)
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError("time axis must be strictly increasing")
+        times = validate_times(self.calendar, self.time)
         data = np.asarray(self.data, dtype=np.float64)
         expect = (len(times), len(self.lat), len(self.lon))
         if data.shape != expect:
@@ -177,9 +159,6 @@ class DataCube:
     @property
     def shape(self):
         return self.data.shape
-
-    def mask_missing(self) -> np.ndarray:
-        return self.data == self.fill
 
     def months(self) -> np.ndarray:
         return np.array([m for (_, m, _) in self.time], dtype=np.int64)
@@ -248,10 +227,6 @@ ANNUAL = SeasonSelector("ANNUAL")
 SEASONS = {s.id: s for s in (DJF, MAM, JJA, SON, ANNUAL)}
 
 
-def _axes_equal(a: "DataCube", b) -> bool:
-    return np.array_equal(a.lat.values, b.lat.values) and np.array_equal(a.lon.values, b.lon.values)
-
-
 def _bracket(src: np.ndarray, dst: np.ndarray):
     """Lower neighbor index and fractional position for each dst coordinate.
 
@@ -265,6 +240,40 @@ def _bracket(src: np.ndarray, dst: np.ndarray):
     return i0, t
 
 
+def bilinear_weights(src_lat: GridAxis, src_lon: GridAxis, dst_lat: GridAxis, dst_lon: GridAxis):
+    """The four bracketing corners of every target cell, as (flat source index, weight) pairs.
+
+    They depend only on the axes, so a source regridded block by block
+    computes them once; `bilinear_blend` applies them.
+    """
+    if len(src_lat) < 2 or len(src_lon) < 2:
+        raise ValidationError("regridding needs at least 2 source nodes per axis")
+    i0, ty = _bracket(src_lat.values, dst_lat.values)
+    j0, tx = _bracket(src_lon.values, dst_lon.values)
+    ty, tx = ty[:, None], tx[None, :]
+    corners = ((0, 0, (1.0 - ty) * (1.0 - tx)), (0, 1, (1.0 - ty) * tx), (1, 0, ty * (1.0 - tx)), (1, 1, ty * tx))
+    return tuple((((i0[:, None] + di) * len(src_lon) + j0[None, :] + dj).ravel(), w) for di, dj, w in corners)
+
+
+def bilinear_blend(data: np.ndarray, corners, fill: float) -> np.ndarray:
+    """The kernel of `regrid_bilinear`: blend each (lat x lon) slice of `data`.
+
+    Returns a new C-contiguous (time x lat x lon) array on the target grid.
+    """
+    flat = data.reshape(len(data), -1)
+
+    def corner(index, w):
+        return flat.take(index, axis=1).reshape(len(data), *w.shape)
+
+    out = -0.0  # -0.0 + x == x for every x, so the first corner's bits pass unchanged
+    for index, w in corners:
+        out = out + w * corner(index, w)
+    if (flat == fill).any():  # only a block that holds fill can need the fill rule
+        for index, w in corners:
+            out[(corner(index, w) == fill) & (w != 0.0)] = fill
+    return out
+
+
 def regrid_bilinear(src: DataCube, dst_lat: GridAxis, dst_lon: GridAxis) -> DataCube:
     """Bilinear interpolation of every time slice onto a new lat/lon grid.
 
@@ -272,28 +281,7 @@ def regrid_bilinear(src: DataCube, dst_lat: GridAxis, dst_lon: GridAxis) -> Data
     a non-zero weight is fill, the output is fill. Interpolating onto the
     source axes is an exact identity, fill cells included.
     """
-    if len(src.lat) < 2 or len(src.lon) < 2:
-        raise ValidationError("regridding needs at least 2 source nodes per axis")
-    i0, ty = _bracket(src.lat.values, dst_lat.values)
-    j0, tx = _bracket(src.lon.values, dst_lon.values)
-
-    d = src.data
-    v00 = d[:, i0[:, None], j0[None, :]]
-    v01 = d[:, i0[:, None], j0[None, :] + 1]
-    v10 = d[:, i0[:, None] + 1, j0[None, :]]
-    v11 = d[:, i0[:, None] + 1, j0[None, :] + 1]
-
-    ty2 = ty[None, :, None]
-    tx2 = tx[None, None, :]
-    w00, w01, w10, w11 = (1.0 - ty2) * (1.0 - tx2), (1.0 - ty2) * tx2, ty2 * (1.0 - tx2), ty2 * tx2
-    out = w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11
-    hit_fill = (
-        ((v00 == src.fill) & (w00 != 0.0))
-        | ((v01 == src.fill) & (w01 != 0.0))
-        | ((v10 == src.fill) & (w10 != 0.0))
-        | ((v11 == src.fill) & (w11 != 0.0))
-    )
-    out[hit_fill] = src.fill
+    out = bilinear_blend(src.data, bilinear_weights(src.lat, src.lon, dst_lat, dst_lon), src.fill)
     return DataCube(dst_lat, dst_lon, src.time, src.calendar, src.variable, out, src.fill, src.units)
 
 
@@ -306,22 +294,35 @@ def apply_mask(cube: DataCube, mask: ZoneMask, keep: Iterable[int]) -> DataCube:
     return replace(cube, data=out)
 
 
-def derive_dtr(tasmax: DataCube, tasmin: DataCube) -> DataCube:
-    """Diurnal temperature range: elementwise tasmax minus tasmin."""
-    if not _axes_equal(tasmax, tasmin) or tasmax.time != tasmin.time or tasmax.calendar != tasmin.calendar:
+def check_dtr_pair(tasmax, tasmin) -> None:
+    """tasmax and tasmin (cubes or headers) must share axes, times, calendar and units."""
+    if (tasmax.lat, tasmax.lon, tasmax.time, tasmax.calendar) != (tasmin.lat, tasmin.lon, tasmin.time, tasmin.calendar):
         raise ValidationError("tasmax and tasmin cubes must share axes, times and calendar")
     if tasmax.units != tasmin.units:
         raise ValidationError(f"unit mismatch: {tasmax.units!r} vs {tasmin.units!r}")
-    hi, lo = tasmax.data, tasmin.data
-    missing = (hi == tasmax.fill) | (lo == tasmin.fill)
+
+
+def dtr_values(hi: np.ndarray, lo: np.ndarray, fill_hi: float, fill_lo: float, where) -> np.ndarray:
+    """The kernel of `derive_dtr`: hi - lo, fill where either side is fill.
+
+    A non-fill cell with lo > hi fails; `where(t, y, x)` names the first one.
+    """
+    missing = (hi == fill_hi) | (lo == fill_lo)
     inverted = (~missing) & (lo > hi)
     if np.any(inverted):
         t, y, x = np.argwhere(inverted)[0]
         raise ValidationError(
-            f"tasmin exceeds tasmax at {int(np.count_nonzero(inverted))} cells, "
-            f"first at (t={t}, lat={tasmax.lat.values[y]}, lon={tasmax.lon.values[x]})"
+            f"tasmin exceeds tasmax at {int(np.count_nonzero(inverted))} cells, first at {where(t, y, x)}"
         )
-    out = np.where(missing, tasmax.fill, hi - lo)
+    return np.where(missing, fill_hi, hi - lo)
+
+
+def derive_dtr(tasmax: DataCube, tasmin: DataCube) -> DataCube:
+    """Diurnal temperature range: elementwise tasmax minus tasmin."""
+    check_dtr_pair(tasmax, tasmin)
+    lat, lon = tasmax.lat.values, tasmax.lon.values
+    out = dtr_values(tasmax.data, tasmin.data, tasmax.fill, tasmin.fill,
+                     where=lambda t, y, x: f"(t={t}, lat={lat[y]}, lon={lon[x]})")
     return replace(tasmax, data=out, variable="dtr")
 
 

@@ -4,13 +4,17 @@ Every stage writes plain CSV/JSON artifacts into a run directory and a
 `manifest.json` holding the config hash, tool version and a sha256 per
 output file; wall-clock numbers go to a separate `timing.json` so the
 manifest itself is byte-stable across reruns of the same config and seed.
+
+The rank stage has one path at every scale: each cube source streams
+fixed-size time blocks from its payloads, derives DTR and regrids per
+block, and `metrics.sweep` scores every (zone, season) context from them,
+so its memory is bounded by about one block per source.
 """
 
 import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -20,12 +24,13 @@ from . import __version__, gcf
 from .errors import NumericFault, ValidationError
 from .geogrid import (
     DataCube,
-    GridField,
     LAND_ZONES,
     SEASONS,
     ZONE_NAMES,
-    derive_dtr,
-    regrid_bilinear,
+    bilinear_blend,
+    bilinear_weights,
+    check_dtr_pair,
+    dtr_values,
 )
 from .metrics import (
     BLOCK,
@@ -34,7 +39,6 @@ from .metrics import (
     report_rows_to_csv,
     report_rows_to_json,
     sweep,
-    time_blocks,
 )
 from .ranking import (
     Criterion,
@@ -107,15 +111,6 @@ class _StageTimer:
 def _require(condition: bool, stage: str, message: str) -> None:
     if not condition:
         raise ValidationError(f"[{stage}] {message}")
-
-
-def _load_cube_source(spec: dict, stage: str) -> DataCube:
-    """A cube source is either one ready cube or a tasmax/tasmin pair."""
-    if "path" in spec:
-        return gcf.read_cube(spec["path"])
-    if "tasmax" in spec and "tasmin" in spec:
-        return derive_dtr(gcf.read_cube(spec["tasmax"]), gcf.read_cube(spec["tasmin"]))
-    raise ValidationError(f"[{stage}] cube source needs 'path' or 'tasmax'+'tasmin', got {sorted(spec)}")
 
 
 @dataclass
@@ -203,40 +198,54 @@ class PipelineConfig:
         )
 
 
-class _PayloadBlocks:
-    """A GCF payload as a re-iterable source of (t0, block) time blocks for `sweep`."""
+class _CubeSource:
+    """One rank source, a cube {"path"} or a tasmax/tasmin pair, as re-iterable (t0, block) pairs.
 
-    def __init__(self, path: str):
-        self.path = path
+    Opening it validates every header once, and a model's times against the
+    reference (`like`). Each iteration streams BLOCK time steps at a time:
+    a pair is read in step and turned into DTR per block, and a model off
+    the reference grid is regridded per block, with the bits of that slice
+    of the whole-cube `regrid_bilinear(derive_dtr(...))`.
+    """
+
+    def __init__(self, spec: dict, name: str, like: "_CubeSource" = None):
+        keys = ("path",) if "path" in spec else ("tasmax", "tasmin")
+        _require(all(k in spec for k in keys), "load",
+                 f"{name}: cube source needs 'path' or 'tasmax'+'tasmin', got {sorted(spec)}")
+        self.paths = tuple(spec[k] for k in keys)
+        try:
+            heads = [gcf.read_header(path) for path in self.paths]
+            if len(heads) == 2:
+                check_dtr_pair(*heads)
+        except ValidationError as exc:
+            raise ValidationError(f"[load] {name}: {exc}") from None
+        head = heads[0]
+        self.time, self.fill, self.fills = head.time, head.fill, [h.fill for h in heads]
+        self.lat, self.lon, self.corners = head.lat, head.lon, None
+        if like is not None:
+            _require(head.time == like.time, "load", f"{name} and the reference cover different times")
+            self.lat, self.lon = like.lat, like.lon
+            if not (head.lat == like.lat and head.lon == like.lon):
+                self.corners = bilinear_weights(head.lat, head.lon, like.lat, like.lon)
 
     def __iter__(self):
-        return gcf.iter_time_chunks(self.path, BLOCK)
+        lows = gcf.iter_time_chunks(self.paths[1], BLOCK) if len(self.paths) == 2 else None
+        # each step rebinds `block`, so a source never holds more than the block it yields
+        for t0, block in gcf.iter_time_chunks(self.paths[0], BLOCK):
+            if lows is not None:
+                block = dtr_values(block, next(lows)[1], *self.fills, where=lambda t, y, x: (
+                    f"time index {t0 + t} ({'%04d-%02d-%02d' % self.time[t0 + t]}) of {self.paths[1]}"))
+            if self.corners is not None:
+                block = bilinear_blend(block, self.corners, self.fill)
+            yield t0, block
 
 
-def _model_reports(one_model, labels: Sequence[str], index, jobs: int = 1):
-    """Reports for every (zone, season, model); `one_model(label)` sweeps one model.
-
-    With `jobs` > 1 the models are swept in parallel threads.
-    """
-    labels = sorted(labels)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_model = dict(zip(labels, pool.map(one_model, labels)))
-    else:
-        per_model = {label: one_model(label) for label in labels}
-    return {ctx: [(label, per_model[label][ctx]) for label in labels] for ctx, _, _ in index}
-
-
-def run_rank(config: PipelineConfig, run_dir: str, jobs: int = 1, full_scale: bool = False) -> RunManifest:
+def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
     """Full ranking stage: load, score every (zone, season) context, rank, export.
 
-    Both modes sweep each model once with the same metric engine and the
-    same time blocks, so they write the same bytes; only the source of the
-    blocks differs. In memory, each model is loaded, DTR-derived and
-    regridded inside its own sweep, so one model cube is held per job.
-    With `full_scale` the blocks are read straight from the GCF payloads;
-    the model cubes must then already sit on the reference grid (run the
-    regrid subcommand first) and be single-variable sources.
+    No payload is loaded whole: each model is swept once, block by block
+    alongside the reference, so memory is bounded by about one block per
+    `_CubeSource` at any cube size.
     """
     os.makedirs(run_dir, exist_ok=True)
     manifest = RunManifest(config_hash=config_hash(config.raw))
@@ -244,50 +253,18 @@ def run_rank(config: PipelineConfig, run_dir: str, jobs: int = 1, full_scale: bo
 
     with _StageTimer(manifest, "load"):
         mask = gcf.read_mask(config.mask)
-        if full_scale:
-            _require("path" in config.reference, "load", "full-scale mode needs a single-cube reference source")
-            obs_path = config.reference["path"]
-            obs_header = gcf._load_header(obs_path)
-            ref_lat, ref_lon = obs_header["lat"], obs_header["lon"]
-            months = np.array([int(t.split("-")[1]) for t in obs_header["time"]])
-            obs_blocks, obs_fill = _PayloadBlocks(obs_path), gcf.canonical_fill(obs_header["fill_value"])
-            sources = {}
-            for label, spec in specs.items():
-                _require("path" in spec, "load", f"full-scale mode needs a single-cube source for {label}")
-                header = gcf._load_header(spec["path"])
-                _require(
-                    header["lat"] == ref_lat and header["lon"] == ref_lon,
-                    "load",
-                    f"model {label} is not on the reference grid; regrid it first",
-                )
-                _require(header["time"] == obs_header["time"], "load", f"model {label} and the reference cover different times")
-                sources[label] = (_PayloadBlocks(spec["path"]), gcf.canonical_fill(header["fill_value"]))
-            model_blocks = sources.__getitem__
-        else:
-            obs = _load_cube_source(config.reference, "load")
-            ref_lat, ref_lon = obs.lat.values, obs.lon.values
-            months = obs.months()
-            obs_blocks, obs_fill = time_blocks(obs.data), obs.fill
-
-            def model_blocks(label):
-                cube = regrid_bilinear(_load_cube_source(specs[label], "load"), obs.lat, obs.lon)
-                _require(cube.time == obs.time, "load", f"model {label} and the reference cover different times")
-                return time_blocks(cube.data), cube.fill
-
-        _require(
-            np.array_equal(mask.lat.values, ref_lat) and np.array_equal(mask.lon.values, ref_lon),
-            "load",
-            "zone mask must be on the reference grid",
-        )
+        obs = _CubeSource(config.reference, "reference")
+        _require(mask.lat == obs.lat and mask.lon == obs.lon, "load", "zone mask must be on the reference grid")
+        models = {label: _CubeSource(specs[label], f"model {label}", like=obs) for label in sorted(specs)}
 
     with _StageTimer(manifest, "metrics"):
+        months = np.array([m for _, m, _ in obs.time])
         index = context_index(months, mask, {z: ZONE_BY_NAME.get(z, z) for z in config.zones}, config.seasons)
-
-        def one_model(label):
-            blocks, fill = model_blocks(label)
-            return sweep(blocks, obs_blocks, index, fill, obs_fill, config.pdf_bins, label=f"model {label}")
-
-        reports = _model_reports(one_model, specs, index, jobs)
+        per_model = {
+            label: sweep(source, obs, index, source.fill, obs.fill, config.pdf_bins, label=f"model {label}")
+            for label, source in models.items()
+        }
+        reports = {ctx: [(label, per_model[label][ctx]) for label in models] for ctx, _, _ in index}
 
     with _StageTimer(manifest, "weights"):
         weight_source = config.weights
@@ -506,10 +483,9 @@ def run_report(rank_dir: str, out_dir: str, downscale_dir: Optional[str] = None)
         raster = np.full(mask.codes.shape, -9999.0)
         for code, label in best.items():
             raster[mask.codes == code] = float(label_index[label])
-        field = GridField(mask.lat, mask.lon, raster, fill=-9999.0, units="model_index")
         cube = DataCube(
-            lat=field.lat, lon=field.lon, time=((1, 1, 1),), calendar="standard",
-            variable="best_model_index", data=field.data[None], fill=field.fill, units=field.units,
+            lat=mask.lat, lon=mask.lon, time=((1, 1, 1),), calendar="standard",
+            variable="best_model_index", data=raster[None], fill=-9999.0, units="model_index",
         )
         gcf.write_cube(cube, os.path.join(out_dir, "fig5_best_model"))
         _write_text(out_dir, "fig5_model_labels.json",

@@ -174,7 +174,8 @@ class TestRank:
             assert stream[key] == pytest.approx(mem[key], rel=1e-7, abs=1e-9)
 
 
-    def test_full_scale_names_non_finite_payload(self, tmp_path, fixture_paths, capsys):
+    @pytest.mark.parametrize("extra", [[], ["--full-scale"]], ids=["rank", "full-scale"])
+    def test_full_scale_names_non_finite_payload(self, tmp_path, fixture_paths, capsys, extra):
         config = json.load(open(fixture_paths["config"]))
         for spec in config["models"]:
             dest = str(tmp_path / f"rg_{spec['label']}")
@@ -188,7 +189,7 @@ class TestRank:
             fh.write(data.astype("<f4").tobytes())
         cfg_path = tmp_path / "nan.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--full-scale"]) == 2
+        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), *extra]) == 2
         err = capsys.readouterr().err
         assert bad in err and "time index 100" in err
 
@@ -259,16 +260,6 @@ class TestDownscaleCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"lacks key '{missing}'" in err and str(spec) in err
-
-
-class TestJobs:
-    def test_parallel_metrics_are_schedule_invariant(self, tmp_path, fixture_paths):
-        out_root = str(tmp_path)
-        assert main(["rank", "--config", fixture_paths["config"], "--out", out_root, "--name", "serial"]) == 0
-        assert main(["rank", "--config", fixture_paths["config"], "--out", out_root, "--name", "parallel", "--jobs", "3"]) == 0
-        a = open(os.path.join(out_root, "serial", "manifest.json")).read()
-        b = open(os.path.join(out_root, "parallel", "manifest.json")).read()
-        assert a == b
 
 
 class TestReport:

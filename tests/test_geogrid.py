@@ -16,6 +16,8 @@ from gcmkit.geogrid import (
     GridAxis,
     ZoneMask,
     apply_mask,
+    bilinear_blend,
+    bilinear_weights,
     block_mean,
     date_range,
     derive_dtr,
@@ -170,6 +172,23 @@ class TestRegrid:
         out = regrid_bilinear(cube, cube.lat, cube.lon)
         assert np.array_equal(out.data, cube.data)
         assert np.count_nonzero(out.data == cube.fill) == 1
+
+    def test_blend_per_block_is_the_whole_cube_regrid(self, year_cube):
+        """The kernel on any time block gives the bits of that slice of the
+        whole-cube regrid, as a C-contiguous array (fill included)."""
+        data = year_cube.data.copy()
+        data[100:130, 1, 2] = year_cube.fill
+        cube = dataclasses.replace(year_cube, data=data)
+        dst_lat = GridAxis(np.linspace(40.2, 42.8, 5), "lat")
+        dst_lon = GridAxis(np.linspace(9.5, 12.8, 6), "lon")
+        whole = regrid_bilinear(cube, dst_lat, dst_lon).data
+        corners = bilinear_weights(cube.lat, cube.lon, dst_lat, dst_lon)
+        for t0 in range(0, 365, 64):
+            block = bilinear_blend(cube.data[t0 : t0 + 64], corners, cube.fill)
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, whole[t0 : t0 + 64])
+        assert np.count_nonzero(whole == cube.fill) > 0
+
 
 class TestMaskDtrSeason:
     def test_keep_all_is_identity(self, year_cube, all_land_mask):
