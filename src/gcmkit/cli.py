@@ -34,7 +34,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_regrid(args) -> int:
     cube = gcf.read_cube(args.cube)
-    like = gcf.read_cube(args.like)
+    like = gcf.read_header(args.like)
     out = regrid_bilinear(cube, like.lat, like.lon)
     gcf.write_cube(out, args.dest)
     print(f"regridded {args.cube} onto {len(like.lat)}x{len(like.lon)} grid -> {args.dest}")
@@ -71,15 +71,20 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _read_pair_spec(path: str) -> dict:
-    """A downscale data spec: a JSON object naming the coarse and fine cubes."""
+def _read_json_object(path: str, what: str) -> dict:
     with open(path) as fh:
         try:
-            spec = json.load(fh)
+            obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValidationError(f"data spec {path} is not valid JSON: {exc}") from None
-    if not isinstance(spec, dict):
-        raise ValidationError(f"data spec {path} is not a JSON object")
+            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} {path} is not a JSON object")
+    return obj
+
+
+def _read_pair_spec(path: str) -> dict:
+    """A downscale data spec: a JSON object naming the coarse and fine cubes."""
+    spec = _read_json_object(path, "data spec")
     for key in ("coarse", "fine"):
         if key not in spec:
             raise ValidationError(f"data spec {path} lacks key {key!r}")
@@ -91,9 +96,11 @@ def cmd_downscale_train(args) -> int:
     data_spec = _read_pair_spec(args.data) if args.data else None
     overrides = {}
     if args.config:
-        with open(args.config) as fh:
-            overrides.update(json.load(fh).get("train", {}))
-    if args.epochs:
+        block = _read_json_object(args.config, "config").get("train", {})
+        if not isinstance(block, dict):
+            raise ValidationError(f"config {args.config}: 'train' is not a JSON object")
+        overrides.update(block)
+    if args.epochs is not None:
         overrides["epochs"] = args.epochs
     manifest = pipeline.run_downscale(
         run_dir,

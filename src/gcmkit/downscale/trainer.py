@@ -18,6 +18,7 @@ import numpy as np
 from ..errors import NumericFault, ValidationError
 from ..rng import SplitMix64
 from .. import tensorcore as tc
+from ..tensorcore.optim import OPTIMIZER_KINDS
 from .archs import ArchConfig, DownscaleModel, build_model, imbalance_weighted_mse
 from .data import DownscaleDataset
 
@@ -35,12 +36,21 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValidationError("epochs, batch size and learning rate must be positive")
-        if self.loss not in LOSS_KINDS:
-            raise ValidationError(f"loss must be one of {LOSS_KINDS}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValidationError("val_fraction must lie in [0, 1)")
+        def check(key, ok, why):
+            if not ok:
+                raise ValidationError(f"train {key} {why}, got {getattr(self, key)!r}")
+
+        for key in ("epochs", "batch_size", "patience"):
+            check(key, type(getattr(self, key)) is int, "must be an integer")
+        for key in ("learning_rate", "val_fraction"):
+            check(key, type(getattr(self, key)) in (int, float), "must be a number")
+        check("epochs", self.epochs >= 1, "must be >= 1")
+        check("batch_size", self.batch_size >= 1, "must be >= 1")
+        check("learning_rate", 0.0 < self.learning_rate < math.inf, "must be positive and finite")
+        check("patience", self.patience >= 0, "must be >= 0")
+        check("optimizer", self.optimizer in OPTIMIZER_KINDS, f"must be one of {OPTIMIZER_KINDS}")
+        check("loss", self.loss in LOSS_KINDS, f"must be one of {LOSS_KINDS}")
+        check("val_fraction", 0.0 <= self.val_fraction < 1.0, "must lie in [0, 1)")
 
 
 @dataclass

@@ -368,6 +368,14 @@ def synth_pair(
     a downscaler has learnable sub-grid structure); the coarse field is the
     block-mean of the fine field plus `bias` and Gaussian noise. nlat/nlon
     are the fine-grid dimensions and must be divisible by `coarse_factor`.
+
+    Wave k is amp_k * sin(A_k + B_k) with a spatial phase
+    A_k = 2 pi (f_lat y + f_lon x) + phase and a temporal one
+    B_k = 2 pi f_t t / 100. It is evaluated separably, as
+    sin A_k cos B_k + cos A_k sin B_k, so the whole field is one
+    (nt x 12) @ (12 x cells) product instead of six sines over the cube.
+    The values match the direct per-wave formula to rounding (about 1e-14),
+    not bit for bit.
     """
     if coarse_factor < 2:
         raise ValidationError("coarse_factor must be >= 2")
@@ -381,21 +389,27 @@ def synth_pair(
     lon = GridAxis(0.05 + 0.1 * np.arange(nlon), "lon")
     times = tuple(date_range("standard", (1985, 1, 1), nt))
 
-    yy = np.linspace(0.0, 1.0, nlat)[None, :, None]
-    xx = np.linspace(0.0, 1.0, nlon)[None, None, :]
-    tt = np.arange(nt, dtype=np.float64)[:, None, None]
+    yy = np.linspace(0.0, 1.0, nlat)[:, None]
+    xx = np.linspace(0.0, 1.0, nlon)[None, :]
+    tt = np.arange(nt, dtype=np.float64)
 
     n_waves = 6
-    fine = np.full((nt, nlat, nlon), 15.0)
+    temporal = np.empty((nt, 2 * n_waves))  # amp cos B_k | amp sin B_k
+    spatial = np.empty((2 * n_waves, nlat * nlon))  # sin A_k | cos A_k
     for k in range(n_waves):
         amp = 2.4 / (k + 1)
         f_lat = r_field.uniform(low=0.5, high=3.5)
         f_lon = r_field.uniform(low=0.5, high=3.5)
         f_t = r_field.uniform(low=0.5, high=2.0)
         phase = r_field.uniform(low=0.0, high=2.0 * np.pi)
-        fine = fine + amp * np.sin(
-            2.0 * np.pi * (f_lat * yy + f_lon * xx + f_t * tt / 100.0) + phase
-        )
+        a = (2.0 * np.pi * (f_lat * yy + f_lon * xx) + phase).reshape(-1)
+        b = 2.0 * np.pi * f_t * tt / 100.0
+        temporal[:, 2 * k] = amp * np.cos(b)
+        temporal[:, 2 * k + 1] = amp * np.sin(b)
+        spatial[2 * k] = np.sin(a)
+        spatial[2 * k + 1] = np.cos(a)
+    fine = (temporal @ spatial).reshape(nt, nlat, nlon)
+    fine += 15.0
 
     coarse = block_mean(fine, coarse_factor) + bias
     if noise_sd > 0.0:

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -365,6 +365,16 @@ def _write_rank_outputs(run_dir, manifest, config, reports, results, weights_use
         manifest.add_output(run_dir, rel)
 
 
+def _train_config(kind: str, overrides: dict):
+    """The benchmark preset for `kind` with `overrides` applied and validated."""
+    tcfg = desk_train_config(kind, "benchmark")
+    known = sorted(f.name for f in fields(tcfg))
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise ValidationError(f"unknown train key(s) {unknown}; known: {known}")
+    return replace(tcfg, **overrides)
+
+
 def run_downscale(
     run_dir: str,
     archs: Sequence[str] = dsc.ARCH_KINDS,
@@ -379,6 +389,7 @@ def run_downscale(
     first 80% of its windows and evaluates on the held-out rest, the same
     split `downscale eval --data` scores (`dsc.spec_split`).
     """
+    tcfgs = {kind: _train_config(kind, train_overrides or {}) for kind in archs}
     os.makedirs(run_dir, exist_ok=True)
     manifest = RunManifest(config_hash=config_hash({"archs": list(archs), "seed": seed, "data": data_spec or "bundled"}))
 
@@ -390,13 +401,9 @@ def run_downscale(
     for kind in archs:
         with _StageTimer(manifest, f"train.{kind}"):
             cfg = desk_arch_config(kind, seed=seed)
-            tcfg = desk_train_config(kind, "benchmark")
-            if train_overrides:
-                for key, value in train_overrides.items():
-                    setattr(tcfg, key, value)
             ckpt = os.path.join(run_dir, f"{kind}.ckpt")
             log_path = os.path.join(run_dir, f"{kind}_train_log.csv")
-            result = dsc.train(cfg, train_set, tcfg, ckpt_path=ckpt, log_path=log_path)
+            result = dsc.train(cfg, train_set, tcfgs[kind], ckpt_path=ckpt, log_path=log_path)
             if result.aborted:
                 raise NumericFault(f"[train.{kind}] training aborted on non-finite loss")
             predictions[kind] = dsc.predict_dataset(result.model, test_set)

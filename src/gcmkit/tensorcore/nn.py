@@ -61,11 +61,14 @@ def convlstm_cell(
 
     `norm`, when given, is applied to the stacked gate pre-activations
     (the output of the gate convolution block) before the nonlinearities.
-    `None` states are zero states, as in `lstm_cell`.
+    `None` states are zero states, as in `lstm_cell`. With a state, the
+    x- and h-convolutions are one convolution over [x, h_prev] (Shi et al.
+    2015), stacked inside `conv2d` from the separate `wx` and `wh`.
     """
-    z = conv2d(x, params.wx, params.b, padding="same")
-    if h_prev is not None:
-        z = z + conv2d(h_prev, params.wh, padding="same")
+    if h_prev is None:
+        z = conv2d(x, params.wx, params.b, padding="same")
+    else:
+        z = conv2d((x, h_prev), (params.wx, params.wh), params.b, padding="same")
     if norm is not None:
         z = norm(z)
     return lstm_gates(z, c_prev)

@@ -63,6 +63,9 @@ class Adam:
             p.data -= update
 
 
+OPTIMIZER_KINDS = ("sgd", "adam")
+
+
 def make_optimizer(kind: str, params: List[Tensor], lr: float):
     if kind == "sgd":
         return SGD(params, lr)

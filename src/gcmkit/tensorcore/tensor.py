@@ -19,6 +19,10 @@ LSTM gate step (`lstm_gates`, two nodes: cell state and hidden state),
 `batch_norm` and `layer_norm`. Their backwards evaluate the same
 expressions, in the same order, as the composite graphs they replace,
 except that the normalizations use the closed-form input gradient.
+`conv2d` takes one input and kernel or matching sequences of them: a sum
+of convolutions is one node over the channel-stacked inputs, with one
+im2col and one product, so it sums in a different order than separate
+convolutions plus an add and agrees with them to rounding.
 
 All math is float64. Every op output, with or without a graph, is checked
 for NaN/Inf and a `NumericFault` is raised at the op that produced it.
@@ -533,13 +537,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 # -- convolution ----------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int):
-    n, c, h, w = x.shape
-    if h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ValidationError(f"kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})")
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    oh = (h + 2 * ph - kh) // stride + 1
-    ow = (w + 2 * pw - kw) // stride + 1
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
+    """Columns (n, c*kh*kw, oh*ow) of an input that already holds its padding."""
+    n, c, hp, wp = xp.shape
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
     s0, s1, s2, s3 = xp.strides
     view = np.lib.stride_tricks.as_strided(
         xp, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride)
@@ -570,29 +572,56 @@ def _conv_padding(padding, kh, kw, stride):
     raise ValidationError(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor = None, stride: int = 1, padding: str = "same") -> Tensor:
-    """2-D cross-correlation: x (n,c_in,h,w) with kernel (c_out,c_in,kh,kw)."""
-    n, c_in, h, w = x.data.shape
-    c_out, c_k, kh, kw = kernel.data.shape
-    if c_k != c_in:
-        raise ValidationError(f"kernel expects {c_k} input channels, input has {c_in}")
+def conv2d(x, kernel, bias: Tensor = None, stride: int = 1, padding: str = "same") -> Tensor:
+    """2-D cross-correlation: x (n,c_in,h,w) with kernel (c_out,c_in,kh,kw).
+
+    x and kernel may also be matching sequences of inputs (same n, h, w)
+    and kernels (same c_out, kh, kw). The result is then
+    sum_i conv(x_i, kernel_i) + bias, computed as one node: the inputs are
+    padded into one channel-stacked buffer, so there is one im2col and one
+    product with the kernels stacked along c_in, and the gradients are split
+    back per input and per kernel. A single input is the 1-tuple case.
+    """
+    xs = tuple(x) if isinstance(x, (tuple, list)) else (x,)
+    ks = tuple(kernel) if isinstance(kernel, (tuple, list)) else (kernel,)
+    if not xs or len(xs) != len(ks):
+        raise ValidationError(f"conv2d needs one kernel per input, got {len(xs)} inputs and {len(ks)} kernels")
+    n, _, h, w = xs[0].data.shape
+    c_out, _, kh, kw = ks[0].data.shape
+    for xi, ki in zip(xs, ks):
+        (ni, c_in, hi, wi), (ci_out, c_k, khi, kwi) = xi.data.shape, ki.data.shape
+        if (ni, hi, wi) != (n, h, w) or (ci_out, khi, kwi) != (c_out, kh, kw):
+            raise ValidationError(f"conv2d pairs disagree: input {xi.data.shape} with kernel {ki.data.shape}")
+        if c_k != c_in:
+            raise ValidationError(f"kernel expects {c_k} input channels, input has {c_in}")
     ph, pw = _conv_padding(padding, kh, kw, stride)
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, ph, pw)
-    k2 = kernel.data.reshape(c_out, c_in * kh * kw)
+    if h + 2 * ph < kh or w + 2 * pw < kw:
+        raise ValidationError(f"kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})")
+    bounds = np.cumsum([0] + [xi.data.shape[1] for xi in xs])
+    xp = np.zeros((n, bounds[-1], h + 2 * ph, w + 2 * pw))
+    for xi, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
+        xp[:, lo:hi, ph : ph + h, pw : pw + w] = xi.data
+    cols, oh, ow = _im2col(xp, kh, kw, stride)
+    del xp
+    k2s = [ki.data.reshape(c_out, -1) for ki in ks]
+    k2 = k2s[0] if len(k2s) == 1 else np.concatenate(k2s, axis=1)
     y = (k2 @ cols).reshape(n, c_out, oh, ow)
     if bias is not None:
-        y = y + bias.data.reshape(1, c_out, 1, 1)
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+        y += bias.data.reshape(1, c_out, 1, 1)
+    parents = xs + ks + (() if bias is None else (bias,))
     out = Tensor(y, _parents=parents, _op="conv2d")
 
     def back(g):
         g2 = g.reshape(n, c_out, oh * ow)
-        if kernel.requires_grad:
+        if any(ki.requires_grad for ki in ks):
             dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            kernel._accum(dk.reshape(kernel.data.shape), fresh=True)
-        if x.requires_grad:
-            dcols = np.matmul(k2.T, g2)
-            x._accum(_col2im(dcols, n, c_in, h, w, kh, kw, stride, ph, pw, oh, ow), fresh=True)
+            for ki, lo, hi in zip(ks, bounds[:-1] * (kh * kw), bounds[1:] * (kh * kw)):
+                if ki.requires_grad:
+                    ki._accum(dk[:, lo:hi].reshape(ki.data.shape), fresh=True)
+        for xi, k2i in zip(xs, k2s):
+            if xi.requires_grad:
+                dcols = np.matmul(k2i.T, g2)
+                xi._accum(_col2im(dcols, n, xi.data.shape[1], h, w, kh, kw, stride, ph, pw, oh, ow), fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)), fresh=True)
 
@@ -624,7 +653,7 @@ def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor = 
     out = Tensor(y, _parents=parents, _op="conv2d_transpose")
 
     def back(g):
-        gcols, _, _ = _im2col(g, kh, kw, stride, 0, 0)
+        gcols, _, _ = _im2col(g, kh, kw, stride)
         if x.requires_grad:
             dx = np.matmul(k2, gcols).reshape(n, c_out, h, w)
             x._accum(dx, fresh=True)

@@ -90,6 +90,18 @@ def _case_conv_stride(rng):
     return lambda: tc.mse(tc.conv2d(x, k, stride=2, padding="valid"), t), [x, k]
 
 
+@op_case("conv2d_stacked_pair")
+def _case_conv_stacked(rng):
+    # one node over two (input, kernel) pairs, as a ConvLSTM gate step uses it
+    x = Tensor(rand(rng, (2, 1, 5, 5)), requires_grad=True)
+    h = Tensor(rand(rng, (2, 2, 5, 5)), requires_grad=True)
+    wx = Tensor(rand(rng, (3, 1, 3, 3)), requires_grad=True)
+    wh = Tensor(rand(rng, (3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rand(rng, (3,)), requires_grad=True)
+    t = rand(rng, (2, 3, 5, 5))
+    return lambda: tc.mse(tc.conv2d((x, h), (wx, wh), b, padding="same"), t), [x, h, wx, wh, b]
+
+
 @op_case("conv2d_transpose")
 def _case_convt(rng):
     x = Tensor(rand(rng, (2, 3, 4, 4)), requires_grad=True)

@@ -58,6 +58,28 @@ class TestRegridAndMetrics:
         obs = gcf.read_cube(fixture_paths["obs"])
         assert out.shape == obs.shape
 
+    def test_regrid_reads_only_the_header_of_like(self, tmp_path, fixture_paths, monkeypatch):
+        from gcmkit.geogrid import regrid_bilinear
+
+        model, like = fixture_paths[GOOD_MODEL], fixture_paths["obs"]
+        expected = str(tmp_path / "expected")
+        obs = gcf.read_cube(like)
+        gcf.write_cube(regrid_bilinear(gcf.read_cube(model), obs.lat, obs.lon), expected)
+        payload_reads = []
+        real_load = gcf._load_payload
+
+        def recording_load(path, count):
+            payload_reads.append(path)
+            return real_load(path, count)
+
+        monkeypatch.setattr(gcf, "_load_payload", recording_load)
+        dest = str(tmp_path / "regridded")
+        assert main(["regrid", model, "--like", like, dest]) == 0
+        assert payload_reads == [model]
+        for name in sorted(os.listdir(expected)):
+            with open(os.path.join(expected, name), "rb") as a, open(os.path.join(dest, name), "rb") as b:
+                assert a.read() == b.read(), name
+
     def test_metrics_command_writes_csv(self, tmp_path, fixture_paths):
         regridded = str(tmp_path / "rg")
         main(["regrid", fixture_paths[GOOD_MODEL], "--like", fixture_paths["obs"], regridded])
@@ -260,6 +282,33 @@ class TestDownscaleCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"lacks key '{missing}'" in err and str(spec) in err
+
+
+    @pytest.mark.parametrize("epochs", ["-1", "0"])
+    def test_non_positive_epochs_exit_2(self, tmp_path, capsys, epochs):
+        argv = ["downscale", "train", "--arch", "vit", "--epochs", epochs, "--out", str(tmp_path), "--name", "ds"]
+        assert main(argv) == 2
+        assert "epochs" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "ds")
+
+    @pytest.mark.parametrize(
+        "block, key", [({"learnin_rate": 1e-3}, "learnin_rate"), ({"batch_size": "16"}, "batch_size")]
+    )
+    def test_bad_train_config_key_exits_2(self, tmp_path, capsys, block, key):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"train": block}))
+        argv = ["downscale", "train", "--arch", "vit", "--config", str(config), "--out", str(tmp_path), "--name", "ds"]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "ds")
+
+    def test_malformed_train_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "train.json"
+        config.write_text('{"train": {"epochs": 1,}}')
+        argv = ["downscale", "train", "--arch", "vit", "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and str(config) in err
 
 
 class TestReport:

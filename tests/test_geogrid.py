@@ -25,6 +25,7 @@ from gcmkit.geogrid import (
     select_season,
     synth_pair,
 )
+from gcmkit.rng import SplitMix64
 
 
 class TestAxesAndCubes:
@@ -274,7 +275,37 @@ class TestMaskDtrSeason:
             select_season(tiny_cube, JJA)  # cube holds only January days
 
 
+def _direct_synth_pair(seed, factor, nt, nlat, nlon, bias, noise_sd):
+    """synth_pair's field by its direct formula: each wave a sine over the
+    whole (nt, lat, lon) cube, with the same draws in the same order."""
+    root = SplitMix64(seed)
+    r_field, r_noise = root.split(), root.split()
+    yy = np.linspace(0.0, 1.0, nlat)[None, :, None]
+    xx = np.linspace(0.0, 1.0, nlon)[None, None, :]
+    tt = np.arange(nt, dtype=np.float64)[:, None, None]
+    fine = np.full((nt, nlat, nlon), 15.0)
+    for k in range(6):
+        f_lat, f_lon = r_field.uniform(low=0.5, high=3.5), r_field.uniform(low=0.5, high=3.5)
+        f_t, phase = r_field.uniform(low=0.5, high=2.0), r_field.uniform(low=0.0, high=2.0 * np.pi)
+        fine = fine + 2.4 / (k + 1) * np.sin(2.0 * np.pi * (f_lat * yy + f_lon * xx + f_t * tt / 100.0) + phase)
+    coarse = block_mean(fine, factor) + bias
+    if noise_sd > 0.0:
+        coarse = coarse + noise_sd * r_noise.normal(coarse.shape)
+    return coarse, fine
+
+
 class TestSynthPair:
+    @pytest.mark.parametrize(
+        "seed, factor, nt, nlat, nlon, bias, noise_sd",
+        [(5, 4, 1, 8, 12, 0.0, 0.0), (17, 2, 9, 12, 20, 1.5, 0.3), (424242, 4, 40, 64, 64, 1.5, 0.3)],
+    )
+    def test_separable_field_matches_direct_formula(self, seed, factor, nt, nlat, nlon, bias, noise_sd):
+        coarse, fine = synth_pair(seed, factor, nt, nlat, nlon, bias=bias, noise_sd=noise_sd)
+        want_coarse, want_fine = _direct_synth_pair(seed, factor, nt, nlat, nlon, bias, noise_sd)
+        assert fine.data.shape == (nt, nlat, nlon)
+        assert np.max(np.abs(fine.data - want_fine)) <= 1e-12
+        assert np.max(np.abs(coarse.data - want_coarse)) <= 1e-12
+
     def test_noise_free_coarse_is_block_mean(self):
         coarse, fine = synth_pair(3, 4, 5, 32, 32, bias=0.0, noise_sd=0.0)
         assert np.allclose(coarse.data, block_mean(fine.data, 4), atol=1e-12)

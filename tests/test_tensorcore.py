@@ -87,6 +87,41 @@ class TestForwardSemantics:
         with pytest.raises(ValidationError):
             tc.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))), padding="valid")
 
+    @pytest.mark.parametrize("x_needs_grad", [True, False])
+    def test_conv2d_stacked_pairs_equal_summed_convs(self, x_needs_grad):
+        rng = SplitMix64(12)
+        x_data, h_data = rand(rng, (3, 2, 6, 5)), rand(rng, (3, 4, 6, 5))
+        wx_data, wh_data = rand(rng, (8, 2, 3, 3)), rand(rng, (8, 4, 3, 3))
+        b_data, g = rand(rng, (8,)), rand(rng, (3, 8, 6, 5))
+
+        def run(stacked):
+            x = Tensor(x_data, requires_grad=x_needs_grad)
+            h = Tensor(h_data, requires_grad=True)
+            wx, wh, b = (Tensor(d, requires_grad=True) for d in (wx_data, wh_data, b_data))
+            if stacked:
+                out = tc.conv2d((x, h), (wx, wh), b)
+            else:
+                out = tc.conv2d(x, wx, b) + tc.conv2d(h, wh)
+            out.backward(g)
+            return out.data, [t.grad for t in (x, h, wx, wh, b)]
+
+        (y1, grads1), (y2, grads2) = run(True), run(False)
+        assert np.allclose(y1, y2, rtol=0, atol=1e-12)
+        for g1, g2 in zip(grads1, grads2):
+            if g2 is None:
+                assert g1 is None
+            else:
+                assert np.allclose(g1, g2, rtol=0, atol=1e-12)
+        assert (grads1[0] is None) != x_needs_grad
+
+    def test_conv2d_stacked_pairs_must_agree(self):
+        x, h = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 2, 4, 5)))
+        wx, wh = Tensor(np.ones((3, 1, 3, 3))), Tensor(np.ones((3, 2, 3, 3)))
+        with pytest.raises(ValidationError):
+            tc.conv2d((x, h), (wx, wh))  # spatial sizes differ
+        with pytest.raises(ValidationError):
+            tc.conv2d((x, x), (wx,))  # one kernel for two inputs
+
     def test_conv_transpose_identity_and_expansion(self):
         x = Tensor(np.arange(4.0).reshape(1, 1, 2, 2))
         unit = Tensor(np.ones((1, 1, 1, 1)))
