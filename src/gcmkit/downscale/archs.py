@@ -11,9 +11,9 @@ Every model maps a coarse input sequence (n, t, c, h, w) to a fine field
               transformer encoder stack -> per-token regression head
   geostanet   patch embedding + positions + learned lat/lon encoding ->
               recurrent temporal encoder (one application per frame,
-              seeded from the first frame; full-sequence temporal
-              attention available via config) -> transposed-conv
-              upsampling
+              each frame's tokens added to the running state first;
+              full-sequence temporal attention available via config) ->
+              transposed-conv upsampling
 
 Models standardize nothing themselves: `forward` is raw-in/raw-out, and
 `predict` applies the stored input/output normalization that the trainer
@@ -289,15 +289,18 @@ class ConvLstmNet(DownscaleModel):
         return self.head(seq[-1])[:, 0]
 
 
-def _patchify(frames: Tensor, patch: int) -> Tensor:
-    """(m, c, h, w) -> (m, N, patch*patch*c) in lat-major token raster order."""
-    m, c, h, w = frames.data.shape
+def _patchify(frames: np.ndarray, patch: int) -> Tensor:
+    """(m, c, h, w) -> (m * N, patch*patch*c) token rows, N per frame in lat-major raster order.
+
+    The raw input needs no gradient, so the tokens are cut in numpy and
+    enter the graph as one leaf.
+    """
+    m, c, h, w = frames.shape
     if h % patch or w % patch:
         raise ValidationError(f"patch size {patch} does not divide grid ({h}, {w})")
     gh, gw = h // patch, w // patch
-    x = frames.reshape(m, c, gh, patch, gw, patch)
-    x = x.transpose((0, 2, 4, 3, 5, 1))
-    return x.reshape(m, gh * gw, patch * patch * c)
+    x = frames.reshape(m, c, gh, patch, gw, patch).transpose((0, 2, 4, 3, 5, 1))
+    return Tensor(x.reshape(m * gh * gw, patch * patch * c))
 
 
 class ViTNet(DownscaleModel):
@@ -333,10 +336,8 @@ class ViTNet(DownscaleModel):
 
     def _embed_frames(self, x: np.ndarray) -> Tensor:
         n, t, c, h, w = x.shape
-        tokens = _patchify(Tensor(x.reshape(n * t, c, h, w)), self.cfg.patch)
-        flat = tokens.reshape(n * t * self.n_tokens, -1)
-        emb = self.embed(flat).reshape(n, t, self.n_tokens, self.cfg.embed_dim)
-        return emb
+        tokens = _patchify(x.reshape(n * t, c, h, w), self.cfg.patch)
+        return self.embed(tokens).reshape(n, t, self.n_tokens, self.cfg.embed_dim)
 
     def _tokens_to_field(self, tokens: Tensor, n: int) -> Tensor:
         out = self.head(self.ln(tokens).reshape(n * self.n_tokens, self.cfg.embed_dim))
@@ -354,8 +355,9 @@ class ViTNet(DownscaleModel):
 
 class GeoSTANet(DownscaleModel):
     """Patch transformer with learned geospatial encodings and a temporal
-    encoder applied recurrently, one application per input frame, starting
-    from the first frame's enriched tokens."""
+    encoder applied recurrently, one application per input frame: the
+    first frame's enriched tokens are encoded, and every later frame's
+    tokens are added to the encoded state before the next application."""
 
     def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
         super().__init__(cfg)
@@ -393,8 +395,7 @@ class GeoSTANet(DownscaleModel):
         n, t, c, h, w = x.shape
         if (h, w) != (self.h, self.w):
             raise ValidationError(f"expected coarse grid {(self.h, self.w)}, got {(h, w)}")
-        tokens = _patchify(Tensor(x.reshape(n * t, c, h, w)), self.cfg.patch)
-        emb = self.embed(tokens.reshape(n * t * self.n_tokens, -1))
+        emb = self.embed(_patchify(x.reshape(n * t, c, h, w), self.cfg.patch))
         emb = emb.reshape(n, t, self.n_tokens, self.cfg.embed_dim) + self.pos
         if coords is not None:
             if coords.shape != (self.n_tokens, 2):
@@ -402,9 +403,9 @@ class GeoSTANet(DownscaleModel):
             emb = emb + Tensor(coords) @ self.w_geo
 
         if self.cfg.temporal_mode == "recurrent":
-            state = emb[:, 0]
-            for _ in range(t):
-                state = self._encode(state)
+            state = self._encode(emb[:, 0])
+            for k in range(1, t):
+                state = self._encode(state + emb[:, k])
         else:
             # full-sequence temporal attention: tokens attend across frames
             seq = emb.transpose((0, 2, 1, 3)).reshape(n * self.n_tokens, t, self.cfg.embed_dim)

@@ -3,7 +3,11 @@
 Every report comes from one engine, `StreamingPool`, a two-pass
 accumulator of shifted moments, extremes and shared-range histograms.
 `sweep` drives it over paired time blocks of `BLOCK` steps and fills every
-(zone, season) context of one model at once; `full_report` runs that sweep
+(zone, season) context of one model at once. Its histogram pass splits the
+contexts into disjoint (row group, cell group) atoms, sorts each atom's
+values once per block and counts them against the frozen bin edges of
+every context that contains the atom (`sorted_counts`, the one histogram
+implementation, with `np.histogram`'s counts); `full_report` runs that sweep
 on one context of two in-memory cubes, and `compute_report` feeds one
 materialised `PooledSample` to it. The engine flags the metrics a
 degenerate sample (constant series, zero means) cannot support instead of
@@ -134,17 +138,43 @@ def pdf_overlap(s: PooledSample, bins: int = 100) -> float:
 
     Both series are histogrammed on `bins` shared equal-width bins spanning
     the union range; the overlap is the sum of per-bin minima of the two
-    count fractions. Identical-constant samples overlap perfectly.
+    count fractions. Samples whose union range cannot hold strictly
+    increasing bin edges (identical constants, or a spread of a few ULPs)
+    overlap perfectly.
     """
     if bins < 2:
         raise ValidationError("pdf_overlap needs at least 2 bins")
     lo = min(float(np.min(s.model)), float(np.min(s.obs)))
     hi = max(float(np.max(s.model)), float(np.max(s.obs)))
-    if lo == hi:
+    edges = hist_edges(lo, hi, bins)
+    if edges is None:
         return 1.0
-    pm, _ = np.histogram(s.model, bins=bins, range=(lo, hi))
-    po, _ = np.histogram(s.obs, bins=bins, range=(lo, hi))
+    pm = sorted_counts(np.sort(s.model), edges)
+    po = sorted_counts(np.sort(s.obs), edges)
     return float(np.sum(np.minimum(pm / s.n, po / s.n)))
+
+
+def hist_edges(lo: float, hi: float, bins: int) -> Optional[np.ndarray]:
+    """The bin edges `np.histogram(v, bins, range=(lo, hi))` builds, or None.
+
+    None means the range cannot hold `bins` strictly increasing edges
+    (lo == hi, or a span of a few ULPs): the samples then agree to within
+    rounding, and the caller reports a perfect overlap.
+    """
+    edges = np.linspace(lo, hi, bins + 1)
+    return edges if np.all(edges[:-1] < edges[1:]) else None
+
+
+def sorted_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Histogram counts of ascending `values` on `edges`.
+
+    Bin i holds edges[i] <= v < edges[i + 1] and the last bin is closed,
+    so the counts equal `np.histogram`'s on the same edges; values outside
+    [edges[0], edges[-1]] are not counted.
+    """
+    idx = np.searchsorted(values, edges)
+    idx[-1] = np.searchsorted(values, edges[-1], side="right")
+    return idx[1:] - idx[:-1]
 
 
 def extreme_errors(s: PooledSample) -> Tuple[float, float]:
@@ -252,31 +282,77 @@ def _pairs(block_m: np.ndarray, block_o: np.ndarray, rows, cells, fill_m: float,
     return (m.ravel(), o.ravel()) if ok.all() else (m[ok], o[ok])
 
 
+def _partition(sets: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Split the union of index arrays into groups of equal membership.
+
+    Returns [(indices, members)]: the ascending indices of one group and
+    the positions in `sets` of the arrays that hold every one of them.
+    Indices in no array do not appear.
+    """
+    universe = np.unique(np.concatenate(sets))
+    member = np.stack([np.isin(universe, s) for s in sets])
+    group = np.zeros(universe.size, dtype=np.int64)
+    for inside in member:  # refine by one set at a time, renumbering densely
+        _, group = np.unique(2 * group + inside, return_inverse=True)
+    _, first = np.unique(group, return_index=True)
+    return [(universe[group == g], np.flatnonzero(member[:, i])) for g, i in enumerate(first)]
+
+
+def _atoms(index) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """[(rows, cells, contexts)]: the disjoint blocks of (time row, cell) pairs of `index`.
+
+    Each context's rows x cells is the union of the atoms that list its
+    position in `contexts`, so every pair of a context is in exactly one atom.
+    """
+    row_groups = _partition([rows for _, rows, _ in index])
+    cell_groups = _partition([cells for _, _, cells in index])
+    atoms = []
+    for rows, row_ctx in row_groups:
+        for cells, cell_ctx in cell_groups:
+            contexts = np.intersect1d(row_ctx, cell_ctx)
+            if contexts.size:
+                atoms.append((rows, cells, contexts))
+    return atoms
+
+
 def sweep(model_blocks: Iterable, obs_blocks: Iterable, index, fill_m: float, fill_o: float,
           bins: int = 100, label: str = "model") -> Dict[Tuple, MetricReport]:
     """Reports of every context in `index` from two passes over paired time blocks.
 
     `model_blocks` and `obs_blocks` are re-iterable sources of aligned
     (t0, block) pairs of BLOCK time steps on the grid the index was built
-    for; each is iterated once per pass. Every block is dispatched to the
-    `StreamingPool` of every context, so a pool sees the same update
-    sequence as a sweep over its context alone.
+    for; each is iterated once per pass. Pass 1 dispatches every block to
+    the `StreamingPool` of every context, so a pool sees the same update
+    sequence as a sweep over its context alone. Pass 2 gathers and sorts
+    each atom of the index once per block and adds its counts to every
+    context that contains it; the counts are integers, so they equal a
+    per-context histogram pass exactly.
     """
     pools = [StreamingPool(bins=bins) for _ in index]
 
-    def feed(update):
+    def blocks():
         for (t0, block_m), (_, block_o) in zip(model_blocks, obs_blocks):
-            for pool, (_, rows, cells) in zip(pools, index):
-                lo, hi = np.searchsorted(rows, (t0, t0 + len(block_m)))
-                if hi > lo:
-                    update(pool, *_pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o))
+            yield t0, t0 + len(block_m), block_m, block_o
 
-    feed(StreamingPool.update)
+    for t0, t1, block_m, block_o in blocks():
+        for pool, (_, rows, cells) in zip(pools, index):
+            lo, hi = np.searchsorted(rows, (t0, t1))
+            if hi > lo:
+                pool.update(*_pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o))
     for pool, ((zone, season_id), _, _) in zip(pools, index):
         if pool.n < 2:
             raise ValidationError(f"empty pooled sample for {label} in zone={zone!r} season={season_id}")
         pool.freeze()
-    feed(StreamingPool.update_hist)
+    atoms = _atoms(index)
+    for t0, t1, block_m, block_o in blocks():
+        for rows, cells, contexts in atoms:
+            lo, hi = np.searchsorted(rows, (t0, t1))
+            if hi > lo:
+                m, o = _pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o)
+                m.sort()  # the gather made fresh arrays, so they sort in place
+                o.sort()
+                for k in contexts:
+                    pools[k].count_sorted(m, o)
     return {ctx: pool.report() for pool, (ctx, _, _) in zip(pools, index)}
 
 
@@ -311,11 +387,12 @@ class StreamingPool:
 
     It takes the paired chunks of one context in two passes, so memory is
     bounded by the chunk, not the pooled sample. Pass 1 (`update`)
-    accumulates shifted moments, extremes and the count; pass 2
-    (`update_hist`) fills shared-range histograms once `freeze` has fixed
-    the bin edges. Moments are accumulated around the first value seen,
-    which keeps the centered statistics well-conditioned for large pooled
-    counts. `report` flags the metrics a degenerate sample cannot support;
+    accumulates shifted moments, extremes and the count; `freeze` then
+    fixes the shared bin edges from the extremes, and pass 2 counts sorted
+    values against them with `sorted_counts` (`count_sorted`, or
+    `update_hist` for unsorted chunks). Moments are accumulated around the
+    first value seen, which keeps the centered statistics well-conditioned
+    for large pooled counts. `report` flags the metrics a degenerate sample cannot support;
     the values match the bare reference functions up to rounding.
     """
 
@@ -335,7 +412,7 @@ class StreamingPool:
         self._max_o = -math.inf
         self._hist_m = None
         self._hist_o = None
-        self._range = None
+        self._edges = None
 
     def update(self, m: np.ndarray, o: np.ndarray) -> None:
         m = np.asarray(m, dtype=np.float64).ravel()
@@ -367,21 +444,26 @@ class StreamingPool:
             raise ValidationError("empty pooled sample")
         lo = min(self._min_m, self._min_o)
         hi = max(self._max_m, self._max_o)
-        self._range = (lo, hi)
+        self._edges = hist_edges(lo, hi, self.bins)
         self._hist_m = np.zeros(self.bins, dtype=np.int64)
         self._hist_o = np.zeros(self.bins, dtype=np.int64)
 
     def update_hist(self, m: np.ndarray, o: np.ndarray) -> None:
-        if self._range is None:
+        """Count one paired chunk of pass 2, in any order."""
+        self.count_sorted(np.sort(np.asarray(m, dtype=np.float64).ravel()),
+                          np.sort(np.asarray(o, dtype=np.float64).ravel()))
+
+    def count_sorted(self, m: np.ndarray, o: np.ndarray) -> None:
+        """Count ascending model and reference values of pass 2 against the frozen edges."""
+        if self._hist_m is None:
             raise ValidationError("freeze() must run before the histogram pass")
-        lo, hi = self._range
-        if lo == hi:
+        if self._edges is None:
             return
-        self._hist_m += np.histogram(np.asarray(m, dtype=np.float64).ravel(), bins=self.bins, range=self._range)[0]
-        self._hist_o += np.histogram(np.asarray(o, dtype=np.float64).ravel(), bins=self.bins, range=self._range)[0]
+        self._hist_m += sorted_counts(m, self._edges)
+        self._hist_o += sorted_counts(o, self._edges)
 
     def report(self) -> MetricReport:
-        if self._range is None:
+        if self._hist_m is None:
             raise ValidationError("freeze() and the histogram pass must run before report()")
         n = self.n
         mu_m = self._pivot_m + self._sm / n
@@ -418,8 +500,7 @@ class StreamingPool:
             beta = mu_m / mu_o
             gamma = (sd_m / mu_m) / (sd_o / mu_o)
             values["kge"] = 1.0 - math.sqrt((values["r"] - 1.0) ** 2 + (beta - 1.0) ** 2 + (gamma - 1.0) ** 2)
-        lo, hi = self._range
-        if lo == hi:
+        if self._edges is None:
             values["pdf_overlap"] = 1.0
         else:
             values["pdf_overlap"] = float(np.sum(np.minimum(self._hist_m / n, self._hist_o / n)))

@@ -166,6 +166,26 @@ class TestRank:
         assert main(["rank", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "2 models" in capsys.readouterr().err
 
+    def test_constant_fields_score_a_perfect_pdf_overlap(self, tmp_path, fixture_paths):
+        # bilinear regrid leaves a few ULPs of spread on a constant off-grid
+        # model, too narrow a range for 100 strictly increasing bin edges
+        config = json.load(open(fixture_paths["config"]))
+        obs = gcf.read_cube(fixture_paths["obs"])
+        config["reference"]["path"] = str(tmp_path / "obs")
+        gcf.write_cube(dataclasses.replace(obs, data=np.full(obs.shape, 280.0)), config["reference"]["path"])
+        for spec, value in zip(config["models"], (280.0, 281.0, 279.0)):
+            cube = gcf.read_cube(spec["path"])
+            spec["path"] = str(tmp_path / spec["label"])
+            gcf.write_cube(dataclasses.replace(cube, data=np.full(cube.shape, value)), spec["path"])
+        config["weights"] = "uniform"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        with pytest.warns(UserWarning, match="dropped"):  # r, nse, kge have no valid value on constant series
+            assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 0
+        rows = json.load(open(tmp_path / "run" / "reports.json"))
+        overlaps = {row["pdf_overlap"] for row in rows if row["model"] == config["models"][0]["label"]}
+        assert overlaps == {1.0}
+
     def test_full_scale_streaming_matches_in_memory(self, tmp_path, fixture_paths):
         # pre-regrid the models so the streaming path accepts them
         config = json.load(open(fixture_paths["config"]))

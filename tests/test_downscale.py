@@ -290,6 +290,19 @@ class TestArchitectureSemantics:
         y = model.forward(mini_data.inputs[:2], coords=mini_data.patch_coords(4))
         assert y.data.shape == (2, 16, 16)
 
+    @pytest.mark.parametrize("mode", ["recurrent", "full_attention"])
+    def test_geostanet_reads_every_frame(self, mode):
+        data = ds.make_dataset(5, 3, t=4, fine_hw=(16, 16), factor=2)
+        model = ds.build_model(mini_cfg("geostanet", temporal_mode=mode), (8, 8))
+        coords = data.patch_coords(4)
+        x = data.inputs[:2]
+        base = model.forward(x, coords=coords).data
+        for k in range(x.shape[1]):
+            perturbed = x.copy()
+            perturbed[:, k] += 0.5
+            moved = model.forward(perturbed, coords=coords).data
+            assert np.max(np.abs(moved - base)) > 1e-6, f"frame {k} does not reach the output"
+
     def test_geostanet_rejects_bad_coords(self, mini_data):
         model = ds.build_model(mini_cfg("geostanet"), (8, 8))
         with pytest.raises(ValidationError):

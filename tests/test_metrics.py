@@ -10,11 +10,17 @@ from gcmkit import metrics as mx
 from gcmkit.errors import ValidationError
 from gcmkit.geogrid import ANNUAL, DJF, GridAxis, date_range
 from gcmkit.metrics import (
+    ZONE_OVERALL,
     DegenerateSampleError,
     PooledSample,
     StreamingPool,
     compute_report,
+    context_index,
     full_report,
+    hist_edges,
+    sorted_counts,
+    sweep,
+    time_blocks,
 )
 
 
@@ -117,6 +123,14 @@ class TestHandValues:
         assert mx.pdf_overlap(sample(m, [0.0] * 8), bins=2) == pytest.approx(0.5)
         with pytest.raises(ValidationError):
             mx.pdf_overlap(sample(o, o), bins=1)
+
+    def test_pdf_overlap_on_a_range_too_narrow_for_the_bins(self):
+        # a spread of one ULP cannot hold 100 strictly increasing edges
+        s = sample([280.0, np.nextafter(280.0, 300.0), 280.0], [280.0] * 3)
+        assert hist_edges(280.0, float(np.nextafter(280.0, 300.0)), 100) is None
+        assert mx.pdf_overlap(s) == 1.0
+        rep = compute_report(s)
+        assert rep.pdf_overlap == 1.0 and rep.valid("pdf_overlap")
 
     def test_extremes(self):
         assert mx.extreme_errors(sample([1, 2], [1, 2])) == (0.0, 0.0)
@@ -270,6 +284,45 @@ class TestReportsAndFlags:
             full_report(model, year_cube, mask, 1, ANNUAL)
 
 
+# (unit position in [0, 1], how to derive the value): an edge or one of its
+# float neighbours, a uniform value, or a uniform value rounded to float32
+_HIST_PICKS = st.tuples(st.floats(0.0, 1.0), st.sampled_from(["edge", "below", "above", "uniform", "float32"]))
+
+
+class TestSortedCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        offset=st.sampled_from([0.0, 1.0, -40.0, 280.0, 1e6, -3e8, 1e12]) | st.floats(-1e9, 1e9),
+        span=st.sampled_from([1e-9, 1e-6, 1.0, 37.5]) | st.floats(1e-13, 1e4),
+        bins=st.integers(1, 120),
+        picks=st.lists(_HIST_PICKS, min_size=1, max_size=60),
+        repeat=st.integers(0, 5),
+    )
+    def test_equals_np_histogram(self, offset, span, bins, picks, repeat):
+        lo, hi = offset, offset + span
+        edges = hist_edges(lo, hi, bins)
+        try:
+            _, numpy_edges = np.histogram(np.zeros(0), bins=bins, range=(lo, hi))
+        except ValueError:  # numpy refuses the range exactly when the edges collapse
+            assert edges is None
+            return
+        if lo == hi:  # numpy widens a collapsed range; the engine calls it a perfect overlap
+            assert edges is None
+            return
+        assert np.array_equal(edges, numpy_edges)
+        values = []
+        for u, how in picks:
+            if how == "uniform" or how == "float32":
+                v = lo + u * (hi - lo)
+                values.append(float(np.float32(v)) if how == "float32" else v)
+            else:
+                e = edges[int(round(u * bins))]
+                values.append(e if how == "edge" else float(np.nextafter(e, -np.inf if how == "below" else np.inf)))
+        values = np.array(values + values[:repeat])  # duplicates
+        expect, _ = np.histogram(values, bins=bins, range=(lo, hi))
+        assert np.array_equal(sorted_counts(np.sort(values), edges), expect)
+
+
 class TestStreaming:
     @pytest.mark.parametrize(
         "m, o",
@@ -304,6 +357,34 @@ class TestStreaming:
         for name in mx.METRIC_NAMES:
             assert stream.value(name) == pytest.approx(direct.value(name), rel=1e-9, abs=1e-9), name
         assert stream.n == direct.n
+
+
+class TestContextPartition:
+    @pytest.mark.parametrize("product", [True, False])
+    def test_sweep_equals_one_context_sweeps(self, year_cube, all_land_mask, monkeypatch, product):
+        """Any index, not only the default zones x seasons, gives each context
+        the report of a sweep over that context alone, fill included; and no
+        pass calls np.histogram."""
+        rng = np.random.default_rng(11)
+        data = year_cube.data + 0.5 + 0.3 * rng.normal(size=year_cube.shape)
+        data[:, 2, 1] = year_cube.fill
+        data[150:200, 0, 3] = year_cube.fill
+        model = dataclasses.replace(year_cube, data=data)
+        index = context_index(year_cube.months(), all_land_mask, {"temperate": 3, "all": ZONE_OVERALL}, ("JJA", "ANNUAL"))
+        if not product:  # two contexts sharing neither rows nor cells exactly
+            index = [index[0], index[3]]
+
+        def reports(idx):
+            return sweep(time_blocks(model.data), time_blocks(year_cube.data), idx, model.fill, year_cube.fill)
+
+        def no_histogram(*args, **kwargs):
+            raise AssertionError("np.histogram called")
+
+        monkeypatch.setattr(np, "histogram", no_histogram)
+        together = reports(index)
+        assert list(together) == [ctx for ctx, _, _ in index]
+        for entry in index:
+            assert together[entry[0]].as_dict() == reports([entry])[entry[0]].as_dict()
 
 
 class TestSerialization:
