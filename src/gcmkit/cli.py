@@ -50,10 +50,9 @@ def cmd_metrics(args) -> int:
     row = {"model": args.model, "zone": args.zone, "season": args.season}
     row.update(rep.as_dict())
     if args.dest:
-        if args.dest.endswith(".json"):
-            report_rows_to_json([row], args.dest)
-        else:
-            report_rows_to_csv([row], args.dest)
+        text = report_rows_to_json([row]) if args.dest.endswith(".json") else report_rows_to_csv([row])
+        with open(args.dest, "w") as fh:
+            fh.write(text)
         print(f"report -> {args.dest}")
     else:
         print(json.dumps(row, indent=1, sort_keys=True))
@@ -71,20 +70,9 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def _read_json_object(path: str, what: str) -> dict:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} {path} is not a JSON object")
-    return obj
-
-
 def _read_pair_spec(path: str) -> dict:
     """A downscale data spec: a JSON object naming the coarse and fine cubes."""
-    spec = _read_json_object(path, "data spec")
+    spec = pipeline.read_json_object(path, "data spec")
     for key in ("coarse", "fine"):
         if key not in spec:
             raise ValidationError(f"data spec {path} lacks key {key!r}")
@@ -96,7 +84,7 @@ def cmd_downscale_train(args) -> int:
     data_spec = _read_pair_spec(args.data) if args.data else None
     overrides = {}
     if args.config:
-        block = _read_json_object(args.config, "config").get("train", {})
+        block = pipeline.read_json_object(args.config, "config").get("train", {})
         if not isinstance(block, dict):
             raise ValidationError(f"config {args.config}: 'train' is not a JSON object")
         overrides.update(block)
@@ -121,7 +109,8 @@ def cmd_downscale_eval(args) -> int:
     model = dsc.load_model(args.ckpt, test_set.coarse_hw)
     pred = dsc.predict_dataset(model, test_set)
     rows = dsc.comparison_table({model.cfg.kind: pred}, test_set)
-    report_rows_to_csv(rows, args.report)
+    with open(args.report, "w") as fh:
+        fh.write(report_rows_to_csv(rows))
     print(f"evaluation -> {args.report}")
     return 0
 

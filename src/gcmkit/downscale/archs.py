@@ -173,14 +173,18 @@ class DownscaleModel:
                 outs.append(y.data * self.norm.out_sd + self.norm.out_mean)
         return np.concatenate(outs, axis=0)
 
-    def save(self, path: str) -> None:
+    def checkpoint(self):
+        """(entries, meta) for `tc.encode_checkpoint` / `tc.save_checkpoint`."""
         meta = {
             "kind": self.cfg.kind,
             "config": asdict(self.cfg),
             "seed": self.cfg.seed,
             "step": self.step_count,
         }
-        tc.save_checkpoint(path, self.state_entries(), meta)
+        return self.state_entries(), meta
+
+    def save(self, path: str) -> None:
+        tc.save_checkpoint(path, *self.checkpoint())
 
     def load_arrays(self, arrays) -> None:
         for name, tensor in self.params():

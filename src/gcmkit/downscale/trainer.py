@@ -84,7 +84,6 @@ def train(
     cfg: ArchConfig,
     data: DownscaleDataset,
     tcfg: TrainConfig,
-    ckpt_path: Optional[str] = None,
     log_path: Optional[str] = None,
     model: Optional[DownscaleModel] = None,
 ) -> TrainResult:
@@ -191,8 +190,6 @@ def train(
 
     if not result.aborted:
         _restore(model, best)
-    if ckpt_path:
-        model.save(ckpt_path)
     if log_path:
         write_log_csv(result.log, log_path)
     return result

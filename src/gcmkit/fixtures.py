@@ -8,13 +8,13 @@ every criterion by construction, which gives the end-to-end tests a known
 correct ranking in every (zone, season) context.
 """
 
-import json
 import os
 from typing import Dict
 
 import numpy as np
 
 from . import gcf
+from .artifacts import json_text, write_files
 from .geogrid import DataCube, GridAxis, LAND_ZONES, ZoneMask, synth_pair
 from .rng import SplitMix64
 
@@ -87,9 +87,7 @@ def make_ranking_fixture(out_dir: str, seed: int = 4242, nlat: int = 20, nlon: i
         "pdf_bins": 100,
     }
     paths["config"] = os.path.join(out_dir, "config.json")
-    with open(paths["config"], "w") as fh:
-        json.dump(config, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_files(out_dir, {"config.json": json_text(config).encode()})
     return paths
 
 

@@ -24,10 +24,11 @@ import csv
 import json
 import os
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .artifacts import write_files
 from .errors import ValidationError
 from .geogrid import CALENDARS, DataCube, Date, GridAxis, ZoneMask, validate_times
 
@@ -57,11 +58,10 @@ def canonical_fill(fill: float) -> float:
     return float(np.float32(fill))
 
 
-def write_cube(cube: DataCube, path: str) -> None:
-    """Write a cube as a GCF directory (created if missing)."""
+def encode_cube(cube: DataCube) -> Dict[str, bytes]:
+    """The GCF files of a cube as {file name: bytes}."""
     if len(cube.time) == 0:
         raise ValidationError("empty cube rejected")
-    os.makedirs(path, exist_ok=True)
     header = {
         "variable": cube.variable,
         "units": cube.units,
@@ -72,11 +72,13 @@ def write_cube(cube: DataCube, path: str) -> None:
         "lon": [float(v) for v in cube.lon.values],
         "time": [_format_date(t) for t in cube.time],
     }
-    with open(os.path.join(path, _HEADER), "w") as fh:
-        json.dump(header, fh, sort_keys=True, separators=(",", ":"))
-    payload = np.ascontiguousarray(cube.data, dtype="<f4")
-    with open(os.path.join(path, _PAYLOAD), "wb") as fh:
-        fh.write(payload.tobytes())
+    payload = np.ascontiguousarray(cube.data, dtype="<f4").tobytes()
+    return {_HEADER: json.dumps(header, sort_keys=True, separators=(",", ":")).encode(), _PAYLOAD: payload}
+
+
+def write_cube(cube: DataCube, path: str) -> None:
+    """Write a cube as a GCF directory (created if missing)."""
+    write_files(path, encode_cube(cube))
 
 
 def _load_header(path: str) -> dict:

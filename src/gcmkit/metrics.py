@@ -507,8 +507,8 @@ class StreamingPool:
         return MetricReport(n=n, flags=flags, **values)
 
 
-def report_rows_to_csv(rows: List[dict], path: str) -> None:
-    """Write report dict rows (label columns + metric columns) as CSV."""
+def report_rows_to_csv(rows: List[dict]) -> str:
+    """Report dict rows (label columns + metric columns) as CSV text."""
     if not rows:
         raise ValidationError("no report rows to write")
     label_keys = [k for k in rows[0] if k not in METRIC_NAMES and k != "n" and k != "flags"]
@@ -523,11 +523,8 @@ def report_rows_to_csv(rows: List[dict], path: str) -> None:
         cells.append(str(row["n"]))
         cells.extend(str(bool(flags.get(m, True))) for m in METRIC_NAMES)
         lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def report_rows_to_json(rows: List[dict], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(rows, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def report_rows_to_json(rows: List[dict]) -> str:
+    return json.dumps(rows, sort_keys=True, indent=1) + "\n"

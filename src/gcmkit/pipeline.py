@@ -1,9 +1,9 @@
-"""Pipeline orchestration: validated configs, staged runs, manifests.
+"""Pipeline orchestration: validated configs and staged runs.
 
-Every stage writes plain CSV/JSON artifacts into a run directory and a
-`manifest.json` holding the config hash, tool version and a sha256 per
-output file; wall-clock numbers go to a separate `timing.json` so the
-manifest itself is byte-stable across reruns of the same config and seed.
+Every stage hands its artifacts (CSV and JSON text, and the files the GCF
+and checkpoint encoders return) to `artifacts.RunManifest.put`, which
+writes each one and lists its sha256 in the run's `manifest.json`; this
+module opens no file for writing.
 
 The rank stage has one path at every scale: each cube source streams
 fixed-size time blocks from its payloads, derives DTR and regrids per
@@ -14,13 +14,13 @@ so its memory is bounded by about one block per source.
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__, gcf
+from . import gcf
+from .artifacts import RunManifest, config_hash, json_text
 from .errors import NumericFault, ValidationError
 from .geogrid import (
     DataCube,
@@ -53,64 +53,36 @@ from .ranking import (
 )
 from . import downscale as dsc
 from .downscale.presets import desk_arch_config, desk_train_config
+from .tensorcore import encode_checkpoint
 
 ZONE_BY_NAME = {name: code for code, name in ZONE_NAMES.items()}
 ALL_SEASON_IDS = ("DJF", "MAM", "JJA", "SON", "ANNUAL")
 DEFAULT_ZONE_KEYS = tuple(ZONE_NAMES[z] for z in LAND_ZONES) + (ZONE_OVERALL,)
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-
-
-@dataclass
-class RunManifest:
-    config_hash: str
-    version: str = __version__
-    outputs: Dict[str, str] = field(default_factory=dict)
-    timing_ms: Dict[str, int] = field(default_factory=dict)
-
-    def add_output(self, run_dir: str, rel: str) -> None:
-        self.outputs[rel] = _sha256(os.path.join(run_dir, rel))
-
-    def write(self, run_dir: str) -> None:
-        manifest = {
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "outputs": dict(sorted(self.outputs.items())),
-        }
-        with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(run_dir, "timing.json"), "w") as fh:
-            json.dump({"stage_wall_ms": self.timing_ms}, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-
-class _StageTimer:
-    def __init__(self, manifest: RunManifest, name: str):
-        self.manifest, self.name = manifest, name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.timing_ms[self.name] = int(round((time.perf_counter() - self.t0) * 1000))
-        return False
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in `path`; a malformed file or another JSON value is a ValidationError."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} {path} is not a JSON object")
+    return obj
 
 
 def _require(condition: bool, stage: str, message: str) -> None:
     if not condition:
         raise ValidationError(f"[{stage}] {message}")
+
+
+def _typed(block: dict, key: str, default, types: tuple, prefix: str = ""):
+    """block[key], or default when absent, checked to be exactly one of `types` (so no bool for int)."""
+    value = block.get(key, default)
+    names = " or ".join(t.__name__ for t in types)
+    _require(type(value) in types, "config", f"{prefix}{key} must be {names}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -132,12 +104,11 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
         _require(os.path.isfile(path), "config", f"config file {path} does not exist")
+        raw = read_json_object(path, "[config] config file")
         try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"[config] malformed JSON in {path}: {exc}") from None
-        return cls.from_dict(raw)
+            return cls.from_dict(raw)
+        except ValidationError as exc:
+            raise ValidationError(f"{exc} (config file {path})") from None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -145,18 +116,17 @@ class PipelineConfig:
         _require(raw.get("schema_version") == 1, stage, "schema_version must be 1")
         _require("models" in raw and isinstance(raw["models"], list), stage, "models list required")
         _require(len(raw["models"]) >= 2, stage, "ranking needs at least 2 models")
+        for i, m in enumerate(raw["models"]):
+            _require(isinstance(m, dict), stage, f"models[{i}] must be a JSON object, got {m!r}")
         labels = [m.get("label") for m in raw["models"]]
         _require(all(labels), stage, "every model needs a label")
         _require(len(set(labels)) == len(labels), stage, "model labels must be unique")
         _require("reference" in raw, stage, "reference cube required")
         _require("mask" in raw, stage, "zone mask required")
-        for m in raw["models"]:
+        for where, spec in [(f"model {m['label']}", m) for m in raw["models"]] + [("reference", raw["reference"])]:
             for key in ("path", "tasmax", "tasmin"):
-                if key in m:
-                    _require(os.path.isdir(m[key]), stage, f"model {m['label']}: missing path {m[key]}")
-        for key in ("path", "tasmax", "tasmin"):
-            if key in raw["reference"]:
-                _require(os.path.isdir(raw["reference"][key]), stage, f"reference: missing path {raw['reference'][key]}")
+                if key in spec:
+                    _require(os.path.isdir(spec[key]), stage, f"{where}: missing path {spec[key]}")
         _require(os.path.isdir(raw["mask"]), stage, f"mask path {raw['mask']} does not exist")
 
         seasons = tuple(raw.get("seasons", ALL_SEASON_IDS))
@@ -175,16 +145,18 @@ class PipelineConfig:
             _require(os.path.isdir(weights["checkpoint"]), stage, f"weights checkpoint {weights['checkpoint']} missing")
         else:
             _require(weights in ("uniform", "train"), stage, f"weights must be uniform, train or a checkpoint, got {weights!r}")
+        seed = _typed(raw, "seed", 0, (int,))
         wn_raw = raw.get("weightnet", {})
+        _require(isinstance(wn_raw, dict), stage, f"weightnet must be a JSON object, got {wn_raw!r}")
         wn = WeightNetConfig(
-            epochs=int(wn_raw.get("epochs", 50)),
-            warm_epochs=int(wn_raw.get("warm_epochs", 5)),
-            batch_size=int(wn_raw.get("batch_size", 32)),
-            learning_rate=float(wn_raw.get("learning_rate", 1e-3)),
-            seed=int(raw.get("seed", 0)),
+            epochs=_typed(wn_raw, "epochs", 50, (int,), "weightnet."),
+            warm_epochs=_typed(wn_raw, "warm_epochs", 5, (int,), "weightnet."),
+            batch_size=_typed(wn_raw, "batch_size", 32, (int,), "weightnet."),
+            learning_rate=float(_typed(wn_raw, "learning_rate", 1e-3, (int, float), "weightnet.")),
+            seed=seed,
         )
         return cls(
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             reference=raw["reference"],
             models=raw["models"],
             mask=raw["mask"],
@@ -192,7 +164,7 @@ class PipelineConfig:
             zones=zones,
             criteria=criteria,
             weights=weights,
-            pdf_bins=int(raw.get("pdf_bins", 100)),
+            pdf_bins=_typed(raw, "pdf_bins", 100, (int,)),
             weightnet=wn,
             raw=raw,
         )
@@ -247,17 +219,16 @@ def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
     alongside the reference, so memory is bounded by about one block per
     `_CubeSource` at any cube size.
     """
-    os.makedirs(run_dir, exist_ok=True)
-    manifest = RunManifest(config_hash=config_hash(config.raw))
+    manifest = RunManifest(run_dir, config_hash(config.raw))
     specs = {spec["label"]: spec for spec in config.models}
 
-    with _StageTimer(manifest, "load"):
+    with manifest.stage("load"):
         mask = gcf.read_mask(config.mask)
         obs = _CubeSource(config.reference, "reference")
         _require(mask.lat == obs.lat and mask.lon == obs.lon, "load", "zone mask must be on the reference grid")
         models = {label: _CubeSource(specs[label], f"model {label}", like=obs) for label in sorted(specs)}
 
-    with _StageTimer(manifest, "metrics"):
+    with manifest.stage("metrics"):
         months = np.array([m for _, m, _ in obs.time])
         index = context_index(months, mask, {z: ZONE_BY_NAME.get(z, z) for z in config.zones}, config.seasons)
         per_model = {
@@ -266,44 +237,38 @@ def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
         }
         reports = {ctx: [(label, per_model[label][ctx]) for label in models] for ctx, _, _ in index}
 
-    with _StageTimer(manifest, "weights"):
+    with manifest.stage("weights"):
         weight_source = config.weights
         if weight_source == "train":
             matrices = [
                 assemble_matrix(reports[ctx], config.criteria, context=ctx) for ctx in sorted(reports)
             ]
-            net, history = train_weightnet(matrices, config.weightnet)
-            net.save(os.path.join(run_dir, "weightnet.ckpt"))
-            with open(os.path.join(run_dir, "weightnet_history.json"), "w") as fh:
-                json.dump(
-                    {"epoch_mse": history, "context_mse": evaluate_weightnet(net, matrices)},
-                    fh,
-                    indent=1,
-                )
-                fh.write("\n")
-            for rel in ("weightnet_history.json", "weightnet.ckpt/manifest.json", "weightnet.ckpt/params.bin"):
-                manifest.add_output(run_dir, rel)
+            net, epoch_mse = train_weightnet(matrices, config.weightnet)
+            for name, blob in encode_checkpoint(*net.checkpoint()).items():
+                manifest.put(f"weightnet.ckpt/{name}", blob)
+            history = {"epoch_mse": epoch_mse, "context_mse": evaluate_weightnet(net, matrices)}
+            manifest.put("weightnet_history.json", json.dumps(history, indent=1) + "\n")
             weight_source = net
         elif isinstance(weight_source, dict):
             weight_source = WeightNet.load(weight_source["checkpoint"])
 
-    with _StageTimer(manifest, "rank"):
+    with manifest.stage("rank"):
         results, weights_used, top5 = rank_all(reports, weight_source, config.criteria)
-        _write_rank_outputs(run_dir, manifest, config, reports, results, weights_used, top5)
+        _write_rank_outputs(manifest, config, reports, results, weights_used, top5)
 
-    manifest.write(run_dir)
+    manifest.write()
     return manifest
 
 
-def _write_rank_outputs(run_dir, manifest, config, reports, results, weights_used, top5) -> None:
+def _write_rank_outputs(manifest, config, reports, results, weights_used, top5) -> None:
     report_rows = []
     for (zone_key, season_id) in sorted(reports):
         for label, rep in reports[(zone_key, season_id)]:
             row = {"model": label, "zone": zone_key, "season": season_id}
             row.update(rep.as_dict())
             report_rows.append(row)
-    report_rows_to_csv(report_rows, os.path.join(run_dir, "reports.csv"))
-    report_rows_to_json(report_rows, os.path.join(run_dir, "reports.json"))
+    manifest.put("reports.csv", report_rows_to_csv(report_rows))
+    manifest.put("reports.json", report_rows_to_json(report_rows))
 
     by_context = {res.context: res for res in results}
     metric_names = list(reports[next(iter(sorted(reports)))][0][1].as_dict().keys())
@@ -322,47 +287,28 @@ def _write_rank_outputs(run_dir, manifest, config, reports, results, weights_use
                 + ",".join(raw)
                 + f",{rep.n}"
             )
-    with open(os.path.join(run_dir, "ranking.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    manifest.put("ranking.csv", "\n".join(lines) + "\n")
 
     models, contexts, matrix = heatmap_table(results)
     lines = ["model," + ",".join(contexts)]
     for i, label in enumerate(models):
         lines.append(label + "," + ",".join(repr(float(v)) for v in matrix[i]))
-    with open(os.path.join(run_dir, "heatmap.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    manifest.put("heatmap.csv", "\n".join(lines) + "\n")
 
     weights_obj = {
         f"{ctx[0]}/{ctx[1]}": {"weights": [float(v) for v in wv.w], "source": src,
                                "criteria": [c.name for c in by_context[ctx].criteria]}
         for ctx, (wv, src) in sorted(weights_used.items())
     }
-    with open(os.path.join(run_dir, "weights.json"), "w") as fh:
-        json.dump(weights_obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    manifest.put("weights.json", json_text(weights_obj))
 
-    lines = ["zone,season,rank,model,score,bias,rmse,kge,nse,pdf_overlap"]
+    keys = ("score", "bias", "rmse", "kge", "nse", "pdf_overlap")
+    lines = ["zone,season,rank,model," + ",".join(keys)]
     for row in top5:
-        lines.append(
-            ",".join(
-                [
-                    row["zone"],
-                    row["season"],
-                    str(row["rank"]),
-                    row["model"],
-                ]
-                + ["" if row[k] is None else repr(float(row[k])) for k in ("score", "bias", "rmse", "kge", "nse", "pdf_overlap")]
-            )
-        )
-    with open(os.path.join(run_dir, "top5.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    with open(os.path.join(run_dir, "config.json"), "w") as fh:
-        json.dump(config.raw, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-    for rel in ("reports.csv", "reports.json", "ranking.csv", "heatmap.csv", "weights.json", "top5.csv", "config.json"):
-        manifest.add_output(run_dir, rel)
+        values = ["" if row[k] is None else repr(float(row[k])) for k in keys]
+        lines.append(",".join([row["zone"], row["season"], str(row["rank"]), row["model"]] + values))
+    manifest.put("top5.csv", "\n".join(lines) + "\n")
+    manifest.put("config.json", json_text(config.raw))
 
 
 def _train_config(kind: str, overrides: dict):
@@ -390,34 +336,30 @@ def run_downscale(
     split `downscale eval --data` scores (`dsc.spec_split`).
     """
     tcfgs = {kind: _train_config(kind, train_overrides or {}) for kind in archs}
-    os.makedirs(run_dir, exist_ok=True)
-    manifest = RunManifest(config_hash=config_hash({"archs": list(archs), "seed": seed, "data": data_spec or "bundled"}))
+    os.makedirs(run_dir, exist_ok=True)  # the trainer writes each train log straight into it
+    manifest = RunManifest(run_dir, config_hash({"archs": list(archs), "seed": seed, "data": data_spec or "bundled"}))
 
-    with _StageTimer(manifest, "data"):
+    with manifest.stage("data"):
         train_set, test_set = dsc.spec_split(data_spec) if data_spec else dsc.benchmark_sets()
 
     predictions = {}
-    rows_log = []
     for kind in archs:
-        with _StageTimer(manifest, f"train.{kind}"):
+        with manifest.stage(f"train.{kind}"):
             cfg = desk_arch_config(kind, seed=seed)
-            ckpt = os.path.join(run_dir, f"{kind}.ckpt")
             log_path = os.path.join(run_dir, f"{kind}_train_log.csv")
-            result = dsc.train(cfg, train_set, tcfgs[kind], ckpt_path=ckpt, log_path=log_path)
+            result = dsc.train(cfg, train_set, tcfgs[kind], log_path=log_path)
+            # an aborted run keeps its last good parameters on disk
+            for name, blob in encode_checkpoint(*result.model.checkpoint()).items():
+                manifest.put(f"{kind}.ckpt/{name}", blob)
             if result.aborted:
                 raise NumericFault(f"[train.{kind}] training aborted on non-finite loss")
             predictions[kind] = dsc.predict_dataset(result.model, test_set)
-            rows_log.append((kind, log_path, ckpt))
 
-    with _StageTimer(manifest, "evaluate"):
+    with manifest.stage("evaluate"):
         rows = dsc.comparison_table(predictions, test_set, zones=(ZONE_OVERALL,), seasons=("ANNUAL",))
-        report_rows_to_csv(rows, os.path.join(run_dir, "downscale_report.csv"))
+        manifest.put("downscale_report.csv", report_rows_to_csv(rows))
 
-    manifest.add_output(run_dir, "downscale_report.csv")
-    for kind, log_path, ckpt in rows_log:
-        manifest.add_output(run_dir, os.path.basename(ckpt) + "/manifest.json")
-        manifest.add_output(run_dir, os.path.basename(ckpt) + "/params.bin")
-    manifest.write(run_dir)
+    manifest.write()
     return manifest
 
 
@@ -427,25 +369,36 @@ def run_report(rank_dir: str, out_dir: str, downscale_dir: Optional[str] = None)
     Emits the ranking heatmap matrix, the per-(zone, season) mean-score
     table, the best-model-per-cell raster (each land cell gets the top
     model of its zone's full-year context) and, when a downscale run is
-    given, the architecture comparison table.
+    given, the architecture comparison table. A rank run whose
+    ranking.csv or config.json cannot be read is a ValidationError that
+    names the file.
     """
     _require(os.path.isdir(rank_dir), "report", f"run dir {rank_dir} does not exist")
     ranking_path = os.path.join(rank_dir, "ranking.csv")
     config_path = os.path.join(rank_dir, "config.json")
     _require(os.path.isfile(ranking_path), "report", f"{rank_dir} holds no ranking.csv (empty run dir?)")
     _require(os.path.isfile(config_path), "report", f"{rank_dir} holds no config.json")
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = RunManifest(config_hash=_sha256(ranking_path))
+    with open(ranking_path, "rb") as fh:
+        ranking = fh.read()
+    manifest = RunManifest(out_dir, hashlib.sha256(ranking).hexdigest())
 
-    with _StageTimer(manifest, "report"):
+    with manifest.stage("report"):
         cc: Dict[Tuple[str, str], Dict[str, float]] = {}
-        with open(ranking_path) as fh:
-            header = fh.readline().strip().split(",")
-            idx = {name: i for i, name in enumerate(header)}
-            for line in fh:
-                parts = line.strip().split(",")
+        try:
+            lines = ranking.decode().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"[report] {ranking_path} is not UTF-8 text: {exc}") from None
+        idx = {name: i for i, name in enumerate(lines[0].strip().split(",") if lines else ())}
+        missing = [name for name in ("context", "model", "cc") if name not in idx]
+        _require(not missing, "report", f"{ranking_path} lacks column(s) {missing}")
+        for number, line in enumerate(lines[1:], start=2):
+            parts = line.strip().split(",")
+            try:
                 zone_key, season_id = parts[idx["context"]].split("/")
                 cc.setdefault((zone_key, season_id), {})[parts[idx["model"]]] = float(parts[idx["cc"]])
+            except (IndexError, ValueError):
+                raise ValidationError(f"[report] {ranking_path} line {number} is malformed: {line!r}") from None
+        _require(bool(cc), "report", f"{ranking_path} holds no rows")
 
         # heatmap matrix (models x contexts)
         contexts = sorted(cc)
@@ -453,67 +406,49 @@ def run_report(rank_dir: str, out_dir: str, downscale_dir: Optional[str] = None)
         lines = ["model," + ",".join(f"{z}/{s}" for z, s in contexts)]
         for label in models:
             lines.append(label + "," + ",".join(repr(cc[ctx][label]) for ctx in contexts))
-        _write_text(out_dir, "fig3_heatmap.csv", lines)
+        manifest.put("fig3_heatmap.csv", "\n".join(lines) + "\n")
 
         # mean score per (zone, season); zone rows also carry the across-zone
         # mean of the per-zone means as an alternative aggregate
         zone_keys = sorted({z for z, _ in contexts})
-        season_ids = sorted({s for _, s in contexts})
         mean_cc = {ctx: float(np.mean(list(cc[ctx].values()))) for ctx in contexts}
         lines = ["zone,season,mean_cc,mean_of_zone_means"]
-        for zone_key in zone_keys:
-            for season_id in season_ids:
-                if (zone_key, season_id) not in mean_cc:
-                    continue
-                extra = ""
-                if zone_key == ZONE_OVERALL:
-                    member = [
-                        mean_cc[(z, season_id)]
-                        for z in zone_keys
-                        if z != ZONE_OVERALL and (z, season_id) in mean_cc
-                    ]
-                    if member:
-                        extra = repr(float(np.mean(member)))
-                lines.append(f"{zone_key},{season_id},{mean_cc[(zone_key, season_id)]!r},{extra}")
-        _write_text(out_dir, "fig4_mean_scores.csv", lines)
+        for zone_key, season_id in contexts:
+            extra = ""
+            if zone_key == ZONE_OVERALL:
+                member = [
+                    mean_cc[(z, season_id)]
+                    for z in zone_keys
+                    if z != ZONE_OVERALL and (z, season_id) in mean_cc
+                ]
+                if member:
+                    extra = repr(float(np.mean(member)))
+            lines.append(f"{zone_key},{season_id},{mean_cc[(zone_key, season_id)]!r},{extra}")
+        manifest.put("fig4_mean_scores.csv", "\n".join(lines) + "\n")
 
         # best model per land cell from each zone's full-year winner
-        raw_config = json.load(open(config_path))
+        raw_config = read_json_object(config_path, "[report] rank config")
+        _require("mask" in raw_config, "report", f"{config_path} names no zone mask")
         mask = gcf.read_mask(raw_config["mask"])
         label_index = {label: i for i, label in enumerate(models)}
-        best = {}
-        for zone_key in zone_keys:
-            if zone_key == ZONE_OVERALL or (zone_key, "ANNUAL") not in cc:
-                continue
-            ranked = sorted(cc[(zone_key, "ANNUAL")].items(), key=lambda kv: (-kv[1], kv[0]))
-            best[ZONE_BY_NAME[zone_key]] = ranked[0][0]
         raster = np.full(mask.codes.shape, -9999.0)
-        for code, label in best.items():
-            raster[mask.codes == code] = float(label_index[label])
+        for zone_key in zone_keys:
+            if zone_key != ZONE_OVERALL and (zone_key, "ANNUAL") in cc:
+                winner = min(cc[(zone_key, "ANNUAL")].items(), key=lambda kv: (-kv[1], kv[0]))[0]
+                raster[mask.codes == ZONE_BY_NAME[zone_key]] = float(label_index[winner])
         cube = DataCube(
             lat=mask.lat, lon=mask.lon, time=((1, 1, 1),), calendar="standard",
             variable="best_model_index", data=raster[None], fill=-9999.0, units="model_index",
         )
-        gcf.write_cube(cube, os.path.join(out_dir, "fig5_best_model"))
-        _write_text(out_dir, "fig5_model_labels.json",
-                    [json.dumps({"index_to_model": {str(i): m for m, i in label_index.items()}}, indent=1, sort_keys=True)])
-
-        outputs = ["fig3_heatmap.csv", "fig4_mean_scores.csv", "fig5_model_labels.json",
-                   "fig5_best_model/header.json", "fig5_best_model/data.bin"]
+        for name, blob in gcf.encode_cube(cube).items():
+            manifest.put(f"fig5_best_model/{name}", blob)
+        manifest.put("fig5_model_labels.json", json_text({"index_to_model": {str(i): m for m, i in label_index.items()}}))
 
         if downscale_dir:
             src = os.path.join(downscale_dir, "downscale_report.csv")
             _require(os.path.isfile(src), "report", f"{downscale_dir} holds no downscale_report.csv")
             with open(src) as fh:
-                _write_text(out_dir, "fig6_downscale_comparison.csv", fh.read().splitlines())
-            outputs.append("fig6_downscale_comparison.csv")
+                manifest.put("fig6_downscale_comparison.csv", "\n".join(fh.read().splitlines()) + "\n")
 
-    for rel in outputs:
-        manifest.add_output(out_dir, rel)
-    manifest.write(out_dir)
+    manifest.write()
     return manifest
-
-
-def _write_text(out_dir: str, rel: str, lines: List[str]) -> None:
-    with open(os.path.join(out_dir, rel), "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -323,10 +323,14 @@ class WeightNet:
         # softmax guarantees nonnegativity; renormalize the float64 sum
         return WeightVector(out / out.sum())
 
-    def save(self, path: str) -> None:
+    def checkpoint(self):
+        """(entries, meta) for `tc.encode_checkpoint` / `tc.save_checkpoint`."""
         entries = [(name, t.data) for name, t in self.params()]
         meta = {"kind": "weightnet", "n_criteria": self.n_criteria, "seed": self.seed, "step": self.step_count}
-        tc.save_checkpoint(path, entries, meta)
+        return entries, meta
+
+    def save(self, path: str) -> None:
+        tc.save_checkpoint(path, *self.checkpoint())
 
     @classmethod
     def load(cls, path: str) -> "WeightNet":

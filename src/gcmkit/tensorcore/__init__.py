@@ -1,6 +1,6 @@
 """Minimal deterministic reverse-mode autodiff engine."""
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import encode_checkpoint, load_checkpoint, save_checkpoint
 from .gradcheck import grad_check
 from .nn import (
     BatchNorm2d,
@@ -42,6 +42,7 @@ __all__ = [
     "conv2d_transpose",
     "convlstm_cell",
     "dense",
+    "encode_checkpoint",
     "grad_check",
     "he_uniform",
     "layer_norm",

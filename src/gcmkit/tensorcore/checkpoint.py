@@ -12,14 +12,15 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..artifacts import write_files
 from ..errors import ValidationError
 
 _MANIFEST = "manifest.json"
 _PAYLOAD = "params.bin"
 
 
-def save_checkpoint(path: str, entries: List[Tuple[str, np.ndarray]], meta: dict) -> None:
-    os.makedirs(path, exist_ok=True)
+def encode_checkpoint(entries: List[Tuple[str, np.ndarray]], meta: dict) -> Dict[str, bytes]:
+    """The checkpoint files as {file name: bytes}."""
     names = [name for name, _ in entries]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate entry names in checkpoint")
@@ -32,10 +33,12 @@ def save_checkpoint(path: str, entries: List[Tuple[str, np.ndarray]], meta: dict
         offset += arr.size
         blobs.append(arr.tobytes())  # tobytes always serializes C-order
     manifest = {"format": 1, "entries": records, "total": offset, "meta": meta}
-    with open(os.path.join(path, _MANIFEST), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-    with open(os.path.join(path, _PAYLOAD), "wb") as fh:
-        fh.write(b"".join(blobs))
+    manifest_text = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    return {_MANIFEST: manifest_text.encode(), _PAYLOAD: b"".join(blobs)}
+
+
+def save_checkpoint(path: str, entries: List[Tuple[str, np.ndarray]], meta: dict) -> None:
+    write_files(path, encode_checkpoint(entries, meta))
 
 
 def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], dict]:

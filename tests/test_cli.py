@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ from gcmkit.fixtures import GOOD_MODEL, make_csv_fixture, make_ranking_fixture
 def fixture_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fixture")
     return make_ranking_fixture(str(root), seed=4242)
+
+
+@pytest.fixture(scope="module")
+def rank_run(tmp_path_factory, fixture_paths):
+    """A finished rank run of the fixture config (weights: "train"); tests copy it before editing."""
+    out_root = str(tmp_path_factory.mktemp("rank"))
+    assert main(["rank", "--config", fixture_paths["config"], "--out", out_root, "--name", "run"]) == 0
+    return os.path.join(out_root, "run")
 
 
 class TestIngest:
@@ -165,6 +174,25 @@ class TestRank:
         bad.write_text(json.dumps(config))
         assert main(["rank", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "2 models" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda config: [config], "not a JSON object"),
+            (lambda config: {**config, "models": config["models"][:1] + ["cold"]}, "models[1]"),
+            (lambda config: {**config, "weightnet": [50]}, "weightnet"),
+            (lambda config: {**config, "seed": "one"}, "seed"),
+            (lambda config: {**config, "pdf_bins": "many"}, "pdf_bins"),
+            (lambda config: {**config, "weightnet": {"epochs": "ten"}}, "weightnet.epochs"),
+        ],
+        ids=["top-level-list", "model-entry", "weightnet-block", "seed", "pdf_bins", "weightnet-epochs"],
+    )
+    def test_config_type_error_exits_2_naming_key_and_file(self, tmp_path, fixture_paths, capsys, edit, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(json.load(open(fixture_paths["config"])))))
+        assert main(["rank", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and str(bad) in err
 
     def test_constant_fields_score_a_perfect_pdf_overlap(self, tmp_path, fixture_paths):
         # bilinear regrid leaves a few ULPs of spread on a constant off-grid
@@ -352,11 +380,66 @@ class TestReport:
         mask = gcf.read_mask(json.load(open(os.path.join(out_root, "run", "config.json")))["mask"])
         assert np.all((raster.data[0] == raster.fill) == (mask.codes == 0))
 
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("config.json", lambda text: text[: len(text) // 2]),
+            ("config.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "mask"})),
+            ("ranking.csv", lambda text: text.split("\n")[0] + "\n"),
+            ("ranking.csv", lambda text: text.replace("context,model,cc,", "ctx,label,score,", 1)),
+            ("ranking.csv", lambda text: text + "tropical/ANNUAL\n"),
+        ],
+        ids=["malformed-config", "config-without-mask", "header-only-ranking", "ranking-without-columns",
+             "short-ranking-row"],
+    )
+    def test_broken_rank_dir_exits_2_naming_the_file(self, tmp_path, rank_run, capsys, name, edit):
+        run = tmp_path / "run"
+        shutil.copytree(rank_run, run)
+        (run / name).write_text(edit((run / name).read_text()))
+        assert main(["report", "--run", str(run), "--out", str(tmp_path), "--name", "rep"]) == 2
+        assert str(run / name) in capsys.readouterr().err
+
     def test_empty_run_dir_errors(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", "--run", str(empty), "--out", str(tmp_path)]) == 2
         assert "ranking.csv" in capsys.readouterr().err
+
+
+def _assert_manifest_covers(run_dir):
+    """Every listed digest matches its file, and only files holding wall times are unlisted."""
+    outputs = json.load(open(os.path.join(run_dir, "manifest.json")))["outputs"]
+    on_disk = {
+        os.path.relpath(os.path.join(root, name), run_dir).replace(os.sep, "/")
+        for root, _, names in os.walk(run_dir)
+        for name in names
+    }
+    for rel, digest in outputs.items():
+        assert hashlib.sha256(open(os.path.join(run_dir, rel), "rb").read()).hexdigest() == digest, rel
+    unlisted = on_disk - set(outputs)
+    assert all(rel in ("manifest.json", "timing.json") or rel.endswith("_train_log.csv") for rel in unlisted), unlisted
+    return outputs
+
+
+class TestManifest:
+    def test_manifest_lists_and_hashes_every_artifact(self, tmp_path, fixture_paths, rank_run):
+        out = str(tmp_path)
+        shutil.copytree(rank_run, os.path.join(out, "rank"))
+        assert main(["downscale", "train", "--arch", "cnn_lstm", "--epochs", "1", "--out", out, "--name", "ds"]) == 0
+        assert main(["report", "--run", os.path.join(out, "rank"), "--downscale-run", os.path.join(out, "ds"),
+                     "--out", out, "--name", "rep"]) == 0
+        outputs = {name: _assert_manifest_covers(os.path.join(out, name)) for name in ("rank", "ds", "rep")}
+        assert "weightnet.ckpt/params.bin" in outputs["rank"]
+        assert "cnn_lstm.ckpt/params.bin" in outputs["ds"]
+        assert "fig6_downscale_comparison.csv" in outputs["rep"]
+
+        config = json.load(open(fixture_paths["config"]))
+        config["weights"] = "uniform"
+        uniform = tmp_path / "uniform.json"
+        uniform.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(uniform), "--out", out, "--name", "rank"]) == 0
+        outputs = json.load(open(os.path.join(out, "rank", "manifest.json")))["outputs"]
+        assert not [rel for rel in outputs if rel.startswith("weightnet")]
 
 
 class TestExitCodes:

@@ -344,7 +344,8 @@ class TestTrainer:
 
         def run(tag):
             path = str(tmp_path / f"{tag}.ckpt")
-            res = ds.train(cfg, mini_data, tcfg, ckpt_path=path)
+            res = ds.train(cfg, mini_data, tcfg)
+            res.model.save(path)
             return res, path
 
         res1, p1 = run("a")
@@ -392,7 +393,8 @@ class TestTrainer:
         monkeypatch.setattr(tc.Adam, "step", poisoned_step)
         cfg = mini_cfg("cnn_lstm", seed=26)
         path = str(tmp_path / "poisoned.ckpt")
-        res = ds.train(cfg, mini_data, ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3), ckpt_path=path)
+        res = ds.train(cfg, mini_data, ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3))
+        res.model.save(path)
         assert res.aborted
         arrays, _ = tc.load_checkpoint(path)
         for name, arr in arrays.items():
@@ -420,7 +422,8 @@ class TestCheckpointReload:
         cfg = mini_cfg(kind, seed=31)
         tcfg = ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3)
         path = str(tmp_path / f"{kind}.ckpt")
-        res = ds.train(cfg, mini_data, tcfg, ckpt_path=path)
+        res = ds.train(cfg, mini_data, tcfg)
+        res.model.save(path)
         back = ds.load_model(path, mini_data.coarse_hw)
         for (name_a, a), (name_b, b) in zip(res.model.state_entries(), back.state_entries()):
             assert name_a == name_b

@@ -393,9 +393,9 @@ class TestSerialization:
         row = {"model": "m", "zone": "tropical", "season": "ANNUAL"}
         row.update(rep.as_dict())
         csv_path = tmp_path / "rep.csv"
-        mx.report_rows_to_csv([row], str(csv_path))
+        csv_path.write_text(mx.report_rows_to_csv([row]))
         lines = csv_path.read_text().strip().split("\n")
         assert len(lines) == 2
         header = lines[0].split(",")
         assert "kge" in header and "kge_valid" in header and "n" in header
-        mx.report_rows_to_json([row], str(tmp_path / "rep.json"))
+        (tmp_path / "rep.json").write_text(mx.report_rows_to_json([row]))
