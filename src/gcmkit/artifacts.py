@@ -4,6 +4,7 @@
 is the only way a file enters a run's `manifest.json`: it writes the bytes it
 is given and records their sha256 without reading them back. Stage wall times
 go to the unlisted `timing.json`, so the manifest is byte-stable across reruns.
+`csv_text` and `json_text` are the two table layouts every artifact uses.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Union
+from typing import Dict, Iterable, Mapping, Sequence, Union
 
 from . import __version__
 
@@ -24,6 +25,14 @@ def write_files(directory: str, files: Mapping[str, bytes]) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(blob)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The artifact CSV layout: a float cell is repr(float(v)), None is empty, anything else str(v)."""
+    def cell(v) -> str:
+        return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
 def json_text(obj) -> str:
@@ -56,9 +65,33 @@ class RunManifest:
         self.timing_ms[name] = int(round((time.perf_counter() - t0) * 1000))
 
     def write(self) -> None:
-        """Write manifest.json and timing.json; neither is registered."""
+        """Once the run has succeeded, write manifest.json and timing.json (neither registered).
+
+        First the files the previous manifest lists and this run did not `put`
+        go: only paths inside run_dir, with directories left empty, so no
+        artifact outlives its run. A run that fails before `write` removes nothing.
+        """
+        self._remove_stale()
         manifest = {"config_hash": self.config_hash, "version": __version__, "outputs": self.outputs}
         write_files(self.run_dir, {
             "manifest.json": json_text(manifest).encode(),
             "timing.json": json_text({"stage_wall_ms": self.timing_ms}).encode(),
         })
+
+    def _remove_stale(self) -> None:
+        try:
+            with open(os.path.join(self.run_dir, "manifest.json")) as fh:
+                listed = list(json.load(fh)["outputs"].keys())
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):  # no previous run, or not ours
+            return
+        root = os.path.realpath(self.run_dir)
+        kept = {os.path.realpath(os.path.join(root, rel)) for rel in self.outputs}
+        for rel in listed:
+            path = os.path.realpath(os.path.join(root, rel))
+            if path in kept or os.path.commonpath([root, path]) != root or not os.path.isfile(path):
+                continue
+            os.remove(path)
+            parent = os.path.dirname(path)
+            while parent != root and not os.listdir(parent):
+                os.rmdir(parent)
+                parent = os.path.dirname(parent)

@@ -13,10 +13,12 @@ import sys
 import tempfile
 
 from . import __version__, downscale as dsc, gcf, pipeline
+from .artifacts import json_text
 from .errors import NumericFault, ValidationError
 from .fixtures import GOOD_MODEL, make_ranking_fixture
 from .geogrid import SEASONS, regrid_bilinear
-from .metrics import ZONE_OVERALL, full_report, report_rows_to_csv, report_rows_to_json
+from .metrics import ZONE_OVERALL, full_report, report_rows_to_csv
+from .ranking import order_by_cc
 
 
 def _out_root(args) -> str:
@@ -50,7 +52,7 @@ def cmd_metrics(args) -> int:
     row = {"model": args.model, "zone": args.zone, "season": args.season}
     row.update(rep.as_dict())
     if args.dest:
-        text = report_rows_to_json([row]) if args.dest.endswith(".json") else report_rows_to_csv([row])
+        text = json_text([row]) if args.dest.endswith(".json") else report_rows_to_csv([row])
         with open(args.dest, "w") as fh:
             fh.write(text)
         print(f"report -> {args.dest}")
@@ -130,14 +132,8 @@ def cmd_selftest(args) -> int:
         config = pipeline.PipelineConfig.from_file(paths["config"])
         run_dir = os.path.join(tmp, "run")
         pipeline.run_rank(config, run_dir)
-        failures = []
-        with open(os.path.join(run_dir, "ranking.csv")) as fh:
-            next(fh)
-            for line in fh:
-                parts = line.strip().split(",")
-                context, model, rank = parts[0], parts[1], parts[5]
-                if rank == "1" and model != GOOD_MODEL:
-                    failures.append(context)
+        cc = pipeline.read_ranking(os.path.join(run_dir, "ranking.csv"))
+        failures = [f"{z}/{s}" for (z, s), scores in sorted(cc.items()) if order_by_cc(scores)[0] != GOOD_MODEL]
         if failures:
             print(f"selftest FAILED: unbiased model not first in {failures}")
             return 1

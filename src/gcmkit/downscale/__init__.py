@@ -29,7 +29,7 @@ from .evaluate import (
     rmse_to_target,
 )
 from .presets import desk_arch_config, desk_train_config
-from .trainer import TrainConfig, TrainResult, train, write_log_csv
+from .trainer import TrainConfig, TrainResult, train
 
 __all__ = [
     "ARCH_KINDS",
@@ -59,5 +59,4 @@ __all__ = [
     "spec_split",
     "train",
     "windows_from_pair",
-    "write_log_csv",
 ]

@@ -70,21 +70,10 @@ def _restore(model: DownscaleModel, snapshot):
     model.load_arrays(dict(snapshot))
 
 
-def write_log_csv(log: List[dict], path: str) -> None:
-    lines = ["epoch,train_loss,val_loss,wall_ms"]
-    for row in log:
-        lines.append(
-            f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r},{row['wall_ms']}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def train(
     cfg: ArchConfig,
     data: DownscaleDataset,
     tcfg: TrainConfig,
-    log_path: Optional[str] = None,
     model: Optional[DownscaleModel] = None,
 ) -> TrainResult:
     """Train one architecture on a window dataset.
@@ -190,6 +179,4 @@ def train(
 
     if not result.aborted:
         _restore(model, best)
-    if log_path:
-        write_log_csv(result.log, log_path)
     return result

@@ -103,18 +103,6 @@ def _load_header(path: str) -> dict:
     return header
 
 
-def _load_payload(path: str, count: int) -> np.ndarray:
-    payload_path = os.path.join(path, _PAYLOAD)
-    if not os.path.isfile(payload_path):
-        raise ValidationError(f"no {_PAYLOAD} under {path}")
-    raw = np.fromfile(payload_path, dtype="<f4")
-    if raw.size != count:
-        raise ValidationError(
-            f"payload holds {raw.size} values but header dims promise {count}"
-        )
-    return raw.astype(np.float64)
-
-
 @dataclass(frozen=True, eq=False)
 class CubeHeader:
     """The validated header of a GCF directory: a cube's axes and metadata without its payload."""
@@ -130,7 +118,10 @@ class CubeHeader:
 
 def read_header(path: str) -> CubeHeader:
     """Read and validate a GCF header: keys, dims, both axes and every date."""
-    header = _load_header(path)
+    return _parse_header(path, _load_header(path))
+
+
+def _parse_header(path: str, header: dict) -> CubeHeader:
     try:
         lat = GridAxis(np.asarray(header["lat"], dtype=np.float64), "lat")
         lon = GridAxis(np.asarray(header["lon"], dtype=np.float64), "lon")
@@ -143,27 +134,30 @@ def read_header(path: str) -> CubeHeader:
 
 def read_cube(path: str) -> DataCube:
     """Read and validate a GCF directory into a DataCube."""
-    head = read_header(path)
-    nt, nlat, nlon = len(head.time), len(head.lat), len(head.lon)
-    values = _load_payload(path, nt * nlat * nlon).reshape(nt, nlat, nlon)
-    if np.any(~np.isfinite(values)):
-        raise ValidationError(f"payload in {path} contains non-finite values")
+    header = _load_header(path)
+    head = _parse_header(path, header)
+    ((_, values),) = _chunks(path, header, len(head.time))
     return DataCube(head.lat, head.lon, head.time, head.calendar, head.variable, values, head.fill, head.units)
 
 
 def iter_time_chunks(path: str, chunk: int):
     """Yield (t0, block) pairs of float64 time slabs without loading the cube.
 
-    The bounded-memory reader behind every `run_rank` source: the payload
-    is consumed in chunks of `chunk` time steps, each holding the same bits
-    as that slice of `read_cube(path).data`. Only the header keys and dims
-    are checked here; validate the axes and dates once with `read_header`.
-    A non-finite value fails with the path and its time index.
+    The one payload reader: every `run_rank` source streams through it in
+    chunks of `chunk` time steps, and `read_cube` takes the whole payload
+    as one chunk. Only the header keys and dims are checked here; validate
+    the axes and dates once with `read_header`. A non-finite value fails
+    with the path, its time index and its date.
     """
-    header = _load_header(path)
+    yield from _chunks(path, _load_header(path), chunk)
+
+
+def _chunks(path: str, header: dict, chunk: int):
     nt, nlat, nlon = header["dims"]
     slab = nlat * nlon
     payload_path = os.path.join(path, _PAYLOAD)
+    if not os.path.isfile(payload_path):
+        raise ValidationError(f"no {_PAYLOAD} under {path}")
     if os.path.getsize(payload_path) != 4 * nt * slab:
         raise ValidationError(f"payload size disagrees with header dims in {path}")
     with open(payload_path, "rb") as fh:

@@ -23,13 +23,13 @@ the variability ratio inside KGE and the plain deviation difference stay
 consistent with each other.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import csv_text
 from .errors import ValidationError
 from .geogrid import DataCube, LAND_ZONES, SEASONS, SeasonSelector, ZoneMask
 
@@ -513,18 +513,8 @@ def report_rows_to_csv(rows: List[dict]) -> str:
         raise ValidationError("no report rows to write")
     label_keys = [k for k in rows[0] if k not in METRIC_NAMES and k != "n" and k != "flags"]
     header = label_keys + list(METRIC_NAMES) + ["n"] + [f"{m}_valid" for m in METRIC_NAMES]
-    lines = [",".join(header)]
-    for row in rows:
-        flags = row.get("flags", {})
-        cells = [str(row[k]) for k in label_keys]
-        for m in METRIC_NAMES:
-            v = row.get(m)
-            cells.append("" if v is None else repr(float(v)))
-        cells.append(str(row["n"]))
-        cells.extend(str(bool(flags.get(m, True))) for m in METRIC_NAMES)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def report_rows_to_json(rows: List[dict]) -> str:
-    return json.dumps(rows, sort_keys=True, indent=1) + "\n"
+    return csv_text(header, (
+        [row[k] for k in label_keys] + [row.get(m) for m in METRIC_NAMES] + [row["n"]]
+        + [bool(row.get("flags", {}).get(m, True)) for m in METRIC_NAMES]
+        for row in rows
+    ))

@@ -1,9 +1,10 @@
 """Pipeline orchestration: validated configs and staged runs.
 
-Every stage hands its artifacts (CSV and JSON text, and the files the GCF
-and checkpoint encoders return) to `artifacts.RunManifest.put`, which
-writes each one and lists its sha256 in the run's `manifest.json`; this
-module opens no file for writing.
+Every stage hands its artifacts (`artifacts.csv_text` and `json_text`
+tables, and the files the GCF and checkpoint encoders return) to
+`artifacts.RunManifest.put`, which writes each one and lists its sha256
+in the run's `manifest.json`; only the downscale train logs, which hold
+wall times, are written unlisted. This module opens no file for writing.
 
 The rank stage has one path at every scale: each cube source streams
 fixed-size time blocks from its payloads, derives DTR and regrids per
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gcf
-from .artifacts import RunManifest, config_hash, json_text
+from .artifacts import RunManifest, config_hash, csv_text, json_text, write_files
 from .errors import NumericFault, ValidationError
 from .geogrid import (
     DataCube,
@@ -32,14 +33,7 @@ from .geogrid import (
     check_dtr_pair,
     dtr_values,
 )
-from .metrics import (
-    BLOCK,
-    ZONE_OVERALL,
-    context_index,
-    report_rows_to_csv,
-    report_rows_to_json,
-    sweep,
-)
+from .metrics import BLOCK, METRIC_NAMES, ZONE_OVERALL, context_index, report_rows_to_csv, sweep
 from .ranking import (
     Criterion,
     WeightNet,
@@ -47,7 +41,8 @@ from .ranking import (
     assemble_matrix,
     default_criteria,
     evaluate_weightnet,
-    heatmap_table,
+    heatmap_csv,
+    order_by_cc,
     rank_all,
     train_weightnet,
 )
@@ -253,61 +248,47 @@ def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
             weight_source = WeightNet.load(weight_source["checkpoint"])
 
     with manifest.stage("rank"):
-        results, weights_used, top5 = rank_all(reports, weight_source, config.criteria)
-        _write_rank_outputs(manifest, config, reports, results, weights_used, top5)
+        results, weights_used = rank_all(reports, weight_source, config.criteria)
+        _write_rank_outputs(manifest, config, reports, results, weights_used)
 
     manifest.write()
     return manifest
 
 
-def _write_rank_outputs(manifest, config, reports, results, weights_used, top5) -> None:
-    report_rows = []
-    for (zone_key, season_id) in sorted(reports):
-        for label, rep in reports[(zone_key, season_id)]:
-            row = {"model": label, "zone": zone_key, "season": season_id}
-            row.update(rep.as_dict())
-            report_rows.append(row)
+RANKING_COLUMNS = ["context", "model", "cc", "d_plus", "d_minus", "rank", *METRIC_NAMES, "n"]
+TOP5_COLUMNS = ["zone", "season", "rank", "model", "score", "bias", "rmse", "kge", "nse", "pdf_overlap"]
+
+
+def _write_rank_outputs(manifest, config, reports, results, weights_used) -> None:
+    report_rows = [
+        {"model": label, "zone": zone_key, "season": season_id, **rep.as_dict()}
+        for (zone_key, season_id) in sorted(reports)
+        for label, rep in reports[(zone_key, season_id)]
+    ]
     manifest.put("reports.csv", report_rows_to_csv(report_rows))
-    manifest.put("reports.json", report_rows_to_json(report_rows))
+    manifest.put("reports.json", json_text(report_rows))
+
+    ranking = []  # one row per (context, model) in rank order; top5.csv is its rank <= 5 rows
+    for res in results:
+        reps = dict(reports[res.context])
+        for rank, label in enumerate(res.order, start=1):
+            i = res.models.index(label)
+            ranking.append({"context": "/".join(res.context), "zone": res.context[0], "season": res.context[1],
+                            "model": label, "rank": rank, "cc": res.cc[i], "score": res.cc[i],
+                            "d_plus": res.d_plus[i], "d_minus": res.d_minus[i], **reps[label].as_dict()})
+    manifest.put("ranking.csv", csv_text(RANKING_COLUMNS, ([row[c] for c in RANKING_COLUMNS] for row in ranking)))
+    manifest.put("heatmap.csv", heatmap_csv({res.context: dict(zip(res.models, res.cc)) for res in results}))
 
     by_context = {res.context: res for res in results}
-    metric_names = list(reports[next(iter(sorted(reports)))][0][1].as_dict().keys())
-    metric_names = [m for m in metric_names if m not in ("n", "flags")]
-    lines = ["context,model,cc,d_plus,d_minus,rank," + ",".join(metric_names) + ",n"]
-    for ctx in sorted(by_context):
-        res = by_context[ctx]
-        rep_by_label = dict(reports[ctx])
-        for label in res.order:
-            i = res.models.index(label)
-            rep = rep_by_label[label]
-            raw = ["" if rep.value(m) is None else repr(float(rep.value(m))) for m in metric_names]
-            lines.append(
-                f"{ctx[0]}/{ctx[1]},{label},{float(res.cc[i])!r},"
-                f"{float(res.d_plus[i])!r},{float(res.d_minus[i])!r},{res.rank_of(label)},"
-                + ",".join(raw)
-                + f",{rep.n}"
-            )
-    manifest.put("ranking.csv", "\n".join(lines) + "\n")
-
-    models, contexts, matrix = heatmap_table(results)
-    lines = ["model," + ",".join(contexts)]
-    for i, label in enumerate(models):
-        lines.append(label + "," + ",".join(repr(float(v)) for v in matrix[i]))
-    manifest.put("heatmap.csv", "\n".join(lines) + "\n")
-
     weights_obj = {
         f"{ctx[0]}/{ctx[1]}": {"weights": [float(v) for v in wv.w], "source": src,
                                "criteria": [c.name for c in by_context[ctx].criteria]}
         for ctx, (wv, src) in sorted(weights_used.items())
     }
     manifest.put("weights.json", json_text(weights_obj))
-
-    keys = ("score", "bias", "rmse", "kge", "nse", "pdf_overlap")
-    lines = ["zone,season,rank,model," + ",".join(keys)]
-    for row in top5:
-        values = ["" if row[k] is None else repr(float(row[k])) for k in keys]
-        lines.append(",".join([row["zone"], row["season"], str(row["rank"]), row["model"]] + values))
-    manifest.put("top5.csv", "\n".join(lines) + "\n")
+    manifest.put("top5.csv", csv_text(TOP5_COLUMNS, (
+        [row[c] for c in TOP5_COLUMNS] for row in ranking if row["rank"] <= 5
+    )))
     manifest.put("config.json", json_text(config.raw))
 
 
@@ -319,6 +300,9 @@ def _train_config(kind: str, overrides: dict):
     if unknown:
         raise ValidationError(f"unknown train key(s) {unknown}; known: {known}")
     return replace(tcfg, **overrides)
+
+
+LOG_COLUMNS = ["epoch", "train_loss", "val_loss", "wall_ms"]
 
 
 def run_downscale(
@@ -336,7 +320,6 @@ def run_downscale(
     split `downscale eval --data` scores (`dsc.spec_split`).
     """
     tcfgs = {kind: _train_config(kind, train_overrides or {}) for kind in archs}
-    os.makedirs(run_dir, exist_ok=True)  # the trainer writes each train log straight into it
     manifest = RunManifest(run_dir, config_hash({"archs": list(archs), "seed": seed, "data": data_spec or "bundled"}))
 
     with manifest.stage("data"):
@@ -346,9 +329,11 @@ def run_downscale(
     for kind in archs:
         with manifest.stage(f"train.{kind}"):
             cfg = desk_arch_config(kind, seed=seed)
-            log_path = os.path.join(run_dir, f"{kind}_train_log.csv")
-            result = dsc.train(cfg, train_set, tcfgs[kind], log_path=log_path)
-            # an aborted run keeps its last good parameters on disk
+            result = dsc.train(cfg, train_set, tcfgs[kind])
+            # the log holds wall times, so it stays out of the manifest; an
+            # aborted run keeps its log and its last good parameters on disk
+            log = ([row[c] for c in LOG_COLUMNS] for row in result.log)
+            write_files(run_dir, {f"{kind}_train_log.csv": csv_text(LOG_COLUMNS, log).encode()})
             for name, blob in encode_checkpoint(*result.model.checkpoint()).items():
                 manifest.put(f"{kind}.ckpt/{name}", blob)
             if result.aborted:
@@ -363,79 +348,86 @@ def run_downscale(
     return manifest
 
 
+def read_ranking(path: str) -> Dict[Tuple[str, str], Dict[str, float]]:
+    """The closeness coefficients of a rank run's ranking.csv, as {(zone, season): {model: cc}}.
+
+    A file that is missing, not UTF-8, without the context/model/cc
+    columns or without rows, a malformed row, an unknown zone or season,
+    and a context whose model set differs from the others are each a
+    ValidationError naming the file and the line or context.
+    """
+    _require(os.path.isfile(path), "report", f"no {path} (empty run dir?)")
+    with open(path, "rb") as fh:
+        try:
+            lines = fh.read().decode().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"[report] {path} is not UTF-8 text: {exc}") from None
+    idx = {name: i for i, name in enumerate(lines[0].strip().split(",") if lines else ())}
+    missing = [name for name in ("context", "model", "cc") if name not in idx]
+    _require(not missing, "report", f"{path} lacks column(s) {missing}")
+    cc: Dict[Tuple[str, str], Dict[str, float]] = {}
+    for number, line in enumerate(lines[1:], start=2):
+        parts = line.strip().split(",")
+        try:
+            zone_key, season_id = parts[idx["context"]].split("/")
+            label, score = parts[idx["model"]], float(parts[idx["cc"]])
+        except (IndexError, ValueError):
+            raise ValidationError(f"[report] {path} line {number} is malformed: {line!r}") from None
+        _require((zone_key in ZONE_BY_NAME or zone_key == ZONE_OVERALL) and season_id in SEASONS, "report",
+                 f"{path} line {number} names an unknown context {zone_key}/{season_id}")
+        cc.setdefault((zone_key, season_id), {})[label] = score
+    _require(bool(cc), "report", f"{path} holds no rows")
+    first = min(cc)
+    for (zone_key, season_id), scores in sorted(cc.items()):
+        _require(scores.keys() == cc[first].keys(), "report", f"{path} context {zone_key}/{season_id} ranks "
+                 f"{sorted(scores)}, but {first[0]}/{first[1]} ranks {sorted(cc[first])}")
+    return cc
+
+
 def run_report(rank_dir: str, out_dir: str, downscale_dir: Optional[str] = None) -> RunManifest:
     """Re-derive plot-ready bundles from a finished rank run.
 
-    Emits the ranking heatmap matrix, the per-(zone, season) mean-score
-    table, the best-model-per-cell raster (each land cell gets the top
-    model of its zone's full-year context) and, when a downscale run is
-    given, the architecture comparison table. A rank run whose
-    ranking.csv or config.json cannot be read is a ValidationError that
-    names the file.
+    Emits the ranking heatmap matrix (the bytes of the run's heatmap.csv),
+    the per-(zone, season) mean-score table, the best-model-per-cell raster
+    (each land cell gets the top model of its zone's full-year context)
+    and, when a downscale run is given, the architecture comparison table.
+    A rank run whose ranking.csv or config.json cannot be read is a
+    ValidationError that names the file, and so is an out_dir it reads.
     """
     _require(os.path.isdir(rank_dir), "report", f"run dir {rank_dir} does not exist")
+    for source in filter(None, (rank_dir, downscale_dir)):
+        _require(os.path.realpath(source) != os.path.realpath(out_dir), "report",
+                 f"the bundle would replace the run it reads: {out_dir}")
     ranking_path = os.path.join(rank_dir, "ranking.csv")
     config_path = os.path.join(rank_dir, "config.json")
-    _require(os.path.isfile(ranking_path), "report", f"{rank_dir} holds no ranking.csv (empty run dir?)")
+    cc = read_ranking(ranking_path)
     _require(os.path.isfile(config_path), "report", f"{rank_dir} holds no config.json")
+    raw_config = read_json_object(config_path, "[report] rank config")
+    _require("mask" in raw_config, "report", f"{config_path} names no zone mask")
     with open(ranking_path, "rb") as fh:
-        ranking = fh.read()
-    manifest = RunManifest(out_dir, hashlib.sha256(ranking).hexdigest())
+        manifest = RunManifest(out_dir, hashlib.sha256(fh.read()).hexdigest())
 
     with manifest.stage("report"):
-        cc: Dict[Tuple[str, str], Dict[str, float]] = {}
-        try:
-            lines = ranking.decode().splitlines()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"[report] {ranking_path} is not UTF-8 text: {exc}") from None
-        idx = {name: i for i, name in enumerate(lines[0].strip().split(",") if lines else ())}
-        missing = [name for name in ("context", "model", "cc") if name not in idx]
-        _require(not missing, "report", f"{ranking_path} lacks column(s) {missing}")
-        for number, line in enumerate(lines[1:], start=2):
-            parts = line.strip().split(",")
-            try:
-                zone_key, season_id = parts[idx["context"]].split("/")
-                cc.setdefault((zone_key, season_id), {})[parts[idx["model"]]] = float(parts[idx["cc"]])
-            except (IndexError, ValueError):
-                raise ValidationError(f"[report] {ranking_path} line {number} is malformed: {line!r}") from None
-        _require(bool(cc), "report", f"{ranking_path} holds no rows")
-
-        # heatmap matrix (models x contexts)
-        contexts = sorted(cc)
-        models = sorted(next(iter(cc.values())))
-        lines = ["model," + ",".join(f"{z}/{s}" for z, s in contexts)]
-        for label in models:
-            lines.append(label + "," + ",".join(repr(cc[ctx][label]) for ctx in contexts))
-        manifest.put("fig3_heatmap.csv", "\n".join(lines) + "\n")
+        manifest.put("fig3_heatmap.csv", heatmap_csv(cc))
 
         # mean score per (zone, season); zone rows also carry the across-zone
         # mean of the per-zone means as an alternative aggregate
-        zone_keys = sorted({z for z, _ in contexts})
+        contexts = sorted(cc)
         mean_cc = {ctx: float(np.mean(list(cc[ctx].values()))) for ctx in contexts}
-        lines = ["zone,season,mean_cc,mean_of_zone_means"]
+        rows = []
         for zone_key, season_id in contexts:
-            extra = ""
-            if zone_key == ZONE_OVERALL:
-                member = [
-                    mean_cc[(z, season_id)]
-                    for z in zone_keys
-                    if z != ZONE_OVERALL and (z, season_id) in mean_cc
-                ]
-                if member:
-                    extra = repr(float(np.mean(member)))
-            lines.append(f"{zone_key},{season_id},{mean_cc[(zone_key, season_id)]!r},{extra}")
-        manifest.put("fig4_mean_scores.csv", "\n".join(lines) + "\n")
+            member = [mean_cc[(z, s)] for z, s in contexts if s == season_id and z != ZONE_OVERALL]
+            extra = float(np.mean(member)) if zone_key == ZONE_OVERALL and member else None
+            rows.append([zone_key, season_id, mean_cc[(zone_key, season_id)], extra])
+        manifest.put("fig4_mean_scores.csv", csv_text(["zone", "season", "mean_cc", "mean_of_zone_means"], rows))
 
         # best model per land cell from each zone's full-year winner
-        raw_config = read_json_object(config_path, "[report] rank config")
-        _require("mask" in raw_config, "report", f"{config_path} names no zone mask")
         mask = gcf.read_mask(raw_config["mask"])
-        label_index = {label: i for i, label in enumerate(models)}
+        label_index = {label: i for i, label in enumerate(sorted(cc[contexts[0]]))}
         raster = np.full(mask.codes.shape, -9999.0)
-        for zone_key in zone_keys:
-            if zone_key != ZONE_OVERALL and (zone_key, "ANNUAL") in cc:
-                winner = min(cc[(zone_key, "ANNUAL")].items(), key=lambda kv: (-kv[1], kv[0]))[0]
-                raster[mask.codes == ZONE_BY_NAME[zone_key]] = float(label_index[winner])
+        for (zone_key, season_id), scores in sorted(cc.items()):
+            if season_id == "ANNUAL" and zone_key != ZONE_OVERALL:
+                raster[mask.codes == ZONE_BY_NAME[zone_key]] = float(label_index[order_by_cc(scores)[0]])
         cube = DataCube(
             lat=mask.lat, lon=mask.lon, time=((1, 1, 1),), calendar="standard",
             variable="best_model_index", data=raster[None], fill=-9999.0, units="model_index",

@@ -12,10 +12,11 @@ features, which keeps the weighting data-driven and reproducible.
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
+from .artifacts import csv_text
 from .errors import NumericFault, ValidationError
 from .metrics import METRIC_NAMES, MetricReport
 from .rng import SplitMix64
@@ -104,6 +105,11 @@ class WeightVector:
         return self.w.size
 
 
+def order_by_cc(scores: Mapping[str, float]) -> List[str]:
+    """Model labels by descending closeness coefficient, ties broken by label: the one winner rule."""
+    return sorted(scores, key=lambda label: (-scores[label], label))
+
+
 @dataclass(eq=False)
 class RankingResult:
     """Closeness coefficients and derived ordering for one context."""
@@ -118,9 +124,7 @@ class RankingResult:
 
     def __post_init__(self):
         if not self.order:
-            # descending CC, ties broken lexicographically by model label
-            idx = sorted(range(len(self.models)), key=lambda i: (-self.cc[i], self.models[i]))
-            self.order = [self.models[i] for i in idx]
+            self.order = order_by_cc(dict(zip(self.models, self.cc)))
 
     def rank_of(self, label: str) -> int:
         return self.order.index(label) + 1
@@ -241,7 +245,7 @@ def _column_entropy(col: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)) / math.log(m))
 
 
-def entropy_target_weights(n_matrix: np.ndarray, criteria: Sequence[Criterion] = None) -> WeightVector:
+def entropy_target_weights(n_matrix: np.ndarray) -> WeightVector:
     """Entropy-method weights: dispersion-rich columns earn more weight.
 
     Per column: min-max rescale, renormalize to a probability vector, take
@@ -441,57 +445,29 @@ def rank_all(
     reports: Dict[Tuple[str, str], List[Tuple[str, MetricReport]]],
     weight_source: WeightSource = "uniform",
     criteria: Sequence[Criterion] = None,
-) -> Tuple[List[RankingResult], Dict[Tuple[str, str], Tuple[WeightVector, str]], List[dict]]:
-    """Rank every context and assemble heatmap and top-5 table data.
+) -> Tuple[List[RankingResult], Dict[Tuple[str, str], Tuple[WeightVector, str]]]:
+    """Rank every context.
 
     `reports` maps (zone, season) contexts to per-model metric reports.
-    Returns the per-context results, the weight vector actually used per
-    context, and top-5 rows carrying each model's raw headline metrics.
+    Returns the per-context results in context order and the weight
+    vector actually used per context.
     """
     if not reports:
         raise ValidationError("no contexts to rank")
     criteria = list(criteria) if criteria else default_criteria()
     results: List[RankingResult] = []
     weights_used: Dict[Tuple[str, str], Tuple[WeightVector, str]] = {}
-    top5_rows: List[dict] = []
     for context in sorted(reports):
-        model_reports = reports[context]
-        dm = assemble_matrix(model_reports, criteria, context=context)
+        dm = assemble_matrix(reports[context], criteria, context=context)
         wv, source_name = resolve_weights(dm, weight_source)
-        res = rank_matrix(dm, wv)
-        results.append(res)
+        results.append(rank_matrix(dm, wv))
         weights_used[context] = (wv, source_name)
-        by_label = dict(model_reports)
-        for rank, label in enumerate(res.order[:5], start=1):
-            rep = by_label[label]
-            top5_rows.append(
-                {
-                    "zone": context[0],
-                    "season": context[1],
-                    "rank": rank,
-                    "model": label,
-                    "score": float(res.cc[res.models.index(label)]),
-                    "bias": rep.bias,
-                    "rmse": rep.rmse,
-                    "kge": rep.kge,
-                    "nse": rep.nse,
-                    "pdf_overlap": rep.pdf_overlap,
-                }
-            )
-    return results, weights_used, top5_rows
+    return results, weights_used
 
 
-def heatmap_table(results: Sequence[RankingResult]) -> Tuple[List[str], List[str], np.ndarray]:
-    """Models x contexts matrix of closeness coefficients."""
-    if not results:
-        raise ValidationError("no ranking results")
-    models = sorted(results[0].models)
-    contexts = []
-    matrix = np.zeros((len(models), len(results)))
-    for j, res in enumerate(results):
-        if sorted(res.models) != models:
-            raise ValidationError("ranking results cover different model sets")
-        contexts.append(f"{res.context[0]}/{res.context[1]}")
-        for i, label in enumerate(models):
-            matrix[i, j] = res.cc[res.models.index(label)]
-    return models, contexts, matrix
+def heatmap_csv(cc: Dict[Tuple[str, str], Dict[str, float]]) -> str:
+    """The models x contexts table of closeness coefficients, from {(zone, season): {model: cc}}."""
+    contexts = sorted(cc)
+    models = sorted(cc[contexts[0]])
+    return csv_text(["model"] + [f"{z}/{s}" for z, s in contexts],
+                    ([label] + [cc[ctx][label] for ctx in contexts] for label in models))

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from gcmkit import gcf
+from gcmkit.artifacts import RunManifest
 from gcmkit.cli import main
 from gcmkit.fixtures import GOOD_MODEL, make_csv_fixture, make_ranking_fixture
 
@@ -75,13 +77,13 @@ class TestRegridAndMetrics:
         obs = gcf.read_cube(like)
         gcf.write_cube(regrid_bilinear(gcf.read_cube(model), obs.lat, obs.lon), expected)
         payload_reads = []
-        real_load = gcf._load_payload
+        real_chunks = gcf._chunks
 
-        def recording_load(path, count):
+        def recording_chunks(path, header, chunk):
             payload_reads.append(path)
-            return real_load(path, count)
+            return real_chunks(path, header, chunk)
 
-        monkeypatch.setattr(gcf, "_load_payload", recording_load)
+        monkeypatch.setattr(gcf, "_chunks", recording_chunks)
         dest = str(tmp_path / "regridded")
         assert main(["regrid", model, "--like", like, dest]) == 0
         assert payload_reads == [model]
@@ -244,8 +246,8 @@ class TestRank:
             assert stream[key] == pytest.approx(mem[key], rel=1e-7, abs=1e-9)
 
 
-    @pytest.mark.parametrize("extra", [[], ["--full-scale"]], ids=["rank", "full-scale"])
-    def test_full_scale_names_non_finite_payload(self, tmp_path, fixture_paths, capsys, extra):
+    @pytest.mark.parametrize("command", ["rank", "full-scale", "metrics"])
+    def test_full_scale_names_non_finite_payload(self, tmp_path, fixture_paths, capsys, command):
         config = json.load(open(fixture_paths["config"]))
         for spec in config["models"]:
             dest = str(tmp_path / f"rg_{spec['label']}")
@@ -259,9 +261,25 @@ class TestRank:
             fh.write(data.astype("<f4").tobytes())
         cfg_path = tmp_path / "nan.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), *extra]) == 2
+        argv = {
+            "rank": ["rank", "--config", str(cfg_path), "--out", str(tmp_path)],
+            "full-scale": ["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--full-scale"],
+            "metrics": ["metrics", "--model", bad, "--obs", fixture_paths["obs"], "--mask", fixture_paths["mask"]],
+        }[command]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert bad in err and "time index 100" in err
+
+    def test_model_without_payload_exits_2_naming_it(self, tmp_path, fixture_paths, capsys):
+        config = json.load(open(fixture_paths["config"]))
+        bad = str(tmp_path / "no_payload")
+        shutil.copytree(config["models"][-1]["path"], bad)
+        os.remove(os.path.join(bad, "data.bin"))
+        config["models"][-1]["path"] = bad
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert f"no data.bin under {bad}" in capsys.readouterr().err
 
 
 class TestDownscaleCli:
@@ -388,9 +406,12 @@ class TestReport:
             ("ranking.csv", lambda text: text.split("\n")[0] + "\n"),
             ("ranking.csv", lambda text: text.replace("context,model,cc,", "ctx,label,score,", 1)),
             ("ranking.csv", lambda text: text + "tropical/ANNUAL\n"),
+            ("ranking.csv", lambda text: text.replace("\narid/ANNUAL,", "\nboreal/ANNUAL,")),
+            ("ranking.csv", lambda text: text.replace("\narid/ANNUAL,", "\narid/YEAR,")),
+            ("ranking.csv", lambda text: text[: text.rindex("\n", 0, -1) + 1]),
         ],
         ids=["malformed-config", "config-without-mask", "header-only-ranking", "ranking-without-columns",
-             "short-ranking-row"],
+             "short-ranking-row", "unknown-zone", "unknown-season", "context-missing-a-model"],
     )
     def test_broken_rank_dir_exits_2_naming_the_file(self, tmp_path, rank_run, capsys, name, edit):
         run = tmp_path / "run"
@@ -398,6 +419,24 @@ class TestReport:
         (run / name).write_text(edit((run / name).read_text()))
         assert main(["report", "--run", str(run), "--out", str(tmp_path), "--name", "rep"]) == 2
         assert str(run / name) in capsys.readouterr().err
+
+    def test_tables_share_rows_with_ranking_csv(self, tmp_path, rank_run):
+        """fig3_heatmap.csv is the rank run's heatmap.csv, and top5.csv is ranking.csv's rank <= 5 rows."""
+        assert main(["report", "--run", rank_run, "--out", str(tmp_path), "--name", "rep"]) == 0
+        with open(os.path.join(rank_run, "heatmap.csv"), "rb") as a, open(tmp_path / "rep" / "fig3_heatmap.csv", "rb") as b:
+            assert a.read() == b.read()
+        with open(os.path.join(rank_run, "ranking.csv")) as fh:
+            ranking = [row for row in csv.DictReader(fh) if int(row["rank"]) <= 5]
+        with open(os.path.join(rank_run, "top5.csv")) as fh:
+            top5 = list(csv.DictReader(fh))
+        headline = ("bias", "rmse", "kge", "nse", "pdf_overlap")
+        assert [(row["context"], row["rank"], row["model"], row["cc"], *map(row.get, headline)) for row in ranking] == [
+            (f"{row['zone']}/{row['season']}", row["rank"], row["model"], row["score"], *map(row.get, headline))
+            for row in top5
+        ]
+        config = json.load(open(os.path.join(rank_run, "config.json")))
+        assert all(row["model"] in {spec["label"] for spec in config["models"]} for row in top5)
+        assert {row["zone"] for row in top5} == set(config["zones"])
 
     def test_empty_run_dir_errors(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -438,8 +477,65 @@ class TestManifest:
         uniform = tmp_path / "uniform.json"
         uniform.write_text(json.dumps(config))
         assert main(["rank", "--config", str(uniform), "--out", out, "--name", "rank"]) == 0
-        outputs = json.load(open(os.path.join(out, "rank", "manifest.json")))["outputs"]
+        outputs = _assert_manifest_covers(os.path.join(out, "rank"))
         assert not [rel for rel in outputs if rel.startswith("weightnet")]
+
+    def test_rerun_removes_only_listed_files_inside_the_run_dir(self, tmp_path):
+        run = tmp_path / "run"
+        (run / "ckpt").mkdir(parents=True)
+        for rel in ("ckpt/params.bin", "listed.csv", "unlisted.csv", "../outside.csv"):
+            (run / rel).write_text(rel)
+        listed = ["ckpt/params.bin", "listed.csv", "../outside.csv", str(tmp_path / "outside.csv"), "missing.csv"]
+        (run / "manifest.json").write_text(json.dumps({"outputs": {rel: "0" * 64 for rel in listed + ["kept.csv"]}}))
+        manifest = RunManifest(str(run), "hash")
+        manifest.put("kept.csv", "new")
+        assert sorted(os.listdir(run)) == ["ckpt", "kept.csv", "listed.csv", "manifest.json", "unlisted.csv"]
+        manifest.write()
+        assert sorted(os.listdir(run)) == ["kept.csv", "manifest.json", "timing.json", "unlisted.csv"]
+        assert (run / "kept.csv").read_text() == "new"
+        assert (tmp_path / "outside.csv").read_text() == "../outside.csv"
+
+    def test_failed_rerun_keeps_the_previous_run(self, tmp_path, fixture_paths, rank_run, capsys):
+        out = str(tmp_path)
+        shutil.copytree(rank_run, os.path.join(out, "rank"))
+        before = _assert_manifest_covers(os.path.join(out, "rank"))
+        config = json.load(open(fixture_paths["config"]))
+        bad = str(tmp_path / "no_payload")
+        shutil.copytree(config["models"][-1]["path"], bad)
+        os.remove(os.path.join(bad, "data.bin"))
+        config["models"][-1]["path"] = bad
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(cfg_path), "--out", out, "--name", "rank"]) == 2
+        assert f"no data.bin under {bad}" in capsys.readouterr().err
+        assert _assert_manifest_covers(os.path.join(out, "rank")) == before
+
+    def test_report_into_the_run_it_reads_exits_2(self, tmp_path, rank_run, capsys):
+        out = str(tmp_path)
+        shutil.copytree(rank_run, os.path.join(out, "rank"))
+        before = _assert_manifest_covers(os.path.join(out, "rank"))
+        assert main(["report", "--run", os.path.join(out, "rank"), "--out", out, "--name", "rank"]) == 2
+        assert "would replace the run it reads" in capsys.readouterr().err
+        assert _assert_manifest_covers(os.path.join(out, "rank")) == before
+
+
+def test_only_the_writer_modules_open_files_for_writing():
+    """Run files reach disk through `artifacts`; elsewhere only cli.py (the --dest and --report
+    files a user names) and fixtures.py may open a file in a write mode."""
+    package = os.path.dirname(gcf.__file__)
+    writers = set()
+    for root, _, names in os.walk(package):
+        for name in (n for n in names if n.endswith(".py")):
+            path = os.path.join(root, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+                if getattr(call.func, "id", getattr(call.func, "attr", None)) != "open":
+                    continue
+                mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+                if mode is not None and not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt")):
+                    writers.add(os.path.relpath(path, package))
+    assert writers <= {"artifacts.py", "cli.py", "fixtures.py"}, writers
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ from gcmkit import downscale as ds
 from gcmkit import tensorcore as tc
 from gcmkit.downscale.archs import _stride_plan
 from gcmkit.errors import ValidationError
+from gcmkit.pipeline import run_downscale
 from gcmkit.rng import SplitMix64
 from gcmkit.tensorcore.tensor import Tensor
 
@@ -402,11 +403,10 @@ class TestTrainer:
         for (name, _), saved in zip(res.model.params(), after_first):
             assert np.array_equal(arrays[name], saved), name
 
-    def test_log_csv_columns(self, tmp_path, mini_data):
-        cfg = mini_cfg("vit", seed=24)
-        log_path = str(tmp_path / "log.csv")
-        ds.train(cfg, mini_data, ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3), log_path=log_path)
-        lines = open(log_path).read().strip().split("\n")
+    def test_log_csv_columns(self, tmp_path):
+        overrides = {"epochs": 2, "batch_size": 3, "learning_rate": 1e-3}
+        run_downscale(str(tmp_path), archs=("vit",), seed=24, train_overrides=overrides)
+        lines = open(tmp_path / "vit_train_log.csv").read().strip().split("\n")
         assert lines[0] == "epoch,train_loss,val_loss,wall_ms"
         assert len(lines) == 3
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcmkit import metrics as mx
+from gcmkit.artifacts import json_text
 from gcmkit.errors import ValidationError
 from gcmkit.geogrid import ANNUAL, DJF, GridAxis, date_range
 from gcmkit.metrics import (
@@ -398,4 +399,4 @@ class TestSerialization:
         assert len(lines) == 2
         header = lines[0].split(",")
         assert "kge" in header and "kge_valid" in header and "n" in header
-        (tmp_path / "rep.json").write_text(mx.report_rows_to_json([row]))
+        (tmp_path / "rep.json").write_text(json_text([row]))
