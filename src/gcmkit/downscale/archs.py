@@ -18,7 +18,10 @@ Every model maps a coarse input sequence (n, t, c, h, w) to a fine field
 Models standardize nothing themselves: `forward` is raw-in/raw-out, and
 `predict` applies the stored input/output normalization that the trainer
 fits. Initialization draws from per-model SplitMix64 streams, so identical
-seeds rebuild identical parameters.
+seeds rebuild identical parameters. Each model's state is one ordered list
+of live arrays, `state_entries()` (parameters, then buffers, then the
+norm): checkpoints, the trainer's snapshots and `load_model` all go
+through it, and a malformed checkpoint raises ValidationError naming it.
 """
 
 from dataclasses import asdict, dataclass
@@ -112,37 +115,25 @@ class _UpsampleHead:
 
 
 class _NormState:
-    """Input/output standardization fitted by the trainer."""
+    """Input/output standardization fitted by the trainer, as 0-d arrays set in place."""
+
+    KEYS = ("in_mean", "in_sd", "out_mean", "out_sd")
 
     def __init__(self):
-        self.in_mean = 0.0
-        self.in_sd = 1.0
-        self.out_mean = 0.0
-        self.out_sd = 1.0
+        self.in_mean = np.array(0.0)
+        self.in_sd = np.array(1.0)
+        self.out_mean = np.array(0.0)
+        self.out_sd = np.array(1.0)
 
     def fit(self, inputs: np.ndarray, targets: np.ndarray):
-        self.in_mean = float(np.mean(inputs))
-        self.in_sd = float(np.std(inputs)) or 1.0
-        self.out_mean = float(np.mean(targets))
-        self.out_sd = float(np.std(targets)) or 1.0
-
-    def entries(self):
-        return [
-            ("norm.in_mean", np.array(self.in_mean)),
-            ("norm.in_sd", np.array(self.in_sd)),
-            ("norm.out_mean", np.array(self.out_mean)),
-            ("norm.out_sd", np.array(self.out_sd)),
-        ]
-
-    def load(self, arrays):
-        self.in_mean = float(arrays["norm.in_mean"])
-        self.in_sd = float(arrays["norm.in_sd"])
-        self.out_mean = float(arrays["norm.out_mean"])
-        self.out_sd = float(arrays["norm.out_sd"])
+        self.in_mean[...] = np.mean(inputs)
+        self.in_sd[...] = np.std(inputs) or 1.0
+        self.out_mean[...] = np.mean(targets)
+        self.out_sd[...] = np.std(targets) or 1.0
 
 
 class DownscaleModel:
-    """Shared surface: forward/predict, parameter lists, checkpoint I/O."""
+    """Shared surface: predict, the live state list and the checkpoint (entries, meta)."""
 
     def __init__(self, cfg: ArchConfig):
         self.cfg = cfg
@@ -151,17 +142,14 @@ class DownscaleModel:
 
     # subclasses define forward(x, coords, training) and params()
 
-    def params(self):
-        raise NotImplementedError
-
-    def extra_state(self):
+    def buffers(self):
+        """Non-trained (name, array) state that the layers update in place; none by default."""
         return []
 
     def state_entries(self):
-        entries = [(name, t.data) for name, t in self.params()]
-        entries.extend(self.extra_state())
-        entries.extend(self.norm.entries())
-        return entries
+        """The live state arrays as (name, array): parameters, then buffers, then the norm."""
+        norm = [(f"norm.{key}", getattr(self.norm, key)) for key in _NormState.KEYS]
+        return [(name, t.data) for name, t in self.params()] + self.buffers() + norm
 
     def predict(self, x: np.ndarray, coords: Optional[np.ndarray] = None, batch: int = 64) -> np.ndarray:
         """Raw-unit inference in eval mode without a graph, batched to bound memory."""
@@ -174,7 +162,7 @@ class DownscaleModel:
         return np.concatenate(outs, axis=0)
 
     def checkpoint(self):
-        """(entries, meta) for `tc.encode_checkpoint` / `tc.save_checkpoint`."""
+        """(entries, meta) for `tc.encode_checkpoint`."""
         meta = {
             "kind": self.cfg.kind,
             "config": asdict(self.cfg),
@@ -182,23 +170,6 @@ class DownscaleModel:
             "step": self.step_count,
         }
         return self.state_entries(), meta
-
-    def save(self, path: str) -> None:
-        tc.save_checkpoint(path, *self.checkpoint())
-
-    def load_arrays(self, arrays) -> None:
-        for name, tensor in self.params():
-            if name not in arrays:
-                raise ValidationError(f"checkpoint missing parameter {name!r}")
-            if arrays[name].shape != tensor.data.shape:
-                raise ValidationError(f"checkpoint shape mismatch for {name!r}")
-            tensor.data[...] = arrays[name]
-        for name, _ in self.extra_state():
-            self._load_extra(name, arrays[name])
-        self.norm.load(arrays)
-
-    def _load_extra(self, name, value):
-        raise ValidationError(f"unknown state entry {name!r}")
 
 
 class CnnLstm(DownscaleModel):
@@ -264,18 +235,8 @@ class ConvLstmNet(DownscaleModel):
         out.extend(self.head.params())
         return out
 
-    def extra_state(self):
-        out = []
-        for bn in self.norms:
-            out.extend(bn.state_entries())
-        return out
-
-    def _load_extra(self, name, value):
-        for bn in self.norms:
-            if name.startswith(bn.name + "."):
-                bn.load_state(name, value)
-                return
-        raise ValidationError(f"unknown state entry {name!r}")
+    def buffers(self):
+        return [entry for bn in self.norms for entry in bn.buffers()]
 
     def forward(self, x: np.ndarray, coords=None, training: bool = False) -> Tensor:
         n, t, c, h, w = x.shape
@@ -433,15 +394,17 @@ def build_model(cfg: ArchConfig, coarse_hw: Tuple[int, int]) -> DownscaleModel:
 
 
 def load_model(path: str, coarse_hw: Tuple[int, int]) -> DownscaleModel:
+    """The model saved at `path`; a malformed checkpoint raises ValidationError naming it."""
     arrays, meta = tc.load_checkpoint(path)
-    cfg_dict = dict(meta["config"])
-    for key in ("conv_channels", "convlstm_hidden"):
-        if key in cfg_dict:
-            cfg_dict[key] = tuple(cfg_dict[key])
-    cfg = ArchConfig(**cfg_dict)
-    model = build_model(cfg, coarse_hw)
-    model.step_count = int(meta.get("step", 0))
-    model.load_arrays(arrays)
+    if not isinstance(meta.get("config"), dict):
+        raise ValidationError(f"checkpoint {path} has no architecture config")
+    try:
+        cfg = ArchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()})
+        model = build_model(cfg, coarse_hw)
+        model.step_count = int(meta.get("step", 0))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"checkpoint {path} holds a bad architecture config: {exc}") from None
+    tc.load_state(model.state_entries(), arrays, path)
     return model
 
 

@@ -63,11 +63,11 @@ class TrainResult:
 
 
 def _snapshot(model: DownscaleModel):
-    return [(name, arr.copy()) for name, arr in model.state_entries()]
+    return {name: arr.copy() for name, arr in model.state_entries()}
 
 
 def _restore(model: DownscaleModel, snapshot):
-    model.load_arrays(dict(snapshot))
+    tc.load_state(model.state_entries(), snapshot, "training snapshot")
 
 
 def train(
@@ -101,7 +101,7 @@ def train(
     model.norm.fit(x_train, y_train)
     xs = (data.inputs - model.norm.in_mean) / model.norm.in_sd
     ys = (data.targets - model.norm.out_mean) / model.norm.out_sd
-    raw_scale = model.norm.out_sd ** 2
+    raw_scale = float(model.norm.out_sd) ** 2
 
     coords = None
     if cfg.kind in ("vit", "geostanet"):

@@ -8,16 +8,10 @@ numeric faults exit 3, I/O errors (plain OSError) exit 4.
 class GcmkitError(Exception):
     """Base class for errors raised by this package."""
 
-    exit_code = 1
-
 
 class ValidationError(GcmkitError, ValueError):
     """Malformed input: bad files, shape mismatches, broken invariants."""
 
-    exit_code = 2
-
 
 class NumericFault(GcmkitError, ArithmeticError):
     """NaN or Inf appeared where a finite value is required."""
-
-    exit_code = 3

@@ -285,15 +285,6 @@ def regrid_bilinear(src: DataCube, dst_lat: GridAxis, dst_lon: GridAxis) -> Data
     return DataCube(dst_lat, dst_lon, src.time, src.calendar, src.variable, out, src.fill, src.units)
 
 
-def apply_mask(cube: DataCube, mask: ZoneMask, keep: Iterable[int]) -> DataCube:
-    """Set every cell whose zone code is not in `keep` to fill."""
-    if not (np.array_equal(cube.lat.values, mask.lat.values) and np.array_equal(cube.lon.values, mask.lon.values)):
-        raise ValidationError("mask axes do not match cube axes; regrid the mask first")
-    keep_cells = mask.cells_in(set(keep))
-    out = np.where(keep_cells[None, :, :], cube.data, cube.fill)
-    return replace(cube, data=out)
-
-
 def check_dtr_pair(tasmax, tasmin) -> None:
     """tasmax and tasmin (cubes or headers) must share axes, times, calendar and units."""
     if (tasmax.lat, tasmax.lon, tasmax.time, tasmax.calendar) != (tasmin.lat, tasmin.lon, tasmin.time, tasmin.calendar):

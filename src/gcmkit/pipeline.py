@@ -113,8 +113,11 @@ class PipelineConfig:
         _require(len(raw["models"]) >= 2, stage, "ranking needs at least 2 models")
         for i, m in enumerate(raw["models"]):
             _require(isinstance(m, dict), stage, f"models[{i}] must be a JSON object, got {m!r}")
-        labels = [m.get("label") for m in raw["models"]]
-        _require(all(labels), stage, "every model needs a label")
+            label = m.get("label")
+            # labels are CSV cells of ranking.csv and top5.csv, which are not quoted
+            _require(isinstance(label, str) and label and not any(c in label for c in ",\n\r"), stage,
+                     f"models[{i}].label must be a non-empty string without ',' or a line break, got {label!r}")
+        labels = [m["label"] for m in raw["models"]]
         _require(len(set(labels)) == len(labels), stage, "model labels must be unique")
         _require("reference" in raw, stage, "reference cube required")
         _require("mask" in raw, stage, "zone mask required")
@@ -124,13 +127,17 @@ class PipelineConfig:
                     _require(os.path.isdir(spec[key]), stage, f"{where}: missing path {spec[key]}")
         _require(os.path.isdir(raw["mask"]), stage, f"mask path {raw['mask']} does not exist")
 
-        seasons = tuple(raw.get("seasons", ALL_SEASON_IDS))
-        _require(all(s in SEASONS for s in seasons), stage, f"unknown season in {seasons}")
-        zones = tuple(raw.get("zones", DEFAULT_ZONE_KEYS))
+        seasons = tuple(_typed(raw, "seasons", list(ALL_SEASON_IDS), (list,)))
         _require(
-            all(z in ZONE_BY_NAME or z == ZONE_OVERALL for z in zones),
+            seasons and all(isinstance(s, str) and s in SEASONS for s in seasons),
             stage,
-            f"zones must name {sorted(ZONE_BY_NAME)} or {ZONE_OVERALL!r}",
+            f"seasons must name some of {list(SEASONS)}",
+        )
+        zones = tuple(_typed(raw, "zones", list(DEFAULT_ZONE_KEYS), (list,)))
+        _require(
+            zones and all(isinstance(z, str) and (z in ZONE_BY_NAME or z == ZONE_OVERALL) for z in zones),
+            stage,
+            f"zones must name some of {sorted(ZONE_BY_NAME)} or {ZONE_OVERALL!r}",
         )
         names = raw.get("criteria")
         criteria = default_criteria(tuple(names)) if names else default_criteria()

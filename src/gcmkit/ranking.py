@@ -126,9 +126,6 @@ class RankingResult:
         if not self.order:
             self.order = order_by_cc(dict(zip(self.models, self.cc)))
 
-    def rank_of(self, label: str) -> int:
-        return self.order.index(label) + 1
-
 
 def assemble_matrix(
     reports: Sequence[Tuple[str, MetricReport]],
@@ -315,6 +312,9 @@ class WeightNet:
     def params(self):
         return self.fc1.params() + self.fc2.params() + self.fc3.params()
 
+    def state_entries(self):
+        return [(name, t.data) for name, t in self.params()]
+
     def forward(self, features: np.ndarray) -> tc.Tensor:
         x = tc.Tensor(np.atleast_2d(features))
         h = self.fc1(x).relu()
@@ -328,27 +328,21 @@ class WeightNet:
         return WeightVector(out / out.sum())
 
     def checkpoint(self):
-        """(entries, meta) for `tc.encode_checkpoint` / `tc.save_checkpoint`."""
-        entries = [(name, t.data) for name, t in self.params()]
+        """(entries, meta) for `tc.encode_checkpoint`."""
         meta = {"kind": "weightnet", "n_criteria": self.n_criteria, "seed": self.seed, "step": self.step_count}
-        return entries, meta
-
-    def save(self, path: str) -> None:
-        tc.save_checkpoint(path, *self.checkpoint())
+        return self.state_entries(), meta
 
     @classmethod
     def load(cls, path: str) -> "WeightNet":
         arrays, meta = tc.load_checkpoint(path)
         if meta.get("kind") != "weightnet":
             raise ValidationError(f"checkpoint at {path} is not a weight network")
-        net = cls(int(meta["n_criteria"]), seed=int(meta["seed"]))
-        net.step_count = int(meta.get("step", 0))
-        for name, tensor in net.params():
-            if name not in arrays:
-                raise ValidationError(f"checkpoint missing parameter {name!r}")
-            if arrays[name].shape != tensor.data.shape:
-                raise ValidationError(f"checkpoint shape mismatch for {name!r}")
-            tensor.data[...] = arrays[name]
+        try:
+            net = cls(int(meta["n_criteria"]), seed=int(meta["seed"]))
+            net.step_count = int(meta.get("step", 0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"checkpoint at {path} has a bad weight-network meta: {exc!r}") from None
+        tc.load_state(net.state_entries(), arrays, path)
         return net
 
 

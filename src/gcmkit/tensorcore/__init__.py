@@ -1,6 +1,6 @@
 """Minimal deterministic reverse-mode autodiff engine."""
 
-from .checkpoint import encode_checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import encode_checkpoint, load_checkpoint, load_state
 from .gradcheck import grad_check
 from .nn import (
     BatchNorm2d,
@@ -47,11 +47,11 @@ __all__ = [
     "he_uniform",
     "layer_norm",
     "load_checkpoint",
+    "load_state",
     "lstm_cell",
     "lstm_gates",
     "make_optimizer",
     "mse",
     "no_grad",
-    "save_checkpoint",
     "softmax",
 ]

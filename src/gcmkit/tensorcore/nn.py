@@ -1,10 +1,11 @@
 """Neural-net building blocks on top of the autodiff core.
 
 Layers draw their parameters from a SplitMix64 stream (He-uniform for
-dense/conv weights, zero biases), expose `params()` as an ordered
-(name, Tensor) list, and `state_entries()` adding non-trained state such
-as batch-norm running statistics. Ordering is part of the checkpoint
-contract.
+dense/conv weights, zero biases) and expose `params()` as an ordered
+(name, Tensor) list. Non-trained state, the batch-norm running statistics,
+is `buffers()`: a (name, array) list of arrays that the layer updates in
+place. A network's `state_entries()` lists the live arrays of both, and
+its order is the checkpoint contract.
 """
 
 import math
@@ -191,8 +192,9 @@ class BatchNorm2d:
     """Per-channel batch normalization with running statistics.
 
     Training mode normalizes with batch statistics and updates the running
-    mean/var (momentum 0.9); eval mode normalizes with the stored running
-    statistics, so inference is batch-independent.
+    mean/var in place (momentum 0.9), so `buffers()` stays the live state;
+    eval mode normalizes with the stored running statistics, so inference
+    is batch-independent.
     """
 
     def __init__(self, channels, momentum=0.9, eps=1e-5, name="bn"):
@@ -206,26 +208,15 @@ class BatchNorm2d:
         stats = None if training else (self.running_mean, self.running_var)
         out, mu, var = batch_norm(x, self.gamma, self.beta, self.eps, stats)
         if training:
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mu
+            self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
         return out
 
     def params(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
 
-    def state_entries(self):
-        return [
-            (f"{self.name}.running_mean", self.running_mean),
-            (f"{self.name}.running_var", self.running_var),
-        ]
-
-    def load_state(self, name: str, value: np.ndarray):
-        if name.endswith("running_mean"):
-            self.running_mean = value.copy()
-        elif name.endswith("running_var"):
-            self.running_var = value.copy()
-        else:
-            raise ValidationError(f"unknown state entry {name!r}")
+    def buffers(self):
+        return [(f"{self.name}.running_mean", self.running_mean), (f"{self.name}.running_var", self.running_var)]
 
 
 class MultiHeadAttention:

@@ -18,6 +18,7 @@ from gcmkit import metrics as mx
 from gcmkit import pipeline
 from gcmkit import ranking as rk
 from gcmkit import tensorcore as tc
+from gcmkit.artifacts import write_files
 from gcmkit.downscale.presets import desk_arch_config, desk_train_config
 from gcmkit.fixtures import GOOD_MODEL, make_ranking_fixture
 from gcmkit.geogrid import (
@@ -361,7 +362,7 @@ def test_c9_round_trip_bit_identity(tmp_path):
             cfg = ds.ArchConfig(kind=kind, seed=31, **mini)
             res = ds.train(cfg, data, ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3))
             path = str(tmp_path / f"{kind}.ckpt")
-            res.model.save(path)
+            write_files(path, tc.encode_checkpoint(*res.model.checkpoint()))
             back = ds.load_model(path, data.coarse_hw)
             for (name, a), (_, b) in zip(res.model.state_entries(), back.state_entries()):
                 assert np.array_equal(a, b), f"{kind}: {name} differs after reload"

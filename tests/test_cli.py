@@ -29,6 +29,14 @@ def rank_run(tmp_path_factory, fixture_paths):
     return os.path.join(out_root, "run")
 
 
+@pytest.fixture(scope="module")
+def vit_ckpt(tmp_path_factory):
+    """The vit.ckpt directory of a one-epoch downscale run; tests copy it before editing."""
+    out_root = str(tmp_path_factory.mktemp("ds"))
+    assert main(["downscale", "train", "--arch", "vit", "--epochs", "1", "--out", out_root, "--name", "ds"]) == 0
+    return os.path.join(out_root, "ds", "vit.ckpt")
+
+
 class TestIngest:
     def test_csv_to_gcf(self, tmp_path):
         csv_path = make_csv_fixture(str(tmp_path / "fx.csv"))
@@ -186,8 +194,20 @@ class TestRank:
             (lambda config: {**config, "seed": "one"}, "seed"),
             (lambda config: {**config, "pdf_bins": "many"}, "pdf_bins"),
             (lambda config: {**config, "weightnet": {"epochs": "ten"}}, "weightnet.epochs"),
+            (lambda config: {**config, "models": [{**config["models"][0], "label": 5}, *config["models"][1:]]},
+             "models[0].label"),
+            (lambda config: {**config, "models": [*config["models"][:2], {**config["models"][2], "label": "a,b"}]},
+             "models[2].label"),
+            (lambda config: {**config, "models": [{**config["models"][0], "label": "a\nb"}, *config["models"][1:]]},
+             "models[0].label"),
+            (lambda config: {**config, "models": [{**config["models"][0], "label": "a\rb"}, *config["models"][1:]]},
+             "models[0].label"),
+            (lambda config: {**config, "seasons": []}, "seasons"),
+            (lambda config: {**config, "zones": []}, "zones"),
         ],
-        ids=["top-level-list", "model-entry", "weightnet-block", "seed", "pdf_bins", "weightnet-epochs"],
+        ids=["top-level-list", "model-entry", "weightnet-block", "seed", "pdf_bins", "weightnet-epochs",
+             "non-string-label", "label-with-comma", "label-with-newline", "label-with-return",
+             "no-seasons", "no-zones"],
     )
     def test_config_type_error_exits_2_naming_key_and_file(self, tmp_path, fixture_paths, capsys, edit, key):
         bad = tmp_path / "bad.json"
@@ -195,6 +215,20 @@ class TestRank:
         assert main(["rank", "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert key in err and str(bad) in err
+
+    @pytest.mark.parametrize("drop", ["n_criteria", "seed"])
+    def test_weight_checkpoint_with_bad_meta_exits_2_naming_it(self, tmp_path, fixture_paths, rank_run, capsys, drop):
+        ckpt = tmp_path / "weightnet.ckpt"
+        shutil.copytree(os.path.join(rank_run, "weightnet.ckpt"), ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["meta"][drop]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        config = {**json.load(open(fixture_paths["config"])), "weights": {"checkpoint": str(ckpt)}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and drop in err
 
     def test_constant_fields_score_a_perfect_pdf_overlap(self, tmp_path, fixture_paths):
         # bilinear regrid leaves a few ULPs of spread on a constant off-grid
@@ -375,6 +409,35 @@ class TestDownscaleCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "not valid JSON" in err and str(config) in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            None,
+            lambda manifest: manifest.pop("total"),
+            lambda manifest: manifest["meta"].pop("config"),
+            lambda manifest: manifest["meta"]["config"].update(colour="red"),
+            lambda manifest: manifest["meta"]["config"].update(heads=0),
+            lambda manifest: manifest["meta"]["config"].update(layers=1),
+            lambda manifest: manifest["entries"].pop(),  # norm.out_sd, the last entry
+        ],
+        ids=["manifest-not-json", "manifest-without-total", "meta-without-config", "unknown-config-key",
+             "zero-heads", "config-short-of-entries", "missing-norm-entry"],
+    )
+    def test_malformed_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vit_ckpt, edit):
+        ckpt = tmp_path / "vit.ckpt"
+        shutil.copytree(vit_ckpt, ckpt)
+        text = (ckpt / "manifest.json").read_text()
+        if edit is None:
+            text = text[: len(text) // 2]
+        else:
+            manifest = json.loads(text)
+            edit(manifest)
+            text = json.dumps(manifest)
+        (ckpt / "manifest.json").write_text(text)
+        assert main(["downscale", "eval", "--ckpt", str(ckpt), "--report", str(tmp_path / "eval.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "Traceback" not in err
 
 
 class TestReport:

@@ -7,6 +7,7 @@ import pytest
 
 from gcmkit import downscale as ds
 from gcmkit import tensorcore as tc
+from gcmkit.artifacts import write_files
 from gcmkit.downscale.archs import _stride_plan
 from gcmkit.errors import ValidationError
 from gcmkit.pipeline import run_downscale
@@ -346,7 +347,7 @@ class TestTrainer:
         def run(tag):
             path = str(tmp_path / f"{tag}.ckpt")
             res = ds.train(cfg, mini_data, tcfg)
-            res.model.save(path)
+            write_files(path, tc.encode_checkpoint(*res.model.checkpoint()))
             return res, path
 
         res1, p1 = run("a")
@@ -395,13 +396,36 @@ class TestTrainer:
         cfg = mini_cfg("cnn_lstm", seed=26)
         path = str(tmp_path / "poisoned.ckpt")
         res = ds.train(cfg, mini_data, ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3))
-        res.model.save(path)
+        write_files(path, tc.encode_checkpoint(*res.model.checkpoint()))
         assert res.aborted
         arrays, _ = tc.load_checkpoint(path)
         for name, arr in arrays.items():
             assert np.all(np.isfinite(arr)), name
         for (name, _), saved in zip(res.model.params(), after_first):
             assert np.array_equal(arrays[name], saved), name
+
+    def test_non_finite_parameter_step_restores_batch_norm_buffers(self, mini_data, monkeypatch):
+        # the running statistics change in place on every training forward, so
+        # the abort must restore step 1's copies, not arrays that alias them
+        cfg = mini_cfg("convlstm", seed=27)
+        model = ds.build_model(cfg, mini_data.coarse_hw)
+        real_step = tc.Adam.step
+        after_first = []
+
+        def poisoned_step(opt):
+            real_step(opt)
+            if opt.step_count == 1:
+                after_first.extend(arr.copy() for _, arr in model.buffers())
+            else:
+                opt.params[0].data[0] = np.nan
+
+        monkeypatch.setattr(tc.Adam, "step", poisoned_step)
+        res = ds.train(cfg, mini_data, ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3), model=model)
+        assert res.aborted
+        names = [name for name, _ in model.buffers()]
+        assert names == ["bn0.running_mean", "bn0.running_var", "bn1.running_mean", "bn1.running_var"]
+        for (name, arr), saved in zip(model.buffers(), after_first):
+            assert np.array_equal(arr, saved), name
 
     def test_log_csv_columns(self, tmp_path):
         overrides = {"epochs": 2, "batch_size": 3, "learning_rate": 1e-3}
@@ -423,7 +447,7 @@ class TestCheckpointReload:
         tcfg = ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3)
         path = str(tmp_path / f"{kind}.ckpt")
         res = ds.train(cfg, mini_data, tcfg)
-        res.model.save(path)
+        write_files(path, tc.encode_checkpoint(*res.model.checkpoint()))
         back = ds.load_model(path, mini_data.coarse_hw)
         for (name_a, a), (name_b, b) in zip(res.model.state_entries(), back.state_entries()):
             assert name_a == name_b

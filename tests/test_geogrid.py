@@ -15,7 +15,6 @@ from gcmkit.geogrid import (
     DataCube,
     GridAxis,
     ZoneMask,
-    apply_mask,
     bilinear_blend,
     bilinear_weights,
     block_mean,
@@ -192,29 +191,6 @@ class TestRegrid:
 
 
 class TestMaskDtrSeason:
-    def test_keep_all_is_identity(self, year_cube, all_land_mask):
-        out = apply_mask(year_cube, all_land_mask, {1, 2, 3, 4, 5})
-        assert np.array_equal(out.data, year_cube.data)
-
-    def test_keep_none_fills_everything(self, year_cube, all_land_mask):
-        out = apply_mask(year_cube, all_land_mask, set())
-        assert np.all(out.data == year_cube.fill)
-
-    def test_surviving_cells_match_mask_census(self, year_cube, all_land_mask):
-        out = apply_mask(year_cube, all_land_mask, {5})
-        survivors = int(np.count_nonzero(out.data[0] != out.fill))
-        assert survivors == int(np.count_nonzero(all_land_mask.codes == 5))
-
-    def test_mask_is_idempotent(self, year_cube, all_land_mask):
-        once = apply_mask(year_cube, all_land_mask, {1, 3})
-        twice = apply_mask(once, all_land_mask, {1, 3})
-        assert np.array_equal(once.data, twice.data)
-
-    def test_axis_mismatch_rejected(self, year_cube):
-        mask = ZoneMask(GridAxis([0.0, 1.0], "lat"), GridAxis([0.0, 1.0], "lon"), np.ones((2, 2), dtype=int))
-        with pytest.raises(ValidationError):
-            apply_mask(year_cube, mask, {1})
-
     def test_dtr_basics(self, tiny_cube):
         tasmax = dataclasses.replace(tiny_cube, variable="tasmax", data=tiny_cube.data + 10.0)
         tasmin = dataclasses.replace(tiny_cube, variable="tasmin", data=tiny_cube.data + 2.5)

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcmkit import ranking as rk
+from gcmkit import tensorcore as tc
+from gcmkit.artifacts import write_files
 from gcmkit.errors import ValidationError
 from gcmkit.metrics import METRIC_NAMES, MetricReport
 
@@ -240,7 +242,7 @@ class TestWeightNet:
         for (n1, t1), (n2, t2) in zip(net1.params(), net2.params()):
             assert np.array_equal(t1.data, t2.data)
         path = str(tmp_path / "net.ckpt")
-        net1.save(path)
+        write_files(path, tc.encode_checkpoint(*net1.checkpoint()))
         back = rk.WeightNet.load(path)
         for (_, a), (_, b) in zip(net1.params(), back.params()):
             assert np.array_equal(a.data, b.data)

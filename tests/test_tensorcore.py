@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gcmkit import tensorcore as tc
+from gcmkit.artifacts import write_files
 from gcmkit.errors import NumericFault, ValidationError
 from gcmkit.rng import SplitMix64
 from gcmkit.tensorcore.tensor import Tensor
@@ -425,7 +426,7 @@ class TestCheckpoints:
         ]
         meta = {"kind": "test", "seed": 31, "step": 12}
         path = str(tmp_path / "ck")
-        tc.save_checkpoint(path, entries, meta)
+        write_files(path, tc.encode_checkpoint(entries, meta))
         arrays, back_meta = tc.load_checkpoint(path)
         assert back_meta == meta
         for name, arr in entries:
@@ -434,11 +435,11 @@ class TestCheckpoints:
 
     def test_duplicate_names_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            tc.save_checkpoint(str(tmp_path / "ck"), [("x", np.zeros(1)), ("x", np.ones(1))], {})
+            tc.encode_checkpoint([("x", np.zeros(1)), ("x", np.ones(1))], {})
 
     def test_truncated_payload_detected(self, tmp_path):
         path = str(tmp_path / "ck")
-        tc.save_checkpoint(path, [("x", np.arange(8.0))], {})
+        write_files(path, tc.encode_checkpoint([("x", np.arange(8.0))], {}))
         with open(path + "/params.bin", "r+b") as fh:
             fh.truncate(8 * 4)
         with pytest.raises(ValidationError):
