@@ -13,7 +13,7 @@ import sys
 import tempfile
 
 from . import __version__, downscale as dsc, gcf, pipeline
-from .artifacts import json_text
+from .artifacts import json_text, write_files
 from .errors import NumericFault, ValidationError
 from .fixtures import GOOD_MODEL, make_ranking_fixture
 from .geogrid import SEASONS, regrid_bilinear
@@ -53,8 +53,7 @@ def cmd_metrics(args) -> int:
     row.update(rep.as_dict())
     if args.dest:
         text = json_text([row]) if args.dest.endswith(".json") else report_rows_to_csv([row])
-        with open(args.dest, "w") as fh:
-            fh.write(text)
+        write_files(os.path.dirname(args.dest) or ".", {os.path.basename(args.dest): text.encode()})
         print(f"report -> {args.dest}")
     else:
         print(json.dumps(row, indent=1, sort_keys=True))
@@ -78,6 +77,8 @@ def _read_pair_spec(path: str) -> dict:
     for key in ("coarse", "fine"):
         if key not in spec:
             raise ValidationError(f"data spec {path} lacks key {key!r}")
+        if not isinstance(spec[key], str):
+            raise ValidationError(f"data spec {path}: {key!r} must be a path string, got {spec[key]!r}")
     return spec
 
 
@@ -111,8 +112,7 @@ def cmd_downscale_eval(args) -> int:
     model = dsc.load_model(args.ckpt, test_set.coarse_hw)
     pred = dsc.predict_dataset(model, test_set)
     rows = dsc.comparison_table({model.cfg.kind: pred}, test_set)
-    with open(args.report, "w") as fh:
-        fh.write(report_rows_to_csv(rows))
+    write_files(os.path.dirname(args.report) or ".", {os.path.basename(args.report): report_rows_to_csv(rows).encode()})
     print(f"evaluation -> {args.report}")
     return 0
 

@@ -18,10 +18,12 @@ Every model maps a coarse input sequence (n, t, c, h, w) to a fine field
 Models standardize nothing themselves: `forward` is raw-in/raw-out, and
 `predict` applies the stored input/output normalization that the trainer
 fits. Initialization draws from per-model SplitMix64 streams, so identical
-seeds rebuild identical parameters. Each model's state is one ordered list
-of live arrays, `state_entries()` (parameters, then buffers, then the
-norm): checkpoints, the trainer's snapshots and `load_model` all go
-through it, and a malformed checkpoint raises ValidationError naming it.
+seeds rebuild identical parameters. Every model is a `tc.Module`: its
+state is found by one walk over its attributes, so attribute order is the
+checkpoint contract. `state_entries()` lists the live arrays (parameters,
+then buffers, then the norm); checkpoints, the trainer's snapshots and
+`load_model` all go through it, and a malformed checkpoint raises
+ValidationError naming it.
 """
 
 from dataclasses import asdict, dataclass
@@ -84,40 +86,31 @@ def _stride_plan(total: int) -> List[int]:
     return plan
 
 
-class _UpsampleHead:
+class _UpsampleHead(tc.Module):
     """Chain of stride-fold transposed convolutions ending in one channel."""
 
     def __init__(self, rng, c_in: int, total_factor: int, mid_channels: int, name: str):
         self.stages = []
         plan = _stride_plan(total_factor)
         if not plan:  # factor 1: plain 1x1 conv projection
-            self.stages.append(("conv", tc.Conv2d(rng.split(), c_in, 1, 1, name=f"{name}.proj")))
+            self.stages.append(tc.Conv2d(rng.split(), c_in, 1, 1, name=f"{name}.proj"))
             return
         c = c_in
         for i, s in enumerate(plan):
             c_out = 1 if i == len(plan) - 1 else mid_channels
-            layer = tc.ConvTranspose2d(rng.split(), c, c_out, k=s, stride=s, name=f"{name}.up{i}")
-            self.stages.append(("convT", layer))
+            self.stages.append(tc.ConvTranspose2d(rng.split(), c, c_out, k=s, stride=s, name=f"{name}.up{i}"))
             c = c_out
 
     def __call__(self, x: Tensor) -> Tensor:
-        for i, (_, layer) in enumerate(self.stages):
+        for i, layer in enumerate(self.stages):
             x = layer(x)
             if i < len(self.stages) - 1:
                 x = x.relu()
         return x
 
-    def params(self):
-        out = []
-        for _, layer in self.stages:
-            out.extend(layer.params())
-        return out
-
 
 class _NormState:
     """Input/output standardization fitted by the trainer, as 0-d arrays set in place."""
-
-    KEYS = ("in_mean", "in_sd", "out_mean", "out_sd")
 
     def __init__(self):
         self.in_mean = np.array(0.0)
@@ -132,7 +125,7 @@ class _NormState:
         self.out_sd[...] = np.std(targets) or 1.0
 
 
-class DownscaleModel:
+class DownscaleModel(tc.Module):
     """Shared surface: predict, the live state list and the checkpoint (entries, meta)."""
 
     def __init__(self, cfg: ArchConfig):
@@ -140,16 +133,10 @@ class DownscaleModel:
         self.norm = _NormState()
         self.step_count = 0
 
-    # subclasses define forward(x, coords, training) and params()
-
-    def buffers(self):
-        """Non-trained (name, array) state that the layers update in place; none by default."""
-        return []
-
     def state_entries(self):
         """The live state arrays as (name, array): parameters, then buffers, then the norm."""
-        norm = [(f"norm.{key}", getattr(self.norm, key)) for key in _NormState.KEYS]
-        return [(name, t.data) for name, t in self.params()] + self.buffers() + norm
+        norm = [(f"norm.{key}", arr) for key, arr in vars(self.norm).items()]
+        return super().state_entries() + norm
 
     def predict(self, x: np.ndarray, coords: Optional[np.ndarray] = None, batch: int = 64) -> np.ndarray:
         """Raw-unit inference in eval mode without a graph, batched to bound memory."""
@@ -188,14 +175,6 @@ class CnnLstm(DownscaleModel):
         self.cell = tc.LSTMCell(rng.split(), flat, cfg.lstm_hidden, name="lstm")
         self.head = tc.Dense(rng.split(), cfg.lstm_hidden, (self.h * cfg.factor) * (self.w * cfg.factor), name="head")
 
-    def params(self):
-        out = []
-        for conv in self.convs:
-            out.extend(conv.params())
-        out.extend(self.cell.params())
-        out.extend(self.head.params())
-        return out
-
     def forward(self, x: np.ndarray, coords=None, training: bool = False) -> Tensor:
         n, t, c, h, w = x.shape
         if (h, w) != (self.h, self.w):
@@ -219,36 +198,23 @@ class ConvLstmNet(DownscaleModel):
         self.h, self.w = coarse_hw
         rng = SplitMix64(cfg.seed)
         self.cells = []
-        self.norms = []
         c = cfg.in_channels
         for i, ch in enumerate(cfg.convlstm_hidden):
-            self.cells.append(tc.ConvLSTMCell(rng.split(), c, ch, cfg.kernel, name=f"cell{i}"))
-            self.norms.append(tc.BatchNorm2d(4 * ch, name=f"bn{i}"))
+            bn = tc.BatchNorm2d(4 * ch, name=f"bn{i}")
+            self.cells.append(tc.ConvLSTMCell(rng.split(), c, ch, cfg.kernel, name=f"cell{i}", bn=bn))
             c = ch
         self.head = _UpsampleHead(rng.split(), c, cfg.factor, cfg.up_channels, "head")
-
-    def params(self):
-        out = []
-        for cell, bn in zip(self.cells, self.norms):
-            out.extend(cell.params())
-            out.extend(bn.params())
-        out.extend(self.head.params())
-        return out
-
-    def buffers(self):
-        return [entry for bn in self.norms for entry in bn.buffers()]
 
     def forward(self, x: np.ndarray, coords=None, training: bool = False) -> Tensor:
         n, t, c, h, w = x.shape
         if (h, w) != (self.h, self.w):
             raise ValidationError(f"expected coarse grid {(self.h, self.w)}, got {(h, w)}")
         seq = [Tensor(x[:, step]) for step in range(t)]
-        for cell, bn in zip(self.cells, self.norms):
+        for cell in self.cells:
             h_t = c_t = None
             outputs = []
-            norm = (lambda z: bn(z, training=training))
             for frame in seq:
-                h_t, c_t = cell.step(frame, h_t, c_t, norm=norm)
+                h_t, c_t = cell.step(frame, h_t, c_t, training=training)
                 outputs.append(h_t)
             seq = outputs
         return self.head(seq[-1])[:, 0]
@@ -290,14 +256,6 @@ class ViTNet(DownscaleModel):
         self.ln = tc.LayerNorm(cfg.embed_dim, name="ln_out")
         self.cell_out = cfg.patch * cfg.factor
         self.head = tc.Dense(rng.split(), cfg.embed_dim, self.cell_out * self.cell_out, name="head")
-
-    def params(self):
-        out = self.embed.params() + [("pos", self.pos)]
-        for blk in self.blocks:
-            out.extend(blk.params())
-        out.extend(self.ln.params())
-        out.extend(self.head.params())
-        return out
 
     def _embed_frames(self, x: np.ndarray) -> Tensor:
         n, t, c, h, w = x.shape
@@ -343,14 +301,6 @@ class GeoSTANet(DownscaleModel):
         self.ln = tc.LayerNorm(cfg.embed_dim, name="ln_out")
         self.head = _UpsampleHead(rng.split(), cfg.embed_dim, cfg.patch * cfg.factor, cfg.up_channels, "head")
 
-    def params(self):
-        out = self.embed.params() + [("pos", self.pos), ("w_geo", self.w_geo)]
-        for blk in self.blocks:
-            out.extend(blk.params())
-        out.extend(self.ln.params())
-        out.extend(self.head.params())
-        return out
-
     def _encode(self, tokens: Tensor) -> Tensor:
         for blk in self.blocks:
             tokens = blk(tokens)
@@ -382,15 +332,8 @@ class GeoSTANet(DownscaleModel):
 
 
 def build_model(cfg: ArchConfig, coarse_hw: Tuple[int, int]) -> DownscaleModel:
-    if cfg.kind == "cnn_lstm":
-        return CnnLstm(cfg, coarse_hw)
-    if cfg.kind == "convlstm":
-        return ConvLstmNet(cfg, coarse_hw)
-    if cfg.kind == "vit":
-        return ViTNet(cfg, coarse_hw)
-    if cfg.kind == "geostanet":
-        return GeoSTANet(cfg, coarse_hw)
-    raise ValidationError(f"unknown architecture {cfg.kind!r}")
+    """The architecture `cfg.kind` names; `ArchConfig` has already checked that it is one of ARCH_KINDS."""
+    return {"cnn_lstm": CnnLstm, "convlstm": ConvLstmNet, "vit": ViTNet, "geostanet": GeoSTANet}[cfg.kind](cfg, coarse_hw)
 
 
 def load_model(path: str, coarse_hw: Tuple[int, int]) -> DownscaleModel:

@@ -100,6 +100,5 @@ def make_csv_fixture(path: str) -> str:
             for lon in ("10.0", "11.0"):
                 rows.append(f"{date},{lat},{lon},{value}")
                 value += 0.5
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_files(os.path.dirname(path) or ".", {os.path.basename(path): ("\n".join(rows) + "\n").encode()})
     return path

@@ -88,16 +88,33 @@ def _load_header(path: str) -> dict:
     try:
         with open(header_path) as fh:
             header = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ValidationError(f"malformed header in {path}: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValidationError(f"header in {path} is not a JSON object")
     missing = [k for k in _REQUIRED_KEYS if k not in header]
     if missing:
         raise ValidationError(f"header in {path} missing keys: {missing}")
+
+    def all_of(types, values):
+        return all(type(v) in types for v in values)  # exact types: a bool is no number here
+
+    checks = [
+        ("variable", type(header["variable"]) is str, "a string"),
+        ("units", type(header["units"]) is str, "a string"),
+        ("fill_value", type(header["fill_value"]) in (int, float), "a number"),
+        ("lat", type(header["lat"]) is list and all_of((int, float), header["lat"]), "a list of numbers"),
+        ("lon", type(header["lon"]) is list and all_of((int, float), header["lon"]), "a list of numbers"),
+        ("time", type(header["time"]) is list and all_of((str,), header["time"]), "a list of date strings"),
+    ]
+    for key, ok, what in checks:
+        if not ok:
+            raise ValidationError(f"header in {path}: {key} must be {what}, got {type(header[key]).__name__}")
     dims = header["dims"]
     if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(v, int) and v > 0 for v in dims)):
-        raise ValidationError(f"header dims must be three positive integers, got {dims!r}")
+        raise ValidationError(f"header in {path}: dims must be three positive integers, got {dims!r}")
     if header["calendar"] not in CALENDARS:
-        raise ValidationError(f"header declares unknown calendar {header['calendar']!r}")
+        raise ValidationError(f"header in {path} declares unknown calendar {header['calendar']!r}")
     if len(header["lat"]) != dims[1] or len(header["lon"]) != dims[2] or len(header["time"]) != dims[0]:
         raise ValidationError(f"header axis lengths disagree with dims in {path}")
     return header

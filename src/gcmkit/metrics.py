@@ -36,6 +36,11 @@ from .geogrid import DataCube, LAND_ZONES, SEASONS, SeasonSelector, ZoneMask
 # Pseudo-zone meaning "union of all land zones".
 ZONE_OVERALL = "overall"
 
+# The most histogram bins a PDF overlap may use. Every (zone, season)
+# context holds two count arrays of this length, so the bound keeps a
+# run's memory small whatever bin count a config or --bins asks for.
+MAX_BINS = 10_000
+
 # Time steps per block of a sweep. It is fixed so that every caller feeds
 # each context's pool the same update sequence and writes the same bytes.
 BLOCK = 64
@@ -142,8 +147,8 @@ def pdf_overlap(s: PooledSample, bins: int = 100) -> float:
     increasing bin edges (identical constants, or a spread of a few ULPs)
     overlap perfectly.
     """
-    if bins < 2:
-        raise ValidationError("pdf_overlap needs at least 2 bins")
+    if not 2 <= bins <= MAX_BINS:
+        raise ValidationError(f"pdf_overlap needs between 2 and {MAX_BINS} bins, got {bins}")
     lo = min(float(np.min(s.model)), float(np.min(s.obs)))
     hi = max(float(np.max(s.model)), float(np.max(s.obs)))
     edges = hist_edges(lo, hi, bins)
@@ -397,8 +402,8 @@ class StreamingPool:
     """
 
     def __init__(self, bins: int = 100):
-        if bins < 2:
-            raise ValidationError("pdf_overlap needs at least 2 bins")
+        if not 2 <= bins <= MAX_BINS:
+            raise ValidationError(f"pdf_overlap needs between 2 and {MAX_BINS} bins, got {bins}")
         self.bins = bins
         self.n = 0
         self._pivot_m = 0.0

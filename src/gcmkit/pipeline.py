@@ -14,6 +14,7 @@ so its memory is bounded by about one block per source.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,7 +34,7 @@ from .geogrid import (
     check_dtr_pair,
     dtr_values,
 )
-from .metrics import BLOCK, METRIC_NAMES, ZONE_OVERALL, context_index, report_rows_to_csv, sweep
+from .metrics import BLOCK, MAX_BINS, METRIC_NAMES, ZONE_OVERALL, context_index, report_rows_to_csv, sweep
 from .ranking import (
     Criterion,
     WeightNet,
@@ -72,11 +73,13 @@ def _require(condition: bool, stage: str, message: str) -> None:
         raise ValidationError(f"[{stage}] {message}")
 
 
-def _typed(block: dict, key: str, default, types: tuple, prefix: str = ""):
-    """block[key], or default when absent, checked to be exactly one of `types` (so no bool for int)."""
+def _typed(block: dict, key: str, default, types: tuple, prefix: str = "", low=-math.inf, high=math.inf):
+    """block[key], or default when absent, checked to be exactly one of `types` (so no bool for int)
+    and, for an int, to lie in [low, high]."""
     value = block.get(key, default)
     names = " or ".join(t.__name__ for t in types)
     _require(type(value) in types, "config", f"{prefix}{key} must be {names}, got {value!r}")
+    _require(type(value) is not int or low <= value <= high, "config", f"{prefix}{key} must lie in [{low}, {high}], got {value}")
     return value
 
 
@@ -120,10 +123,13 @@ class PipelineConfig:
         labels = [m["label"] for m in raw["models"]]
         _require(len(set(labels)) == len(labels), stage, "model labels must be unique")
         _require("reference" in raw, stage, "reference cube required")
+        _require(isinstance(raw["reference"], dict), stage, f"reference must be a JSON object, got {raw['reference']!r}")
         _require("mask" in raw, stage, "zone mask required")
+        _require(isinstance(raw["mask"], str), stage, f"mask must be a path string, got {raw['mask']!r}")
         for where, spec in [(f"model {m['label']}", m) for m in raw["models"]] + [("reference", raw["reference"])]:
             for key in ("path", "tasmax", "tasmin"):
                 if key in spec:
+                    _require(isinstance(spec[key], str), stage, f"{where}: {key} must be a path string, got {spec[key]!r}")
                     _require(os.path.isdir(spec[key]), stage, f"{where}: missing path {spec[key]}")
         _require(os.path.isdir(raw["mask"]), stage, f"mask path {raw['mask']} does not exist")
 
@@ -139,22 +145,26 @@ class PipelineConfig:
             stage,
             f"zones must name some of {sorted(ZONE_BY_NAME)} or {ZONE_OVERALL!r}",
         )
-        names = raw.get("criteria")
+        names = _typed(raw, "criteria", [], (list,))
+        _require(all(isinstance(n, str) for n in names), stage, f"criteria must be a list of criterion names, got {names!r}")
         criteria = default_criteria(tuple(names)) if names else default_criteria()
         weights = raw.get("weights", "uniform")
         if isinstance(weights, dict):
-            _require("checkpoint" in weights, stage, "weights object needs a 'checkpoint' key")
+            _require(isinstance(weights.get("checkpoint"), str), stage, "weights object needs a 'checkpoint' path string")
             _require(os.path.isdir(weights["checkpoint"]), stage, f"weights checkpoint {weights['checkpoint']} missing")
         else:
             _require(weights in ("uniform", "train"), stage, f"weights must be uniform, train or a checkpoint, got {weights!r}")
         seed = _typed(raw, "seed", 0, (int,))
         wn_raw = raw.get("weightnet", {})
         _require(isinstance(wn_raw, dict), stage, f"weightnet must be a JSON object, got {wn_raw!r}")
+        learning_rate = float(_typed(wn_raw, "learning_rate", 1e-3, (int, float), "weightnet."))
+        _require(0.0 < learning_rate < math.inf, stage,
+                 f"weightnet.learning_rate must be positive and finite, got {learning_rate!r}")
         wn = WeightNetConfig(
-            epochs=_typed(wn_raw, "epochs", 50, (int,), "weightnet."),
-            warm_epochs=_typed(wn_raw, "warm_epochs", 5, (int,), "weightnet."),
-            batch_size=_typed(wn_raw, "batch_size", 32, (int,), "weightnet."),
-            learning_rate=float(_typed(wn_raw, "learning_rate", 1e-3, (int, float), "weightnet.")),
+            epochs=_typed(wn_raw, "epochs", 50, (int,), "weightnet.", low=1),
+            warm_epochs=_typed(wn_raw, "warm_epochs", 5, (int,), "weightnet.", low=0),
+            batch_size=_typed(wn_raw, "batch_size", 32, (int,), "weightnet.", low=1),
+            learning_rate=learning_rate,
             seed=seed,
         )
         return cls(
@@ -166,7 +176,7 @@ class PipelineConfig:
             zones=zones,
             criteria=criteria,
             weights=weights,
-            pdf_bins=_typed(raw, "pdf_bins", 100, (int,)),
+            pdf_bins=_typed(raw, "pdf_bins", 100, (int,), low=2, high=MAX_BINS),
             weightnet=wn,
             raw=raw,
         )

@@ -296,7 +296,7 @@ class WeightNetConfig:
     seed: int = 7
 
 
-class WeightNet:
+class WeightNet(tc.Module):
     """Softmax criterion-weight network: features -> 64 -> 32 -> weights."""
 
     def __init__(self, n_criteria: int, seed: int = 7):
@@ -308,12 +308,6 @@ class WeightNet:
         self.fc2 = tc.Dense(rng.split(), 64, 32, "fc2")
         self.fc3 = tc.Dense(rng.split(), 32, n_criteria, "fc3")
         self.step_count = 0
-
-    def params(self):
-        return self.fc1.params() + self.fc2.params() + self.fc3.params()
-
-    def state_entries(self):
-        return [(name, t.data) for name, t in self.params()]
 
     def forward(self, features: np.ndarray) -> tc.Tensor:
         x = tc.Tensor(np.atleast_2d(features))

@@ -10,13 +10,12 @@ from .nn import (
     Dense,
     LayerNorm,
     LSTMCell,
+    Module,
     MultiHeadAttention,
     TransformerBlock,
     attention,
-    convlstm_cell,
     dense,
     he_uniform,
-    lstm_cell,
     mse,
 )
 from .optim import SGD, Adam, make_optimizer
@@ -31,6 +30,7 @@ __all__ = [
     "Dense",
     "LSTMCell",
     "LayerNorm",
+    "Module",
     "MultiHeadAttention",
     "SGD",
     "Tensor",
@@ -40,7 +40,6 @@ __all__ = [
     "concat",
     "conv2d",
     "conv2d_transpose",
-    "convlstm_cell",
     "dense",
     "encode_checkpoint",
     "grad_check",
@@ -48,7 +47,6 @@ __all__ = [
     "layer_norm",
     "load_checkpoint",
     "load_state",
-    "lstm_cell",
     "lstm_gates",
     "make_optimizer",
     "mse",

@@ -1,15 +1,17 @@
 """Neural-net building blocks on top of the autodiff core.
 
 Layers draw their parameters from a SplitMix64 stream (He-uniform for
-dense/conv weights, zero biases) and expose `params()` as an ordered
-(name, Tensor) list. Non-trained state, the batch-norm running statistics,
-is `buffers()`: a (name, array) list of arrays that the layer updates in
-place. A network's `state_entries()` lists the live arrays of both, and
-its order is the checkpoint contract.
+dense/conv weights, zero biases). Every layer and network is a `Module`,
+and its state is found by one walk over its attributes in assignment
+order: a `Tensor` is a parameter, an ndarray a buffer (the batch-norm
+running statistics, updated in place), and a child Module, or a list of
+them, contributes its own. Attribute order is therefore the checkpoint
+contract: `state_entries()` lists the live arrays in walk order,
+parameters first, then buffers.
 """
 
 import math
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -32,49 +34,6 @@ def dense(x: Tensor, weight: Tensor, bias_t: Tensor) -> Tensor:
     return x @ weight + bias_t
 
 
-def lstm_cell(
-    x: Tensor,
-    h_prev: Optional[Tensor],
-    c_prev: Optional[Tensor],
-    params: "LSTMCell",
-) -> Tuple[Tensor, Tensor]:
-    """One LSTM step: three sigmoid gates, a tanh candidate, gated state update.
-
-    Gate order in the stacked weights is (input, forget, output, candidate).
-    `None` states are zero states: the recurrent product and the forget
-    term are skipped.
-    """
-    z = x @ params.wx
-    if h_prev is not None:
-        z = z + h_prev @ params.wh
-    return lstm_gates(z + params.b, c_prev)
-
-
-def convlstm_cell(
-    x: Tensor,
-    h_prev: Optional[Tensor],
-    c_prev: Optional[Tensor],
-    params: "ConvLSTMCell",
-    norm=None,
-) -> Tuple[Tensor, Tensor]:
-    """LSTM gate algebra with every matrix product replaced by a same-padded
-    2-D convolution; hidden and cell states are spatial fields.
-
-    `norm`, when given, is applied to the stacked gate pre-activations
-    (the output of the gate convolution block) before the nonlinearities.
-    `None` states are zero states, as in `lstm_cell`. With a state, the
-    x- and h-convolutions are one convolution over [x, h_prev] (Shi et al.
-    2015), stacked inside `conv2d` from the separate `wx` and `wh`.
-    """
-    if h_prev is None:
-        z = conv2d(x, params.wx, params.b, padding="same")
-    else:
-        z = conv2d((x, h_prev), (params.wx, params.wh), params.b, padding="same")
-    if norm is not None:
-        z = norm(z)
-    return lstm_gates(z, c_prev)
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention softmax(Q K^T / sqrt(d_k)) V.
 
@@ -85,15 +44,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         raise ValidationError("query and key dims disagree")
     if k.data.shape[-2] != v.data.shape[-2]:
         raise ValidationError("key and value sequence lengths disagree")
-    d_k = q.data.shape[-1]
-    scores = (q @ k.transpose(_swap_last(k.data.ndim))) * (1.0 / math.sqrt(d_k))
+    d_k, nd = q.data.shape[-1], k.data.ndim
+    scores = (q @ k.transpose((*range(nd - 2), nd - 1, nd - 2))) * (1.0 / math.sqrt(d_k))
     return softmax(scores, axis=-1) @ v
-
-
-def _swap_last(ndim: int):
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return axes
 
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -101,7 +54,39 @@ def mse(pred: Tensor, target: np.ndarray) -> Tensor:
     return (diff * diff).mean()
 
 
-class Dense:
+class Module:
+    """A layer or network whose state is found by walking its attributes.
+
+    In assignment order, a `Tensor` attribute is a parameter named
+    `<name>.<attr>` (just `<attr>` when the module has no name), an ndarray
+    is a buffer, and a child Module, or a list of them, lists its own state
+    under its own name. Any other attribute is configuration.
+    """
+
+    name = ""
+
+    def _walk(self) -> Iterator[Tuple[str, object]]:
+        for attr, value in vars(self).items():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Module):
+                    yield from item._walk()
+                elif isinstance(item, (Tensor, np.ndarray)):
+                    yield (f"{self.name}.{attr}" if self.name else attr), item
+
+    def params(self):
+        """The trained (name, Tensor) list, in walk order."""
+        return [(name, v) for name, v in self._walk() if isinstance(v, Tensor)]
+
+    def buffers(self):
+        """The non-trained (name, array) list, in walk order; layers update these arrays in place."""
+        return [(name, v) for name, v in self._walk() if isinstance(v, np.ndarray)]
+
+    def state_entries(self):
+        """The live state arrays as (name, array): parameters, then buffers."""
+        return [(name, t.data) for name, t in self.params()] + self.buffers()
+
+
+class Dense(Module):
     def __init__(self, rng: SplitMix64, d_in: int, d_out: int, name: str = "dense"):
         self.name = name
         self.w = Tensor(he_uniform(rng, (d_in, d_out), d_in), requires_grad=True)
@@ -110,11 +95,8 @@ class Dense:
     def __call__(self, x: Tensor) -> Tensor:
         return dense(x, self.w, self.b)
 
-    def params(self):
-        return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
 
-
-class Conv2d:
+class Conv2d(Module):
     def __init__(self, rng, c_in, c_out, k, stride=1, padding="same", name="conv"):
         if k % 2 == 0:
             raise ValidationError("conv kernels use an odd size (radius-based)")
@@ -125,11 +107,8 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
-    def params(self):
-        return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
 
-
-class ConvTranspose2d:
+class ConvTranspose2d(Module):
     """Stride-fold upsampler; kernel layout follows conv2d, so the layer's
     input channels sit on kernel axis 0."""
 
@@ -141,41 +120,58 @@ class ConvTranspose2d:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d_transpose(x, self.w, stride=self.stride, bias=self.b)
 
-    def params(self):
-        return [(f"{self.name}.w", self.w), (f"{self.name}.b", self.b)]
 
-
-class LSTMCell:
+class LSTMCell(Module):
     def __init__(self, rng, d_in, d_h, name="lstm"):
         self.name, self.hidden = name, d_h
         self.wx = Tensor(he_uniform(rng, (d_in, 4 * d_h), d_in), requires_grad=True)
         self.wh = Tensor(he_uniform(rng, (d_h, 4 * d_h), d_h), requires_grad=True)
         self.b = Tensor(np.zeros(4 * d_h), requires_grad=True)
 
-    def step(self, x, h_prev=None, c_prev=None):
-        return lstm_cell(x, h_prev, c_prev, self)
+    def step(self, x: Tensor, h_prev: Optional[Tensor] = None, c_prev: Optional[Tensor] = None):
+        """One LSTM step: three sigmoid gates, a tanh candidate, gated state update.
 
-    def params(self):
-        return [(f"{self.name}.wx", self.wx), (f"{self.name}.wh", self.wh), (f"{self.name}.b", self.b)]
+        Gate order in the stacked weights is (input, forget, output, candidate).
+        `None` states are zero states: the recurrent product and the forget
+        term are skipped.
+        """
+        z = x @ self.wx
+        if h_prev is not None:
+            z = z + h_prev @ self.wh
+        return lstm_gates(z + self.b, c_prev)
 
 
-class ConvLSTMCell:
-    def __init__(self, rng, c_in, c_h, k, name="convlstm"):
+class ConvLSTMCell(Module):
+    def __init__(self, rng, c_in, c_h, k, name="convlstm", bn: Optional["BatchNorm2d"] = None):
         if k % 2 == 0:
             raise ValidationError("convlstm kernels use an odd size")
         self.name, self.hidden = name, c_h
         self.wx = Tensor(he_uniform(rng, (4 * c_h, c_in, k, k), c_in * k * k), requires_grad=True)
         self.wh = Tensor(he_uniform(rng, (4 * c_h, c_h, k, k), c_h * k * k), requires_grad=True)
         self.b = Tensor(np.zeros(4 * c_h), requires_grad=True)
+        self.bn = bn
 
-    def step(self, x, h_prev=None, c_prev=None, norm=None):
-        return convlstm_cell(x, h_prev, c_prev, self, norm=norm)
+    def step(self, x: Tensor, h_prev: Optional[Tensor] = None, c_prev: Optional[Tensor] = None,
+             training: bool = True):
+        """LSTM gate algebra with every matrix product replaced by a same-padded
+        2-D convolution; hidden and cell states are spatial fields.
 
-    def params(self):
-        return [(f"{self.name}.wx", self.wx), (f"{self.name}.wh", self.wh), (f"{self.name}.b", self.b)]
+        The cell's batch norm, when it has one, normalizes the stacked gate
+        pre-activations before the nonlinearities, in training or eval mode.
+        `None` states are zero states, as in `LSTMCell.step`. With a state, the
+        x- and h-convolutions are one convolution over [x, h_prev] (Shi et al.
+        2015), stacked inside `conv2d` from the separate `wx` and `wh`.
+        """
+        if h_prev is None:
+            z = conv2d(x, self.wx, self.b, padding="same")
+        else:
+            z = conv2d((x, h_prev), (self.wx, self.wh), self.b, padding="same")
+        if self.bn is not None:
+            z = self.bn(z, training=training)
+        return lstm_gates(z, c_prev)
 
 
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, d, eps=1e-5, name="ln"):
         self.name, self.eps = name, eps
         self.gamma = Tensor(np.ones(d), requires_grad=True)
@@ -184,15 +180,12 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
 
-    def params(self):
-        return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
 
-
-class BatchNorm2d:
+class BatchNorm2d(Module):
     """Per-channel batch normalization with running statistics.
 
     Training mode normalizes with batch statistics and updates the running
-    mean/var in place (momentum 0.9), so `buffers()` stays the live state;
+    mean/var in place (momentum 0.9), so the buffers stay the live state;
     eval mode normalizes with the stored running statistics, so inference
     is batch-independent.
     """
@@ -212,14 +205,8 @@ class BatchNorm2d:
             self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
         return out
 
-    def params(self):
-        return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
 
-    def buffers(self):
-        return [(f"{self.name}.running_mean", self.running_mean), (f"{self.name}.running_var", self.running_var)]
-
-
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Multi-head self-attention over token sequences (n, L, d)."""
 
     def __init__(self, rng, d, heads, name="mha"):
@@ -244,16 +231,8 @@ class MultiHeadAttention:
         merged = mixed.transpose((0, 2, 1, 3)).reshape(n, length, self.d)
         return merged @ self.wo
 
-    def params(self):
-        return [
-            (f"{self.name}.wq", self.wq),
-            (f"{self.name}.wk", self.wk),
-            (f"{self.name}.wv", self.wv),
-            (f"{self.name}.wo", self.wo),
-        ]
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm encoder block: attention and a 2-layer MLP, each residual."""
 
     def __init__(self, rng, d, heads, mlp_ratio=2, name="blk"):
@@ -270,9 +249,3 @@ class TransformerBlock:
         h = self.ln2(x).reshape(n * length, d)
         h = self.fc2(self.fc1(h).relu()).reshape(n, length, d)
         return x + h
-
-    def params(self):
-        out = []
-        for part in (self.ln1, self.attn, self.ln2, self.fc1, self.fc2):
-            out.extend(part.params())
-        return out

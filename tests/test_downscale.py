@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import weakref
@@ -224,13 +225,12 @@ class TestArchitectureSemantics:
         dense.b.data[...] = cell.b.data
 
         # run the conv stack in eval mode with frozen identity-ish BN stats
-        bn = model.norms[0]
-        bn.running_mean[:] = 0.0
-        bn.running_var[:] = 1.0 - bn.eps
+        cell.bn.running_mean[:] = 0.0
+        cell.bn.running_var[:] = 1.0 - cell.bn.eps
         h = Tensor(np.zeros((2, 3, 4, 4)))
         c = Tensor(np.zeros((2, 3, 4, 4)))
         for step in range(x.shape[1]):
-            h, c = cell.step(Tensor(x[:, step]), h, c, norm=lambda z: bn(z, training=False))
+            h, c = cell.step(Tensor(x[:, step]), h, c, training=False)
 
         for i in range(4):
             for j in range(4):
@@ -440,7 +440,35 @@ class TestTrainer:
         assert len(res.log) <= 50
 
 
+GOLDEN_CHECKPOINTS = {
+    "cnn_lstm": ("d531e36fb8894a7d73b892741a20549b001fadc6ad73c22a8760214ae9ca1305",
+                 "ae2b5f2579da5774333768e0092658bb95c0aebe97a62bda3173b20e4c5ebbb5"),
+    "convlstm": ("c3cc4fe52894c7fe49e9e6be7cebd630b7cb2cd56cdf4bcd45b0d1c2b98c45e0",
+                 "a3473fb598f4346a20da5c536c7984e936c960ac447b5d710198d1dc9a2c7835"),
+    "vit": ("e8fe6aaf676fc4ab5e9f30555ba3bd1aefa6a6bf23e107c02b38b5089063f4c3",
+            "2a51239522be1986295778f0674a898316eb624e18aacd85acd333457b5f043f"),
+    "geostanet": ("c6539e3692c4fa40869186e16dfe62a85fc2e11edbdb04cf4066e2d1fe26a1a5",
+                  "afe27be8d33c14efc44e906fd42bef8dbe2bb730e0851626458a00b703fbc611"),
+    "weightnet": ("eee7c462c825a0711a5b8e1547eae429193526a5e745f0886dbc86f2c0302684",
+                  "03a4255cb5a096d24bb9dfa2d3b5fa35e4db85f34cd07736463ed8f02d716678"),
+}
+
+
 class TestCheckpointReload:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_CHECKPOINTS))
+    def test_fresh_checkpoint_bytes_are_pinned(self, kind):
+        # attribute order is the checkpoint layout: the names, shapes, order
+        # and values of every entry of a freshly built network are pinned here
+        from gcmkit.ranking import WeightNet
+
+        if kind == "weightnet":
+            model = WeightNet(9, seed=7)
+        else:
+            model = ds.build_model(ds.desk_arch_config(kind, seed=0), (16, 16))
+        files = tc.encode_checkpoint(*model.checkpoint())
+        digests = tuple(hashlib.sha256(files[name]).hexdigest() for name in ("manifest.json", "params.bin"))
+        assert digests == GOLDEN_CHECKPOINTS[kind]
+
     @pytest.mark.parametrize("kind", ds.ARCH_KINDS)
     def test_save_load_bit_identity(self, kind, tmp_path, mini_data):
         cfg = mini_cfg(kind, seed=31)

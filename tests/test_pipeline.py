@@ -272,6 +272,30 @@ class TestSourceValidation:
         err = capsys.readouterr().err
         assert edited["reference"]["path"] in err and "1985/01/06" in err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("fill_value", "x"), ("fill_value", True), ("time", None), ("time", 5), ("lat", None),
+         ("lon", ["a"]), ("variable", 5), ("units", None)],
+        ids=["fill-string", "fill-bool", "time-null", "time-number", "lat-null", "lon-strings", "variable-number",
+             "units-null"],
+    )
+    @pytest.mark.parametrize("command", ["rank", "full-scale", "metrics"])
+    def test_mistyped_header_field_exits_2_naming_file_and_key(self, tmp_path, setup, capsys, command, key, value):
+        _, config = setup
+
+        def edit(header):
+            header[key] = [value] * len(header[key]) if isinstance(value, list) else value
+
+        cfg_path, edited = self._edit_headers(tmp_path, config, {config["reference"]["path"]}, edit)
+        if command == "metrics":
+            argv = ["metrics", "--model", config["models"][0]["path"], "--obs", edited["reference"]["path"],
+                    "--mask", config["mask"]]
+        else:
+            argv = ["rank", "--config", cfg_path, "--out", str(tmp_path)] + (["--full-scale"] if command != "rank" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert edited["reference"]["path"] in err and f"{key} must be" in err and "Traceback" not in err
+
     @ARGV_FORMS
     def test_repeated_date_in_every_header_exits_2(self, tmp_path, setup, capsys, extra):
         _, config = setup
