@@ -336,13 +336,61 @@ def build_model(cfg: ArchConfig, coarse_hw: Tuple[int, int]) -> DownscaleModel:
     return {"cnn_lstm": CnnLstm, "convlstm": ConvLstmNet, "vit": ViTNet, "geostanet": GeoSTANet}[cfg.kind](cfg, coarse_hw)
 
 
+def _size_carriers(cfg: ArchConfig, coarse_hw: Tuple[int, int]):
+    """(entry name, shape) of the state entries that carry each size of `cfg`, found without building.
+
+    Every size a model allocates from appears in one of these shapes, so a
+    size edited in the meta fails on a shape mismatch before anything is
+    allocated.
+    """
+    h, w = coarse_hw
+    c, k = cfg.in_channels, cfg.kernel
+    if cfg.kind == "cnn_lstm":
+        for i, ch in enumerate(cfg.conv_channels):
+            yield f"conv{i}.w", (ch, c, k, k)
+            c = ch
+        yield "lstm.wx", (c * h * w, 4 * cfg.lstm_hidden)
+        yield "head.b", (h * cfg.factor * w * cfg.factor,)
+        return
+    if cfg.kind == "convlstm":
+        for i, ch in enumerate(cfg.convlstm_hidden):
+            yield f"cell{i}.wx", (4 * ch, c, k, k)
+            c = ch
+        factor = cfg.factor
+    else:
+        d = cfg.embed_dim
+        yield "embed.w", (cfg.patch * cfg.patch * c, d)
+        yield "pos", ((h // cfg.patch) * (w // cfg.patch), d)
+        for i in range(cfg.layers):  # lazy: a huge count stops at the first block the checkpoint lacks
+            yield f"blk{i}.fc1.w", (d, cfg.mlp_ratio * d)
+        if cfg.kind == "vit":
+            yield "head.w", (d, (cfg.patch * cfg.factor) ** 2)
+            return
+        c, factor = d, cfg.patch * cfg.factor
+    plan = _stride_plan(factor)
+    if not plan:
+        yield "head.proj.w", (1, c, 1, 1)
+    for i, s in enumerate(plan):
+        c_out = 1 if i == len(plan) - 1 else cfg.up_channels
+        yield f"head.up{i}.w", (c, c_out, s, s)
+        c = c_out
+
+
 def load_model(path: str, coarse_hw: Tuple[int, int]) -> DownscaleModel:
-    """The model saved at `path`; a malformed checkpoint raises ValidationError naming it."""
+    """The model saved at `path`; a malformed checkpoint raises ValidationError naming it.
+
+    The config's sizes are checked against the checkpoint's entry shapes
+    before the model is built, so an edited size cannot exhaust memory.
+    """
     arrays, meta = tc.load_checkpoint(path)
     if not isinstance(meta.get("config"), dict):
         raise ValidationError(f"checkpoint {path} has no architecture config")
     try:
         cfg = ArchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()})
+        for name, shape in _size_carriers(cfg, coarse_hw):
+            if name not in arrays or arrays[name].shape != shape:
+                found = arrays[name].shape if name in arrays else "no such entry"
+                raise ValueError(f"it implies entry {name!r} of shape {shape}, the checkpoint holds {found}")
         model = build_model(cfg, coarse_hw)
         model.step_count = int(meta.get("step", 0))
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -34,6 +34,8 @@ from .geogrid import CALENDARS, DataCube, Date, GridAxis, ZoneMask, validate_tim
 
 _HEADER = "header.json"
 _PAYLOAD = "data.bin"
+_FLOAT64_MAX = float(np.finfo(np.float64).max)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)  # the fill sentinel is stored as float32
 _REQUIRED_KEYS = ("variable", "units", "calendar", "fill_value", "dims", "lat", "lon", "time")
 
 
@@ -96,16 +98,21 @@ def _load_header(path: str) -> dict:
     if missing:
         raise ValidationError(f"header in {path} missing keys: {missing}")
 
-    def all_of(types, values):
-        return all(type(v) in types for v in values)  # exact types: a bool is no number here
+    def finite(v, bound=_FLOAT64_MAX):
+        # exact types: a bool is no number here; NaN, infinities and integers
+        # too large for a float fail the bound
+        return type(v) in (int, float) and abs(v) <= bound
+
+    def finite_list(values):
+        return type(values) is list and all(finite(v) for v in values)
 
     checks = [
         ("variable", type(header["variable"]) is str, "a string"),
         ("units", type(header["units"]) is str, "a string"),
-        ("fill_value", type(header["fill_value"]) in (int, float), "a number"),
-        ("lat", type(header["lat"]) is list and all_of((int, float), header["lat"]), "a list of numbers"),
-        ("lon", type(header["lon"]) is list and all_of((int, float), header["lon"]), "a list of numbers"),
-        ("time", type(header["time"]) is list and all_of((str,), header["time"]), "a list of date strings"),
+        ("fill_value", finite(header["fill_value"], _FLOAT32_MAX), "a finite number within float32 range"),
+        ("lat", finite_list(header["lat"]), "a list of finite numbers"),
+        ("lon", finite_list(header["lon"]), "a list of finite numbers"),
+        ("time", type(header["time"]) is list and all(type(t) is str for t in header["time"]), "a list of date strings"),
     ]
     for key, ok, what in checks:
         if not ok:

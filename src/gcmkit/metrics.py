@@ -3,15 +3,19 @@
 Every report comes from one engine, `StreamingPool`, a two-pass
 accumulator of shifted moments, extremes and shared-range histograms.
 `sweep` drives it over paired time blocks of `BLOCK` steps and fills every
-(zone, season) context of one model at once. Its histogram pass splits the
-contexts into disjoint (row group, cell group) atoms, sorts each atom's
+(zone, season) context of one model at once. `context_index` splits each
+context into atoms, one per (meteorological season, zone code), and both
+passes gather each atom once per block. Pass 1 feeds one pool per atom and
+then merges every atom pool into its contexts (`StreamingPool.merge`, the
+pairwise update of Chan, Golub & LeVeque); a zone x DJF/MAM/JJA/SON context
+is one atom and takes its pool bit for bit. Pass 2 sorts each atom's
 values once per block and counts them against the frozen bin edges of
 every context that contains the atom (`sorted_counts`, the one histogram
-implementation, with `np.histogram`'s counts); `full_report` runs that sweep
-on one context of two in-memory cubes, and `compute_report` feeds one
-materialised `PooledSample` to it. The engine flags the metrics a
-degenerate sample (constant series, zero means) cannot support instead of
-reporting them, because a silent NaN or a fake zero would poison the
+implementation, with `np.histogram`'s counts). `full_report` runs that
+sweep on one context of two in-memory cubes, and `compute_report` feeds
+one materialised `PooledSample` to one pool. The engine flags the metrics
+a degenerate sample (constant series, zero means) cannot support instead
+of reporting them, because a silent NaN or a fake zero would poison the
 downstream ranking.
 
 The bare metric functions (`bias`, `rmse`, `pearson_r`, ...) take a
@@ -41,8 +45,12 @@ ZONE_OVERALL = "overall"
 # run's memory small whatever bin count a config or --bins asks for.
 MAX_BINS = 10_000
 
+# The meteorological seasons that tile the year; every season selector is
+# a union of some of them.
+MET_SEASONS = ("DJF", "MAM", "JJA", "SON")
+
 # Time steps per block of a sweep. It is fixed so that every caller feeds
-# each context's pool the same update sequence and writes the same bytes.
+# each atom's pool the same update sequence and writes the same bytes.
 BLOCK = 64
 
 METRIC_NAMES = (
@@ -244,28 +252,43 @@ def compute_report(s: PooledSample, bins: int = 100) -> MetricReport:
     return pool.report()
 
 
-def _zone_cells(mask: ZoneMask, zone) -> np.ndarray:
-    """Flat cell indices of a land zone code; ZONE_OVERALL is the union of all land zones."""
-    if zone == ZONE_OVERALL:
-        return np.flatnonzero(mask.cells_in(LAND_ZONES))
-    if zone not in LAND_ZONES:
-        raise ValidationError(f"zone must be one of {LAND_ZONES} or {ZONE_OVERALL!r}, got {zone!r}")
-    return np.flatnonzero(mask.cells_in({zone}))
-
-
 def context_index(months: np.ndarray, mask: ZoneMask, zones: Mapping, seasons: Sequence[str]):
-    """[((zone key, season id), time rows, flat cell indices)] for every context, zone-major.
+    """[((zone key, season id), [(season, time rows)], [(code, flat cells)])] per context, zone-major.
 
-    `zones` maps each zone key to a land zone code or ZONE_OVERALL; the rows
-    of each season and the cells of each zone are computed once.
+    `zones` maps each zone key to a land zone code or ZONE_OVERALL. A
+    context is every (rows, cells) atom of its meteorological seasons and
+    zone codes. The atoms depend only on `months` and `mask.codes`, so a
+    context has the same atoms whichever contexts are indexed with it.
     """
+    met_rows = {s: np.flatnonzero(np.isin(months, sorted(SEASONS[s].months))) for s in MET_SEASONS}
     rows = {}
     for season_id in seasons:
-        rows[season_id] = np.flatnonzero(np.isin(months, sorted(SEASONS[season_id].months)))
-        if rows[season_id].size == 0:
+        months_in = SEASONS[season_id].months
+        rows[season_id] = [(s, r) for s, r in met_rows.items() if r.size and SEASONS[s].months <= months_in]
+        if not rows[season_id]:
             raise ValidationError(f"no time steps fall in season {season_id}")
-    cells = {key: _zone_cells(mask, zone) for key, zone in zones.items()}
+    code_cells = {code: np.flatnonzero(mask.codes.ravel() == code) for code in LAND_ZONES}
+    cells = {}
+    for key, zone in zones.items():
+        if zone != ZONE_OVERALL and zone not in LAND_ZONES:
+            raise ValidationError(f"zone must be one of {LAND_ZONES} or {ZONE_OVERALL!r}, got {zone!r}")
+        codes = LAND_ZONES if zone == ZONE_OVERALL else (zone,)  # ZONE_OVERALL is the union of all land zones
+        cells[key] = [(c, code_cells[c]) for c in codes if code_cells[c].size]
     return [((key, season_id), rows[season_id], cells[key]) for key in zones for season_id in seasons]
+
+
+def _plan(index) -> List[Tuple[np.ndarray, np.ndarray, List[int]]]:
+    """[(rows, cells, contexts)]: each atom of `index` once, with the positions of its contexts.
+
+    Atoms come in (meteorological season, zone code) order whatever the
+    index holds, so every context meets its own atoms in the same order.
+    """
+    atoms = {}
+    for k, (_, season_rows, zone_cells) in enumerate(index):
+        for season, rows in season_rows:
+            for code, cells in zone_cells:
+                atoms.setdefault((MET_SEASONS.index(season), code), (rows, cells, []))[2].append(k)
+    return [atoms[key] for key in sorted(atoms)]
 
 
 def time_blocks(data: np.ndarray) -> List[Tuple[int, np.ndarray]]:
@@ -274,7 +297,7 @@ def time_blocks(data: np.ndarray) -> List[Tuple[int, np.ndarray]]:
 
 
 def _pairs(block_m: np.ndarray, block_o: np.ndarray, rows, cells, fill_m: float, fill_o: float):
-    """Paired non-fill values of one context inside a (time x lat x lon) block.
+    """Paired non-fill values of one atom inside a (time x lat x lon) block.
 
     The values come out in the order of `block[np.ix_(rows, cells)]`; a
     contiguous run of rows is sliced, not copied, before the cell gather.
@@ -287,77 +310,47 @@ def _pairs(block_m: np.ndarray, block_o: np.ndarray, rows, cells, fill_m: float,
     return (m.ravel(), o.ravel()) if ok.all() else (m[ok], o[ok])
 
 
-def _partition(sets: Sequence[np.ndarray]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Split the union of index arrays into groups of equal membership.
-
-    Returns [(indices, members)]: the ascending indices of one group and
-    the positions in `sets` of the arrays that hold every one of them.
-    Indices in no array do not appear.
-    """
-    universe = np.unique(np.concatenate(sets))
-    member = np.stack([np.isin(universe, s) for s in sets])
-    group = np.zeros(universe.size, dtype=np.int64)
-    for inside in member:  # refine by one set at a time, renumbering densely
-        _, group = np.unique(2 * group + inside, return_inverse=True)
-    _, first = np.unique(group, return_index=True)
-    return [(universe[group == g], np.flatnonzero(member[:, i])) for g, i in enumerate(first)]
-
-
-def _atoms(index) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """[(rows, cells, contexts)]: the disjoint blocks of (time row, cell) pairs of `index`.
-
-    Each context's rows x cells is the union of the atoms that list its
-    position in `contexts`, so every pair of a context is in exactly one atom.
-    """
-    row_groups = _partition([rows for _, rows, _ in index])
-    cell_groups = _partition([cells for _, _, cells in index])
-    atoms = []
-    for rows, row_ctx in row_groups:
-        for cells, cell_ctx in cell_groups:
-            contexts = np.intersect1d(row_ctx, cell_ctx)
-            if contexts.size:
-                atoms.append((rows, cells, contexts))
-    return atoms
-
-
 def sweep(model_blocks: Iterable, obs_blocks: Iterable, index, fill_m: float, fill_o: float,
           bins: int = 100, label: str = "model") -> Dict[Tuple, MetricReport]:
     """Reports of every context in `index` from two passes over paired time blocks.
 
     `model_blocks` and `obs_blocks` are re-iterable sources of aligned
     (t0, block) pairs of BLOCK time steps on the grid the index was built
-    for; each is iterated once per pass. Pass 1 dispatches every block to
-    the `StreamingPool` of every context, so a pool sees the same update
-    sequence as a sweep over its context alone. Pass 2 gathers and sorts
-    each atom of the index once per block and adds its counts to every
-    context that contains it; the counts are integers, so they equal a
-    per-context histogram pass exactly.
+    for; each is iterated once per pass, and each pass gathers every atom
+    of the index once per block. Pass 1 feeds each atom's own
+    `StreamingPool`, then merges every atom pool into the pools of its
+    contexts in atom order; a context of one atom copies that atom's pool.
+    Pass 2 sorts each gathered atom and adds its counts to every context
+    that contains it; the counts are integers, so they equal a per-context
+    histogram pass exactly. A context's report depends only on its own
+    atoms, so it is the same whichever contexts are swept with it.
     """
-    pools = [StreamingPool(bins=bins) for _ in index]
+    plan = _plan(index)
 
-    def blocks():
+    def gathered():
         for (t0, block_m), (_, block_o) in zip(model_blocks, obs_blocks):
-            yield t0, t0 + len(block_m), block_m, block_o
+            t1 = t0 + len(block_m)
+            for a, (rows, cells, _) in enumerate(plan):
+                lo, hi = np.searchsorted(rows, (t0, t1))
+                if hi > lo:
+                    yield (a, *_pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o))
 
-    for t0, t1, block_m, block_o in blocks():
-        for pool, (_, rows, cells) in zip(pools, index):
-            lo, hi = np.searchsorted(rows, (t0, t1))
-            if hi > lo:
-                pool.update(*_pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o))
+    atom_pools = [StreamingPool(bins=bins) for _ in plan]
+    for a, m, o in gathered():
+        atom_pools[a].update(m, o)
+    pools = [StreamingPool(bins=bins) for _ in index]
+    for atom, (_, _, contexts) in zip(atom_pools, plan):
+        for k in contexts:
+            pools[k].merge(atom)
     for pool, ((zone, season_id), _, _) in zip(pools, index):
         if pool.n < 2:
             raise ValidationError(f"empty pooled sample for {label} in zone={zone!r} season={season_id}")
         pool.freeze()
-    atoms = _atoms(index)
-    for t0, t1, block_m, block_o in blocks():
-        for rows, cells, contexts in atoms:
-            lo, hi = np.searchsorted(rows, (t0, t1))
-            if hi > lo:
-                m, o = _pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o)
-                m.sort()  # the gather made fresh arrays, so they sort in place
-                o.sort()
-                for k in contexts:
-                    pools[k].count_sorted(m, o)
+    for a, m, o in gathered():
+        m.sort()  # the gather made fresh arrays, so they sort in place
+        o.sort()
+        for k in plan[a][2]:
+            pools[k].count_sorted(m, o)
     return {ctx: pool.report() for pool, (ctx, _, _) in zip(pools, index)}
 
 
@@ -387,17 +380,23 @@ def full_report(
     return report
 
 
+# The pass-1 state of a StreamingPool: what `update` accumulates and `merge` folds.
+_PASS1_STATE = ("n", "_pivot_m", "_pivot_o", "_sm", "_so", "_smm", "_soo", "_smo", "_sdd",
+                "_min_m", "_max_m", "_min_o", "_max_o")
+
+
 class StreamingPool:
     """The one metric accumulator: every report is read from one of these.
 
     It takes the paired chunks of one context in two passes, so memory is
     bounded by the chunk, not the pooled sample. Pass 1 (`update`)
-    accumulates shifted moments, extremes and the count; `freeze` then
-    fixes the shared bin edges from the extremes, and pass 2 counts sorted
-    values against them with `sorted_counts` (`count_sorted`, or
-    `update_hist` for unsorted chunks). Moments are accumulated around the
-    first value seen, which keeps the centered statistics well-conditioned
-    for large pooled counts. `report` flags the metrics a degenerate sample cannot support;
+    accumulates shifted moments, extremes and the count, and `merge` adds
+    the pass-1 state of a pool fed a disjoint part; `freeze` then fixes the
+    shared bin edges from the extremes, and pass 2 counts sorted values
+    against them with `sorted_counts` (`count_sorted`, or `update_hist` for
+    unsorted chunks). Moments are accumulated around the first value seen,
+    which keeps the centered statistics well-conditioned for large pooled
+    counts. `report` flags the metrics a degenerate sample cannot support;
     the values match the bare reference functions up to rounding.
     """
 
@@ -442,6 +441,38 @@ class StreamingPool:
         self._max_m = max(self._max_m, float(np.max(m)))
         self._min_o = min(self._min_o, float(np.min(o)))
         self._max_o = max(self._max_o, float(np.max(o)))
+
+    def merge(self, other: "StreamingPool") -> None:
+        """Fold another pool's pass-1 state into this one, before `freeze`.
+
+        Count and extremes merge exactly. The other pool's shifted sums move
+        to this pool's pivot by the pairwise update of Chan, Golub & LeVeque
+        (1979), with Pebay (2008) for the cross term: with d = p' - p and
+        k = other.n, S += S' + k d, S2 += S2' + 2 d S' + k d^2. Merging into
+        an empty pool copies the other's state bit for bit.
+        """
+        if self._hist_m is not None:
+            raise ValidationError("merge() must run before freeze()")
+        if other.n == 0:
+            return
+        if self.n == 0:
+            for name in _PASS1_STATE:
+                setattr(self, name, getattr(other, name))
+            return
+        k = other.n
+        dm = other._pivot_m - self._pivot_m
+        do = other._pivot_o - self._pivot_o
+        self._smm += other._smm + 2.0 * dm * other._sm + k * dm * dm
+        self._soo += other._soo + 2.0 * do * other._so + k * do * do
+        self._smo += other._smo + dm * other._so + do * other._sm + k * dm * do
+        self._sm += other._sm + k * dm
+        self._so += other._so + k * do
+        self._sdd += other._sdd
+        self.n += k
+        self._min_m = min(self._min_m, other._min_m)
+        self._max_m = max(self._max_m, other._max_m)
+        self._min_o = min(self._min_o, other._min_o)
+        self._max_o = max(self._max_o, other._max_o)
 
     def freeze(self) -> None:
         """Fix histogram edges from pass-1 extremes; call before update_hist."""

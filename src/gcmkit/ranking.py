@@ -332,7 +332,13 @@ class WeightNet(tc.Module):
         if meta.get("kind") != "weightnet":
             raise ValidationError(f"checkpoint at {path} is not a weight network")
         try:
-            net = cls(int(meta["n_criteria"]), seed=int(meta["seed"]))
+            n_criteria = int(meta["n_criteria"])
+            # the size is checked against the entry that carries it before anything is allocated
+            carrier = arrays["fc3.b"].shape if "fc3.b" in arrays else "no such entry"
+            if carrier != (n_criteria,):
+                raise ValueError(f"n_criteria {n_criteria} implies entry 'fc3.b' of shape ({n_criteria},), "
+                                 f"the checkpoint holds {carrier}")
+            net = cls(n_criteria, seed=int(meta["seed"]))
             net.step_count = int(meta.get("step", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"checkpoint at {path} has a bad weight-network meta: {exc!r}") from None

@@ -236,6 +236,21 @@ class TestRank:
         err = capsys.readouterr().err
         assert str(ckpt) in err and drop in err
 
+    def test_weight_checkpoint_with_huge_n_criteria_exits_2_naming_it(self, tmp_path, fixture_paths, rank_run,
+                                                                        capsys):
+        # checked against the fc3.b entry before the network is built, so nothing allocates 10**12 criteria
+        ckpt = tmp_path / "weightnet.ckpt"
+        shutil.copytree(os.path.join(rank_run, "weightnet.ckpt"), ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["meta"]["n_criteria"] = 10**12
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        config = {**json.load(open(fixture_paths["config"])), "weights": {"checkpoint": str(ckpt)}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "n_criteria" in err and "Traceback" not in err
+
     def test_constant_fields_score_a_perfect_pdf_overlap(self, tmp_path, fixture_paths):
         # bilinear regrid leaves a few ULPs of spread on a constant off-grid
         # model, too narrow a range for 100 strictly increasing bin edges
@@ -440,9 +455,10 @@ class TestDownscaleCli:
             lambda manifest: manifest["meta"]["config"].update(heads=0),
             lambda manifest: manifest["meta"]["config"].update(layers=1),
             lambda manifest: manifest["entries"].pop(),  # norm.out_sd, the last entry
+            lambda manifest: manifest["meta"]["config"].update(embed_dim=10**12),
         ],
         ids=["manifest-not-json", "manifest-without-total", "meta-without-config", "unknown-config-key",
-             "zero-heads", "config-short-of-entries", "missing-norm-entry"],
+             "zero-heads", "config-short-of-entries", "missing-norm-entry", "huge-embed-dim"],
     )
     def test_malformed_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vit_ckpt, edit):
         ckpt = tmp_path / "vit.ckpt"

@@ -360,6 +360,75 @@ class TestStreaming:
         assert stream.n == direct.n
 
 
+PASS1_EXACT = ("n", "_min_m", "_max_m", "_min_o", "_max_o")
+MOMENT_METRICS = ("bias", "rmse", "r", "r2", "nse", "kge", "sd_diff")
+
+
+def _fed(m, o):
+    pool = StreamingPool()
+    pool.update(m, o)
+    return pool
+
+
+def _finish(pool, m, o):
+    pool.freeze()
+    pool.update_hist(m, o)
+    return pool.report()
+
+
+class TestMerge:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 300),
+        st.lists(st.integers(0, 300), max_size=5),
+        st.sampled_from(["normal", "constant-model", "small-integers"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_merged_chunk_pools_equal_one_pool(self, n, cuts, kind, seed):
+        """Pools fed 1-6 chunks and merged equal one pool fed the whole
+        sample: exactly in count, extremes, histogram and flags, and to 1e-12
+        in every moment-based metric."""
+        rng = np.random.default_rng(seed)
+        if kind == "small-integers":  # ties, and constant chunks
+            m, o = rng.integers(0, 3, size=n).astype(float), rng.integers(1, 4, size=n).astype(float)
+        else:
+            m = np.full(n, 15.0) if kind == "constant-model" else 15 + 2.5 * rng.normal(size=n)
+            o = 12 + 0.8 * m + rng.normal(size=n)
+        bounds = sorted({0, n, *(c % (n + 1) for c in cuts)})
+        merged = StreamingPool()
+        for lo, hi in zip(bounds, bounds[1:]):
+            merged.merge(_fed(m[lo:hi], o[lo:hi]))
+        whole = _fed(m, o)
+        for name in PASS1_EXACT:
+            assert getattr(merged, name) == getattr(whole, name), name
+        got, want = _finish(merged, m, o), _finish(whole, m, o)
+        assert np.array_equal(merged._hist_m, whole._hist_m) and np.array_equal(merged._hist_o, whole._hist_o)
+        assert got.flags == want.flags
+        for name in ("pdf_overlap", "txx_err", "tnn_err"):
+            assert got.value(name) == want.value(name), name
+        for name in MOMENT_METRICS:
+            if want.valid(name):
+                assert got.value(name) == pytest.approx(want.value(name), rel=1e-12, abs=1e-12), name
+
+    def test_merge_into_an_empty_pool_copies_the_source(self):
+        rng = np.random.default_rng(8)
+        m, o = 15 + 2.5 * rng.normal(size=200), 15 + 2.0 * rng.normal(size=200)
+        copy = StreamingPool()
+        copy.merge(_fed(m, o))
+        assert _finish(copy, m, o).as_dict() == _finish(_fed(m, o), m, o).as_dict()
+
+    def test_merging_an_empty_pool_is_a_no_op(self):
+        rng = np.random.default_rng(9)
+        m, o = 15 + 2.5 * rng.normal(size=200), 15 + 2.0 * rng.normal(size=200)
+        pool = _fed(m, o)
+        before = dict(vars(pool))
+        pool.merge(StreamingPool())
+        assert vars(pool) == before
+        assert _finish(pool, m, o).as_dict() == _finish(_fed(m, o), m, o).as_dict()
+        with pytest.raises(ValidationError, match="before freeze"):
+            pool.merge(_fed(m, o))
+
+
 class TestContextPartition:
     @pytest.mark.parametrize("product", [True, False])
     def test_sweep_equals_one_context_sweeps(self, year_cube, all_land_mask, monkeypatch, product):

@@ -6,15 +6,21 @@ time and of the whole-cube API, and that every source is validated when
 it is opened.
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import shutil
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gcmkit import gcf, geogrid
+from gcmkit import gcf, geogrid, metrics
 from gcmkit.cli import main
 from gcmkit.fixtures import BIASED_MODEL, make_ranking_fixture
 from gcmkit.geogrid import LAND_ZONES, SEASONS, derive_dtr, regrid_bilinear
@@ -160,31 +166,86 @@ class TestContextSweep:
             assert reports[(zone, season, spec["label"])] == expect.as_dict()
 
     def test_streaming_reports_equal_per_context_pools(self, tmp_path, setup):
+        """Each report is the merge, in (season, zone code) order, of one pool
+        per (meteorological season, zone code) atom hand-fed from the same
+        blocks. The count, extremes, pdf_overlap, txx_err, tnn_err and flags
+        also equal those of one pool fed the whole context."""
         cfg_path, config = setup
         reports = _run(tmp_path, cfg_path, "--full-scale")
         obs_path = config["reference"]["path"]
         times = json.load(open(os.path.join(obs_path, "header.json")))["time"]
         months = np.array([int(t.split("-")[1]) for t in times])
+        codes = gcf.read_mask(config["mask"]).codes
         fill = gcf.canonical_fill(-9999.0)
         assert len(reports) == 6 * 5 * 3
         for zone, season, spec, cells in _contexts(config):
 
-            def chunks():
+            def chunks(season_months, cells):
                 blocks = zip(gcf.iter_time_chunks(spec["path"], 64), gcf.iter_time_chunks(obs_path, 64))
                 for (t0, block_m), (_, block_o) in blocks:
-                    keep = np.isin(months[t0 : t0 + len(block_m)], sorted(SEASONS[season].months))
+                    keep = np.isin(months[t0 : t0 + len(block_m)], sorted(season_months))
                     if keep.any():
                         m, o = block_m[keep][:, cells], block_o[keep][:, cells]
                         ok = (m != fill) & (o != fill)
                         yield m[ok], o[ok]
 
-            pool = StreamingPool(bins=100)
-            for m, o in chunks():
-                pool.update(m, o)
-            pool.freeze()
-            for m, o in chunks():
-                pool.update_hist(m, o)
-            assert reports[(zone, season, spec["label"])] == pool.report().as_dict()
+            def fed(season_months, cells):
+                pool = StreamingPool(bins=100)
+                for m, o in chunks(season_months, cells):
+                    pool.update(m, o)
+                return pool
+
+            def finish(pool):
+                pool.freeze()
+                for m, o in chunks(SEASONS[season].months, cells):
+                    pool.update_hist(m, o)
+                return pool.report().as_dict()
+
+            merged = StreamingPool(bins=100)
+            for met in ("DJF", "MAM", "JJA", "SON"):
+                if SEASONS[met].months <= SEASONS[season].months:
+                    for code in LAND_ZONES:
+                        if cells[codes == code].any():
+                            merged.merge(fed(SEASONS[met].months, codes == code))
+            whole = fed(SEASONS[season].months, cells)
+            extremes = ("n", "_min_m", "_max_m", "_min_o", "_max_o")
+            assert [getattr(merged, k) for k in extremes] == [getattr(whole, k) for k in extremes]
+            got = reports[(zone, season, spec["label"])]
+            assert got == finish(merged)
+            old = finish(whole)
+            for key in ("n", "pdf_overlap", "txx_err", "tnn_err", "flags"):
+                assert got[key] == old[key], key
+
+    def test_each_pass_gathers_each_atom_once_per_block(self, tmp_path, setup, monkeypatch):
+        """Both passes of every model's sweep gather each (season, zone code)
+        atom once per block that holds its rows, and nothing else: fewer
+        gathers than one per (context, block), as a per-context pass 1 made."""
+        cfg_path, config = setup
+        obs_path = config["reference"]["path"]
+        times = json.load(open(os.path.join(obs_path, "header.json")))["time"]
+        months = np.array([int(t.split("-")[1]) for t in times])
+        index = metrics.context_index(months, gcf.read_mask(config["mask"]),
+                                      {z: ZONE_BY_NAME.get(z, z) for z in config["zones"]}, config["seasons"])
+        blocks = [(t0, min(t0 + metrics.BLOCK, len(times))) for t0 in range(0, len(times), metrics.BLOCK)]
+        per_pass = [
+            (tuple(rows[(rows >= t0) & (rows < t1)] - t0), tuple(cells))
+            for t0, t1 in blocks for rows, cells, _ in metrics._plan(index) if ((rows >= t0) & (rows < t1)).any()
+        ]
+        per_context = sum(
+            np.any([((r >= t0) & (r < t1)).any() for _, r in season_rows])
+            for t0, t1 in blocks for _, season_rows, _ in index
+        )
+        calls = []
+        original = metrics._pairs
+
+        def counting(block_m, block_o, rows, cells, fill_m, fill_o):
+            calls.append((tuple(rows), tuple(cells)))
+            return original(block_m, block_o, rows, cells, fill_m, fill_o)
+
+        monkeypatch.setattr(metrics, "_pairs", counting)
+        _run(tmp_path, cfg_path)
+        assert calls == per_pass * (2 * len(config["models"]))
+        assert len(per_pass) < per_context <= 16 * len(blocks)
 
     def test_in_memory_and_full_scale_write_identical_bytes(self, tmp_path, setup):
         cfg_path, _ = setup
@@ -275,9 +336,9 @@ class TestSourceValidation:
     @pytest.mark.parametrize(
         "key, value",
         [("fill_value", "x"), ("fill_value", True), ("time", None), ("time", 5), ("lat", None),
-         ("lon", ["a"]), ("variable", 5), ("units", None)],
+         ("lon", ["a"]), ("variable", 5), ("units", None), ("fill_value", 10**400), ("lat", [10**400])],
         ids=["fill-string", "fill-bool", "time-null", "time-number", "lat-null", "lon-strings", "variable-number",
-             "units-null"],
+             "units-null", "fill-huge", "lat-huge"],
     )
     @pytest.mark.parametrize("command", ["rank", "full-scale", "metrics"])
     def test_mistyped_header_field_exits_2_naming_file_and_key(self, tmp_path, setup, capsys, command, key, value):
@@ -308,3 +369,43 @@ class TestSourceValidation:
         assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), *extra]) == 2
         err = capsys.readouterr().err
         assert edited["reference"]["path"] in err and "strictly increasing" in err
+
+
+# JSON values a hand-edited or foreign header might hold: wrong types, empty,
+# huge (beyond float64 and float32), null, non-finite and nested
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.just(10**400), st.just(1e39),
+                  st.floats(), st.text(max_size=4), st.just("9" * 400), st.just("1985-02-30"))
+_ODD_VALUES = st.one_of(_JUNK, st.just([]), st.just({}), st.lists(_JUNK, max_size=3),
+                        st.lists(st.lists(_JUNK, max_size=2), min_size=1, max_size=2),
+                        st.dictionaries(st.text(max_size=3), _JUNK, max_size=2))
+HEADER_FIELDS = ("variable", "units", "fill_value", "lat", "lon", "time", "calendar", "dims")
+
+
+@pytest.fixture(scope="module")
+def header_source(setup):
+    """(reference directory, its header, mask path): `metrics` of the reference against itself exits 0."""
+    _, config = setup
+    obs = config["reference"]["path"]
+    return obs, json.load(open(os.path.join(obs, "header.json"))), config["mask"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(HEADER_FIELDS), value=_ODD_VALUES, entry=st.none() | st.integers(-1, 2))
+def test_any_one_bad_header_field_exits_cleanly(tmp_path_factory, header_source, field, value, entry):
+    """One field of a valid GCF header, or one entry of a list field, replaced
+    by an odd JSON value never ends in a traceback: `metrics` exits 0, 2, 3 or 4."""
+    obs, header, mask = header_source
+    header = json.loads(json.dumps(header))
+    if entry is not None and isinstance(header[field], list):
+        header[field][entry] = value
+    else:
+        header[field] = value
+    edited = tempfile.mkdtemp(dir=str(tmp_path_factory.getbasetemp()))
+    shutil.copyfile(os.path.join(obs, "data.bin"), os.path.join(edited, "data.bin"))
+    with open(os.path.join(edited, "header.json"), "w") as fh:
+        json.dump(header, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["metrics", "--model", obs, "--obs", edited, "--mask", mask])
+    shutil.rmtree(edited)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
