@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -157,7 +158,9 @@ class PipelineConfig:
         seed = _typed(raw, "seed", 0, (int,))
         wn_raw = raw.get("weightnet", {})
         _require(isinstance(wn_raw, dict), stage, f"weightnet must be a JSON object, got {wn_raw!r}")
-        learning_rate = float(_typed(wn_raw, "learning_rate", 1e-3, (int, float), "weightnet."))
+        # bounded so that an int learning rate converts to a float
+        learning_rate = float(_typed(wn_raw, "learning_rate", 1e-3, (int, float), "weightnet.",
+                                     high=sys.float_info.max))
         _require(0.0 < learning_rate < math.inf, stage,
                  f"weightnet.learning_rate must be positive and finite, got {learning_rate!r}")
         wn = WeightNetConfig(
@@ -250,22 +253,27 @@ def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
         reports = {ctx: [(label, per_model[label][ctx]) for label in models] for ctx, _, _ in index}
 
     with manifest.stage("weights"):
-        weight_source = config.weights
+        matrices = [assemble_matrix(reports[ctx], config.criteria, context=ctx) for ctx in sorted(reports)]
+        weight_source, trained_on = config.weights, []
         if weight_source == "train":
-            matrices = [
-                assemble_matrix(reports[ctx], config.criteria, context=ctx) for ctx in sorted(reports)
-            ]
-            net, epoch_mse = train_weightnet(matrices, config.weightnet)
-            for name, blob in encode_checkpoint(*net.checkpoint()).items():
+            # a context that dropped a criterion is ranked with uniform(fallback) weights
+            trained_on = [dm for dm in matrices if dm.criteria == config.criteria]
+            if not trained_on:
+                dropped = {"/".join(dm.context): [c.name for c in config.criteria if c not in dm.criteria]
+                           for dm in matrices}
+                raise ValidationError(f"[weights] every context dropped a criterion, so the weight net has none "
+                                      f"to train on: {dropped}")
+            weight_source, epoch_mse = train_weightnet(trained_on, config.weightnet)
+            for name, blob in encode_checkpoint(*weight_source.checkpoint()).items():
                 manifest.put(f"weightnet.ckpt/{name}", blob)
-            history = {"epoch_mse": epoch_mse, "context_mse": evaluate_weightnet(net, matrices)}
-            manifest.put("weightnet_history.json", json.dumps(history, indent=1) + "\n")
-            weight_source = net
         elif isinstance(weight_source, dict):
             weight_source = WeightNet.load(weight_source["checkpoint"])
 
     with manifest.stage("rank"):
-        results, weights_used = rank_all(reports, weight_source, config.criteria)
+        results, weights_used = rank_all(matrices, weight_source)
+        if trained_on:
+            history = {"epoch_mse": epoch_mse, "context_mse": evaluate_weightnet(trained_on, weights_used)}
+            manifest.put("weightnet_history.json", json.dumps(history, indent=1) + "\n")
         _write_rank_outputs(manifest, config, reports, results, weights_used)
 
     manifest.write()

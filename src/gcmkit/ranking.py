@@ -7,11 +7,19 @@ CC = D-/(D+ + D-) between the ideal and anti-ideal points. Weights come
 either from a static uniform vector or from a small softmax network
 trained to reproduce entropy-method weights from per-column summary
 features, which keeps the weighting data-driven and reproducible.
+
+A rank builds each context's decision matrix once, and the matrix keeps
+its features and entropy targets once computed, so training, evaluation
+and weight resolution share them and the net predicts each context's
+weights once. Under `weights: "train"` a context that dropped a criterion
+has no place in the net's input: it is ranked with uniform weights, and
+`weights.json` names its source `uniform(fallback)`.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,7 +71,8 @@ def default_criteria(names: Sequence[str] = DEFAULT_CRITERIA_NAMES) -> List[Crit
 
 @dataclass(eq=False)
 class DecisionMatrix:
-    """Models x criteria value matrix for one (zone, season) context."""
+    """Models x criteria value matrix for one (zone, season) context; its values are read-only,
+    so its features and entropy targets are computed once, on first use."""
 
     models: List[str]
     criteria: List[Criterion]
@@ -71,7 +80,7 @@ class DecisionMatrix:
     context: Tuple[str, str] = ("", "")
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)
         if v.shape != (len(self.models), len(self.criteria)):
             raise ValidationError(
                 f"matrix shape {v.shape} does not match {len(self.models)} models x {len(self.criteria)} criteria"
@@ -82,7 +91,18 @@ class DecisionMatrix:
             raise ValidationError("duplicate model labels")
         if not np.all(np.isfinite(v)):
             raise ValidationError("decision matrix contains non-finite entries")
+        v.setflags(write=False)
         self.values = v
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The weight net's input, `featurize(self)`."""
+        return featurize(self)
+
+    @cached_property
+    def target(self) -> "WeightVector":
+        """The entropy-method weights of the normalized matrix."""
+        return entropy_target_weights(normalize(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,29 +237,29 @@ def rank_matrix(dm: DecisionMatrix, weights: WeightVector) -> RankingResult:
     return topsis_score(normalize(dm), weights, dm.criteria, dm.models, dm.context)
 
 
-def _minmax_column(col: np.ndarray) -> np.ndarray:
-    lo, hi = float(np.min(col)), float(np.max(col))
-    if hi == lo:
-        return np.full_like(col, 0.5)
-    return (col - lo) / (hi - lo)
+def _column_stats(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The min-max rescaled columns of a models x criteria array, as rows, and their entropies.
 
-
-def _column_entropy(col: np.ndarray) -> float:
-    """Normalized Shannon entropy of the min-max-rescaled column.
-
-    The rescaled column is renormalized to a probability vector; a constant
-    column counts as perfectly uninformative (entropy 1). 0 * ln 0 is 0.
+    The array is transposed to C-contiguous (criteria x models) rows and
+    reduced along the last axis, so each column gets the 1-D reduction it
+    would get alone, to the bit. A constant column rescales to 0.5 and
+    counts as perfectly uninformative (entropy 1). Otherwise the rescaled
+    column is renormalized to a probability vector p with normalized
+    Shannon entropy -sum(p ln p) / ln m, 0 ln 0 being 0; that sum runs over
+    the nonzero p only, one column at a time.
     """
-    m = col.size
-    if float(np.min(col)) == float(np.max(col)):
-        return 1.0
-    scaled = _minmax_column(col)
-    total = float(np.sum(scaled))
-    if total == 0.0:
-        return 1.0
-    p = scaled / total
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)) / math.log(m))
+    cols = np.ascontiguousarray(np.asarray(values, dtype=np.float64).T)
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    flat = hi == lo
+    scaled = (cols - lo[:, None]) / np.where(flat, 1.0, hi - lo)[:, None]
+    scaled[flat] = 0.5
+    totals = scaled.sum(axis=1)
+    entropy = np.ones(len(cols))
+    for j in np.flatnonzero(~flat & (totals != 0.0)):
+        p = scaled[j] / totals[j]
+        nz = p[p > 0]
+        entropy[j] = -np.sum(nz * np.log(nz)) / math.log(cols.shape[1])
+    return scaled, entropy
 
 
 def entropy_target_weights(n_matrix: np.ndarray) -> WeightVector:
@@ -253,8 +273,7 @@ def entropy_target_weights(n_matrix: np.ndarray) -> WeightVector:
     m, n = n_matrix.shape
     if m < 2:
         raise ValidationError("entropy weights need at least 2 models")
-    d = np.array([1.0 - _column_entropy(n_matrix[:, j]) for j in range(n)])
-    d = np.maximum(d, 0.0)
+    d = np.maximum(1.0 - _column_stats(n_matrix)[1], 0.0)
     total = float(np.sum(d))
     if total == 0.0:
         return WeightVector(np.full(n, 1.0 / n))
@@ -268,20 +287,9 @@ def featurize(dm: DecisionMatrix) -> np.ndarray:
     entropy), giving 5 features per criterion regardless of how many models
     the context holds.
     """
-    feats = []
-    for j in range(len(dm.criteria)):
-        col = dm.values[:, j]
-        scaled = _minmax_column(col)
-        feats.extend(
-            [
-                float(np.mean(scaled)),
-                float(np.std(scaled)),
-                float(np.min(scaled)),
-                float(np.max(scaled)),
-                _column_entropy(col),
-            ]
-        )
-    return np.array(feats, dtype=np.float64)
+    scaled, entropy = _column_stats(dm.values)
+    stats = (scaled.mean(axis=1), scaled.std(axis=1), scaled.min(axis=1), scaled.max(axis=1), entropy)
+    return np.stack(stats, axis=1).ravel()
 
 
 N_FEATURES_PER_CRITERION = 5
@@ -359,15 +367,16 @@ def train_weightnet(
     if not contexts:
         raise ValidationError("train_weightnet needs at least one context")
     config = config or WeightNetConfig()
-    n_criteria = len(contexts[0].criteria)
-    for dm in contexts:
-        if len(dm.criteria) != n_criteria:
-            raise ValidationError("all contexts must share the same criteria list")
+    first = contexts[0]
+    others = ["/".join(dm.context) for dm in contexts if dm.criteria != first.criteria]
+    if others:
+        raise ValidationError(f"all contexts must share one criteria list; {others} differ from "
+                              f"{'/'.join(first.context)}'s {[c.name for c in first.criteria]}")
 
-    feats = np.stack([featurize(dm) for dm in contexts])
-    targets = np.stack([entropy_target_weights(normalize(dm)).w for dm in contexts])
+    feats = np.stack([dm.features for dm in contexts])
+    targets = np.stack([dm.target.w for dm in contexts])
 
-    net = WeightNet(n_criteria, seed=config.seed)
+    net = WeightNet(len(first.criteria), seed=config.seed)
     params = [t for _, t in net.params()]
     sgd = tc.SGD(params, lr=config.learning_rate)
     adam = tc.Adam(params, lr=config.learning_rate)
@@ -395,19 +404,13 @@ def train_weightnet(
     return net, history
 
 
-def evaluate_weightnet(net: WeightNet, contexts: Sequence[DecisionMatrix]) -> float:
-    """Mean squared error of predicted vs entropy-target weights over contexts.
-
-    Used to report held-out-context fit after training.
-    """
+def evaluate_weightnet(contexts: Sequence[DecisionMatrix],
+                       weights_used: Mapping[Tuple[str, str], Tuple[WeightVector, str]]) -> float:
+    """Mean squared error of the weights `rank_all` used vs entropy-target weights over contexts:
+    given the contexts the weight net trained on, its fit from the predictions it ranked with."""
     if not contexts:
         raise ValidationError("evaluate_weightnet needs at least one context")
-    errs = []
-    for dm in contexts:
-        target = entropy_target_weights(normalize(dm)).w
-        pred = net.predict(featurize(dm)).w
-        errs.append(float(np.mean((pred - target) ** 2)))
-    return float(np.mean(errs))
+    return float(np.mean([np.mean((weights_used[dm.context][0].w - dm.target.w) ** 2) for dm in contexts]))
 
 
 WeightSource = Union[str, WeightNet]
@@ -431,31 +434,27 @@ def resolve_weights(dm: DecisionMatrix, source: WeightSource) -> Tuple[WeightVec
                 f"{source.n_criteria}; using uniform weights"
             )
             return WeightVector(np.full(n, 1.0 / n)), "uniform(fallback)"
-        return source.predict(featurize(dm)), "weightnet"
+        return source.predict(dm.features), "weightnet"
     raise ValidationError(f"unknown weight source {source!r}")
 
 
 def rank_all(
-    reports: Dict[Tuple[str, str], List[Tuple[str, MetricReport]]],
+    matrices: Sequence[DecisionMatrix],
     weight_source: WeightSource = "uniform",
-    criteria: Sequence[Criterion] = None,
 ) -> Tuple[List[RankingResult], Dict[Tuple[str, str], Tuple[WeightVector, str]]]:
-    """Rank every context.
+    """Rank every context's decision matrix.
 
-    `reports` maps (zone, season) contexts to per-model metric reports.
-    Returns the per-context results in context order and the weight
+    Returns the per-context results in the order given and the weight
     vector actually used per context.
     """
-    if not reports:
+    if not matrices:
         raise ValidationError("no contexts to rank")
-    criteria = list(criteria) if criteria else default_criteria()
     results: List[RankingResult] = []
     weights_used: Dict[Tuple[str, str], Tuple[WeightVector, str]] = {}
-    for context in sorted(reports):
-        dm = assemble_matrix(reports[context], criteria, context=context)
+    for dm in matrices:
         wv, source_name = resolve_weights(dm, weight_source)
         results.append(rank_matrix(dm, wv))
-        weights_used[context] = (wv, source_name)
+        weights_used[dm.context] = (wv, source_name)
     return results, weights_used
 
 

@@ -1,18 +1,28 @@
 import ast
+import collections
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gcmkit import gcf
+from gcmkit import gcf, pipeline
+from gcmkit import ranking as rk
 from gcmkit.artifacts import RunManifest
 from gcmkit.cli import main
 from gcmkit.fixtures import GOOD_MODEL, make_csv_fixture, make_ranking_fixture
+from gcmkit.geogrid import LAND_ZONES
+from gcmkit.ranking import DEFAULT_CRITERIA_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -209,11 +219,12 @@ class TestRank:
             (lambda config: {**config, "weightnet": {"epochs": -1}}, "weightnet.epochs"),
             (lambda config: {**config, "pdf_bins": 10**12}, "pdf_bins"),
             (lambda config: {**config, "criteria": "bias"}, "criteria"),
+            (lambda config: {**config, "weightnet": {"learning_rate": 10**400}}, "weightnet.learning_rate"),
         ],
         ids=["top-level-list", "model-entry", "weightnet-block", "seed", "pdf_bins", "weightnet-epochs",
              "non-string-label", "label-with-comma", "label-with-newline", "label-with-return",
              "no-seasons", "no-zones", "non-object-reference", "zero-batch-size", "negative-epochs",
-             "huge-pdf-bins", "criteria-string"],
+             "huge-pdf-bins", "criteria-string", "learning-rate-beyond-float"],
     )
     def test_config_type_error_exits_2_naming_key_and_file(self, tmp_path, fixture_paths, capsys, edit, key):
         bad = tmp_path / "bad.json"
@@ -251,9 +262,9 @@ class TestRank:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "n_criteria" in err and "Traceback" not in err
 
-    def test_constant_fields_score_a_perfect_pdf_overlap(self, tmp_path, fixture_paths):
-        # bilinear regrid leaves a few ULPs of spread on a constant off-grid
-        # model, too narrow a range for 100 strictly increasing bin edges
+    @staticmethod
+    def _constant_fields_config(tmp_path, fixture_paths, weights):
+        """The fixture config with a constant reference and constant models, written to tmp_path."""
         config = json.load(open(fixture_paths["config"]))
         obs = gcf.read_cube(fixture_paths["obs"])
         config["reference"]["path"] = str(tmp_path / "obs")
@@ -262,14 +273,74 @@ class TestRank:
             cube = gcf.read_cube(spec["path"])
             spec["path"] = str(tmp_path / spec["label"])
             gcf.write_cube(dataclasses.replace(cube, data=np.full(cube.shape, value)), spec["path"])
-        config["weights"] = "uniform"
+        config["weights"] = weights
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
+        return config, str(cfg_path)
+
+    def test_constant_fields_score_a_perfect_pdf_overlap(self, tmp_path, fixture_paths):
+        # bilinear regrid leaves a few ULPs of spread on a constant off-grid
+        # model, too narrow a range for 100 strictly increasing bin edges
+        config, cfg_path = self._constant_fields_config(tmp_path, fixture_paths, "uniform")
         with pytest.warns(UserWarning, match="dropped"):  # r, nse, kge have no valid value on constant series
-            assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 0
+            assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", "run"]) == 0
         rows = json.load(open(tmp_path / "run" / "reports.json"))
         overlaps = {row["pdf_overlap"] for row in rows if row["model"] == config["models"][0]["label"]}
         assert overlaps == {1.0}
+
+    def test_contexts_that_dropped_a_criterion_take_uniform_fallback_under_train(self, tmp_path):
+        # a constant reference over the first zone leaves r, nse and kge without a valid value there
+        paths = make_ranking_fixture(str(tmp_path / "fx"), seed=3)
+        config = json.load(open(paths["config"]))
+        obs, mask = gcf.read_cube(paths["obs"]), gcf.read_mask(paths["mask"])
+        data = obs.data.copy()
+        data[:, mask.codes == LAND_ZONES[0]] = 280.0
+        config["reference"]["path"] = str(tmp_path / "obs")
+        gcf.write_cube(dataclasses.replace(obs, data=data), config["reference"]["path"])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**config, "weights": "train"}))
+        with pytest.warns(UserWarning, match="using uniform weights"):
+            assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 0
+        weights = json.load(open(tmp_path / "run" / "weights.json"))
+        fallback = sorted(ctx for ctx, spec in weights.items() if spec["source"] == "uniform(fallback)")
+        assert "tropical/SON" in fallback and len(fallback) < len(weights)
+        for ctx, spec in weights.items():
+            full = spec["criteria"] == list(DEFAULT_CRITERIA_NAMES)
+            assert spec["source"] == ("weightnet" if full else "uniform(fallback)"), ctx
+            if not full:
+                assert not {"kge", "nse", "r"} & set(spec["criteria"])
+                assert spec["weights"] == [1.0 / len(spec["criteria"])] * len(spec["criteria"])
+        assert os.path.isfile(tmp_path / "run" / "weightnet_history.json")
+
+    def test_train_with_every_context_missing_a_criterion_exits_2_naming_them(self, tmp_path, fixture_paths,
+                                                                              capsys):
+        _, cfg_path = self._constant_fields_config(tmp_path, fixture_paths, "train")
+        with pytest.warns(UserWarning, match="dropped"):
+            assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", "run"]) == 2
+        err = capsys.readouterr().err
+        assert "[weights]" in err and "'tropical/SON': ['kge', 'nse', 'r']" in err and "overall/ANNUAL" in err
+
+    def test_train_rank_builds_each_context_table_once(self, tmp_path, fixture_paths, monkeypatch):
+        """One matrix, one featurization, one entropy target and one prediction per context."""
+        calls = {name: collections.Counter() for name in ("assemble", "featurize", "target", "predict")}
+
+        def counted(name, fn, key=lambda *args, **kwargs: None):
+            def wrapper(*args, **kwargs):
+                calls[name][key(*args, **kwargs)] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "assemble_matrix",
+                            counted("assemble", pipeline.assemble_matrix, lambda *a, context, **k: context))
+        monkeypatch.setattr(rk, "featurize", counted("featurize", rk.featurize, lambda dm: dm.context))
+        monkeypatch.setattr(rk, "entropy_target_weights", counted("target", rk.entropy_target_weights))
+        monkeypatch.setattr(rk.WeightNet, "predict", counted("predict", rk.WeightNet.predict))
+        assert main(["rank", "--config", fixture_paths["config"], "--out", str(tmp_path), "--name", "run"]) == 0
+        contexts = set(calls["assemble"])
+        assert len(contexts) == 30 and set(calls["featurize"]) == contexts
+        assert set(calls["assemble"].values()) == set(calls["featurize"].values()) == {1}
+        # every context is trained on, so each needs its own target and prediction
+        assert calls["target"][None] == calls["predict"][None] == 30
 
     def test_full_scale_streaming_matches_in_memory(self, tmp_path, fixture_paths):
         # pre-regrid the models so the streaming path accepts them
@@ -335,6 +406,52 @@ class TestRank:
         cfg_path.write_text(json.dumps(config))
         assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert f"no data.bin under {bad}" in capsys.readouterr().err
+
+
+# JSON values a hand-edited rank config might hold in one key: wrong types,
+# empty, huge, non-finite, nested, and valid names in the wrong place
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.integers(-3, 12), st.just(10**400),
+                  st.floats(), st.text(max_size=4), st.just("9" * 400),
+                  st.sampled_from(["train", "uniform", "arid", "overall", "DJF", "ANNUAL", "kge", "r2", "bias"]))
+_ODD_VALUES = st.one_of(_JUNK, st.just([]), st.just({}), st.lists(_JUNK, max_size=3),
+                        st.lists(st.lists(_JUNK, max_size=2), min_size=1, max_size=2),
+                        st.dictionaries(st.text(max_size=3), _JUNK, max_size=2),
+                        st.fixed_dictionaries({"checkpoint": _JUNK}))
+RANK_CONFIG_KEYS = (("weights",), ("weightnet",), ("weightnet", "epochs"), ("weightnet", "warm_epochs"),
+                    ("weightnet", "batch_size"), ("weightnet", "learning_rate"), ("criteria",), ("criteria", 0),
+                    ("pdf_bins",), ("zones",), ("zones", 1), ("seasons",), ("seasons", 0), ("seed",),
+                    ("models", 1), ("models", 0, "label"), ("models", 2, "path"))
+
+
+@pytest.fixture(scope="module")
+def small_rank_config(tmp_path_factory):
+    """A valid rank config on an 8x8 fixture, "uniform" weights and a two-epoch weight net when trained."""
+    paths = make_ranking_fixture(str(tmp_path_factory.mktemp("small")), seed=5, nlat=8, nlon=8, nt=365)
+    config = json.load(open(paths["config"]))
+    return {**config, "weights": "uniform", "criteria": ["bias", "rmse", "kge"],
+            "weightnet": {"epochs": 2, "batch_size": 8}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(RANK_CONFIG_KEYS), value=_ODD_VALUES)
+def test_any_one_bad_rank_config_key_exits_cleanly(tmp_path_factory, small_rank_config, key, value):
+    """One key of a valid rank config replaced by an odd JSON value never ends
+    in a traceback: `rank` exits 0, 2, 3 or 4."""
+    config = json.loads(json.dumps(small_rank_config))
+    node = config
+    for part in key[:-1]:
+        node = node[part]
+    node[key[-1]] = value
+    work = tempfile.mkdtemp(dir=str(tmp_path_factory.getbasetemp()))
+    cfg_path = os.path.join(work, "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(config, fh)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # dropped criteria and fallback weights are warnings, not failures
+        code = main(["rank", "--config", cfg_path, "--out", work, "--name", "run"])
+    shutil.rmtree(work)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
 
 
 class TestDownscaleCli:

@@ -214,6 +214,78 @@ class TestFeaturize:
         assert f[4] == 1.0  # entropy of constant column
 
 
+def _reference_minmax(col):
+    lo, hi = float(np.min(col)), float(np.max(col))
+    if hi == lo:
+        return np.full_like(col, 0.5)
+    return (col - lo) / (hi - lo)
+
+
+def _reference_entropy(col):
+    if float(np.min(col)) == float(np.max(col)):
+        return 1.0
+    scaled = _reference_minmax(col)
+    total = float(np.sum(scaled))
+    if total == 0.0:
+        return 1.0
+    p = scaled / total
+    nz = p[p > 0]
+    return float(-np.sum(nz * np.log(nz)) / np.log(col.size))
+
+
+def _reference_featurize(values):
+    """The per-column loop the vectorized features must match to the bit."""
+    feats = []
+    for j in range(values.shape[1]):
+        scaled = _reference_minmax(values[:, j])
+        feats.extend([float(np.mean(scaled)), float(np.std(scaled)), float(np.min(scaled)),
+                      float(np.max(scaled)), _reference_entropy(values[:, j])])
+    return np.array(feats)
+
+
+def _reference_entropy_weights(n_matrix):
+    d = np.maximum(np.array([1.0 - _reference_entropy(n_matrix[:, j]) for j in range(n_matrix.shape[1])]), 0.0)
+    total = float(np.sum(d))
+    return np.full(d.size, 1.0 / d.size) if total == 0.0 else d / total
+
+
+def _flat_after_normalizing(m):
+    """A column of two adjacent floats that vector normalization makes constant."""
+    for k in range(1, 200):
+        x = k / 7.0
+        col = np.array([x, np.nextafter(x, 10.0)] * (m // 2) + [x] * (m % 2))
+        if np.ptp(col) > 0 and np.ptp(rk.normalize(col[:, None])) == 0:
+            return col
+    raise AssertionError(f"no such column for {m} models")
+
+
+class TestVectorizedColumnStats:
+    @pytest.mark.parametrize("m", [2, 3, 8, 9, 32])
+    def test_features_and_targets_match_the_per_column_loop_to_the_bit(self, m):
+        rng = np.random.default_rng(m)
+        for trial in range(40):
+            kinds = rng.integers(0, 5, size=9)
+            cols = []
+            for kind in kinds:
+                if kind == 0:
+                    cols.append(rng.normal(scale=10.0 ** rng.integers(-3, 4), size=m))
+                elif kind == 1:
+                    cols.append(np.full(m, rng.normal()))  # constant
+                elif kind == 2:
+                    cols.append(rng.integers(0, 3, size=m).astype(float))  # tied extremes
+                elif kind == 3:
+                    cols.append(_flat_after_normalizing(m))
+                else:
+                    cols.append(np.abs(rng.normal(size=m)) + 0.01)
+            values = np.stack(cols, axis=1)
+            dm = rk.DecisionMatrix([f"m{i}" for i in range(m)], rk.default_criteria(), values, ("z", str(trial)))
+            got, want = rk.featurize(dm), _reference_featurize(values)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            n_matrix = rk.normalize(dm)
+            got = rk.entropy_target_weights(n_matrix).w
+            assert np.array_equal(got.view(np.int64), _reference_entropy_weights(n_matrix).view(np.int64))
+
+
 class TestWeightNet:
     def test_output_is_valid_weight_vector_for_any_input(self):
         net = rk.WeightNet(9, seed=4)
@@ -271,8 +343,12 @@ class TestRankAll:
                 ]
         return out
 
+    def _matrices(self, reports=None):
+        reports = reports or self._reports()
+        return [rk.assemble_matrix(reports[ctx], rk.default_criteria(), ctx) for ctx in sorted(reports)]
+
     def test_dominant_model_wins_everywhere(self):
-        results, weights = rk.rank_all(self._reports(), "uniform")
+        results, weights = rk.rank_all(self._matrices(), "uniform")
         assert len(results) == 4
         for res in results:
             assert res.order[0] == "good"
@@ -282,7 +358,7 @@ class TestRankAll:
             assert float(wv.w.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_heatmap_shape_and_range(self):
-        results, _ = rk.rank_all(self._reports(), "uniform")
+        results, _ = rk.rank_all(self._matrices(), "uniform")
         rows = [line.split(",") for line in rk.heatmap_csv({res.context: dict(zip(res.models, res.cc))
                                                             for res in results}).splitlines()[1:]]
         models = [row[0] for row in rows]
@@ -295,7 +371,8 @@ class TestRankAll:
         reports = self._reports()
         reports[("polar", "DJF")] = [(label, report(kge=None, flags={"kge": False})) for label in ("good", "bad")]
         with pytest.warns(UserWarning, match="kge"):
-            results, weights = rk.rank_all(reports, "uniform")
+            matrices = self._matrices(reports)
+        results, weights = rk.rank_all(matrices, "uniform")
         for res in results:
             names = [c.name for c in res.criteria]
             assert len(names) == len(weights[res.context][0])
@@ -303,7 +380,7 @@ class TestRankAll:
 
     def test_weightnet_source(self):
         net = rk.WeightNet(9, seed=1)
-        results, weights = rk.rank_all(self._reports(), net)
+        results, weights = rk.rank_all(self._matrices(), net)
         for ctx, (wv, src) in weights.items():
             assert src == "weightnet"
             assert len(wv) == 9
