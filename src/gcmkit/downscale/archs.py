@@ -98,7 +98,7 @@ class _UpsampleHead(tc.Module):
         c = c_in
         for i, s in enumerate(plan):
             c_out = 1 if i == len(plan) - 1 else mid_channels
-            self.stages.append(tc.ConvTranspose2d(rng.split(), c, c_out, k=s, stride=s, name=f"{name}.up{i}"))
+            self.stages.append(tc.ConvTranspose2d(rng.split(), c, c_out, s, name=f"{name}.up{i}"))
             c = c_out
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -130,7 +130,7 @@ def spec_split(spec: dict) -> Tuple[DownscaleDataset, DownscaleDataset]:
     are held out, so `downscale train` and `downscale eval` share one split.
     """
     window = spec.get("window", 4)
-    if not isinstance(window, int) or window < 1:
+    if type(window) is not int or window < 1:
         raise ValidationError(f"data spec window must be a positive integer, got {window!r}")
     full = windows_from_pair(gcf.read_cube(spec["coarse"]), gcf.read_cube(spec["fine"]), window)
     n = len(full)

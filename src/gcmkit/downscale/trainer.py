@@ -23,6 +23,9 @@ from .archs import ArchConfig, DownscaleModel, build_model, imbalance_weighted_m
 from .data import DownscaleDataset
 
 LOSS_KINDS = ("mse", "imbalance_weighted_mse")
+# the most epochs any training loop may be configured for, so a mistyped count
+# fails validation instead of training for ever
+MAX_EPOCHS = 10_000
 
 
 @dataclass
@@ -44,7 +47,7 @@ class TrainConfig:
             check(key, type(getattr(self, key)) is int, "must be an integer")
         for key in ("learning_rate", "val_fraction"):
             check(key, type(getattr(self, key)) in (int, float), "must be a number")
-        check("epochs", self.epochs >= 1, "must be >= 1")
+        check("epochs", 1 <= self.epochs <= MAX_EPOCHS, f"must lie in [1, {MAX_EPOCHS}]")
         check("batch_size", self.batch_size >= 1, "must be >= 1")
         check("learning_rate", 0.0 < self.learning_rate < math.inf, "must be positive and finite")
         check("patience", self.patience >= 0, "must be >= 0")

@@ -9,6 +9,7 @@ correct ranking in every (zone, season) context.
 """
 
 import os
+from dataclasses import replace
 from typing import Dict
 
 import numpy as np
@@ -65,7 +66,7 @@ def make_ranking_fixture(out_dir: str, seed: int = 4242, nlat: int = 20, nlon: i
     }
 
     paths = {"obs": os.path.join(out_dir, "obs"), "mask": os.path.join(out_dir, "mask")}
-    gcf.write_cube(obs.with_variable("dtr"), paths["obs"])
+    gcf.write_cube(replace(obs, variable="dtr"), paths["obs"])
     mask = banded_zone_mask(obs.lat, obs.lon, seed=seed)
     gcf.write_mask(mask, paths["mask"])
     model_entries = []

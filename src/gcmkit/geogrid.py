@@ -163,9 +163,6 @@ class DataCube:
     def months(self) -> np.ndarray:
         return np.array([m for (_, m, _) in self.time], dtype=np.int64)
 
-    def with_variable(self, name: str, units: str = None) -> "DataCube":
-        return replace(self, variable=name, units=self.units if units is None else units)
-
 
 @dataclass(frozen=True, eq=False)
 class ZoneMask:

@@ -50,6 +50,7 @@ from .ranking import (
 )
 from . import downscale as dsc
 from .downscale.presets import desk_arch_config, desk_train_config
+from .downscale.trainer import MAX_EPOCHS
 from .tensorcore import encode_checkpoint
 
 ZONE_BY_NAME = {name: code for code, name in ZONE_NAMES.items()}
@@ -164,7 +165,7 @@ class PipelineConfig:
         _require(0.0 < learning_rate < math.inf, stage,
                  f"weightnet.learning_rate must be positive and finite, got {learning_rate!r}")
         wn = WeightNetConfig(
-            epochs=_typed(wn_raw, "epochs", 50, (int,), "weightnet.", low=1),
+            epochs=_typed(wn_raw, "epochs", 50, (int,), "weightnet.", low=1, high=MAX_EPOCHS),
             warm_epochs=_typed(wn_raw, "warm_epochs", 5, (int,), "weightnet.", low=0),
             batch_size=_typed(wn_raw, "batch_size", 32, (int,), "weightnet.", low=1),
             learning_rate=learning_rate,

@@ -19,7 +19,7 @@ from .nn import (
     mse,
 )
 from .optim import SGD, Adam, make_optimizer
-from .tensor import Tensor, batch_norm, concat, conv2d, conv2d_transpose, layer_norm, lstm_gates, no_grad, softmax
+from .tensor import Tensor, batch_norm, conv2d, conv2d_transpose, layer_norm, lstm_gates, no_grad, softmax
 
 __all__ = [
     "Adam",
@@ -37,7 +37,6 @@ __all__ = [
     "TransformerBlock",
     "attention",
     "batch_norm",
-    "concat",
     "conv2d",
     "conv2d_transpose",
     "dense",

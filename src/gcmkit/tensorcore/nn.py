@@ -8,6 +8,9 @@ running statistics, updated in place), and a child Module, or a list of
 them, contributes its own. Attribute order is therefore the checkpoint
 contract: `state_entries()` lists the live arrays in walk order,
 parameters first, then buffers.
+
+The convolutions are `Conv2d` (stride 1, "same" padding, odd kernel) and
+`ConvTranspose2d`, the stride-fold upsampler whose kernel size is its fold.
 """
 
 import math
@@ -97,28 +100,30 @@ class Dense(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, rng, c_in, c_out, k, stride=1, padding="same", name="conv"):
+    """Stride-1, same-padded convolution with an odd k x k kernel."""
+
+    def __init__(self, rng, c_in, c_out, k, name="conv"):
         if k % 2 == 0:
             raise ValidationError("conv kernels use an odd size (radius-based)")
-        self.name, self.stride, self.padding = name, stride, padding
+        self.name = name
         self.w = Tensor(he_uniform(rng, (c_out, c_in, k, k), c_in * k * k), requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
+        return conv2d(x, self.w, self.b)
 
 
 class ConvTranspose2d(Module):
-    """Stride-fold upsampler; kernel layout follows conv2d, so the layer's
-    input channels sit on kernel axis 0."""
+    """Stride-fold upsampler by `factor`: a factor x factor kernel whose
+    layout follows conv2d, so the layer's input channels sit on kernel axis 0."""
 
-    def __init__(self, rng, c_in, c_out, k, stride, name="convT"):
-        self.name, self.stride = name, stride
-        self.w = Tensor(he_uniform(rng, (c_in, c_out, k, k), c_in * k * k), requires_grad=True)
+    def __init__(self, rng, c_in, c_out, factor, name="convT"):
+        self.name = name
+        self.w = Tensor(he_uniform(rng, (c_in, c_out, factor, factor), c_in * factor * factor), requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d_transpose(x, self.w, stride=self.stride, bias=self.b)
+        return conv2d_transpose(x, self.w, self.b)
 
 
 class LSTMCell(Module):
@@ -163,9 +168,9 @@ class ConvLSTMCell(Module):
         2015), stacked inside `conv2d` from the separate `wx` and `wh`.
         """
         if h_prev is None:
-            z = conv2d(x, self.wx, self.b, padding="same")
+            z = conv2d(x, self.wx, self.b)
         else:
-            z = conv2d((x, h_prev), (self.wx, self.wh), self.b, padding="same")
+            z = conv2d((x, h_prev), (self.wx, self.wh), self.b)
         if self.bn is not None:
             z = self.bn(z, training=training)
         return lstm_gates(z, c_prev)

@@ -10,7 +10,6 @@ from .tensor import Tensor
 
 class SGD:
     def __init__(self, params: List[Tensor], lr: float):
-        self.kind = "sgd"
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
@@ -30,7 +29,6 @@ class Adam:
     """Adam with bias-corrected first and second moments."""
 
     def __init__(self, params: List[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.kind = "adam"
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps

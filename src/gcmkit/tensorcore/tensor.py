@@ -14,15 +14,23 @@ closure and do not require a gradient, so inference holds only the arrays
 that are still referenced. Ops on inputs that need no gradient record
 nothing either.
 
+The op set is what the networks run and no more: add, mul (with neg and
+sub built from them), matmul, reshape, transpose, basic-index slicing,
+sum/mean, relu and softmax, plus the fused nodes below. Each has a
+gradient check in the test suite.
+
 Hot composites are single fused nodes with hand-written backwards: the
 LSTM gate step (`lstm_gates`, two nodes: cell state and hidden state),
 `batch_norm` and `layer_norm`. Their backwards evaluate the same
 expressions, in the same order, as the composite graphs they replace,
 except that the normalizations use the closed-form input gradient.
-`conv2d` takes one input and kernel or matching sequences of them: a sum
-of convolutions is one node over the channel-stacked inputs, with one
-im2col and one product, so it sums in a different order than separate
-convolutions plus an add and agrees with them to rounding.
+There is one convolution form and one transposed form. `conv2d` is
+stride 1 with "same" padding; it takes one input and kernel or matching
+sequences of them: a sum of convolutions is one node over the
+channel-stacked inputs, with one im2col and one product, so it sums in a
+different order than separate convolutions plus an add and agrees with
+them to rounding. `conv2d_transpose` is the stride-fold upsampler whose
+stride equals its kernel size, so its windows never overlap.
 
 All math is float64. Every op output, with or without a graph, is checked
 for NaN/Inf and a `NumericFault` is raised at the op that produced it.
@@ -222,35 +230,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        out = Tensor(self.data / other.data, _parents=(self, other), _op="div")
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(_unbroadcast(g / other.data, self.data.shape), fresh=True)
-            if other.requires_grad:
-                grad = -g * self.data / (other.data * other.data)
-                other._accum(_unbroadcast(grad, other.data.shape), fresh=True)
-
-        out._backward = back
-        return out
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise ValidationError("only scalar exponents are supported")
-        out = Tensor(self.data ** exponent, _parents=(self,), _op="pow")
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * exponent * self.data ** (exponent - 1), fresh=True)
-
-        out._backward = back
-        return out
-
     def __matmul__(self, other):
         other = self._lift(other)
         a, b = self.data, other.data
@@ -296,22 +275,18 @@ class Tensor:
         return out
 
     def __getitem__(self, key):
+        """Basic indexing only (ints, slices, None, Ellipsis): the gradient
+        scatters back with one in-place add, which a repeated fancy index
+        would get wrong, so a fancy key is refused here."""
+        for k in key if isinstance(key, tuple) else (key,):
+            if not (k is None or k is Ellipsis or isinstance(k, slice)
+                    or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))):
+                raise ValidationError(f"Tensor indexing takes ints, slices, None and Ellipsis, got {k!r}")
         out = Tensor(self.data[key], _parents=(self,), _op="slice")
-        basic = all(
-            k is None or k is Ellipsis or isinstance(k, slice)
-            or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-            for k in (key if isinstance(key, tuple) else (key,))
-        )
 
         def back(g):
-            if not self.requires_grad:
-                return
-            if basic:
+            if self.requires_grad:
                 self._accum_at(key, g)
-            else:
-                full = np.zeros_like(self.data)
-                np.add.at(full, key, g)
-                self._accum(full, fresh=True)
 
         out._backward = back
         return out
@@ -357,67 +332,6 @@ class Tensor:
 
         out._backward = back
         return out
-
-    def sigmoid(self):
-        y = _sigmoid(self.data)
-        out = Tensor(y, _parents=(self,), _op="sigmoid")
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * y * (1.0 - y), fresh=True)
-
-        out._backward = back
-        return out
-
-    def tanh(self):
-        y = np.tanh(self.data)
-        out = Tensor(y, _parents=(self,), _op="tanh")
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * (1.0 - y * y), fresh=True)
-
-        out._backward = back
-        return out
-
-    def exp(self):
-        y = np.exp(self.data)
-        out = Tensor(y, _parents=(self,), _op="exp")
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * y, fresh=True)
-
-        out._backward = back
-        return out
-
-    def sqrt(self):
-        y = np.sqrt(self.data)
-        out = Tensor(y, _parents=(self,), _op="sqrt")
-
-        def back(g):
-            if self.requires_grad:
-                self._accum(g * 0.5 / y, fresh=True)
-
-        out._backward = back
-        return out
-
-
-def concat(tensors, axis=0):
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors), _op="concat")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t._accum(g[tuple(index)])
-
-    out._backward = back
-    return out
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -537,43 +451,29 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 # -- convolution ----------------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
-    """Columns (n, c*kh*kw, oh*ow) of an input that already holds its padding."""
+def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Stride-1 columns (n, c*kh*kw, oh*ow) of an input that already holds its padding."""
     n, c, hp, wp = xp.shape
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    oh, ow = hp - kh + 1, wp - kw + 1
     s0, s1, s2, s3 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride)
-    )
-    return np.ascontiguousarray(view).reshape(n, c * kh * kw, oh * ow), oh, ow
+    view = np.lib.stride_tricks.as_strided(xp, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2, s3))
+    return np.ascontiguousarray(view).reshape(n, c * kh * kw, oh * ow)
 
 
-def _col2im(cols: np.ndarray, n: int, c: int, h: int, w: int, kh: int, kw: int, stride: int, ph: int, pw: int, oh: int, ow: int):
+def _col2im(cols: np.ndarray, c: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """Adjoint of `_im2col` on a same-padded (n, c, h, w) input: sums each window back."""
+    n, ph, pw = cols.shape[0], kh // 2, kw // 2
     out = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
-    blocks = cols.reshape(n, c, kh, kw, oh, ow)
+    blocks = cols.reshape(n, c, kh, kw, h, w)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += blocks[:, :, i, j]
-    if ph or pw:
-        out = out[:, :, ph : h + ph, pw : w + pw]
-    return out
+            out[:, :, i : i + h, j : j + w] += blocks[:, :, i, j]
+    return out[:, :, ph : h + ph, pw : w + pw]
 
 
-def _conv_padding(padding, kh, kw, stride):
-    if padding == "valid":
-        return 0, 0
-    if padding == "same":
-        if stride != 1:
-            raise ValidationError("padding='same' requires stride 1")
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ValidationError("padding='same' requires odd kernel sizes")
-        return (kh - 1) // 2, (kw - 1) // 2
-    raise ValidationError(f"padding must be 'same' or 'valid', got {padding!r}")
-
-
-def conv2d(x, kernel, bias: Tensor = None, stride: int = 1, padding: str = "same") -> Tensor:
-    """2-D cross-correlation: x (n,c_in,h,w) with kernel (c_out,c_in,kh,kw).
+def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
+    """Stride-1, "same"-padded 2-D cross-correlation: x (n,c_in,h,w) with an
+    odd-sized kernel (c_out,c_in,kh,kw) gives (n,c_out,h,w).
 
     x and kernel may also be matching sequences of inputs (same n, h, w)
     and kernels (same c_out, kh, kw). The result is then
@@ -594,25 +494,25 @@ def conv2d(x, kernel, bias: Tensor = None, stride: int = 1, padding: str = "same
             raise ValidationError(f"conv2d pairs disagree: input {xi.data.shape} with kernel {ki.data.shape}")
         if c_k != c_in:
             raise ValidationError(f"kernel expects {c_k} input channels, input has {c_in}")
-    ph, pw = _conv_padding(padding, kh, kw, stride)
-    if h + 2 * ph < kh or w + 2 * pw < kw:
-        raise ValidationError(f"kernel ({kh}x{kw}) larger than padded input ({h + 2 * ph}x{w + 2 * pw})")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValidationError(f"conv2d pads to 'same' size, which needs odd kernel sizes, got {kh}x{kw}")
+    ph, pw = kh // 2, kw // 2
     bounds = np.cumsum([0] + [xi.data.shape[1] for xi in xs])
     xp = np.zeros((n, bounds[-1], h + 2 * ph, w + 2 * pw))
     for xi, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
         xp[:, lo:hi, ph : ph + h, pw : pw + w] = xi.data
-    cols, oh, ow = _im2col(xp, kh, kw, stride)
+    cols = _im2col(xp, kh, kw)
     del xp
     k2s = [ki.data.reshape(c_out, -1) for ki in ks]
     k2 = k2s[0] if len(k2s) == 1 else np.concatenate(k2s, axis=1)
-    y = (k2 @ cols).reshape(n, c_out, oh, ow)
+    y = (k2 @ cols).reshape(n, c_out, h, w)
     if bias is not None:
         y += bias.data.reshape(1, c_out, 1, 1)
     parents = xs + ks + (() if bias is None else (bias,))
     out = Tensor(y, _parents=parents, _op="conv2d")
 
     def back(g):
-        g2 = g.reshape(n, c_out, oh * ow)
+        g2 = g.reshape(n, c_out, h * w)
         if any(ki.requires_grad for ki in ks):
             dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
             for ki, lo, hi in zip(ks, bounds[:-1] * (kh * kw), bounds[1:] * (kh * kw)):
@@ -620,8 +520,7 @@ def conv2d(x, kernel, bias: Tensor = None, stride: int = 1, padding: str = "same
                     ki._accum(dk[:, lo:hi].reshape(ki.data.shape), fresh=True)
         for xi, k2i in zip(xs, k2s):
             if xi.requires_grad:
-                dcols = np.matmul(k2i.T, g2)
-                xi._accum(_col2im(dcols, n, xi.data.shape[1], h, w, kh, kw, stride, ph, pw, oh, ow), fresh=True)
+                xi._accum(_col2im(np.matmul(k2i.T, g2), xi.data.shape[1], h, w, kh, kw), fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)), fresh=True)
 
@@ -629,34 +528,36 @@ def conv2d(x, kernel, bias: Tensor = None, stride: int = 1, padding: str = "same
     return out
 
 
-def conv2d_transpose(x: Tensor, kernel: Tensor, stride: int = 1, bias: Tensor = None) -> Tensor:
-    """Transposed convolution: the gradient of `conv2d` used as a forward map.
+def conv2d_transpose(x: Tensor, kernel: Tensor, bias: Tensor = None) -> Tensor:
+    """Stride-fold upsampling: each input pixel becomes one k x k output block.
 
-    x has the conv2d output layout (n, c_out, h, w) and the kernel keeps the
-    conv2d layout (c_out, c_in, kh, kw); the result has c_in channels and
-    spatial dims (h-1)*stride + k, so with k == stride the output is an
-    exact stride-fold expansion.
+    x is (n, c_out, h, w) and the kernel keeps the conv2d layout
+    (c_out, c_in, k, k); the result is (n, c_in, h*k, w*k) with
+    y[n, ci, i*k+a, j*k+b] = sum_co x[n, co, i, j] * K[co, ci, a, b] + b[ci].
+    That is the transpose of a k x k, stride-k, unpadded conv2d, whose
+    windows do not overlap (Dumoulin & Visin 2016, arXiv:1603.07285), so
+    forward and backward are one product each plus a block reshuffle.
     """
     n, c_out, h, w = x.data.shape
-    ck_out, c_in, kh, kw = kernel.data.shape
+    ck_out, c_in, k, kw = kernel.data.shape
     if ck_out != c_out:
         raise ValidationError(f"kernel expects {ck_out} input channels, input has {c_out}")
-    oh = (h - 1) * stride + kh
-    ow = (w - 1) * stride + kw
-    k2 = kernel.data.reshape(c_out, c_in * kh * kw)
+    if kw != k:
+        raise ValidationError(f"conv2d_transpose folds by a square kernel, got {k}x{kw}")
+    k2 = kernel.data.reshape(c_out, c_in * k * k)
     x2 = x.data.reshape(n, c_out, h * w)
-    cols = np.matmul(k2.T, x2)
-    y = _col2im(cols, n, c_in, oh, ow, kh, kw, stride, 0, 0, h, w)
+    blocks = np.matmul(k2.T, x2).reshape(n, c_in, k, k, h, w)
+    y = blocks.transpose(0, 1, 4, 2, 5, 3).reshape(n, c_in, h * k, w * k)
     if bias is not None:
-        y = y + bias.data.reshape(1, c_in, 1, 1)
+        y += bias.data.reshape(1, c_in, 1, 1)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     out = Tensor(y, _parents=parents, _op="conv2d_transpose")
 
     def back(g):
-        gcols, _, _ = _im2col(g, kh, kw, stride)
+        gblocks = g.reshape(n, c_in, h, k, w, k).transpose(0, 1, 3, 5, 2, 4)
+        gcols = np.ascontiguousarray(gblocks).reshape(n, c_in * k * k, h * w)
         if x.requires_grad:
-            dx = np.matmul(k2, gcols).reshape(n, c_out, h, w)
-            x._accum(dx, fresh=True)
+            x._accum(np.matmul(k2, gcols).reshape(n, c_out, h, w), fresh=True)
         if kernel.requires_grad:
             dk = np.matmul(x2, gcols.transpose(0, 2, 1)).sum(axis=0)
             kernel._accum(dk.reshape(kernel.data.shape), fresh=True)

@@ -220,11 +220,12 @@ class TestRank:
             (lambda config: {**config, "pdf_bins": 10**12}, "pdf_bins"),
             (lambda config: {**config, "criteria": "bias"}, "criteria"),
             (lambda config: {**config, "weightnet": {"learning_rate": 10**400}}, "weightnet.learning_rate"),
+            (lambda config: {**config, "weights": "train", "weightnet": {"epochs": 10**18}}, "weightnet.epochs"),
         ],
         ids=["top-level-list", "model-entry", "weightnet-block", "seed", "pdf_bins", "weightnet-epochs",
              "non-string-label", "label-with-comma", "label-with-newline", "label-with-return",
              "no-seasons", "no-zones", "non-object-reference", "zero-batch-size", "negative-epochs",
-             "huge-pdf-bins", "criteria-string", "learning-rate-beyond-float"],
+             "huge-pdf-bins", "criteria-string", "learning-rate-beyond-float", "weightnet-epochs-huge"],
     )
     def test_config_type_error_exits_2_naming_key_and_file(self, tmp_path, fixture_paths, capsys, edit, key):
         bad = tmp_path / "bad.json"
@@ -536,8 +537,8 @@ class TestDownscaleCli:
         assert f"'{key}' must be a path string" in err and str(spec) in err and "Traceback" not in err
 
 
-    @pytest.mark.parametrize("epochs", ["-1", "0"])
-    def test_non_positive_epochs_exit_2(self, tmp_path, capsys, epochs):
+    @pytest.mark.parametrize("epochs", ["-1", "0", "1000000000000000000"])
+    def test_out_of_range_epochs_exit_2(self, tmp_path, capsys, epochs):
         argv = ["downscale", "train", "--arch", "vit", "--epochs", epochs, "--out", str(tmp_path), "--name", "ds"]
         assert main(argv) == 2
         assert "epochs" in capsys.readouterr().err

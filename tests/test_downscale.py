@@ -2,11 +2,13 @@ import hashlib
 import math
 import os
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gcmkit import downscale as ds
+from gcmkit import ranking as rk
 from gcmkit import tensorcore as tc
 from gcmkit.artifacts import write_files
 from gcmkit.downscale.archs import _stride_plan
@@ -14,6 +16,8 @@ from gcmkit.errors import ValidationError
 from gcmkit.pipeline import run_downscale
 from gcmkit.rng import SplitMix64
 from gcmkit.tensorcore.tensor import Tensor
+
+from gradcases import OPS
 
 
 MINI = dict(
@@ -74,7 +78,7 @@ class TestDatasets:
             assert (len(train_set), len(test_set)) == counts
             assert train_set.inputs.shape[1] == spec.get("window", 4)
             assert test_set.times == fine.time[-counts[1]:]
-        for window in (0, "4", 29):  # not a positive integer; 2 windows, too few to hold one out
+        for window in (0, "4", True, 29):  # not a positive integer; 2 windows, too few to hold one out
             spec["window"] = window
             with pytest.raises(ValidationError):
                 ds.spec_split(spec)
@@ -143,6 +147,43 @@ class TestShapeContracts:
         assert _stride_plan(4) == [4]
         assert _stride_plan(3) == [3]
         assert _stride_plan(1) == []
+
+
+class TestOpCoverage:
+    """Every Tensor op the networks build has a gradient check: an op added
+    to or changed in a network without a `gradcases.py` entry fails here."""
+
+    @staticmethod
+    def _ops_built(monkeypatch, run):
+        ops = set()
+        real_init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            ops.add(self.op)
+
+        with monkeypatch.context() as m:
+            m.setattr(Tensor, "__init__", recording_init)
+            run()
+        return ops
+
+    def test_networks_build_only_gradchecked_ops(self, mini_data, monkeypatch):
+        checked = set()
+        for name in sorted(OPS):
+            loss, _ = OPS[name](SplitMix64(1))
+            checked |= self._ops_built(monkeypatch, lambda: loss().backward())
+        used = set()
+        for kind in ds.ARCH_KINDS:
+            # the benchmark preset's loss and optimizer, one epoch: training steps plus an eval pass
+            tcfg = replace(ds.desk_train_config(kind), epochs=1, batch_size=4)
+            used |= self._ops_built(monkeypatch, lambda: ds.train(mini_cfg(kind), mini_data, tcfg))
+        rng = np.random.default_rng(5)
+        contexts = [rk.DecisionMatrix(["a", "b", "c"], rk.default_criteria(),
+                                      np.abs(rng.normal(size=(3, 9))) + 0.01, ("z", str(i))) for i in range(4)]
+        wcfg = rk.WeightNetConfig(epochs=2, warm_epochs=1, batch_size=2)
+        used |= self._ops_built(monkeypatch, lambda: rk.train_weightnet(contexts, wcfg))
+        assert {"conv2d", "conv2d_transpose", "lstm_hidden", "layer_norm", "softmax"} <= used
+        assert used <= checked, f"ops the networks build without a gradient check: {sorted(used - checked)}"
 
 
 def reference_backward(loss):
@@ -246,7 +287,7 @@ class TestArchitectureSemantics:
         x = rng.normal((2, 2, 1, 8, 8))
         tokens = model._embed_frames(x).mean(axis=1) + model.pos
         perm = [2, 0, 3, 1]
-        permuted = tokens[:, perm, :]
+        permuted = Tensor(tokens.data[:, perm, :])  # Tensor indexing is basic-only
         enc = tokens
         enc_p = permuted
         for blk in model.blocks:
@@ -264,10 +305,10 @@ class TestArchitectureSemantics:
 
         perm = [3, 1, 0, 2]
         inv = np.argsort(perm)
-        tokens = model._embed_frames(x).mean(axis=1)[:, perm, :] + model.pos[perm, :]
+        tokens = Tensor(model._embed_frames(x).mean(axis=1).data[:, perm, :] + model.pos.data[perm, :])
         for blk in model.blocks:
             tokens = blk(tokens)
-        out = model._tokens_to_field(tokens[:, list(inv), :], 1)
+        out = model._tokens_to_field(Tensor(tokens.data[:, inv, :]), 1)
         assert np.allclose(out.data, base.data, atol=1e-10)
 
     def test_geostanet_zero_geo_matches_no_coords(self, mini_data):

@@ -48,14 +48,17 @@ class TestForwardSemantics:
         with pytest.raises(ValidationError):
             tc.dense(Tensor(np.ones((1, 3))), Tensor(np.ones((2, 4))), Tensor(np.zeros(4)))
 
-    def test_relu_sigmoid_tanh_values(self):
+    def test_relu_values(self):
         x = Tensor([-1.0, 0.0, 2.0])
         assert np.array_equal(x.relu().data, [0.0, 0.0, 2.0])
-        s = Tensor([0.0]).sigmoid()
-        assert s.data[0] == 0.5
-        x = Tensor([0.0], requires_grad=True)
-        x.sigmoid().backward(np.ones(1))
-        assert x.grad[0] == pytest.approx(0.25)
+
+    def test_indexing_is_basic_only(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        x[1, ::2].sum().backward()
+        assert np.array_equal(x.grad, [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+        for key in ([0, 0], (slice(None), np.array([2, 2])), np.array([True, False]), True):
+            with pytest.raises(ValidationError, match="Tensor indexing"):
+                x[key]
 
     def test_softmax_normalizes(self):
         rng = SplitMix64(2)
@@ -68,25 +71,17 @@ class TestForwardSemantics:
         rng = SplitMix64(4)
         x = Tensor(rng.normal((2, 1, 5, 5)))
         k = Tensor(np.ones((1, 1, 1, 1)))
-        assert np.array_equal(tc.conv2d(x, k, padding="same").data, x.data)
+        assert np.array_equal(tc.conv2d(x, k).data, x.data)
 
     def test_conv2d_averaging_kernel_on_constant(self):
         x = Tensor(np.full((1, 1, 6, 6), 3.0))
         k = Tensor(np.full((1, 1, 3, 3), 1.0 / 9.0))
-        out = tc.conv2d(x, k, padding="same")
+        out = tc.conv2d(x, k)
         assert np.allclose(out.data[0, 0, 1:-1, 1:-1], 3.0, atol=1e-12)
 
-    def test_conv2d_valid_dot_product(self):
-        rng = SplitMix64(6)
-        x = rand(rng, (1, 1, 3, 3))
-        k = rand(rng, (1, 1, 3, 3))
-        out = tc.conv2d(Tensor(x), Tensor(k), padding="valid")
-        assert out.data.shape == (1, 1, 1, 1)
-        assert out.data[0, 0, 0, 0] == pytest.approx(np.sum(x * k), rel=1e-12)
-
-    def test_conv2d_kernel_too_large(self):
-        with pytest.raises(ValidationError):
-            tc.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))), padding="valid")
+    def test_conv2d_rejects_even_kernels(self):
+        with pytest.raises(ValidationError, match="odd kernel"):
+            tc.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 2))))
 
     @pytest.mark.parametrize("x_needs_grad", [True, False])
     def test_conv2d_stacked_pairs_equal_summed_convs(self, x_needs_grad):
@@ -126,23 +121,24 @@ class TestForwardSemantics:
     def test_conv_transpose_identity_and_expansion(self):
         x = Tensor(np.arange(4.0).reshape(1, 1, 2, 2))
         unit = Tensor(np.ones((1, 1, 1, 1)))
-        assert np.array_equal(tc.conv2d_transpose(x, unit, stride=1).data, x.data)
+        assert np.array_equal(tc.conv2d_transpose(x, unit).data, x.data)
         ones = Tensor(np.ones((1, 1, 2, 2)))
-        out = tc.conv2d_transpose(x, ones, stride=2)
+        out = tc.conv2d_transpose(x, ones)
         expect = np.kron(x.data[0, 0], np.ones((2, 2)))
         assert np.array_equal(out.data[0, 0], expect)
 
-    def test_conv_transpose_is_conv_vjp(self):
-        # input size satisfies h == (oh-1)*stride + k, so the conv windows
-        # tile the input exactly and the VJP has full support
+    def test_conv_transpose_matches_per_block_reference(self):
+        # y[n, ci, i*k+a, j*k+b] = sum_co x[n, co, i, j] * K[co, ci, a, b] + b[ci]
         rng = SplitMix64(8)
-        k = Tensor(rand(rng, (3, 2, 3, 3)), requires_grad=True)
-        x = Tensor(rand(rng, (1, 2, 7, 7)), requires_grad=True)
-        out = tc.conv2d(x, k, stride=2, padding="valid")
-        g = rand(rng, out.data.shape)
-        out.backward(g)
-        vjp = tc.conv2d_transpose(Tensor(g), k, stride=2)
-        assert np.allclose(x.grad, vjp.data, atol=1e-13)
+        x, kern, bias = rand(rng, (2, 3, 4, 5)), rand(rng, (3, 2, 3, 3)), rand(rng, (2,))
+        out = tc.conv2d_transpose(Tensor(x), Tensor(kern), Tensor(bias)).data
+        assert out.shape == (2, 2, 12, 15)
+        for i in range(4):
+            for j in range(5):
+                block = np.einsum("nc,cdab->ndab", x[:, :, i, j], kern) + bias.reshape(1, 2, 1, 1)
+                assert np.allclose(out[:, :, 3 * i : 3 * i + 3, 3 * j : 3 * j + 3], block, rtol=0, atol=1e-12)
+        with pytest.raises(ValidationError, match="square kernel"):
+            tc.conv2d_transpose(Tensor(x), Tensor(kern[:, :, :, :2]))
 
     def test_attention_single_key_copies_value(self):
         rng = SplitMix64(10)
@@ -174,10 +170,10 @@ class TestForwardSemantics:
     def test_finite_guard_trips(self):
         with pytest.raises(NumericFault):
             Tensor([1.0, np.inf])
-        x = Tensor([700.0])
+        x = Tensor([1e200], requires_grad=True)
         with np.errstate(over="ignore"):
             with pytest.raises(NumericFault):
-                x.exp().exp()  # overflow to inf inside the graph
+                (x * 2.0) * x  # overflow to inf inside the graph
 
 
 class TestLstmOracles:
@@ -308,7 +304,7 @@ class TestGraphModes:
         rng = SplitMix64(41)
         w = Tensor(rand(rng, (3, 3)), requires_grad=True)
         x = Tensor(rand(rng, (2, 3)))
-        shared = (x @ w).tanh()
+        shared = (x @ w).relu()
         loss = shared.sum()
         loss.backward()
         first = w.grad.copy()
@@ -328,10 +324,10 @@ class TestGraphModes:
         assert np.array_equal(w.grad, np.zeros(2))
 
     def test_no_grad_restores_the_mode_and_keeps_the_finite_check(self):
-        w = Tensor(np.array([1.0, 0.0]), requires_grad=True)
-        with pytest.raises(NumericFault), np.errstate(divide="ignore", invalid="ignore"):
+        w = Tensor(np.array([1e200, 0.0]), requires_grad=True)
+        with pytest.raises(NumericFault), np.errstate(over="ignore"):
             with tc.no_grad():
-                w / Tensor(np.array([0.0, 0.0]))
+                w * w
         assert (w * 2.0).requires_grad
 
 
@@ -373,7 +369,7 @@ class TestGradChecks:
             fn().backward()
             return w.grad.copy()
 
-        f = lambda: ((Tensor(x) @ w).tanh()).sum()
+        f = lambda: ((Tensor(x) @ w).relu()).sum()
         g = lambda: ((Tensor(x) @ w) * (Tensor(x) @ w)).mean()
         both = lambda: f() + g()
         assert np.allclose(grad_of(both), grad_of(f) + grad_of(g), atol=1e-12)
@@ -409,7 +405,7 @@ class TestOptimizers:
             opt = tc.Adam([w], lr=1e-2)
             for _ in range(25):
                 opt.zero_grad()
-                ((w @ w).tanh().sum()).backward()
+                tc.softmax(w @ w, axis=-1)[:, 0].sum().backward()
                 opt.step()
             return w.data.copy()
 
