@@ -14,11 +14,13 @@ import tempfile
 
 from . import __version__, downscale as dsc, gcf, pipeline
 from .artifacts import json_text, write_files
+from .downscale.trainer import TRAIN_FIELDS
 from .errors import NumericFault, ValidationError
 from .fixtures import GOOD_MODEL, make_ranking_fixture
 from .geogrid import SEASONS, regrid_bilinear
 from .metrics import ZONE_OVERALL, full_report, report_rows_to_csv
 from .ranking import order_by_cc
+from .spec import ABSENT, Field, parse
 
 
 def _out_root(args) -> str:
@@ -64,39 +66,29 @@ def cmd_rank(args) -> int:
     config = pipeline.PipelineConfig.from_file(args.config)
     if args.seed is not None:
         config.raw["seed"] = args.seed
-        config = pipeline.PipelineConfig.from_dict(config.raw)
+        config = pipeline.PipelineConfig.from_dict(config.raw, f"config file {args.config}")
     run_dir = os.path.join(_out_root(args), args.name)
     manifest = pipeline.run_rank(config, run_dir)
     print(f"rank run complete -> {run_dir} ({len(manifest.outputs)} outputs)")
     return 0
 
 
-def _read_pair_spec(path: str) -> dict:
-    """A downscale data spec: a JSON object naming the coarse and fine cubes."""
-    spec = pipeline.read_json_object(path, "data spec")
-    for key in ("coarse", "fine"):
-        if key not in spec:
-            raise ValidationError(f"data spec {path} lacks key {key!r}")
-        if not isinstance(spec[key], str):
-            raise ValidationError(f"data spec {path}: {key!r} must be a path string, got {spec[key]!r}")
-    return spec
+# a `downscale train --config` file
+TRAIN_FILE_FIELDS = (Field("train", (dict,), ABSENT, fields=TRAIN_FIELDS),)
 
 
 def cmd_downscale_train(args) -> int:
     run_dir = os.path.join(_out_root(args), args.name)
-    data_spec = _read_pair_spec(args.data) if args.data else None
     overrides = {}
     if args.config:
-        block = pipeline.read_json_object(args.config, "config").get("train", {})
-        if not isinstance(block, dict):
-            raise ValidationError(f"config {args.config}: 'train' is not a JSON object")
-        overrides.update(block)
+        config = pipeline.read_json(args.config, "config")
+        overrides = parse(config, TRAIN_FILE_FIELDS, f"config {args.config}").get("train", {})
     if args.epochs is not None:
         overrides["epochs"] = args.epochs
     manifest = pipeline.run_downscale(
         run_dir,
         archs=tuple(args.arch),
-        data_spec=data_spec,
+        data_path=args.data,
         seed=args.seed if args.seed is not None else 0,
         train_overrides=overrides or None,
     )
@@ -106,7 +98,7 @@ def cmd_downscale_train(args) -> int:
 
 def cmd_downscale_eval(args) -> int:
     if args.data:
-        _, test_set = dsc.spec_split(_read_pair_spec(args.data))
+        _, test_set = dsc.spec_split(pipeline.read_json(args.data, "data spec"), f"data spec {args.data}")
     else:
         _, test_set = dsc.benchmark_sets()
     model = dsc.load_model(args.ckpt, test_set.coarse_hw)

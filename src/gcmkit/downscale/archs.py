@@ -33,10 +33,18 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..rng import SplitMix64
+from ..spec import Field, parse
 from .. import tensorcore as tc
 from ..tensorcore.tensor import Tensor
 
 ARCH_KINDS = ("cnn_lstm", "convlstm", "vit", "geostanet")
+# the keys of a downscaler checkpoint's meta; `config` holds the ArchConfig fields
+META_FIELDS = (
+    Field("kind", (str,), choices=ARCH_KINDS),
+    Field("config", (dict,)),
+    Field("seed", (int,)),
+    Field("step", (int,), low=0),
+)
 
 
 @dataclass
@@ -383,8 +391,7 @@ def load_model(path: str, coarse_hw: Tuple[int, int]) -> DownscaleModel:
     before the model is built, so an edited size cannot exhaust memory.
     """
     arrays, meta = tc.load_checkpoint(path)
-    if not isinstance(meta.get("config"), dict):
-        raise ValidationError(f"checkpoint {path} has no architecture config")
+    meta = parse(meta, META_FIELDS, f"checkpoint {path} meta")
     try:
         cfg = ArchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()})
         for name, shape in _size_carriers(cfg, coarse_hw):
@@ -392,9 +399,9 @@ def load_model(path: str, coarse_hw: Tuple[int, int]) -> DownscaleModel:
                 found = arrays[name].shape if name in arrays else "no such entry"
                 raise ValueError(f"it implies entry {name!r} of shape {shape}, the checkpoint holds {found}")
         model = build_model(cfg, coarse_hw)
-        model.step_count = int(meta.get("step", 0))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"checkpoint {path} holds a bad architecture config: {exc}") from None
+    model.step_count = meta["step"]
     tc.load_state(model.state_entries(), arrays, path)
     return model
 

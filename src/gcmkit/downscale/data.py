@@ -15,6 +15,14 @@ from .. import gcf
 from ..errors import ValidationError
 from ..geogrid import DataCube, GridAxis, synth_pair
 from ..rng import SplitMix64
+from ..spec import Field, parse
+
+# the keys of a `--data` pair spec
+PAIR_FIELDS = (
+    Field("coarse", (str,), what="a path string"),
+    Field("fine", (str,), what="a path string"),
+    Field("window", (int,), 4, low=1),
+)
 
 
 @dataclass(eq=False)
@@ -123,15 +131,15 @@ def windows_from_pair(coarse: DataCube, fine: DataCube, t: int) -> DownscaleData
     )
 
 
-def spec_split(spec: dict) -> Tuple[DownscaleDataset, DownscaleDataset]:
+def spec_split(spec: dict, where: str = "data spec") -> Tuple[DownscaleDataset, DownscaleDataset]:
     """(train, test) windows of a data spec {"coarse": gcf, "fine": gcf, "window": t}.
 
-    Windows are `window` frames long (default 4) and the last 20% of them
-    are held out, so `downscale train` and `downscale eval` share one split.
+    Windows are `window` frames long and the last 20% of them are held out,
+    so `downscale train` and `downscale eval` share one split. `where`
+    names the spec in a ValidationError.
     """
-    window = spec.get("window", 4)
-    if type(window) is not int or window < 1:
-        raise ValidationError(f"data spec window must be a positive integer, got {window!r}")
+    spec = parse(spec, PAIR_FIELDS, where)
+    window = spec["window"]
     full = windows_from_pair(gcf.read_cube(spec["coarse"]), gcf.read_cube(spec["fine"]), window)
     n = len(full)
     split = int(round(0.8 * n))

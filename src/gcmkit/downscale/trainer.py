@@ -17,6 +17,7 @@ import numpy as np
 
 from ..errors import NumericFault, ValidationError
 from ..rng import SplitMix64
+from ..spec import ABSENT, FLOAT_MAX, POSITIVE, Field, parse
 from .. import tensorcore as tc
 from ..tensorcore.optim import OPTIMIZER_KINDS
 from .archs import ArchConfig, DownscaleModel, build_model, imbalance_weighted_mse
@@ -26,6 +27,16 @@ LOSS_KINDS = ("mse", "imbalance_weighted_mse")
 # the most epochs any training loop may be configured for, so a mistyped count
 # fails validation instead of training for ever
 MAX_EPOCHS = 10_000
+# the keys of a TrainConfig, and of a `downscale train --config` file's train block
+TRAIN_FIELDS = (
+    Field("epochs", (int,), ABSENT, low=1, high=MAX_EPOCHS),
+    Field("batch_size", (int,), ABSENT, low=1),
+    Field("learning_rate", (int, float), ABSENT, low=POSITIVE, high=FLOAT_MAX),
+    Field("optimizer", (str,), ABSENT, choices=OPTIMIZER_KINDS),
+    Field("loss", (str,), ABSENT, choices=LOSS_KINDS),
+    Field("patience", (int,), ABSENT, low=0),
+    Field("val_fraction", (int, float), ABSENT, low=0, high=math.nextafter(1.0, 0.0)),
+)
 
 
 @dataclass
@@ -39,21 +50,7 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        def check(key, ok, why):
-            if not ok:
-                raise ValidationError(f"train {key} {why}, got {getattr(self, key)!r}")
-
-        for key in ("epochs", "batch_size", "patience"):
-            check(key, type(getattr(self, key)) is int, "must be an integer")
-        for key in ("learning_rate", "val_fraction"):
-            check(key, type(getattr(self, key)) in (int, float), "must be a number")
-        check("epochs", 1 <= self.epochs <= MAX_EPOCHS, f"must lie in [1, {MAX_EPOCHS}]")
-        check("batch_size", self.batch_size >= 1, "must be >= 1")
-        check("learning_rate", 0.0 < self.learning_rate < math.inf, "must be positive and finite")
-        check("patience", self.patience >= 0, "must be >= 0")
-        check("optimizer", self.optimizer in OPTIMIZER_KINDS, f"must be one of {OPTIMIZER_KINDS}")
-        check("loss", self.loss in LOSS_KINDS, f"must be one of {LOSS_KINDS}")
-        check("val_fraction", 0.0 <= self.val_fraction < 1.0, "must lie in [0, 1)")
+        parse(vars(self), TRAIN_FIELDS, "train config")
 
 
 @dataclass

@@ -31,12 +31,22 @@ import numpy as np
 from .artifacts import write_files
 from .errors import ValidationError
 from .geogrid import CALENDARS, DataCube, Date, GridAxis, ZoneMask, validate_times
+from .spec import FLOAT_MAX, Field, parse
 
 _HEADER = "header.json"
 _PAYLOAD = "data.bin"
-_FLOAT64_MAX = float(np.finfo(np.float64).max)
 _FLOAT32_MAX = float(np.finfo(np.float32).max)  # the fill sentinel is stored as float32
-_REQUIRED_KEYS = ("variable", "units", "calendar", "fill_value", "dims", "lat", "lon", "time")
+# exactly the keys `encode_cube` writes
+HEADER_FIELDS = (
+    Field("variable", (str,)),
+    Field("units", (str,)),
+    Field("calendar", (str,), choices=CALENDARS),
+    Field("fill_value", (int, float), low=-_FLOAT32_MAX, high=_FLOAT32_MAX),
+    Field("dims", (list,), items=(int,), low=1, size=(3, 3)),
+    Field("lat", (list,), items=(int, float), low=-FLOAT_MAX, high=FLOAT_MAX),
+    Field("lon", (list,), items=(int, float), low=-FLOAT_MAX, high=FLOAT_MAX),
+    Field("time", (list,), items=(str,)),
+)
 
 
 def _format_date(date) -> str:
@@ -92,36 +102,8 @@ def _load_header(path: str) -> dict:
             header = json.load(fh)
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ValidationError(f"malformed header in {path}: {exc}") from None
-    if not isinstance(header, dict):
-        raise ValidationError(f"header in {path} is not a JSON object")
-    missing = [k for k in _REQUIRED_KEYS if k not in header]
-    if missing:
-        raise ValidationError(f"header in {path} missing keys: {missing}")
-
-    def finite(v, bound=_FLOAT64_MAX):
-        # exact types: a bool is no number here; NaN, infinities and integers
-        # too large for a float fail the bound
-        return type(v) in (int, float) and abs(v) <= bound
-
-    def finite_list(values):
-        return type(values) is list and all(finite(v) for v in values)
-
-    checks = [
-        ("variable", type(header["variable"]) is str, "a string"),
-        ("units", type(header["units"]) is str, "a string"),
-        ("fill_value", finite(header["fill_value"], _FLOAT32_MAX), "a finite number within float32 range"),
-        ("lat", finite_list(header["lat"]), "a list of finite numbers"),
-        ("lon", finite_list(header["lon"]), "a list of finite numbers"),
-        ("time", type(header["time"]) is list and all(type(t) is str for t in header["time"]), "a list of date strings"),
-    ]
-    for key, ok, what in checks:
-        if not ok:
-            raise ValidationError(f"header in {path}: {key} must be {what}, got {type(header[key]).__name__}")
+    header = parse(header, HEADER_FIELDS, f"header in {path}")
     dims = header["dims"]
-    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(v, int) and v > 0 for v in dims)):
-        raise ValidationError(f"header in {path}: dims must be three positive integers, got {dims!r}")
-    if header["calendar"] not in CALENDARS:
-        raise ValidationError(f"header in {path} declares unknown calendar {header['calendar']!r}")
     if len(header["lat"]) != dims[1] or len(header["lon"]) != dims[2] or len(header["time"]) != dims[0]:
         raise ValidationError(f"header axis lengths disagree with dims in {path}")
     return header

@@ -16,8 +16,7 @@ import hashlib
 import json
 import math
 import os
-import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,6 +36,7 @@ from .geogrid import (
 )
 from .metrics import BLOCK, MAX_BINS, METRIC_NAMES, ZONE_OVERALL, context_index, report_rows_to_csv, sweep
 from .ranking import (
+    DEFAULT_CRITERIA_NAMES,
     Criterion,
     WeightNet,
     WeightNetConfig,
@@ -51,23 +51,20 @@ from .ranking import (
 from . import downscale as dsc
 from .downscale.presets import desk_arch_config, desk_train_config
 from .downscale.trainer import MAX_EPOCHS
+from .spec import ABSENT, FLOAT_MAX, POSITIVE, Field, parse
 from .tensorcore import encode_checkpoint
 
 ZONE_BY_NAME = {name: code for code, name in ZONE_NAMES.items()}
-ALL_SEASON_IDS = ("DJF", "MAM", "JJA", "SON", "ANNUAL")
 DEFAULT_ZONE_KEYS = tuple(ZONE_NAMES[z] for z in LAND_ZONES) + (ZONE_OVERALL,)
 
 
-def read_json_object(path: str, what: str) -> dict:
-    """The JSON object in `path`; a malformed file or another JSON value is a ValidationError."""
+def read_json(path: str, what: str):
+    """The JSON value in `path`, for `parse` to check; a malformed file is a ValidationError naming it."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # malformed JSON or text that is not UTF-8
             raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} {path} is not a JSON object")
-    return obj
 
 
 def _require(condition: bool, stage: str, message: str) -> None:
@@ -75,14 +72,28 @@ def _require(condition: bool, stage: str, message: str) -> None:
         raise ValidationError(f"[{stage}] {message}")
 
 
-def _typed(block: dict, key: str, default, types: tuple, prefix: str = "", low=-math.inf, high=math.inf):
-    """block[key], or default when absent, checked to be exactly one of `types` (so no bool for int)
-    and, for an int, to lie in [low, high]."""
-    value = block.get(key, default)
-    names = " or ".join(t.__name__ for t in types)
-    _require(type(value) in types, "config", f"{prefix}{key} must be {names}, got {value!r}")
-    _require(type(value) is not int or low <= value <= high, "config", f"{prefix}{key} must lie in [{low}, {high}], got {value}")
-    return value
+_PATH = "a path string"
+_SOURCE_FIELDS = tuple(Field(key, (str,), ABSENT, what=_PATH) for key in ("path", "tasmax", "tasmin"))
+RANK_FIELDS = (
+    Field("schema_version", (int,), choices=(1,)),
+    Field("models", (list,), size=(2, math.inf), fields=(Field("label", (str,)), *_SOURCE_FIELDS),
+          what="a list of at least 2 models"),
+    Field("reference", (dict,), fields=_SOURCE_FIELDS),
+    Field("mask", (str,), what=_PATH),
+    Field("seasons", (list,), tuple(SEASONS), size=(1, math.inf), choices=tuple(SEASONS)),
+    Field("zones", (list,), DEFAULT_ZONE_KEYS, size=(1, math.inf), choices=(*ZONE_BY_NAME, ZONE_OVERALL)),
+    Field("criteria", (list,), (), choices=METRIC_NAMES),  # empty: the default criteria
+    Field("weights", (str, dict), "uniform", choices=("uniform", "train"),
+          fields=(Field("checkpoint", (str,), what=_PATH),), what='"uniform", "train" or {"checkpoint": path}'),
+    Field("seed", (int,), 0),
+    Field("pdf_bins", (int,), 100, low=2, high=MAX_BINS),
+    Field("weightnet", (dict,), ABSENT, fields=(
+        Field("epochs", (int,), ABSENT, low=1, high=MAX_EPOCHS),
+        Field("warm_epochs", (int,), ABSENT, low=0),
+        Field("batch_size", (int,), ABSENT, low=1),
+        Field("learning_rate", (int, float), ABSENT, low=POSITIVE, high=FLOAT_MAX),
+    )),
+)
 
 
 @dataclass
@@ -97,91 +108,46 @@ class PipelineConfig:
     zones: Tuple[str, ...]
     criteria: List[Criterion]
     weights: object  # "uniform" | "train" | {"checkpoint": path}
-    pdf_bins: int = 100
-    weightnet: WeightNetConfig = None
+    pdf_bins: int
+    weightnet: WeightNetConfig
     raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
         _require(os.path.isfile(path), "config", f"config file {path} does not exist")
-        raw = read_json_object(path, "[config] config file")
-        try:
-            return cls.from_dict(raw)
-        except ValidationError as exc:
-            raise ValidationError(f"{exc} (config file {path})") from None
+        return cls.from_dict(read_json(path, "[config] config file"), f"config file {path}")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        stage = "config"
-        _require(raw.get("schema_version") == 1, stage, "schema_version must be 1")
-        _require("models" in raw and isinstance(raw["models"], list), stage, "models list required")
-        _require(len(raw["models"]) >= 2, stage, "ranking needs at least 2 models")
-        for i, m in enumerate(raw["models"]):
-            _require(isinstance(m, dict), stage, f"models[{i}] must be a JSON object, got {m!r}")
-            label = m.get("label")
+    def from_dict(cls, raw: dict, where: str = "config") -> "PipelineConfig":
+        """The config of the JSON object `raw`; `where` names it in every ValidationError."""
+        cfg = parse(raw, RANK_FIELDS, f"[config] {where}")
+        labels = [m["label"] for m in cfg["models"]]
+        for i, label in enumerate(labels):
             # labels are CSV cells of ranking.csv and top5.csv, which are not quoted
-            _require(isinstance(label, str) and label and not any(c in label for c in ",\n\r"), stage,
-                     f"models[{i}].label must be a non-empty string without ',' or a line break, got {label!r}")
-        labels = [m["label"] for m in raw["models"]]
-        _require(len(set(labels)) == len(labels), stage, "model labels must be unique")
-        _require("reference" in raw, stage, "reference cube required")
-        _require(isinstance(raw["reference"], dict), stage, f"reference must be a JSON object, got {raw['reference']!r}")
-        _require("mask" in raw, stage, "zone mask required")
-        _require(isinstance(raw["mask"], str), stage, f"mask must be a path string, got {raw['mask']!r}")
-        for where, spec in [(f"model {m['label']}", m) for m in raw["models"]] + [("reference", raw["reference"])]:
-            for key in ("path", "tasmax", "tasmin"):
-                if key in spec:
-                    _require(isinstance(spec[key], str), stage, f"{where}: {key} must be a path string, got {spec[key]!r}")
-                    _require(os.path.isdir(spec[key]), stage, f"{where}: missing path {spec[key]}")
-        _require(os.path.isdir(raw["mask"]), stage, f"mask path {raw['mask']} does not exist")
-
-        seasons = tuple(_typed(raw, "seasons", list(ALL_SEASON_IDS), (list,)))
-        _require(
-            seasons and all(isinstance(s, str) and s in SEASONS for s in seasons),
-            stage,
-            f"seasons must name some of {list(SEASONS)}",
-        )
-        zones = tuple(_typed(raw, "zones", list(DEFAULT_ZONE_KEYS), (list,)))
-        _require(
-            zones and all(isinstance(z, str) and (z in ZONE_BY_NAME or z == ZONE_OVERALL) for z in zones),
-            stage,
-            f"zones must name some of {sorted(ZONE_BY_NAME)} or {ZONE_OVERALL!r}",
-        )
-        names = _typed(raw, "criteria", [], (list,))
-        _require(all(isinstance(n, str) for n in names), stage, f"criteria must be a list of criterion names, got {names!r}")
-        criteria = default_criteria(tuple(names)) if names else default_criteria()
-        weights = raw.get("weights", "uniform")
-        if isinstance(weights, dict):
-            _require(isinstance(weights.get("checkpoint"), str), stage, "weights object needs a 'checkpoint' path string")
-            _require(os.path.isdir(weights["checkpoint"]), stage, f"weights checkpoint {weights['checkpoint']} missing")
-        else:
-            _require(weights in ("uniform", "train"), stage, f"weights must be uniform, train or a checkpoint, got {weights!r}")
-        seed = _typed(raw, "seed", 0, (int,))
-        wn_raw = raw.get("weightnet", {})
-        _require(isinstance(wn_raw, dict), stage, f"weightnet must be a JSON object, got {wn_raw!r}")
-        # bounded so that an int learning rate converts to a float
-        learning_rate = float(_typed(wn_raw, "learning_rate", 1e-3, (int, float), "weightnet.",
-                                     high=sys.float_info.max))
-        _require(0.0 < learning_rate < math.inf, stage,
-                 f"weightnet.learning_rate must be positive and finite, got {learning_rate!r}")
-        wn = WeightNetConfig(
-            epochs=_typed(wn_raw, "epochs", 50, (int,), "weightnet.", low=1, high=MAX_EPOCHS),
-            warm_epochs=_typed(wn_raw, "warm_epochs", 5, (int,), "weightnet.", low=0),
-            batch_size=_typed(wn_raw, "batch_size", 32, (int,), "weightnet.", low=1),
-            learning_rate=learning_rate,
-            seed=seed,
-        )
+            _require(label and not any(c in label for c in ",\n\r"), "config", f"{where}: models[{i}].label must "
+                     f"be a non-empty string without ',' or a line break, got {label!r}")
+        _require(len(set(labels)) == len(labels), "config", f"{where}: model labels must be unique")
+        for name, source in [(f"model {m['label']}", m) for m in cfg["models"]] + [("reference", cfg["reference"])]:
+            forms = sorted(set(source) - {"label"})
+            _require(forms in (["path"], ["tasmax", "tasmin"]), "config",
+                     f"{where}: {name} needs either 'path' or 'tasmax'+'tasmin', got {forms}")
+            for key in forms:
+                _require(os.path.isdir(source[key]), "config", f"{where}: {name}: missing path {source[key]}")
+        _require(os.path.isdir(cfg["mask"]), "config", f"{where}: mask path {cfg['mask']} does not exist")
+        checkpoint = cfg["weights"]["checkpoint"] if isinstance(cfg["weights"], dict) else None
+        _require(checkpoint is None or os.path.isdir(checkpoint), "config",
+                 f"{where}: weights checkpoint {checkpoint} missing")
         return cls(
-            seed=seed,
-            reference=raw["reference"],
-            models=raw["models"],
-            mask=raw["mask"],
-            seasons=seasons,
-            zones=zones,
-            criteria=criteria,
-            weights=weights,
-            pdf_bins=_typed(raw, "pdf_bins", 100, (int,), low=2, high=MAX_BINS),
-            weightnet=wn,
+            seed=cfg["seed"],
+            reference=cfg["reference"],
+            models=cfg["models"],
+            mask=cfg["mask"],
+            seasons=tuple(cfg["seasons"]),
+            zones=tuple(cfg["zones"]),
+            criteria=default_criteria(tuple(cfg["criteria"]) or DEFAULT_CRITERIA_NAMES),
+            weights=cfg["weights"],
+            pdf_bins=cfg["pdf_bins"],
+            weightnet=WeightNetConfig(**cfg.get("weightnet", {}), seed=cfg["seed"]),
             raw=raw,
         )
 
@@ -198,8 +164,6 @@ class _CubeSource:
 
     def __init__(self, spec: dict, name: str, like: "_CubeSource" = None):
         keys = ("path",) if "path" in spec else ("tasmax", "tasmin")
-        _require(all(k in spec for k in keys), "load",
-                 f"{name}: cube source needs 'path' or 'tasmax'+'tasmin', got {sorted(spec)}")
         self.paths = tuple(spec[k] for k in keys)
         try:
             heads = [gcf.read_header(path) for path in self.paths]
@@ -318,38 +282,31 @@ def _write_rank_outputs(manifest, config, reports, results, weights_used) -> Non
     manifest.put("config.json", json_text(config.raw))
 
 
-def _train_config(kind: str, overrides: dict):
-    """The benchmark preset for `kind` with `overrides` applied and validated."""
-    tcfg = desk_train_config(kind, "benchmark")
-    known = sorted(f.name for f in fields(tcfg))
-    unknown = sorted(set(overrides) - set(known))
-    if unknown:
-        raise ValidationError(f"unknown train key(s) {unknown}; known: {known}")
-    return replace(tcfg, **overrides)
-
-
 LOG_COLUMNS = ["epoch", "train_loss", "val_loss", "wall_ms"]
 
 
 def run_downscale(
     run_dir: str,
     archs: Sequence[str] = dsc.ARCH_KINDS,
-    data_spec: Optional[dict] = None,
+    data_path: Optional[str] = None,
     seed: int = 0,
     train_overrides: Optional[dict] = None,
 ) -> RunManifest:
     """Downscale stage: train each architecture, evaluate against baseline.
 
-    Without a data spec the bundled synthetic benchmark is used; a data
-    spec {"coarse": gcf_path, "fine": gcf_path, "window": t} trains on the
-    first 80% of its windows and evaluates on the held-out rest, the same
-    split `downscale eval --data` scores (`dsc.spec_split`).
+    Without a data spec the bundled synthetic benchmark is used; the JSON
+    data spec at `data_path`, {"coarse": gcf_path, "fine": gcf_path,
+    "window": t}, trains on the first 80% of its windows and evaluates on
+    the held-out rest, the same split `downscale eval --data` scores
+    (`dsc.spec_split`). `train_overrides` replace keys of each benchmark
+    preset, and the result is checked as any `TrainConfig` is.
     """
-    tcfgs = {kind: _train_config(kind, train_overrides or {}) for kind in archs}
-    manifest = RunManifest(run_dir, config_hash({"archs": list(archs), "seed": seed, "data": data_spec or "bundled"}))
+    tcfgs = {kind: replace(desk_train_config(kind, "benchmark"), **(train_overrides or {})) for kind in archs}
+    data_spec = read_json(data_path, "data spec") if data_path else "bundled"
+    manifest = RunManifest(run_dir, config_hash({"archs": list(archs), "seed": seed, "data": data_spec}))
 
     with manifest.stage("data"):
-        train_set, test_set = dsc.spec_split(data_spec) if data_spec else dsc.benchmark_sets()
+        train_set, test_set = dsc.spec_split(data_spec, f"data spec {data_path}") if data_path else dsc.benchmark_sets()
 
     predictions = {}
     for kind in archs:
@@ -428,8 +385,8 @@ def run_report(rank_dir: str, out_dir: str, downscale_dir: Optional[str] = None)
     config_path = os.path.join(rank_dir, "config.json")
     cc = read_ranking(ranking_path)
     _require(os.path.isfile(config_path), "report", f"{rank_dir} holds no config.json")
-    raw_config = read_json_object(config_path, "[report] rank config")
-    _require("mask" in raw_config, "report", f"{config_path} names no zone mask")
+    raw_config = read_json(config_path, "[report] rank config")
+    mask_path = parse(raw_config, RANK_FIELDS, f"[report] {config_path}")["mask"]
     with open(ranking_path, "rb") as fh:
         manifest = RunManifest(out_dir, hashlib.sha256(fh.read()).hexdigest())
 
@@ -448,7 +405,7 @@ def run_report(rank_dir: str, out_dir: str, downscale_dir: Optional[str] = None)
         manifest.put("fig4_mean_scores.csv", csv_text(["zone", "season", "mean_cc", "mean_of_zone_means"], rows))
 
         # best model per land cell from each zone's full-year winner
-        mask = gcf.read_mask(raw_config["mask"])
+        mask = gcf.read_mask(mask_path)
         label_index = {label: i for i, label in enumerate(sorted(cc[contexts[0]]))}
         raster = np.full(mask.codes.shape, -9999.0)
         for (zone_key, season_id), scores in sorted(cc.items()):

@@ -28,6 +28,7 @@ from .artifacts import csv_text
 from .errors import NumericFault, ValidationError
 from .metrics import METRIC_NAMES, MetricReport
 from .rng import SplitMix64
+from .spec import Field, parse
 from . import tensorcore as tc
 
 # Higher is better for these; everything else enters as a cost (lower is
@@ -293,6 +294,13 @@ def featurize(dm: DecisionMatrix) -> np.ndarray:
 
 
 N_FEATURES_PER_CRITERION = 5
+# the keys of a weight-network checkpoint's meta
+META_FIELDS = (
+    Field("kind", (str,), choices=("weightnet",)),
+    Field("n_criteria", (int,), low=1),
+    Field("seed", (int,)),
+    Field("step", (int,), low=0),
+)
 
 
 @dataclass
@@ -337,19 +345,15 @@ class WeightNet(tc.Module):
     @classmethod
     def load(cls, path: str) -> "WeightNet":
         arrays, meta = tc.load_checkpoint(path)
-        if meta.get("kind") != "weightnet":
-            raise ValidationError(f"checkpoint at {path} is not a weight network")
-        try:
-            n_criteria = int(meta["n_criteria"])
-            # the size is checked against the entry that carries it before anything is allocated
-            carrier = arrays["fc3.b"].shape if "fc3.b" in arrays else "no such entry"
-            if carrier != (n_criteria,):
-                raise ValueError(f"n_criteria {n_criteria} implies entry 'fc3.b' of shape ({n_criteria},), "
-                                 f"the checkpoint holds {carrier}")
-            net = cls(n_criteria, seed=int(meta["seed"]))
-            net.step_count = int(meta.get("step", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"checkpoint at {path} has a bad weight-network meta: {exc!r}") from None
+        meta = parse(meta, META_FIELDS, f"checkpoint {path} meta")
+        n_criteria = meta["n_criteria"]
+        # the size is checked against the entry that carries it before anything is allocated
+        carrier = arrays["fc3.b"].shape if "fc3.b" in arrays else "no such entry"
+        if carrier != (n_criteria,):
+            raise ValidationError(f"checkpoint {path}: n_criteria {n_criteria} implies entry 'fc3.b' of shape "
+                                  f"({n_criteria},), the checkpoint holds {carrier}")
+        net = cls(n_criteria, seed=meta["seed"])
+        net.step_count = meta["step"]
         tc.load_state(net.state_entries(), arrays, path)
         return net
 

@@ -58,6 +58,8 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], dict]:
         out = {}
         for rec in manifest["entries"]:
             size = int(np.prod(rec["shape"])) if rec["shape"] else 1
+            if rec["offset"] < 0:  # a negative slice start would read another entry's values
+                raise ValueError(f"entry {rec['name']!r} has negative offset {rec['offset']}")
             out[rec["name"]] = raw[rec["offset"] : rec["offset"] + size].reshape(rec["shape"]).copy()
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

@@ -1,28 +1,26 @@
 import ast
 import collections
-import contextlib
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import shutil
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gcmkit import gcf, pipeline
+from gcmkit import cli, gcf, pipeline
 from gcmkit import ranking as rk
 from gcmkit.artifacts import RunManifest
 from gcmkit.cli import main
+from gcmkit.downscale.data import PAIR_FIELDS
 from gcmkit.fixtures import GOOD_MODEL, make_csv_fixture, make_ranking_fixture
 from gcmkit.geogrid import LAND_ZONES
 from gcmkit.ranking import DEFAULT_CRITERIA_NAMES
+from specmutations import check_exit, field_paths, mutate, mutations, run_cli
 
 
 @pytest.fixture(scope="module")
@@ -221,11 +219,17 @@ class TestRank:
             (lambda config: {**config, "criteria": "bias"}, "criteria"),
             (lambda config: {**config, "weightnet": {"learning_rate": 10**400}}, "weightnet.learning_rate"),
             (lambda config: {**config, "weights": "train", "weightnet": {"epochs": 10**18}}, "weightnet.epochs"),
+            (lambda config: {**config, "criteria": ["bias", "bias", "rmse"]}, "criteria"),
+            (lambda config: {**config, "seasons": ["DJF", "JJA", "DJF"]}, "seasons"),
+            (lambda config: {**config, "zones": ["arid", "arid"]}, "zones"),
+            (lambda config: {**config, "wieghts": "train"}, "wieghts"),
+            (lambda config: {**config, "weightnet": {"epoch": 3}}, "weightnet.epoch"),
         ],
         ids=["top-level-list", "model-entry", "weightnet-block", "seed", "pdf_bins", "weightnet-epochs",
              "non-string-label", "label-with-comma", "label-with-newline", "label-with-return",
              "no-seasons", "no-zones", "non-object-reference", "zero-batch-size", "negative-epochs",
-             "huge-pdf-bins", "criteria-string", "learning-rate-beyond-float", "weightnet-epochs-huge"],
+             "huge-pdf-bins", "criteria-string", "learning-rate-beyond-float", "weightnet-epochs-huge",
+             "duplicate-criterion", "duplicate-season", "duplicate-zone", "unknown-key", "unknown-weightnet-key"],
     )
     def test_config_type_error_exits_2_naming_key_and_file(self, tmp_path, fixture_paths, capsys, edit, key):
         bad = tmp_path / "bad.json"
@@ -233,6 +237,35 @@ class TestRank:
         assert main(["rank", "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert key in err and str(bad) in err
+
+    @pytest.mark.parametrize("source", ["model", "reference"])
+    def test_source_with_both_forms_exits_2_naming_it(self, tmp_path, fixture_paths, capsys, source):
+        config = json.load(open(fixture_paths["config"]))
+        spec, name = (config["models"][1], f"model {config['models'][1]['label']}") if source == "model" \
+            else (config["reference"], "reference")
+        spec.update(tasmax=spec["path"], tasmin=spec["path"])
+        bad = tmp_path / "both.json"
+        bad.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(bad), "--out", str(tmp_path), "--name", "run"]) == 2
+        err = capsys.readouterr().err
+        assert f"{name} needs either 'path' or 'tasmax'+'tasmin'" in err and str(bad) in err
+        assert not os.path.exists(tmp_path / "run")
+
+    def test_readme_rank_config_declares_only_spec_keys(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+        block = readme.split("## Rank config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        declared = {tuple(k for k in path if isinstance(k, str)) for path, _ in field_paths(pipeline.RANK_FIELDS)}
+
+        def keys(node, prefix=()):
+            for key, value in node.items():
+                yield prefix + (key,)
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, dict):
+                        yield from keys(child, prefix + (key,))
+
+        used = set(keys(json.loads(block)))
+        assert used - declared == set()
+        assert {"weightnet", "criteria"} <= {path[0] for path in used}  # the example shows the nested blocks
 
     @pytest.mark.parametrize("drop", ["n_criteria", "seed"])
     def test_weight_checkpoint_with_bad_meta_exits_2_naming_it(self, tmp_path, fixture_paths, rank_run, capsys, drop):
@@ -409,21 +442,6 @@ class TestRank:
         assert f"no data.bin under {bad}" in capsys.readouterr().err
 
 
-# JSON values a hand-edited rank config might hold in one key: wrong types,
-# empty, huge, non-finite, nested, and valid names in the wrong place
-_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70), st.integers(-3, 12), st.just(10**400),
-                  st.floats(), st.text(max_size=4), st.just("9" * 400),
-                  st.sampled_from(["train", "uniform", "arid", "overall", "DJF", "ANNUAL", "kge", "r2", "bias"]))
-_ODD_VALUES = st.one_of(_JUNK, st.just([]), st.just({}), st.lists(_JUNK, max_size=3),
-                        st.lists(st.lists(_JUNK, max_size=2), min_size=1, max_size=2),
-                        st.dictionaries(st.text(max_size=3), _JUNK, max_size=2),
-                        st.fixed_dictionaries({"checkpoint": _JUNK}))
-RANK_CONFIG_KEYS = (("weights",), ("weightnet",), ("weightnet", "epochs"), ("weightnet", "warm_epochs"),
-                    ("weightnet", "batch_size"), ("weightnet", "learning_rate"), ("criteria",), ("criteria", 0),
-                    ("pdf_bins",), ("zones",), ("zones", 1), ("seasons",), ("seasons", 0), ("seed",),
-                    ("models", 1), ("models", 0, "label"), ("models", 2, "path"))
-
-
 @pytest.fixture(scope="module")
 def small_rank_config(tmp_path_factory):
     """A valid rank config on an 8x8 fixture, "uniform" weights and a two-epoch weight net when trained."""
@@ -434,25 +452,74 @@ def small_rank_config(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(key=st.sampled_from(RANK_CONFIG_KEYS), value=_ODD_VALUES)
-def test_any_one_bad_rank_config_key_exits_cleanly(tmp_path_factory, small_rank_config, key, value):
-    """One key of a valid rank config replaced by an odd JSON value never ends
-    in a traceback: `rank` exits 0, 2, 3 or 4."""
-    config = json.loads(json.dumps(small_rank_config))
-    node = config
-    for part in key[:-1]:
-        node = node[part]
-    node[key[-1]] = value
+@given(mutation=mutations(pipeline.RANK_FIELDS))
+def test_any_one_bad_rank_config_key_exits_cleanly(tmp_path_factory, small_rank_config, mutation):
+    """One declared key of a valid rank config given a wrong type or an
+    out-of-range value, left out, or joined by an undeclared key never ends
+    in a traceback, and exits 2 unless an optional key was left out."""
+    path, f, kind, value = mutation
     work = tempfile.mkdtemp(dir=str(tmp_path_factory.getbasetemp()))
     cfg_path = os.path.join(work, "config.json")
     with open(cfg_path, "w") as fh:
-        json.dump(config, fh)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # dropped criteria and fallback weights are warnings, not failures
-        code = main(["rank", "--config", cfg_path, "--out", work, "--name", "run"])
+        json.dump(mutate(small_rank_config, path, kind, value), fh)
+    code, err = run_cli(["rank", "--config", cfg_path, "--out", work, "--name", "run"])
     shutil.rmtree(work)
-    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue()
+    check_exit(code, err, f, kind)
+
+
+@pytest.fixture(scope="module")
+def tiny_pair(tmp_path_factory):
+    """A valid data spec: 15 steps at 32x32 (coarse 8x8), windows of 4."""
+    from gcmkit.geogrid import synth_pair
+
+    root = tmp_path_factory.mktemp("pair")
+    coarse, fine = synth_pair(31, 4, 15, 32, 32, bias=0.5, noise_sd=0.1)
+    gcf.write_cube(coarse, str(root / "coarse"))
+    gcf.write_cube(fine, str(root / "fine"))
+    return {"coarse": str(root / "coarse"), "fine": str(root / "fine"), "window": 4}
+
+
+def _downscale_train(tmp_path_factory, files, extra):
+    """(exit code, stderr) of `downscale train --arch vit` plus `extra`. Each of `files`, {file name: JSON
+    object}, is written to a scratch directory, and an `extra` entry naming one is replaced by its path."""
+    work = tempfile.mkdtemp(dir=str(tmp_path_factory.getbasetemp()))
+    for name, content in files.items():
+        with open(os.path.join(work, name), "w") as fh:
+            json.dump(content, fh)
+    argv = ["downscale", "train", "--arch", "vit", "--out", work, "--name", "ds"]
+    code, err = run_cli(argv + [os.path.join(work, a) if a in files else a for a in extra])
+    shutil.rmtree(work)
+    return code, err
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutation=mutations(PAIR_FIELDS))
+def test_any_one_bad_data_spec_key_exits_cleanly(tmp_path_factory, tiny_pair, mutation):
+    """One declared key of a valid `--data` spec given a wrong type or an
+    out-of-range value, left out, or joined by an undeclared key exits 2,
+    without a traceback, unless an optional key was left out."""
+    path, f, kind, value = mutation
+    spec = mutate(tiny_pair, path, kind, value)
+    code, err = _downscale_train(tmp_path_factory, {"pair.json": spec}, ["--data", "pair.json", "--epochs", "1"])
+    check_exit(code, err, f, kind)
+
+
+TRAIN_BLOCK = {"epochs": 1, "batch_size": 16, "learning_rate": 3e-3, "optimizer": "adam", "loss": "mse",
+               "patience": 0, "val_fraction": 0.2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutations(cli.TRAIN_FILE_FIELDS))
+def test_any_one_bad_train_config_key_exits_cleanly(tmp_path_factory, tiny_pair, mutation):
+    """One declared key of a valid `downscale train --config` file given a
+    wrong type or an out-of-range value, left out, or joined by an undeclared
+    key exits 2, without a traceback, unless an optional key was left out.
+    `--epochs 1` keeps every run short, except where `epochs` is the key."""
+    path, f, kind, value = mutation
+    config = mutate({"train": TRAIN_BLOCK}, path, kind, value)
+    extra = ["--data", "pair.json", "--config", "train.json"] + (["--epochs", "1"] if path[-1] != "epochs" else [])
+    code, err = _downscale_train(tmp_path_factory, {"pair.json": tiny_pair, "train.json": config}, extra)
+    check_exit(code, err, f, kind)
 
 
 class TestDownscaleCli:
@@ -534,7 +601,7 @@ class TestDownscaleCli:
             argv += ["--ckpt", str(tmp_path / "none.ckpt"), "--report", str(tmp_path / "eval.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"'{key}' must be a path string" in err and str(spec) in err and "Traceback" not in err
+        assert f"{key} must be a path string" in err and str(spec) in err and "Traceback" not in err
 
 
     @pytest.mark.parametrize("epochs", ["-1", "0", "1000000000000000000"])
@@ -545,11 +612,13 @@ class TestDownscaleCli:
         assert not os.path.exists(tmp_path / "ds")
 
     @pytest.mark.parametrize(
-        "block, key", [({"learnin_rate": 1e-3}, "learnin_rate"), ({"batch_size": "16"}, "batch_size")]
+        "block, key",
+        [({"train": {"learnin_rate": 1e-3}}, "learnin_rate"), ({"train": {"batch_size": "16"}}, "batch_size"),
+         ({"trian": {"epochs": 1}}, "trian")],
     )
     def test_bad_train_config_key_exits_2(self, tmp_path, capsys, block, key):
         config = tmp_path / "train.json"
-        config.write_text(json.dumps({"train": block}))
+        config.write_text(json.dumps(block))
         argv = ["downscale", "train", "--arch", "vit", "--config", str(config), "--out", str(tmp_path), "--name", "ds"]
         assert main(argv) == 2
         assert key in capsys.readouterr().err
@@ -574,9 +643,12 @@ class TestDownscaleCli:
             lambda manifest: manifest["meta"]["config"].update(layers=1),
             lambda manifest: manifest["entries"].pop(),  # norm.out_sd, the last entry
             lambda manifest: manifest["meta"]["config"].update(embed_dim=10**12),
+            lambda manifest: manifest["entries"][-1].update(offset=-2),  # would read norm.out_mean's value
+            lambda manifest: manifest["meta"].update(colour="red"),
         ],
         ids=["manifest-not-json", "manifest-without-total", "meta-without-config", "unknown-config-key",
-             "zero-heads", "config-short-of-entries", "missing-norm-entry", "huge-embed-dim"],
+             "zero-heads", "config-short-of-entries", "missing-norm-entry", "huge-embed-dim", "negative-offset",
+             "unknown-meta-key"],
     )
     def test_malformed_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vit_ckpt, edit):
         ckpt = tmp_path / "vit.ckpt"
@@ -620,6 +692,7 @@ class TestReport:
         [
             ("config.json", lambda text: text[: len(text) // 2]),
             ("config.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "mask"})),
+            ("config.json", lambda text: json.dumps({**json.loads(text), "mask": 5})),
             ("ranking.csv", lambda text: text.split("\n")[0] + "\n"),
             ("ranking.csv", lambda text: text.replace("context,model,cc,", "ctx,label,score,", 1)),
             ("ranking.csv", lambda text: text + "tropical/ANNUAL\n"),
@@ -627,8 +700,8 @@ class TestReport:
             ("ranking.csv", lambda text: text.replace("\narid/ANNUAL,", "\narid/YEAR,")),
             ("ranking.csv", lambda text: text[: text.rindex("\n", 0, -1) + 1]),
         ],
-        ids=["malformed-config", "config-without-mask", "header-only-ranking", "ranking-without-columns",
-             "short-ranking-row", "unknown-zone", "unknown-season", "context-missing-a-model"],
+        ids=["malformed-config", "config-without-mask", "config-mask-not-a-path", "header-only-ranking",
+             "ranking-without-columns", "short-ranking-row", "unknown-zone", "unknown-season", "context-missing-a-model"],
     )
     def test_broken_rank_dir_exits_2_naming_the_file(self, tmp_path, rank_run, capsys, name, edit):
         run = tmp_path / "run"

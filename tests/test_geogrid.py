@@ -357,7 +357,7 @@ class TestGcf:
         header = json.load(open(os.path.join(path, "header.json")))
         del header["calendar"]
         json.dump(header, open(os.path.join(path, "header.json"), "w"))
-        with pytest.raises(ValidationError, match="missing keys"):
+        with pytest.raises(ValidationError, match="lacks key .calendar."):
             gcf.read_cube(path)
 
     def test_non_monotonic_header_axes_detected(self, tmp_path, tiny_cube):
