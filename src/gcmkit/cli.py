@@ -20,7 +20,7 @@ from .fixtures import GOOD_MODEL, make_ranking_fixture
 from .geogrid import SEASONS, regrid_bilinear
 from .metrics import ZONE_OVERALL, full_report, report_rows_to_csv
 from .ranking import order_by_cc
-from .spec import ABSENT, Field, parse
+from .spec import ABSENT, Field, parse, read_json
 
 
 def _out_root(args) -> str:
@@ -81,7 +81,7 @@ def cmd_downscale_train(args) -> int:
     run_dir = os.path.join(_out_root(args), args.name)
     overrides = {}
     if args.config:
-        config = pipeline.read_json(args.config, "config")
+        config = read_json(args.config, "config")
         overrides = parse(config, TRAIN_FILE_FIELDS, f"config {args.config}").get("train", {})
     if args.epochs is not None:
         overrides["epochs"] = args.epochs
@@ -98,7 +98,7 @@ def cmd_downscale_train(args) -> int:
 
 def cmd_downscale_eval(args) -> int:
     if args.data:
-        _, test_set = dsc.spec_split(pipeline.read_json(args.data, "data spec"), f"data spec {args.data}")
+        _, test_set = dsc.spec_split(read_json(args.data, "data spec"), f"data spec {args.data}")
     else:
         _, test_set = dsc.benchmark_sets()
     model = dsc.load_model(args.ckpt, test_set.coarse_hw)

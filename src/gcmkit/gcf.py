@@ -31,7 +31,7 @@ import numpy as np
 from .artifacts import write_files
 from .errors import ValidationError
 from .geogrid import CALENDARS, DataCube, Date, GridAxis, ZoneMask, validate_times
-from .spec import FLOAT_MAX, Field, parse
+from .spec import FLOAT_MAX, Field, parse, read_json
 
 _HEADER = "header.json"
 _PAYLOAD = "data.bin"
@@ -97,12 +97,7 @@ def _load_header(path: str) -> dict:
     header_path = os.path.join(path, _HEADER)
     if not os.path.isfile(header_path):
         raise ValidationError(f"no {_HEADER} under {path}")
-    try:
-        with open(header_path) as fh:
-            header = json.load(fh)
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
-        raise ValidationError(f"malformed header in {path}: {exc}") from None
-    header = parse(header, HEADER_FIELDS, f"header in {path}")
+    header = parse(read_json(header_path, "header"), HEADER_FIELDS, f"header in {path}")
     dims = header["dims"]
     if len(header["lat"]) != dims[1] or len(header["lon"]) != dims[2] or len(header["time"]) != dims[0]:
         raise ValidationError(f"header axis lengths disagree with dims in {path}")

@@ -42,7 +42,6 @@ from .ranking import (
     WeightNetConfig,
     assemble_matrix,
     default_criteria,
-    evaluate_weightnet,
     heatmap_csv,
     order_by_cc,
     rank_all,
@@ -51,20 +50,11 @@ from .ranking import (
 from . import downscale as dsc
 from .downscale.presets import desk_arch_config, desk_train_config
 from .downscale.trainer import MAX_EPOCHS
-from .spec import ABSENT, FLOAT_MAX, POSITIVE, Field, parse
+from .spec import ABSENT, FLOAT_MAX, POSITIVE, Field, parse, read_json
 from .tensorcore import encode_checkpoint
 
 ZONE_BY_NAME = {name: code for code, name in ZONE_NAMES.items()}
 DEFAULT_ZONE_KEYS = tuple(ZONE_NAMES[z] for z in LAND_ZONES) + (ZONE_OVERALL,)
-
-
-def read_json(path: str, what: str):
-    """The JSON value in `path`, for `parse` to check; a malformed file is a ValidationError naming it."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # malformed JSON or text that is not UTF-8
-            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def _require(condition: bool, stage: str, message: str) -> None:
@@ -219,27 +209,33 @@ def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
 
     with manifest.stage("weights"):
         matrices = [assemble_matrix(reports[ctx], config.criteria, context=ctx) for ctx in sorted(reports)]
-        weight_source, trained_on = config.weights, []
-        if weight_source == "train":
+        names = [c.name for c in config.criteria]
+        net = None
+        if config.weights == "train":
             # a context that dropped a criterion is ranked with uniform(fallback) weights
-            trained_on = [dm for dm in matrices if dm.criteria == config.criteria]
+            trained_on = [dm for dm in matrices if dm.has_criteria(names)]
             if not trained_on:
                 dropped = {"/".join(dm.context): [c.name for c in config.criteria if c not in dm.criteria]
                            for dm in matrices}
                 raise ValidationError(f"[weights] every context dropped a criterion, so the weight net has none "
                                       f"to train on: {dropped}")
-            weight_source, epoch_mse = train_weightnet(trained_on, config.weightnet)
-            for name, blob in encode_checkpoint(*weight_source.checkpoint()).items():
+            net, epoch_mse = train_weightnet(trained_on, config.weightnet)
+            for name, blob in encode_checkpoint(*net.checkpoint()).items():
                 manifest.put(f"weightnet.ckpt/{name}", blob)
-        elif isinstance(weight_source, dict):
-            weight_source = WeightNet.load(weight_source["checkpoint"])
+        elif isinstance(config.weights, dict):
+            path = config.weights["checkpoint"]
+            net = WeightNet.load(path)
+            _require(list(net.criteria) == names, "weights",
+                     f"checkpoint {path} weighs criteria {list(net.criteria)}, but the config ranks {names}")
 
     with manifest.stage("rank"):
-        results, weights_used = rank_all(matrices, weight_source)
-        if trained_on:
-            history = {"epoch_mse": epoch_mse, "context_mse": evaluate_weightnet(trained_on, weights_used)}
+        results = rank_all(matrices, net)
+        if config.weights == "train":
+            fit = [np.mean((res.weights.w - dm.target.w) ** 2)
+                   for dm, res in zip(matrices, results) if res.source == "weightnet"]
+            history = {"epoch_mse": epoch_mse, "context_mse": float(np.mean(fit))}
             manifest.put("weightnet_history.json", json.dumps(history, indent=1) + "\n")
-        _write_rank_outputs(manifest, config, reports, results, weights_used)
+        _write_rank_outputs(manifest, config, reports, results)
 
     manifest.write()
     return manifest
@@ -249,7 +245,7 @@ RANKING_COLUMNS = ["context", "model", "cc", "d_plus", "d_minus", "rank", *METRI
 TOP5_COLUMNS = ["zone", "season", "rank", "model", "score", "bias", "rmse", "kge", "nse", "pdf_overlap"]
 
 
-def _write_rank_outputs(manifest, config, reports, results, weights_used) -> None:
+def _write_rank_outputs(manifest, config, reports, results) -> None:
     report_rows = [
         {"model": label, "zone": zone_key, "season": season_id, **rep.as_dict()}
         for (zone_key, season_id) in sorted(reports)
@@ -269,11 +265,10 @@ def _write_rank_outputs(manifest, config, reports, results, weights_used) -> Non
     manifest.put("ranking.csv", csv_text(RANKING_COLUMNS, ([row[c] for c in RANKING_COLUMNS] for row in ranking)))
     manifest.put("heatmap.csv", heatmap_csv({res.context: dict(zip(res.models, res.cc)) for res in results}))
 
-    by_context = {res.context: res for res in results}
     weights_obj = {
-        f"{ctx[0]}/{ctx[1]}": {"weights": [float(v) for v in wv.w], "source": src,
-                               "criteria": [c.name for c in by_context[ctx].criteria]}
-        for ctx, (wv, src) in sorted(weights_used.items())
+        "/".join(res.context): {"weights": [float(v) for v in res.weights.w], "source": res.source,
+                                "criteria": [c.name for c in res.criteria]}
+        for res in results
     }
     manifest.put("weights.json", json_text(weights_obj))
     manifest.put("top5.csv", csv_text(TOP5_COLUMNS, (
@@ -311,7 +306,7 @@ def run_downscale(
     predictions = {}
     for kind in archs:
         with manifest.stage(f"train.{kind}"):
-            cfg = desk_arch_config(kind, seed=seed)
+            cfg = replace(desk_arch_config(kind, seed=seed), factor=train_set.factor)
             result = dsc.train(cfg, train_set, tcfgs[kind])
             # the log holds wall times, so it stays out of the manifest; an
             # aborted run keeps its log and its last good parameters on disk

@@ -10,17 +10,17 @@ features, which keeps the weighting data-driven and reproducible.
 
 A rank builds each context's decision matrix once, and the matrix keeps
 its features and entropy targets once computed, so training, evaluation
-and weight resolution share them and the net predicts each context's
-weights once. Under `weights: "train"` a context that dropped a criterion
-has no place in the net's input: it is ranked with uniform weights, and
-`weights.json` names its source `uniform(fallback)`.
+and ranking share them and the net predicts each context's weights once.
+A weight net holds the criterion names it weighs, and `has_criteria` alone
+decides where they apply: a context that dropped a criterion is ranked
+with uniform weights, and its result names their source `uniform(fallback)`.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,6 +95,10 @@ class DecisionMatrix:
         v.setflags(write=False)
         self.values = v
 
+    def has_criteria(self, names: Sequence[str]) -> bool:
+        """Whether this context scores exactly `names`, in order: the one rule for where a weight net applies."""
+        return [c.name for c in self.criteria] == list(names)
+
     @cached_property
     def features(self) -> np.ndarray:
         """The weight net's input, `featurize(self)`."""
@@ -133,7 +137,7 @@ def order_by_cc(scores: Mapping[str, float]) -> List[str]:
 
 @dataclass(eq=False)
 class RankingResult:
-    """Closeness coefficients and derived ordering for one context."""
+    """Closeness coefficients and derived ordering for one context, with the weights it was scored with."""
 
     context: Tuple[str, str]
     models: List[str]
@@ -142,6 +146,8 @@ class RankingResult:
     d_minus: np.ndarray
     order: List[str] = field(default_factory=list)
     criteria: List[Criterion] = field(default_factory=list)  # the columns actually scored
+    weights: Optional[WeightVector] = None
+    source: str = ""  # "weightnet", "uniform" or "uniform(fallback)"
 
     def __post_init__(self):
         if not self.order:
@@ -160,8 +166,6 @@ def assemble_matrix(
     for benefit) so a degenerate metric can never reward a model; a column
     with no valid value at all is dropped with a warning.
     """
-    if len(reports) < 2:
-        raise ValidationError("ranking needs at least 2 models")
     labels = [label for label, _ in reports]
     cols = []
     kept: List[Criterion] = []
@@ -231,11 +235,13 @@ def topsis_score(
     total = d_plus + d_minus
     cc = np.where(total > 0, d_minus / np.where(total > 0, total, 1.0), 0.5)
     return RankingResult(context=context, models=list(models), cc=cc, d_plus=d_plus, d_minus=d_minus,
-                         criteria=list(criteria))
+                         criteria=list(criteria), weights=weights)
 
 
-def rank_matrix(dm: DecisionMatrix, weights: WeightVector) -> RankingResult:
-    return topsis_score(normalize(dm), weights, dm.criteria, dm.models, dm.context)
+def rank_matrix(dm: DecisionMatrix, weights: WeightVector, source: str = "") -> RankingResult:
+    result = topsis_score(normalize(dm), weights, dm.criteria, dm.models, dm.context)
+    result.source = source
+    return result
 
 
 def _column_stats(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -297,7 +303,7 @@ N_FEATURES_PER_CRITERION = 5
 # the keys of a weight-network checkpoint's meta
 META_FIELDS = (
     Field("kind", (str,), choices=("weightnet",)),
-    Field("n_criteria", (int,), low=1),
+    Field("criteria", (list,), size=(1, len(METRIC_NAMES)), choices=METRIC_NAMES),
     Field("seed", (int,)),
     Field("step", (int,), low=0),
 )
@@ -313,16 +319,15 @@ class WeightNetConfig:
 
 
 class WeightNet(tc.Module):
-    """Softmax criterion-weight network: features -> 64 -> 32 -> weights."""
+    """Softmax criterion-weight network over the named criteria: features -> 64 -> 32 -> weights."""
 
-    def __init__(self, n_criteria: int, seed: int = 7):
-        self.n_criteria = n_criteria
-        self.n_features = N_FEATURES_PER_CRITERION * n_criteria
+    def __init__(self, criteria: Sequence[str], seed: int = 7):
+        self.criteria = tuple(criteria)
         self.seed = seed
         rng = SplitMix64(seed)
-        self.fc1 = tc.Dense(rng.split(), self.n_features, 64, "fc1")
+        self.fc1 = tc.Dense(rng.split(), N_FEATURES_PER_CRITERION * len(self.criteria), 64, "fc1")
         self.fc2 = tc.Dense(rng.split(), 64, 32, "fc2")
-        self.fc3 = tc.Dense(rng.split(), 32, n_criteria, "fc3")
+        self.fc3 = tc.Dense(rng.split(), 32, len(self.criteria), "fc3")
         self.step_count = 0
 
     def forward(self, features: np.ndarray) -> tc.Tensor:
@@ -339,20 +344,14 @@ class WeightNet(tc.Module):
 
     def checkpoint(self):
         """(entries, meta) for `tc.encode_checkpoint`."""
-        meta = {"kind": "weightnet", "n_criteria": self.n_criteria, "seed": self.seed, "step": self.step_count}
+        meta = {"kind": "weightnet", "criteria": list(self.criteria), "seed": self.seed, "step": self.step_count}
         return self.state_entries(), meta
 
     @classmethod
     def load(cls, path: str) -> "WeightNet":
         arrays, meta = tc.load_checkpoint(path)
         meta = parse(meta, META_FIELDS, f"checkpoint {path} meta")
-        n_criteria = meta["n_criteria"]
-        # the size is checked against the entry that carries it before anything is allocated
-        carrier = arrays["fc3.b"].shape if "fc3.b" in arrays else "no such entry"
-        if carrier != (n_criteria,):
-            raise ValidationError(f"checkpoint {path}: n_criteria {n_criteria} implies entry 'fc3.b' of shape "
-                                  f"({n_criteria},), the checkpoint holds {carrier}")
-        net = cls(n_criteria, seed=meta["seed"])
+        net = cls(meta["criteria"], seed=meta["seed"])
         net.step_count = meta["step"]
         tc.load_state(net.state_entries(), arrays, path)
         return net
@@ -372,15 +371,16 @@ def train_weightnet(
         raise ValidationError("train_weightnet needs at least one context")
     config = config or WeightNetConfig()
     first = contexts[0]
-    others = ["/".join(dm.context) for dm in contexts if dm.criteria != first.criteria]
+    names = [c.name for c in first.criteria]
+    others = ["/".join(dm.context) for dm in contexts if not dm.has_criteria(names)]
     if others:
         raise ValidationError(f"all contexts must share one criteria list; {others} differ from "
-                              f"{'/'.join(first.context)}'s {[c.name for c in first.criteria]}")
+                              f"{'/'.join(first.context)}'s {names}")
 
     feats = np.stack([dm.features for dm in contexts])
     targets = np.stack([dm.target.w for dm in contexts])
 
-    net = WeightNet(len(first.criteria), seed=config.seed)
+    net = WeightNet(names, seed=config.seed)
     params = [t for _, t in net.params()]
     sgd = tc.SGD(params, lr=config.learning_rate)
     adam = tc.Adam(params, lr=config.learning_rate)
@@ -408,58 +408,28 @@ def train_weightnet(
     return net, history
 
 
-def evaluate_weightnet(contexts: Sequence[DecisionMatrix],
-                       weights_used: Mapping[Tuple[str, str], Tuple[WeightVector, str]]) -> float:
-    """Mean squared error of the weights `rank_all` used vs entropy-target weights over contexts:
-    given the contexts the weight net trained on, its fit from the predictions it ranked with."""
-    if not contexts:
-        raise ValidationError("evaluate_weightnet needs at least one context")
-    return float(np.mean([np.mean((weights_used[dm.context][0].w - dm.target.w) ** 2) for dm in contexts]))
+def rank_all(matrices: Sequence[DecisionMatrix], net: Optional[WeightNet] = None) -> List[RankingResult]:
+    """Rank every context's decision matrix, in the order given.
 
-
-WeightSource = Union[str, WeightNet]
-
-
-def resolve_weights(dm: DecisionMatrix, source: WeightSource) -> Tuple[WeightVector, str]:
-    """Weight vector for one context from a named source.
-
-    `source` is either the string "uniform" or a trained WeightNet. A net
-    whose criteria count disagrees with the context falls back to uniform
-    with a warning (this can happen when a degenerate context dropped a
-    column).
-    """
-    n = len(dm.criteria)
-    if source == "uniform":
-        return WeightVector(np.full(n, 1.0 / n)), "uniform"
-    if isinstance(source, WeightNet):
-        if source.n_criteria != n:
-            warnings.warn(
-                f"context {dm.context} has {n} criteria but the weight net expects "
-                f"{source.n_criteria}; using uniform weights"
-            )
-            return WeightVector(np.full(n, 1.0 / n)), "uniform(fallback)"
-        return source.predict(dm.features), "weightnet"
-    raise ValidationError(f"unknown weight source {source!r}")
-
-
-def rank_all(
-    matrices: Sequence[DecisionMatrix],
-    weight_source: WeightSource = "uniform",
-) -> Tuple[List[RankingResult], Dict[Tuple[str, str], Tuple[WeightVector, str]]]:
-    """Rank every context's decision matrix.
-
-    Returns the per-context results in the order given and the weight
-    vector actually used per context.
+    Without a net every context takes uniform weights. With one, a context
+    that scores the net's criteria takes the net's prediction, and any other
+    (one that dropped a criterion) falls back to uniform weights with a
+    warning. Each result carries its weights and their source.
     """
     if not matrices:
         raise ValidationError("no contexts to rank")
     results: List[RankingResult] = []
-    weights_used: Dict[Tuple[str, str], Tuple[WeightVector, str]] = {}
     for dm in matrices:
-        wv, source_name = resolve_weights(dm, weight_source)
-        results.append(rank_matrix(dm, wv))
-        weights_used[dm.context] = (wv, source_name)
-    return results, weights_used
+        if net is not None and dm.has_criteria(net.criteria):
+            weights, source = net.predict(dm.features), "weightnet"
+        else:
+            n = len(dm.criteria)
+            weights, source = WeightVector(np.full(n, 1.0 / n)), "uniform" if net is None else "uniform(fallback)"
+            if net is not None:
+                warnings.warn(f"context {dm.context} scores {[c.name for c in dm.criteria]} but the weight net "
+                              f"weighs {list(net.criteria)}; using uniform weights")
+        results.append(rank_matrix(dm, weights, source))
+    return results
 
 
 def heatmap_csv(cc: Dict[Tuple[str, str], Dict[str, float]]) -> str:

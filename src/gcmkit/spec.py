@@ -1,12 +1,13 @@
 """One declarative check for input read from outside the program.
 
 Each boundary (the rank config, a `--data` pair spec, a `downscale train
---config` file, a GCF header, a checkpoint meta) declares its keys as
-`Field`s and calls `parse`. Types are exact, so a bool never passes for an
+--config` file, a GCF header, a checkpoint manifest and its meta) declares
+its keys as `Field`s, reads its file with `read_json` and calls `parse`. Types are exact, so a bool never passes for an
 int, and a number outside [low, high], NaN included, is out of range.
 Checks that tie fields together stay with their boundary.
 """
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -69,6 +70,15 @@ class Field:
                  else f"at least {lo} " if hi == math.inf else f"{lo} to {hi} ")
         of = "objects" if self.fields else "distinct names" + choices if self.choices else names + bounds
         return f"list of {count}{of}"
+
+
+def read_json(path: str, what: str):
+    """The JSON value in `path`, for `parse` to check; a malformed file is a ValidationError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def parse(block, fields, where: str, path: str = "") -> dict:

@@ -11,15 +11,27 @@ ValidationError naming its file.
 """
 
 import json
+import math
 import os
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from ..errors import ValidationError
+from ..spec import Field, parse, read_json
 
 _MANIFEST = "manifest.json"
 _PAYLOAD = "params.bin"
+MANIFEST_FIELDS = (
+    Field("format", (int,), choices=(1,)),
+    Field("entries", (list,), fields=(
+        Field("name", (str,)),
+        Field("shape", (list,), items=(int,), low=0),
+        Field("offset", (int,), low=0),
+    )),
+    Field("total", (int,), low=0),
+    Field("meta", (dict,)),
+)
 
 
 def encode_checkpoint(entries: List[Tuple[str, np.ndarray]], meta: dict) -> Dict[str, bytes]:
@@ -41,29 +53,26 @@ def encode_checkpoint(entries: List[Tuple[str, np.ndarray]], meta: dict) -> Dict
 
 
 def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], dict]:
-    """({entry name: array}, meta) of the checkpoint directory `path`."""
+    """({entry name: array}, meta) of the checkpoint directory `path`, whose entries must tile its payload."""
     manifest_path = os.path.join(path, _MANIFEST)
     if not os.path.isfile(manifest_path):
         raise ValidationError(f"no checkpoint manifest under {path}")
     raw = np.fromfile(os.path.join(path, _PAYLOAD), dtype="<f8")
-    try:
-        with open(manifest_path, "rb") as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != 1:
-            raise ValueError(f"unsupported checkpoint format {manifest.get('format')!r}")
-        if raw.size != manifest["total"]:
-            raise ValueError(f"payload holds {raw.size} values, manifest promises {manifest['total']}")
-        if not isinstance(manifest["meta"], dict):
-            raise ValueError("meta is not a JSON object")
-        out = {}
-        for rec in manifest["entries"]:
-            size = int(np.prod(rec["shape"])) if rec["shape"] else 1
-            if rec["offset"] < 0:  # a negative slice start would read another entry's values
-                raise ValueError(f"entry {rec['name']!r} has negative offset {rec['offset']}")
-            out[rec["name"]] = raw[rec["offset"] : rec["offset"] + size].reshape(rec["shape"]).copy()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        why = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ValidationError(f"malformed checkpoint {manifest_path}: {why}") from None
+    where = f"malformed checkpoint {manifest_path}"
+    manifest = parse(read_json(manifest_path, "checkpoint manifest"), MANIFEST_FIELDS, where)
+    spans = sorted((rec["offset"], math.prod(rec["shape"]), rec["name"], rec["shape"]) for rec in manifest["entries"])
+    end = 0
+    for offset, size, name, _ in spans:
+        if offset != end:
+            raise ValidationError(f"{where}: entry {name!r} starts at offset {offset}, "
+                                  f"where the entries before it end at {end}")
+        end += size
+    if not end == manifest["total"] == raw.size:
+        raise ValidationError(f"{where}: the entries cover {end} values, the manifest promises {manifest['total']} "
+                              f"and the payload holds {raw.size}")
+    out = {name: raw[offset:offset + size].reshape(shape).copy() for offset, size, name, shape in spans}
+    if len(out) < len(spans):
+        raise ValidationError(f"{where}: an entry name is listed twice")
     return out, manifest["meta"]
 
 

@@ -14,11 +14,13 @@ from hypothesis import given, settings
 
 from gcmkit import cli, gcf, pipeline
 from gcmkit import ranking as rk
-from gcmkit.artifacts import RunManifest
+from gcmkit import tensorcore as tc
+from gcmkit.artifacts import RunManifest, write_files
 from gcmkit.cli import main
 from gcmkit.downscale.data import PAIR_FIELDS
 from gcmkit.fixtures import GOOD_MODEL, make_csv_fixture, make_ranking_fixture
 from gcmkit.geogrid import LAND_ZONES
+from gcmkit.metrics import METRIC_NAMES, MetricReport
 from gcmkit.ranking import DEFAULT_CRITERIA_NAMES
 from specmutations import check_exit, field_paths, mutate, mutations, run_cli
 
@@ -267,7 +269,7 @@ class TestRank:
         assert used - declared == set()
         assert {"weightnet", "criteria"} <= {path[0] for path in used}  # the example shows the nested blocks
 
-    @pytest.mark.parametrize("drop", ["n_criteria", "seed"])
+    @pytest.mark.parametrize("drop", ["criteria", "seed"])
     def test_weight_checkpoint_with_bad_meta_exits_2_naming_it(self, tmp_path, fixture_paths, rank_run, capsys, drop):
         ckpt = tmp_path / "weightnet.ckpt"
         shutil.copytree(os.path.join(rank_run, "weightnet.ckpt"), ckpt)
@@ -281,20 +283,42 @@ class TestRank:
         err = capsys.readouterr().err
         assert str(ckpt) in err and drop in err
 
-    def test_weight_checkpoint_with_huge_n_criteria_exits_2_naming_it(self, tmp_path, fixture_paths, rank_run,
-                                                                        capsys):
-        # checked against the fc3.b entry before the network is built, so nothing allocates 10**12 criteria
-        ckpt = tmp_path / "weightnet.ckpt"
-        shutil.copytree(os.path.join(rank_run, "weightnet.ckpt"), ckpt)
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        manifest["meta"]["n_criteria"] = 10**12
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
-        config = {**json.load(open(fixture_paths["config"])), "weights": {"checkpoint": str(ckpt)}}
+    @pytest.mark.parametrize(
+        "criteria",
+        [list(DEFAULT_CRITERIA_NAMES), list(reversed(DEFAULT_CRITERIA_NAMES)),
+         ["r2" if name == "bias" else name for name in DEFAULT_CRITERIA_NAMES]],
+        ids=["same", "reversed", "r2-for-bias"],
+    )
+    def test_weight_checkpoint_applies_only_to_the_criteria_it_weighs(self, tmp_path, fixture_paths, rank_run,
+                                                                      capsys, criteria):
+        ckpt = os.path.join(rank_run, "weightnet.ckpt")
+        config = {**json.load(open(fixture_paths["config"])), "criteria": criteria, "weights": {"checkpoint": ckpt}}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 2
+        code = main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"])
+        if criteria == list(DEFAULT_CRITERIA_NAMES):  # the net the run trained weighs every context as it did
+            assert code == 0
+            weights = (tmp_path / "run" / "weights.json").read_text()
+            assert weights == open(os.path.join(rank_run, "weights.json")).read()
+            return
+        assert code == 2
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "n_criteria" in err and "Traceback" not in err
+        assert "[weights]" in err and ckpt in err and str(list(DEFAULT_CRITERIA_NAMES)) in err and str(criteria) in err
+
+    def test_learned_weights_order_contexts_as_their_entropy_targets_do(self, rank_run):
+        """The net's weights give the entropy weights' TOPSIS order in at least 29 of the fixture's 30 contexts
+        (uniform weights give it in 20), and no learned weight is more than 0.1 from its entropy target."""
+        reports = collections.defaultdict(list)
+        for row in json.load(open(os.path.join(rank_run, "reports.json"))):
+            fields = {key: row[key] for key in (*METRIC_NAMES, "n", "flags")}
+            reports[(row["zone"], row["season"])].append((row["model"], MetricReport(**fields)))
+        matrices = [rk.assemble_matrix(reports[ctx], rk.default_criteria(), ctx) for ctx in sorted(reports)]
+        learned = rk.rank_all(matrices, rk.WeightNet.load(os.path.join(rank_run, "weightnet.ckpt")))
+        entropy = [rk.rank_matrix(dm, dm.target).order for dm in matrices]
+        assert len(learned) == 30 and {res.source for res in learned} == {"weightnet"}
+        assert max(np.max(np.abs(res.weights.w - dm.target.w)) for dm, res in zip(matrices, learned)) < 0.1
+        assert sum(res.order == order for res, order in zip(learned, entropy)) >= 29
+        assert sum(res.order == order for res, order in zip(rk.rank_all(matrices), entropy)) < 29
 
     @staticmethod
     def _constant_fields_config(tmp_path, fixture_paths, weights):
@@ -468,6 +492,38 @@ def test_any_one_bad_rank_config_key_exits_cleanly(tmp_path_factory, small_rank_
 
 
 @pytest.fixture(scope="module")
+def small_weight_checkpoint(tmp_path_factory, small_rank_config):
+    """The checkpoint of an untrained weight net over small_rank_config's criteria."""
+    path = str(tmp_path_factory.mktemp("wnet") / "weightnet.ckpt")
+    write_files(path, tc.encode_checkpoint(*rk.WeightNet(small_rank_config["criteria"]).checkpoint()))
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutation=mutations(rk.META_FIELDS))
+def test_any_one_bad_weight_checkpoint_meta_key_exits_cleanly(tmp_path_factory, small_rank_config,
+                                                              small_weight_checkpoint, mutation):
+    """One declared key of a weight net's checkpoint meta given a wrong type
+    or an out-of-range value, left out, or joined by an undeclared key exits
+    2 at the weights stage, without a traceback."""
+    path, f, kind, value = mutation
+    work = tempfile.mkdtemp(dir=str(tmp_path_factory.getbasetemp()))
+    ckpt = os.path.join(work, "weightnet.ckpt")
+    shutil.copytree(small_weight_checkpoint, ckpt)
+    with open(os.path.join(ckpt, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    manifest["meta"] = mutate(manifest["meta"], path, kind, value)
+    with open(os.path.join(ckpt, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    cfg_path = os.path.join(work, "config.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({**small_rank_config, "weights": {"checkpoint": ckpt}}, fh)
+    code, err = run_cli(["rank", "--config", cfg_path, "--out", work, "--name", "run"])
+    shutil.rmtree(work)
+    check_exit(code, err, f, kind)
+
+
+@pytest.fixture(scope="module")
 def tiny_pair(tmp_path_factory):
     """A valid data spec: 15 steps at 32x32 (coarse 8x8), windows of 4."""
     from gcmkit.geogrid import synth_pair
@@ -575,6 +631,20 @@ class TestDownscaleCli:
             assert [int(row["n"]) for row in rows] == [held_out * 32 * 32] * 2  # vit + baseline
 
 
+    def test_train_then_eval_on_a_factor_2_pair(self, tmp_path):
+        from gcmkit.geogrid import synth_pair
+
+        coarse, fine = synth_pair(1, 2, 15, 32, 32)
+        gcf.write_cube(coarse, str(tmp_path / "coarse"))
+        gcf.write_cube(fine, str(tmp_path / "fine"))
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps({"coarse": str(tmp_path / "coarse"), "fine": str(tmp_path / "fine"), "window": 4}))
+        argv = ["downscale", "train", "--arch", "cnn_lstm", "--data", str(spec), "--epochs", "1", "--name", "ds",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(["downscale", "eval", "--ckpt", str(tmp_path / "ds" / "cnn_lstm.ckpt"), "--data", str(spec),
+                     "--report", str(tmp_path / "eval.csv")]) == 0
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("missing", ["coarse", "fine"])
     def test_spec_without_cube_key_exits_2(self, tmp_path, capsys, command, missing):
@@ -645,10 +715,12 @@ class TestDownscaleCli:
             lambda manifest: manifest["meta"]["config"].update(embed_dim=10**12),
             lambda manifest: manifest["entries"][-1].update(offset=-2),  # would read norm.out_mean's value
             lambda manifest: manifest["meta"].update(colour="red"),
+            lambda manifest: manifest["entries"][-1].update(offset=manifest["entries"][-2]["offset"]),
+            lambda manifest: manifest["entries"][0].update(offset=False),
         ],
         ids=["manifest-not-json", "manifest-without-total", "meta-without-config", "unknown-config-key",
              "zero-heads", "config-short-of-entries", "missing-norm-entry", "huge-embed-dim", "negative-offset",
-             "unknown-meta-key"],
+             "unknown-meta-key", "overlapping-entries", "bool-offset"],
     )
     def test_malformed_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vit_ckpt, edit):
         ckpt = tmp_path / "vit.ckpt"

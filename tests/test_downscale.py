@@ -490,7 +490,7 @@ GOLDEN_CHECKPOINTS = {
             "2a51239522be1986295778f0674a898316eb624e18aacd85acd333457b5f043f"),
     "geostanet": ("c6539e3692c4fa40869186e16dfe62a85fc2e11edbdb04cf4066e2d1fe26a1a5",
                   "afe27be8d33c14efc44e906fd42bef8dbe2bb730e0851626458a00b703fbc611"),
-    "weightnet": ("eee7c462c825a0711a5b8e1547eae429193526a5e745f0886dbc86f2c0302684",
+    "weightnet": ("54734559868a63726b07856340366577f6cea730dd85765c754c3eedc244e5e3",
                   "03a4255cb5a096d24bb9dfa2d3b5fa35e4db85f34cd07736463ed8f02d716678"),
 }
 
@@ -500,10 +500,10 @@ class TestCheckpointReload:
     def test_fresh_checkpoint_bytes_are_pinned(self, kind):
         # attribute order is the checkpoint layout: the names, shapes, order
         # and values of every entry of a freshly built network are pinned here
-        from gcmkit.ranking import WeightNet
+        from gcmkit.ranking import DEFAULT_CRITERIA_NAMES, WeightNet
 
         if kind == "weightnet":
-            model = WeightNet(9, seed=7)
+            model = WeightNet(DEFAULT_CRITERIA_NAMES, seed=7)
         else:
             model = ds.build_model(ds.desk_arch_config(kind, seed=0), (16, 16))
         files = tc.encode_checkpoint(*model.checkpoint())

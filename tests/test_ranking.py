@@ -288,7 +288,7 @@ class TestVectorizedColumnStats:
 
 class TestWeightNet:
     def test_output_is_valid_weight_vector_for_any_input(self):
-        net = rk.WeightNet(9, seed=4)
+        net = rk.WeightNet(rk.DEFAULT_CRITERIA_NAMES, seed=4)
         rng = np.random.default_rng(0)
         for _ in range(20):
             w = net.predict(rng.normal(scale=50.0, size=45))
@@ -348,17 +348,16 @@ class TestRankAll:
         return [rk.assemble_matrix(reports[ctx], rk.default_criteria(), ctx) for ctx in sorted(reports)]
 
     def test_dominant_model_wins_everywhere(self):
-        results, weights = rk.rank_all(self._matrices(), "uniform")
+        results = rk.rank_all(self._matrices())
         assert len(results) == 4
         for res in results:
             assert res.order[0] == "good"
             assert res.cc[res.models.index("good")] == 1.0
-        for ctx, (wv, src) in weights.items():
-            assert src == "uniform"
-            assert float(wv.w.sum()) == pytest.approx(1.0, abs=1e-12)
+            assert res.source == "uniform"
+            assert float(res.weights.w.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_heatmap_shape_and_range(self):
-        results, _ = rk.rank_all(self._matrices(), "uniform")
+        results = rk.rank_all(self._matrices())
         rows = [line.split(",") for line in rk.heatmap_csv({res.context: dict(zip(res.models, res.cc))
                                                             for res in results}).splitlines()[1:]]
         models = [row[0] for row in rows]
@@ -372,17 +371,16 @@ class TestRankAll:
         reports[("polar", "DJF")] = [(label, report(kge=None, flags={"kge": False})) for label in ("good", "bad")]
         with pytest.warns(UserWarning, match="kge"):
             matrices = self._matrices(reports)
-        results, weights = rk.rank_all(matrices, "uniform")
+        results = rk.rank_all(matrices)
         for res in results:
             names = [c.name for c in res.criteria]
-            assert len(names) == len(weights[res.context][0])
+            assert len(names) == len(res.weights)
             assert ("kge" in names) == (res.context != ("polar", "DJF"))
 
     def test_weightnet_source(self):
-        net = rk.WeightNet(9, seed=1)
-        results, weights = rk.rank_all(self._matrices(), net)
-        for ctx, (wv, src) in weights.items():
-            assert src == "weightnet"
-            assert len(wv) == 9
+        net = rk.WeightNet(rk.DEFAULT_CRITERIA_NAMES, seed=1)
+        results = rk.rank_all(self._matrices(), net)
         for res in results:
+            assert res.source == "weightnet"
+            assert len(res.weights) == 9
             assert res.order[0] == "good"
