@@ -9,6 +9,7 @@ from .archs import (
     GeoSTANet,
     ViTNet,
     build_model,
+    check_fit,
     imbalance_weighted_mse,
     load_model,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "bias_to_target",
     "build_model",
     "capacity_set",
+    "check_fit",
     "comparison_table",
     "desk_arch_config",
     "desk_train_config",

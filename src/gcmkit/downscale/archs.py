@@ -228,15 +228,27 @@ class ConvLstmNet(DownscaleModel):
         return self.head(seq[-1])[:, 0]
 
 
-def _patchify(frames: np.ndarray, patch: int) -> Tensor:
+def check_fit(cfg: ArchConfig, coarse_hw: Tuple[int, int]) -> None:
+    """Fail unless a `cfg` model can run on a coarse grid of `coarse_hw`.
+
+    The patch models (vit, geostanet) need a patch that divides both sides.
+    Their constructors and `_patchify` check it here, and
+    `pipeline.run_downscale` checks every requested architecture before it
+    trains the first.
+    """
+    if cfg.kind in ("vit", "geostanet") and (coarse_hw[0] % cfg.patch or coarse_hw[1] % cfg.patch):
+        raise ValidationError(f"{cfg.kind}: patch size {cfg.patch} does not divide grid {tuple(coarse_hw)}")
+
+
+def _patchify(frames: np.ndarray, cfg: ArchConfig) -> Tensor:
     """(m, c, h, w) -> (m * N, patch*patch*c) token rows, N per frame in lat-major raster order.
 
     The raw input needs no gradient, so the tokens are cut in numpy and
     enter the graph as one leaf.
     """
     m, c, h, w = frames.shape
-    if h % patch or w % patch:
-        raise ValidationError(f"patch size {patch} does not divide grid ({h}, {w})")
+    check_fit(cfg, (h, w))
+    patch = cfg.patch
     gh, gw = h // patch, w // patch
     x = frames.reshape(m, c, gh, patch, gw, patch).transpose((0, 2, 4, 3, 5, 1))
     return Tensor(x.reshape(m * gh * gw, patch * patch * c))
@@ -249,8 +261,7 @@ class ViTNet(DownscaleModel):
     def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
         super().__init__(cfg)
         self.h, self.w = coarse_hw
-        if self.h % cfg.patch or self.w % cfg.patch:
-            raise ValidationError(f"patch size {cfg.patch} does not divide grid {coarse_hw}")
+        check_fit(cfg, coarse_hw)
         self.gh, self.gw = self.h // cfg.patch, self.w // cfg.patch
         self.n_tokens = self.gh * self.gw
         rng = SplitMix64(cfg.seed)
@@ -267,7 +278,7 @@ class ViTNet(DownscaleModel):
 
     def _embed_frames(self, x: np.ndarray) -> Tensor:
         n, t, c, h, w = x.shape
-        tokens = _patchify(x.reshape(n * t, c, h, w), self.cfg.patch)
+        tokens = _patchify(x.reshape(n * t, c, h, w), self.cfg)
         return self.embed(tokens).reshape(n, t, self.n_tokens, self.cfg.embed_dim)
 
     def _tokens_to_field(self, tokens: Tensor, n: int) -> Tensor:
@@ -293,8 +304,7 @@ class GeoSTANet(DownscaleModel):
     def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
         super().__init__(cfg)
         self.h, self.w = coarse_hw
-        if self.h % cfg.patch or self.w % cfg.patch:
-            raise ValidationError(f"patch size {cfg.patch} does not divide grid {coarse_hw}")
+        check_fit(cfg, coarse_hw)
         self.gh, self.gw = self.h // cfg.patch, self.w // cfg.patch
         self.n_tokens = self.gh * self.gw
         rng = SplitMix64(cfg.seed)
@@ -318,7 +328,7 @@ class GeoSTANet(DownscaleModel):
         n, t, c, h, w = x.shape
         if (h, w) != (self.h, self.w):
             raise ValidationError(f"expected coarse grid {(self.h, self.w)}, got {(h, w)}")
-        emb = self.embed(_patchify(x.reshape(n * t, c, h, w), self.cfg.patch))
+        emb = self.embed(_patchify(x.reshape(n * t, c, h, w), self.cfg))
         emb = emb.reshape(n, t, self.n_tokens, self.cfg.embed_dim) + self.pos
         if coords is not None:
             if coords.shape != (self.n_tokens, 2):

@@ -93,17 +93,6 @@ def write_cube(cube: DataCube, path: str) -> None:
     write_files(path, encode_cube(cube))
 
 
-def _load_header(path: str) -> dict:
-    header_path = os.path.join(path, _HEADER)
-    if not os.path.isfile(header_path):
-        raise ValidationError(f"no {_HEADER} under {path}")
-    header = parse(read_json(header_path, "header"), HEADER_FIELDS, f"header in {path}")
-    dims = header["dims"]
-    if len(header["lat"]) != dims[1] or len(header["lon"]) != dims[2] or len(header["time"]) != dims[0]:
-        raise ValidationError(f"header axis lengths disagree with dims in {path}")
-    return header
-
-
 @dataclass(frozen=True, eq=False)
 class CubeHeader:
     """The validated header of a GCF directory: a cube's axes and metadata without its payload."""
@@ -119,10 +108,13 @@ class CubeHeader:
 
 def read_header(path: str) -> CubeHeader:
     """Read and validate a GCF header: keys, dims, both axes and every date."""
-    return _parse_header(path, _load_header(path))
-
-
-def _parse_header(path: str, header: dict) -> CubeHeader:
+    header_path = os.path.join(path, _HEADER)
+    if not os.path.isfile(header_path):
+        raise ValidationError(f"no {_HEADER} under {path}")
+    header = parse(read_json(header_path, "header"), HEADER_FIELDS, f"header in {path}")
+    dims = header["dims"]
+    if len(header["lat"]) != dims[1] or len(header["lon"]) != dims[2] or len(header["time"]) != dims[0]:
+        raise ValidationError(f"header axis lengths disagree with dims in {path}")
     try:
         lat = GridAxis(np.asarray(header["lat"], dtype=np.float64), "lat")
         lon = GridAxis(np.asarray(header["lon"], dtype=np.float64), "lon")
@@ -135,41 +127,35 @@ def _parse_header(path: str, header: dict) -> CubeHeader:
 
 def read_cube(path: str) -> DataCube:
     """Read and validate a GCF directory into a DataCube."""
-    header = _load_header(path)
-    head = _parse_header(path, header)
-    ((_, values),) = _chunks(path, header, len(head.time))
+    head = read_header(path)
+    values = read_block(path, head, 0, len(head.time))
     return DataCube(head.lat, head.lon, head.time, head.calendar, head.variable, values, head.fill, head.units)
 
 
-def iter_time_chunks(path: str, chunk: int):
-    """Yield (t0, block) pairs of float64 time slabs without loading the cube.
+def read_block(path: str, head: CubeHeader, t0: int, n: int) -> np.ndarray:
+    """Time steps t0 .. t0 + n - 1 of a GCF payload (fewer at its end) as a float64 (time x lat x lon) array.
 
-    The one payload reader: every `run_rank` source streams through it in
-    chunks of `chunk` time steps, and `read_cube` takes the whole payload
-    as one chunk. Only the header keys and dims are checked here; validate
-    the axes and dates once with `read_header`. A non-finite value fails
-    with the path, its time index and its date.
+    The one payload reader: every `run_rank` source reads its blocks through
+    it with the header it validated once (`read_header`), and `read_cube`
+    takes the whole payload as one block. A missing payload, one whose size
+    disagrees with the header, and a non-finite value each fail naming the
+    path; a non-finite value also names its time index and date.
     """
-    yield from _chunks(path, _load_header(path), chunk)
-
-
-def _chunks(path: str, header: dict, chunk: int):
-    nt, nlat, nlon = header["dims"]
-    slab = nlat * nlon
+    nt, slab = len(head.time), len(head.lat) * len(head.lon)
+    n = min(n, nt - t0)
     payload_path = os.path.join(path, _PAYLOAD)
     if not os.path.isfile(payload_path):
         raise ValidationError(f"no {_PAYLOAD} under {path}")
     if os.path.getsize(payload_path) != 4 * nt * slab:
         raise ValidationError(f"payload size disagrees with header dims in {path}")
     with open(payload_path, "rb") as fh:
-        for t0 in range(0, nt, chunk):
-            n = min(chunk, nt - t0)
-            raw = np.frombuffer(fh.read(4 * n * slab), dtype="<f4")
-            finite = np.isfinite(raw)
-            if not finite.all():
-                t = t0 + int(np.argmin(finite)) // slab
-                raise ValidationError(f"payload in {path} is non-finite at time index {t} ({header['time'][t]})")
-            yield t0, raw.astype(np.float64).reshape(n, nlat, nlon)
+        fh.seek(4 * t0 * slab)
+        raw = np.frombuffer(fh.read(4 * n * slab), dtype="<f4")
+    finite = np.isfinite(raw)
+    if not finite.all():
+        t = t0 + int(np.argmin(finite)) // slab
+        raise ValidationError(f"payload in {path} is non-finite at time index {t} ({_format_date(head.time[t])})")
+    return raw.astype(np.float64).reshape(n, len(head.lat), len(head.lon))
 
 
 def write_mask(mask: ZoneMask, path: str) -> None:

@@ -256,15 +256,24 @@ def bilinear_blend(data: np.ndarray, corners, fill: float) -> np.ndarray:
     """The kernel of `regrid_bilinear`: blend each (lat x lon) slice of `data`.
 
     Returns a new C-contiguous (time x lat x lon) array on the target grid.
+    Each corner is weighted in its own gather buffer and added into the
+    first one, so the blend is w0*c0 + w1*c1 + w2*c2 + w3*c3 summed left to
+    right, without a temporary per product or partial sum.
     """
     flat = data.reshape(len(data), -1)
 
     def corner(index, w):
         return flat.take(index, axis=1).reshape(len(data), *w.shape)
 
-    out = -0.0  # -0.0 + x == x for every x, so the first corner's bits pass unchanged
-    for index, w in corners:
-        out = out + w * corner(index, w)
+    def weighted(index, w):
+        c = corner(index, w)
+        c *= w
+        return c
+
+    first, *rest = corners
+    out = weighted(*first)
+    for index, w in rest:
+        out += weighted(index, w)
     if (flat == fill).any():  # only a block that holds fill can need the fill rule
         for index, w in corners:
             out[(corner(index, w) == fill) & (w != 0.0)] = fill

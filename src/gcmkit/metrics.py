@@ -2,19 +2,24 @@
 
 Every report comes from one engine, `StreamingPool`, a two-pass
 accumulator of shifted moments, extremes and shared-range histograms.
-`sweep` drives it over paired time blocks of `BLOCK` steps and fills every
-(zone, season) context of one model at once. `context_index` splits each
-context into atoms, one per (meteorological season, zone code), and both
-passes gather each atom once per block. Pass 1 feeds one pool per atom and
-then merges every atom pool into its contexts (`StreamingPool.merge`, the
-pairwise update of Chan, Golub & LeVeque); a zone x DJF/MAM/JJA/SON context
-is one atom and takes its pool bit for bit. Pass 2 sorts each atom's
-values once per block and counts them against the frozen bin edges of
-every context that contains the atom (`sorted_counts`, the one histogram
-implementation, with `np.histogram`'s counts). `full_report` runs that
-sweep on one context of two in-memory cubes, and `compute_report` feeds
-one materialised `PooledSample` to one pool. The engine flags the metrics
-a degenerate sample (constant series, zero means) cannot support instead
+`sweep` drives it over the time blocks of `BLOCK` steps of one reference
+and any number of models, and fills every (zone, season) context of
+every model at once. `context_index` splits each context into atoms, one
+per (meteorological season, zone code). Each pass reads every block of
+the reference once and gathers each of its atoms once; then each model's
+block is read, gathered and fed in turn. Pass 1 feeds one pool per model
+and atom and then merges every atom pool into its contexts
+(`StreamingPool.merge`, the pairwise update of Chan, Golub & LeVeque); a
+zone x DJF/MAM/JJA/SON context is one atom and takes its pool bit for
+bit. Pass 2 sorts each atom's values once per block and counts them with
+one `searchsorted` per side against the stacked frozen bin edges of every
+context that contains the atom (`EdgeStack`, with `np.histogram`'s
+counts). Where neither side of an atom holds fill, every model shares the
+reference's pass-1 terms and its sort, so a report has the same bits
+whichever models are swept with it. `full_report` runs that sweep on one
+context of two in-memory cubes, and `compute_report` feeds one
+materialised `PooledSample` to one pool. The engine flags the metrics a
+degenerate sample (constant series, zero means) cannot support instead
 of reporting them, because a silent NaN or a fake zero would poison the
 downstream ranking.
 
@@ -29,7 +34,7 @@ consistent with each other.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,7 +188,8 @@ def sorted_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
     Bin i holds edges[i] <= v < edges[i + 1] and the last bin is closed,
     so the counts equal `np.histogram`'s on the same edges; values outside
-    [edges[0], edges[-1]] are not counted.
+    [edges[0], edges[-1]] are not counted. It is the reference that
+    `EdgeStack`, the engine's counter, is tested against.
     """
     idx = np.searchsorted(values, edges)
     idx[-1] = np.searchsorted(values, edges[-1], side="right")
@@ -291,67 +297,153 @@ def _plan(index) -> List[Tuple[np.ndarray, np.ndarray, List[int]]]:
     return [atoms[key] for key in sorted(atoms)]
 
 
-def time_blocks(data: np.ndarray) -> List[Tuple[int, np.ndarray]]:
-    """An in-memory (time x lat x lon) array as (t0, block) views of BLOCK steps."""
-    return [(t0, data[t0 : t0 + BLOCK]) for t0 in range(0, len(data), BLOCK)]
+class CubeBlocks:
+    """An in-memory cube as a `sweep` source: its time axis, its fill and its BLOCK-step slabs by start step."""
+
+    def __init__(self, cube: DataCube):
+        self.time, self.fill, self._data = cube.time, cube.fill, cube.data
+
+    def block(self, t0: int) -> np.ndarray:
+        return self._data[t0 : t0 + BLOCK]
 
 
-def _pairs(block_m: np.ndarray, block_o: np.ndarray, rows, cells, fill_m: float, fill_o: float):
-    """Paired non-fill values of one atom inside a (time x lat x lon) block.
+def _spans(plan, t0: int) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    """[(atom position, its rows inside the block at t0, its cells)] for every atom of `plan` with rows there."""
+    out = []
+    for a, (rows, cells, _) in enumerate(plan):
+        lo, hi = np.searchsorted(rows, (t0, t0 + BLOCK))
+        if hi > lo:
+            out.append((a, rows[lo:hi] - t0, cells))
+    return out
+
+
+def _gather(block: np.ndarray, rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """One atom of a (time x lat x lon) block as a fresh (rows x cells) array.
 
     The values come out in the order of `block[np.ix_(rows, cells)]`; a
     contiguous run of rows is sliced, not copied, before the cell gather.
     """
     if rows[-1] - rows[0] == len(rows) - 1:
         rows = slice(rows[0], rows[-1] + 1)
-    m = block_m.reshape(len(block_m), -1)[rows].take(cells, axis=1)
-    o = block_o.reshape(len(block_o), -1)[rows].take(cells, axis=1)
-    ok = (m != fill_m) & (o != fill_o)
-    return (m.ravel(), o.ravel()) if ok.all() else (m[ok], o[ok])
+    return block.reshape(len(block), -1)[rows].take(cells, axis=1)
 
 
-def sweep(model_blocks: Iterable, obs_blocks: Iterable, index, fill_m: float, fill_o: float,
-          bins: int = 100, label: str = "model") -> Dict[Tuple, MetricReport]:
-    """Reports of every context in `index` from two passes over paired time blocks.
+class _ObsAtom:
+    """One gathered reference atom of a block, and the work every model that pairs with all of it shares.
 
-    `model_blocks` and `obs_blocks` are re-iterable sources of aligned
-    (t0, block) pairs of BLOCK time steps on the grid the index was built
-    for; each is iterated once per pass, and each pass gathers every atom
-    of the index once per block. Pass 1 feeds each atom's own
-    `StreamingPool`, then merges every atom pool into the pools of its
-    contexts in atom order; a context of one atom copies that atom's pool.
-    Pass 2 sorts each gathered atom and adds its counts to every context
-    that contains it; the counts are integers, so they equal a per-context
-    histogram pass exactly. A context's report depends only on its own
-    atoms, so it is the same whichever contexts are swept with it.
+    Where neither the model atom nor the reference atom holds fill, the
+    reference values and their order are the same for every model. Their
+    pass-1 terms at a pivot (`side`) and their ascending order (`ordered`)
+    are then computed once and reused, so each model gets the bits a sweep
+    of that model alone computes. Any other atom pairs per model.
+    """
+
+    def __init__(self, o: np.ndarray, fill: float):
+        self.o, self.fill = o, fill
+        self.clean = not (o == fill).any()
+        self._sides = {}
+        self._ordered = None
+
+    def pair(self, m: np.ndarray, fill_m: float):
+        """(model values, reference values, shared): the non-fill pairs of a gathered model atom.
+
+        `shared` is this atom when every pair is kept: the reference values
+        are then its own, not to be changed in place. Otherwise it is None
+        and both value arrays are fresh.
+        """
+        if self.clean and not (m == fill_m).any():
+            return m.ravel(), self.o.ravel(), self
+        ok = (m != fill_m) & (self.o != self.fill)
+        return m[ok], self.o[ok], None
+
+    def side(self, pivot: float):
+        """`_side` of every reference value at `pivot`, once per pivot (by its bits, so -0.0 is not 0.0)."""
+        key = pivot.hex()
+        if key not in self._sides:
+            self._sides[key] = _side(self.o.ravel(), pivot)
+        return self._sides[key]
+
+    def ordered(self) -> np.ndarray:
+        """Every reference value, ascending."""
+        if self._ordered is None:
+            self._ordered = np.sort(self.o.ravel())
+        return self._ordered
+
+
+def _sweep_pass(plan, models: Mapping, reference, feed) -> None:
+    """One pass over the reference's blocks: feed(label, atom, *`_ObsAtom.pair`) per model and atom.
+
+    Each reference block is read once and each of its atoms gathered once;
+    then each model's block is read and its atoms gathered and fed in
+    turn. A model block is dropped before the next one is read, and the
+    reference atoms before the next block, so one model block and one
+    reference block's atoms are alive at a time.
+    """
+    for t0 in range(0, len(reference.time), BLOCK):
+        atoms = _spans(plan, t0)
+        block = reference.block(t0)
+        obs = [_ObsAtom(_gather(block, rows, cells), reference.fill) for _, rows, cells in atoms]
+        del block
+        for label, source in models.items():
+            block = source.block(t0)
+            for (a, rows, cells), ref in zip(atoms, obs):
+                feed(label, a, *ref.pair(_gather(block, rows, cells), source.fill))
+            del block
+        del obs
+
+
+def sweep(models: Mapping, reference, index, bins: int = 100) -> Dict[str, Dict[Tuple, MetricReport]]:
+    """{label: {context: report}} for every model of `models` and every context of `index`.
+
+    A source has `time`, `fill` and `block(t0)`, the BLOCK time steps from
+    t0 on the grid the index was built for (`CubeBlocks` wraps an in-memory
+    cube). There are two passes over the reference's blocks; in each, every
+    block of every source is read once and every atom of the index gathered
+    once per block and source (`_sweep_pass`).
+
+    Pass 1 feeds each model's atom its own `StreamingPool`, then merges
+    every atom pool into the pools of its contexts in atom order; a
+    context of one atom copies that atom's pool. Pass 2 sorts each
+    gathered atom and counts it against the stacked frozen edges of all
+    its contexts (`EdgeStack`), one `searchsorted` per side. Where neither
+    side of an atom holds fill, the reference's pass-1 terms and its sort
+    are shared by every model (`_ObsAtom`). A context's report depends
+    only on its own atoms and its own model, so it is the same whichever
+    contexts and models are swept with it.
     """
     plan = _plan(index)
+    atom_pools = {label: [StreamingPool(bins=bins) for _ in plan] for label in models}
 
-    def gathered():
-        for (t0, block_m), (_, block_o) in zip(model_blocks, obs_blocks):
-            t1 = t0 + len(block_m)
-            for a, (rows, cells, _) in enumerate(plan):
-                lo, hi = np.searchsorted(rows, (t0, t1))
-                if hi > lo:
-                    yield (a, *_pairs(block_m, block_o, rows[lo:hi] - t0, cells, fill_m, fill_o))
+    def update(label, a, m, o, shared):
+        atom_pools[label][a].update(m, o, shared.side if shared else None)
 
-    atom_pools = [StreamingPool(bins=bins) for _ in plan]
-    for a, m, o in gathered():
-        atom_pools[a].update(m, o)
-    pools = [StreamingPool(bins=bins) for _ in index]
-    for atom, (_, _, contexts) in zip(atom_pools, plan):
-        for k in contexts:
-            pools[k].merge(atom)
-    for pool, ((zone, season_id), _, _) in zip(pools, index):
-        if pool.n < 2:
-            raise ValidationError(f"empty pooled sample for {label} in zone={zone!r} season={season_id}")
-        pool.freeze()
-    for a, m, o in gathered():
-        m.sort()  # the gather made fresh arrays, so they sort in place
-        o.sort()
-        for k in plan[a][2]:
-            pools[k].count_sorted(m, o)
-    return {ctx: pool.report() for pool, (ctx, _, _) in zip(pools, index)}
+    _sweep_pass(plan, models, reference, update)
+    pools = {}
+    for label in models:
+        pools[label] = [StreamingPool(bins=bins) for _ in index]
+        for atom, (_, _, contexts) in zip(atom_pools[label], plan):
+            for k in contexts:
+                pools[label][k].merge(atom)
+        for pool, ((zone, season_id), _, _) in zip(pools[label], index):
+            if pool.n < 2:
+                raise ValidationError(f"empty pooled sample for {label} in zone={zone!r} season={season_id}")
+            pool.freeze()
+    stacks = {label: [(EdgeStack([pools[label][k].edges for k in contexts]), [pools[label][k] for k in contexts])
+                      for _, _, contexts in plan] for label in models}
+
+    def count(label, a, m, o, shared):
+        stack, targets = stacks[label][a]
+        if stack.rows:
+            m.sort()  # pair() made it fresh, so it sorts in place
+            if shared:
+                o = shared.ordered()
+            else:
+                o.sort()
+            for r, hist_m, hist_o in zip(stack.rows, stack.counts(m), stack.counts(o)):
+                targets[r].add_counts(hist_m, hist_o)
+
+    _sweep_pass(plan, models, reference, count)
+    return {label: {ctx: pool.report() for pool, (ctx, _, _) in zip(pools[label], index)} for label in models}
 
 
 def full_report(
@@ -376,8 +468,35 @@ def full_report(
     if not (np.array_equal(model.lat.values, mask.lat.values) and np.array_equal(model.lon.values, mask.lon.values)):
         raise ValidationError("mask grid does not match the cubes")
     index = context_index(obs.months(), mask, {zone: zone}, (season.id,))
-    (report,) = sweep(time_blocks(model.data), time_blocks(obs.data), index, model.fill, obs.fill, bins).values()
+    (report,) = sweep({"model": CubeBlocks(model)}, CubeBlocks(obs), index, bins)["model"].values()
     return report
+
+
+class EdgeStack:
+    """The frozen bin edges of several contexts, stacked so one `searchsorted` counts a sorted chunk for all.
+
+    `rows` lists the positions of the contexts that have edges; a context
+    whose range holds none (`hist_edges` gave None) takes no counts. Each
+    row of `counts` equals `sorted_counts` on that context's edges: with
+    the last edge raised to the next float, v <= e becomes v < e', so every
+    count is a difference of left insertion points.
+    """
+
+    def __init__(self, edges: Sequence[Optional[np.ndarray]]):
+        self.rows = [i for i, e in enumerate(edges) if e is not None]
+        queries = [np.append(edges[i][:-1], np.nextafter(edges[i][-1], np.inf)) for i in self.rows]
+        self._queries = np.concatenate(queries) if queries else np.zeros(0)
+
+    def counts(self, values: np.ndarray) -> np.ndarray:
+        """(len(rows) x bins) counts of ascending `values`; values outside a context's edges are not counted."""
+        idx = np.searchsorted(values, self._queries).reshape(len(self.rows), -1)
+        return idx[:, 1:] - idx[:, :-1]
+
+
+def _side(v: np.ndarray, pivot: float):
+    """The pass-1 terms of one side of a paired chunk: (v - pivot, its sum, its sum of squares, min v, max v)."""
+    d = v - pivot
+    return d, float(np.sum(d)), float(np.sum(d * d)), float(np.min(v)), float(np.max(v))
 
 
 # The pass-1 state of a StreamingPool: what `update` accumulates and `merge` folds.
@@ -392,9 +511,9 @@ class StreamingPool:
     bounded by the chunk, not the pooled sample. Pass 1 (`update`)
     accumulates shifted moments, extremes and the count, and `merge` adds
     the pass-1 state of a pool fed a disjoint part; `freeze` then fixes the
-    shared bin edges from the extremes, and pass 2 counts sorted values
-    against them with `sorted_counts` (`count_sorted`, or `update_hist` for
-    unsorted chunks). Moments are accumulated around the first value seen,
+    shared bin `edges` from the extremes, and pass 2 counts values against
+    them (`update_hist`, or `add_counts` for counts an `EdgeStack` made of
+    sorted values). Moments are accumulated around the first value seen,
     which keeps the centered statistics well-conditioned for large pooled
     counts. `report` flags the metrics a degenerate sample cannot support;
     the values match the bare reference functions up to rounding.
@@ -416,9 +535,15 @@ class StreamingPool:
         self._max_o = -math.inf
         self._hist_m = None
         self._hist_o = None
-        self._edges = None
+        self.edges = None
 
-    def update(self, m: np.ndarray, o: np.ndarray) -> None:
+    def update(self, m: np.ndarray, o: np.ndarray, obs_side=None) -> None:
+        """Add one paired chunk to pass 1.
+
+        `obs_side(pivot)`, when given, returns `_side(o, pivot)`: a caller
+        that feeds the same reference chunk to several pools computes those
+        terms once per pivot.
+        """
         m = np.asarray(m, dtype=np.float64).ravel()
         o = np.asarray(o, dtype=np.float64).ravel()
         if m.size != o.size:
@@ -428,19 +553,19 @@ class StreamingPool:
         if self.n == 0:
             self._pivot_m = float(m[0])
             self._pivot_o = float(o[0])
-        dm = m - self._pivot_m
-        do = o - self._pivot_o
+        dm, sm, smm, min_m, max_m = _side(m, self._pivot_m)
+        do, so, soo, min_o, max_o = obs_side(self._pivot_o) if obs_side else _side(o, self._pivot_o)
         self.n += m.size
-        self._sm += float(np.sum(dm))
-        self._so += float(np.sum(do))
-        self._smm += float(np.sum(dm * dm))
-        self._soo += float(np.sum(do * do))
+        self._sm += sm
+        self._so += so
+        self._smm += smm
+        self._soo += soo
         self._smo += float(np.sum(dm * do))
         self._sdd += float(np.sum((m - o) ** 2))
-        self._min_m = min(self._min_m, float(np.min(m)))
-        self._max_m = max(self._max_m, float(np.max(m)))
-        self._min_o = min(self._min_o, float(np.min(o)))
-        self._max_o = max(self._max_o, float(np.max(o)))
+        self._min_m = min(self._min_m, min_m)
+        self._max_m = max(self._max_m, max_m)
+        self._min_o = min(self._min_o, min_o)
+        self._max_o = max(self._max_o, max_o)
 
     def merge(self, other: "StreamingPool") -> None:
         """Fold another pool's pass-1 state into this one, before `freeze`.
@@ -475,28 +600,28 @@ class StreamingPool:
         self._max_o = max(self._max_o, other._max_o)
 
     def freeze(self) -> None:
-        """Fix histogram edges from pass-1 extremes; call before update_hist."""
+        """Fix histogram edges from pass-1 extremes; call before the histogram pass."""
         if self.n < 2:
             raise ValidationError("empty pooled sample")
         lo = min(self._min_m, self._min_o)
         hi = max(self._max_m, self._max_o)
-        self._edges = hist_edges(lo, hi, self.bins)
+        self.edges = hist_edges(lo, hi, self.bins)
         self._hist_m = np.zeros(self.bins, dtype=np.int64)
         self._hist_o = np.zeros(self.bins, dtype=np.int64)
 
     def update_hist(self, m: np.ndarray, o: np.ndarray) -> None:
         """Count one paired chunk of pass 2, in any order."""
-        self.count_sorted(np.sort(np.asarray(m, dtype=np.float64).ravel()),
-                          np.sort(np.asarray(o, dtype=np.float64).ravel()))
-
-    def count_sorted(self, m: np.ndarray, o: np.ndarray) -> None:
-        """Count ascending model and reference values of pass 2 against the frozen edges."""
         if self._hist_m is None:
             raise ValidationError("freeze() must run before the histogram pass")
-        if self._edges is None:
-            return
-        self._hist_m += sorted_counts(m, self._edges)
-        self._hist_o += sorted_counts(o, self._edges)
+        if self.edges is not None:
+            stack = EdgeStack([self.edges])
+            (hist_m,), (hist_o,) = (stack.counts(np.sort(np.asarray(v, dtype=np.float64).ravel())) for v in (m, o))
+            self.add_counts(hist_m, hist_o)
+
+    def add_counts(self, hist_m: np.ndarray, hist_o: np.ndarray) -> None:
+        """Add pass-2 bin counts of model and reference values, counted against this pool's frozen `edges`."""
+        self._hist_m += hist_m
+        self._hist_o += hist_o
 
     def report(self) -> MetricReport:
         if self._hist_m is None:
@@ -536,7 +661,7 @@ class StreamingPool:
             beta = mu_m / mu_o
             gamma = (sd_m / mu_m) / (sd_o / mu_o)
             values["kge"] = 1.0 - math.sqrt((values["r"] - 1.0) ** 2 + (beta - 1.0) ** 2 + (gamma - 1.0) ** 2)
-        if self._edges is None:
+        if self.edges is None:
             values["pdf_overlap"] = 1.0
         else:
             values["pdf_overlap"] = float(np.sum(np.minimum(self._hist_m / n, self._hist_o / n)))

@@ -6,10 +6,12 @@ tables, and the files the GCF and checkpoint encoders return) to
 in the run's `manifest.json`; only the downscale train logs, which hold
 wall times, are written unlisted. This module opens no file for writing.
 
-The rank stage has one path at every scale: each cube source streams
+The rank stage has one path at every scale: each cube source reads
 fixed-size time blocks from its payloads, derives DTR and regrids per
-block, and `metrics.sweep` scores every (zone, season) context from them,
-so its memory is bounded by about one block per source.
+block, and one `metrics.sweep` scores every (zone, season) context of
+every model from them. It reads each reference block once per pass and
+then each model's block in turn, so its memory is bounded by about one
+reference block plus one model block.
 """
 
 import hashlib
@@ -143,26 +145,26 @@ class PipelineConfig:
 
 
 class _CubeSource:
-    """One rank source, a cube {"path"} or a tasmax/tasmin pair, as re-iterable (t0, block) pairs.
+    """One rank source, a cube {"path"} or a tasmax/tasmin pair, read by time block (`block`).
 
     Opening it validates every header once, and a model's times against the
-    reference (`like`). Each iteration streams BLOCK time steps at a time:
-    a pair is read in step and turned into DTR per block, and a model off
-    the reference grid is regridded per block, with the bits of that slice
-    of the whole-cube `regrid_bilinear(derive_dtr(...))`.
+    reference (`like`). Each block holds BLOCK time steps: a pair is read in
+    step and turned into DTR per block, and a model off the reference grid
+    is regridded per block, with the bits of that slice of the whole-cube
+    `regrid_bilinear(derive_dtr(...))`.
     """
 
     def __init__(self, spec: dict, name: str, like: "_CubeSource" = None):
         keys = ("path",) if "path" in spec else ("tasmax", "tasmin")
         self.paths = tuple(spec[k] for k in keys)
         try:
-            heads = [gcf.read_header(path) for path in self.paths]
-            if len(heads) == 2:
-                check_dtr_pair(*heads)
+            self.heads = [gcf.read_header(path) for path in self.paths]
+            if len(self.heads) == 2:
+                check_dtr_pair(*self.heads)
         except ValidationError as exc:
             raise ValidationError(f"[load] {name}: {exc}") from None
-        head = heads[0]
-        self.time, self.fill, self.fills = head.time, head.fill, [h.fill for h in heads]
+        head = self.heads[0]
+        self.time, self.fill = head.time, head.fill
         self.lat, self.lon, self.corners = head.lat, head.lon, None
         if like is not None:
             _require(head.time == like.time, "load", f"{name} and the reference cover different times")
@@ -170,24 +172,25 @@ class _CubeSource:
             if not (head.lat == like.lat and head.lon == like.lon):
                 self.corners = bilinear_weights(head.lat, head.lon, like.lat, like.lon)
 
-    def __iter__(self):
-        lows = gcf.iter_time_chunks(self.paths[1], BLOCK) if len(self.paths) == 2 else None
-        # each step rebinds `block`, so a source never holds more than the block it yields
-        for t0, block in gcf.iter_time_chunks(self.paths[0], BLOCK):
-            if lows is not None:
-                block = dtr_values(block, next(lows)[1], *self.fills, where=lambda t, y, x: (
-                    f"time index {t0 + t} ({'%04d-%02d-%02d' % self.time[t0 + t]}) of {self.paths[1]}"))
-            if self.corners is not None:
-                block = bilinear_blend(block, self.corners, self.fill)
-            yield t0, block
+    def block(self, t0: int) -> np.ndarray:
+        """The BLOCK time steps from t0, as DTR for a pair and on the reference grid."""
+        block = gcf.read_block(self.paths[0], self.heads[0], t0, BLOCK)
+        if len(self.paths) == 2:
+            low = gcf.read_block(self.paths[1], self.heads[1], t0, BLOCK)
+            block = dtr_values(block, low, self.fill, self.heads[1].fill, where=lambda t, y, x: (
+                f"time index {t0 + t} ({'%04d-%02d-%02d' % self.time[t0 + t]}) of {self.paths[1]}"))
+        if self.corners is not None:
+            block = bilinear_blend(block, self.corners, self.fill)
+        return block
 
 
 def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
     """Full ranking stage: load, score every (zone, season) context, rank, export.
 
-    No payload is loaded whole: each model is swept once, block by block
-    alongside the reference, so memory is bounded by about one block per
-    `_CubeSource` at any cube size.
+    No payload is loaded whole: every model is swept at once, block by
+    block alongside the reference, and each payload is read once per sweep
+    pass. Memory is bounded by about one reference block plus one model
+    block at any cube size and model count.
     """
     manifest = RunManifest(run_dir, config_hash(config.raw))
     specs = {spec["label"]: spec for spec in config.models}
@@ -201,10 +204,7 @@ def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
     with manifest.stage("metrics"):
         months = np.array([m for _, m, _ in obs.time])
         index = context_index(months, mask, {z: ZONE_BY_NAME.get(z, z) for z in config.zones}, config.seasons)
-        per_model = {
-            label: sweep(source, obs, index, source.fill, obs.fill, config.pdf_bins, label=f"model {label}")
-            for label, source in models.items()
-        }
+        per_model = sweep(models, obs, index, config.pdf_bins)
         reports = {ctx: [(label, per_model[label][ctx]) for label in models] for ctx, _, _ in index}
 
     with manifest.stage("weights"):
@@ -294,7 +294,9 @@ def run_downscale(
     "window": t}, trains on the first 80% of its windows and evaluates on
     the held-out rest, the same split `downscale eval --data` scores
     (`dsc.spec_split`). `train_overrides` replace keys of each benchmark
-    preset, and the result is checked as any `TrainConfig` is.
+    preset, and the result is checked as any `TrainConfig` is. Every
+    architecture is checked against the data's grid (`check_fit`) before
+    the first one trains, so a misfit writes no checkpoint or log.
     """
     tcfgs = {kind: replace(desk_train_config(kind, "benchmark"), **(train_overrides or {})) for kind in archs}
     data_spec = read_json(data_path, "data spec") if data_path else "bundled"
@@ -302,12 +304,14 @@ def run_downscale(
 
     with manifest.stage("data"):
         train_set, test_set = dsc.spec_split(data_spec, f"data spec {data_path}") if data_path else dsc.benchmark_sets()
+        cfgs = {kind: replace(desk_arch_config(kind, seed=seed), factor=train_set.factor) for kind in archs}
+        for cfg in cfgs.values():
+            dsc.check_fit(cfg, train_set.coarse_hw)
 
     predictions = {}
     for kind in archs:
         with manifest.stage(f"train.{kind}"):
-            cfg = replace(desk_arch_config(kind, seed=seed), factor=train_set.factor)
-            result = dsc.train(cfg, train_set, tcfgs[kind])
+            result = dsc.train(cfgs[kind], train_set, tcfgs[kind])
             # the log holds wall times, so it stays out of the manifest; an
             # aborted run keeps its log and its last good parameters on disk
             log = ([row[c] for c in LOG_COLUMNS] for row in result.log)

@@ -95,13 +95,13 @@ class TestRegridAndMetrics:
         obs = gcf.read_cube(like)
         gcf.write_cube(regrid_bilinear(gcf.read_cube(model), obs.lat, obs.lon), expected)
         payload_reads = []
-        real_chunks = gcf._chunks
+        real_read = gcf.read_block
 
-        def recording_chunks(path, header, chunk):
+        def recording_read(path, head, t0, n):
             payload_reads.append(path)
-            return real_chunks(path, header, chunk)
+            return real_read(path, head, t0, n)
 
-        monkeypatch.setattr(gcf, "_chunks", recording_chunks)
+        monkeypatch.setattr(gcf, "read_block", recording_read)
         dest = str(tmp_path / "regridded")
         assert main(["regrid", model, "--like", like, dest]) == 0
         assert payload_reads == [model]
@@ -644,6 +644,22 @@ class TestDownscaleCli:
         assert main(argv) == 0
         assert main(["downscale", "eval", "--ckpt", str(tmp_path / "ds" / "cnn_lstm.ckpt"), "--data", str(spec),
                      "--report", str(tmp_path / "eval.csv")]) == 0
+
+    def test_arch_that_misfits_the_data_exits_2_before_any_training(self, tmp_path, capsys):
+        """Without --arch every architecture is checked against the data
+        first: vit's patch of 4 does not divide the 18x18 coarse grid, so the
+        run exits 2 before cnn_lstm trains, and writes nothing."""
+        from gcmkit.geogrid import synth_pair
+
+        coarse, fine = synth_pair(1, 2, 15, 36, 36)
+        gcf.write_cube(coarse, str(tmp_path / "coarse"))
+        gcf.write_cube(fine, str(tmp_path / "fine"))
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps({"coarse": str(tmp_path / "coarse"), "fine": str(tmp_path / "fine"), "window": 4}))
+        argv = ["downscale", "train", "--data", str(spec), "--epochs", "1", "--name", "ds", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "vit: patch size 4 does not divide grid (18, 18)" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "ds")
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("missing", ["coarse", "fine"])

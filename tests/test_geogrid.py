@@ -175,19 +175,39 @@ class TestRegrid:
 
     def test_blend_per_block_is_the_whole_cube_regrid(self, year_cube):
         """The kernel on any time block gives the bits of that slice of the
-        whole-cube regrid, as a C-contiguous array (fill included)."""
+        whole-cube regrid, as a C-contiguous array (fill included), and the
+        bits of the blend as a sum of fresh products, on a cube with fill and
+        one that holds +0.0 and -0.0."""
+
+        def summed_products(data, corners, fill):
+            flat = data.reshape(len(data), -1)
+            out = -0.0  # -0.0 + x == x for every x
+            for index, w in corners:
+                out = out + w * flat.take(index, axis=1).reshape(len(data), *w.shape)
+            for index, w in corners:
+                out[(flat.take(index, axis=1).reshape(len(data), *w.shape) == fill) & (w != 0.0)] = fill
+            return out
+
         data = year_cube.data.copy()
         data[100:130, 1, 2] = year_cube.fill
-        cube = dataclasses.replace(year_cube, data=data)
+        signed = np.where(year_cube.data > 10.0, 0.0, -0.0)
+        signed[:, 0, :2] = -year_cube.data[:, 0, :2]
         dst_lat = GridAxis(np.linspace(40.2, 42.8, 5), "lat")
         dst_lon = GridAxis(np.linspace(9.5, 12.8, 6), "lon")
-        whole = regrid_bilinear(cube, dst_lat, dst_lon).data
-        corners = bilinear_weights(cube.lat, cube.lon, dst_lat, dst_lon)
-        for t0 in range(0, 365, 64):
-            block = bilinear_blend(cube.data[t0 : t0 + 64], corners, cube.fill)
-            assert block.flags.c_contiguous
-            assert np.array_equal(block, whole[t0 : t0 + 64])
-        assert np.count_nonzero(whole == cube.fill) > 0
+        wholes = []
+        for values in (data, signed):
+            cube = dataclasses.replace(year_cube, data=values)
+            whole = regrid_bilinear(cube, dst_lat, dst_lon).data
+            wholes.append(whole)
+            corners = bilinear_weights(cube.lat, cube.lon, dst_lat, dst_lon)
+            assert np.array_equal(whole.view(np.uint64), summed_products(cube.data, corners, cube.fill).view(np.uint64))
+            for t0 in range(0, 365, 64):
+                block = bilinear_blend(cube.data[t0 : t0 + 64], corners, cube.fill)
+                assert block.flags.c_contiguous
+                assert np.array_equal(block.view(np.uint64), whole[t0 : t0 + 64].view(np.uint64))
+        filled, zeros = wholes[0], wholes[1][wholes[1] == 0.0]
+        assert np.count_nonzero(filled == year_cube.fill) > 0
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
 
 class TestMaskDtrSeason:
@@ -377,11 +397,12 @@ class TestGcf:
         back = gcf.read_mask(path)
         assert np.array_equal(back.codes, all_land_mask.codes)
 
-    def test_iter_time_chunks_matches_read(self, tmp_path, year_cube):
+    def test_read_block_matches_read(self, tmp_path, year_cube):
         path = str(tmp_path / "cube")
         gcf.write_cube(year_cube, path)
         whole = gcf.read_cube(path)
-        parts = [block for _, block in gcf.iter_time_chunks(path, 50)]
+        head = gcf.read_header(path)
+        parts = [gcf.read_block(path, head, t0, 50) for t0 in range(0, 365, 50)]
         assert np.array_equal(np.concatenate(parts), whole.data)
 
 

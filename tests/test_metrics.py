@@ -12,7 +12,9 @@ from gcmkit.errors import ValidationError
 from gcmkit.geogrid import ANNUAL, DJF, GridAxis, date_range
 from gcmkit.metrics import (
     ZONE_OVERALL,
+    CubeBlocks,
     DegenerateSampleError,
+    EdgeStack,
     PooledSample,
     StreamingPool,
     compute_report,
@@ -21,7 +23,6 @@ from gcmkit.metrics import (
     hist_edges,
     sorted_counts,
     sweep,
-    time_blocks,
 )
 
 
@@ -323,6 +324,38 @@ class TestSortedCounts:
         expect, _ = np.histogram(values, bins=bins, range=(lo, hi))
         assert np.array_equal(sorted_counts(np.sort(values), edges), expect)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ranges=st.lists(st.tuples(st.sampled_from([0.0, -40.0, 280.0, 1e6]) | st.floats(-1e6, 1e6),
+                                  st.sampled_from([0.0, 1e-13, 1.0, 37.5]) | st.floats(0.0, 1e3)),
+                        min_size=1, max_size=5),
+        bins=st.integers(2, 60),
+        picks=st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 1.0),
+                                 st.sampled_from(["edge", "below", "above", "uniform"])), max_size=60),
+    )
+    def test_edge_stack_counts_equal_sorted_counts(self, ranges, bins, picks):
+        """One searchsorted over the stacked edges of several contexts counts
+        every context as `sorted_counts` does on its own edges; contexts whose
+        range holds no edges take no row."""
+        edges = [hist_edges(lo, lo + span, bins) for lo, span in ranges]
+        stack = EdgeStack(edges)
+        assert stack.rows == [i for i, e in enumerate(edges) if e is not None]
+        values = []
+        for k, u, how in picks:
+            lo, span = ranges[k % len(ranges)]
+            e = edges[k % len(edges)]
+            if how == "uniform" or e is None:
+                values.append(lo + u * span)
+            else:
+                v = e[int(round(u * bins))]
+                values.append(v if how == "edge" else float(np.nextafter(v, -np.inf if how == "below" else np.inf)))
+        values = np.sort(np.array(values, dtype=np.float64))
+        if stack.rows:
+            counts = stack.counts(values)
+            assert counts.shape == (len(stack.rows), bins)
+            for row, i in zip(counts, stack.rows):
+                assert np.array_equal(row, sorted_counts(values, edges[i]))
+
 
 class TestStreaming:
     @pytest.mark.parametrize(
@@ -445,7 +478,7 @@ class TestContextPartition:
             index = [index[0], index[3]]
 
         def reports(idx):
-            return sweep(time_blocks(model.data), time_blocks(year_cube.data), idx, model.fill, year_cube.fill)
+            return sweep({"model": CubeBlocks(model)}, CubeBlocks(year_cube), idx)["model"]
 
         def no_histogram(*args, **kwargs):
             raise AssertionError("np.histogram called")
@@ -455,6 +488,44 @@ class TestContextPartition:
         assert list(together) == [ctx for ctx, _, _ in index]
         for entry in index:
             assert together[entry[0]].as_dict() == reports([entry])[entry[0]].as_dict()
+
+
+    def test_sweep_of_every_model_equals_each_model_alone(self, year_cube, all_land_mask):
+        """Models swept together share the reference's pass-1 terms and sort
+        wherever neither side of an atom holds fill; each model's reports
+        equal those of a sweep over that model alone. One model has no fill.
+        Another has fill the reference lacks, including the first value of
+        the (DJF, zone 1) atom's first block, so its reference pivot there
+        differs from the others'. The reference has fill no model has."""
+        rng = np.random.default_rng(12)
+        fill = year_cube.fill
+        obs_data = year_cube.data.copy()
+        obs_data[200:230, 1, 1] = fill
+        obs = dataclasses.replace(year_cube, data=obs_data)
+        holed = year_cube.data - 0.2 + 0.4 * rng.normal(size=year_cube.shape)
+        holed[0, 0, 0] = fill
+        holed[70:90, 2, 3] = fill
+        data = {
+            "clean": year_cube.data + 0.5 + 0.3 * rng.normal(size=year_cube.shape),
+            "holed": holed,
+            "also_clean": year_cube.data + 1.5 * rng.normal(size=year_cube.shape),
+        }
+        models = {label: CubeBlocks(dataclasses.replace(year_cube, data=d)) for label, d in data.items()}
+        zones = {"tropical": 1, "arid": 2, "temperate": 3, "polar": 5, "overall": ZONE_OVERALL}
+        index = context_index(year_cube.months(), all_land_mask, zones, ("DJF", "MAM", "JJA", "SON", "ANNUAL"))
+        together = sweep(models, CubeBlocks(obs), index)
+        assert list(together) == list(models)
+        for label, d in data.items():  # every cell is land, so the full year pools every non-fill pair
+            ok = (d != fill) & (obs_data != fill)
+            whole = together[label][("overall", "ANNUAL")]
+            assert whole.n == np.count_nonzero(ok)
+            assert whole.txx_err == abs(d[ok].max() - obs_data[ok].max())
+            assert whole.tnn_err == abs(d[ok].min() - obs_data[ok].min())
+        for label, source in models.items():
+            alone = sweep({label: source}, CubeBlocks(obs), index)[label]
+            assert list(together[label]) == list(alone) == [ctx for ctx, _, _ in index]
+            assert {ctx: r.as_dict() for ctx, r in together[label].items()} == {
+                ctx: r.as_dict() for ctx, r in alone.items()}
 
 
 class TestSerialization:

@@ -11,6 +11,7 @@ import json
 import os
 import shutil
 import tempfile
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,7 +23,7 @@ from gcmkit.cli import main
 from gcmkit.fixtures import BIASED_MODEL, make_ranking_fixture
 from gcmkit.geogrid import LAND_ZONES, SEASONS, derive_dtr, regrid_bilinear
 from gcmkit.metrics import ZONE_OVERALL, StreamingPool, full_report
-from gcmkit.pipeline import ZONE_BY_NAME
+from gcmkit.pipeline import ZONE_BY_NAME, PipelineConfig, run_rank
 from specmutations import check_exit, mutate, mutations, run_cli
 
 
@@ -116,29 +117,31 @@ def _contexts(config):
 class TestContextSweep:
     def test_full_scale_reads_each_payload_twice_per_model(self, tmp_path, setup, pair_setup, monkeypatch):
         """With or without --full-scale, on single cubes and on tasmax/tasmin
-        pairs, every payload streams once per sweep pass and no source is
-        read whole; only the mask goes through read_cube."""
+        pairs, every block of every payload is read once per sweep pass, the
+        reference's as well as each model's, and no source is read whole;
+        only the mask goes through read_cube."""
         opens, whole = Counter(), Counter()
-        original_chunks, original_read = gcf.iter_time_chunks, gcf.read_cube
+        original_block, original_read = gcf.read_block, gcf.read_cube
 
-        def counting(path, chunk):
-            opens[path] += 1
-            return original_chunks(path, chunk)
+        def counting(path, head, t0, n):
+            opens[(path, t0)] += 1
+            return original_block(path, head, t0, n)
 
         def counting_read(path):
             whole[path] += 1
             return original_read(path)
 
-        monkeypatch.setattr(gcf, "iter_time_chunks", counting)
+        monkeypatch.setattr(gcf, "read_block", counting)
         monkeypatch.setattr(gcf, "read_cube", counting_read)
         for cfg_path, config in (setup, pair_setup):
             models = [path for spec in config["models"] for path in _payloads(spec)]
             obs = _payloads(config["reference"])
+            starts = range(0, len(gcf.read_header(obs[0]).time), metrics.BLOCK)
             for extra in ([], ["--full-scale"]):
                 opens.clear()
                 whole.clear()
                 _run(tmp_path, cfg_path, *extra)
-                assert opens == Counter({**{p: 2 for p in models}, **{p: 2 * len(config["models"]) for p in obs}})
+                assert opens == Counter({**{(p, t0): 2 for p in models + obs for t0 in starts}, (config["mask"], 0): 1})
                 assert whole == Counter({config["mask"]: 1})
 
     def test_in_memory_reports_equal_full_report(self, tmp_path, setup, monkeypatch):
@@ -179,8 +182,9 @@ class TestContextSweep:
         for zone, season, spec, cells in _contexts(config):
 
             def chunks(season_months, cells):
-                blocks = zip(gcf.iter_time_chunks(spec["path"], 64), gcf.iter_time_chunks(obs_path, 64))
-                for (t0, block_m), (_, block_o) in blocks:
+                data_m, data_o = gcf.read_cube(spec["path"]).data, gcf.read_cube(obs_path).data
+                for t0 in range(0, len(times), 64):
+                    block_m, block_o = data_m[t0 : t0 + 64], data_o[t0 : t0 + 64]
                     keep = np.isin(months[t0 : t0 + len(block_m)], sorted(season_months))
                     if keep.any():
                         m, o = block_m[keep][:, cells], block_o[keep][:, cells]
@@ -215,9 +219,10 @@ class TestContextSweep:
                 assert got[key] == old[key], key
 
     def test_each_pass_gathers_each_atom_once_per_block(self, tmp_path, setup, monkeypatch):
-        """Both passes of every model's sweep gather each (season, zone code)
-        atom once per block that holds its rows, and nothing else: fewer
-        gathers than one per (context, block), as a per-context pass 1 made."""
+        """Each pass gathers each (season, zone code) atom once per block that
+        holds its rows from the reference, and then once from each model in
+        turn, and nothing else: fewer gathers than one per (context, block),
+        as a per-context pass 1 made."""
         cfg_path, config = setup
         obs_path = config["reference"]["path"]
         times = json.load(open(os.path.join(obs_path, "header.json")))["time"]
@@ -225,25 +230,54 @@ class TestContextSweep:
         index = metrics.context_index(months, gcf.read_mask(config["mask"]),
                                       {z: ZONE_BY_NAME.get(z, z) for z in config["zones"]}, config["seasons"])
         blocks = [(t0, min(t0 + metrics.BLOCK, len(times))) for t0 in range(0, len(times), metrics.BLOCK)]
-        per_pass = [
-            (tuple(rows[(rows >= t0) & (rows < t1)] - t0), tuple(cells))
-            for t0, t1 in blocks for rows, cells, _ in metrics._plan(index) if ((rows >= t0) & (rows < t1)).any()
+        per_block = [
+            [(tuple(rows[(rows >= t0) & (rows < t1)] - t0), tuple(cells))
+             for rows, cells, _ in metrics._plan(index) if ((rows >= t0) & (rows < t1)).any()]
+            for t0, t1 in blocks
         ]
+        per_pass = [atom for atoms in per_block for atom in atoms]
         per_context = sum(
             np.any([((r >= t0) & (r < t1)).any() for _, r in season_rows])
             for t0, t1 in blocks for _, season_rows, _ in index
         )
         calls = []
-        original = metrics._pairs
+        original = metrics._gather
 
-        def counting(block_m, block_o, rows, cells, fill_m, fill_o):
+        def counting(block, rows, cells):
             calls.append((tuple(rows), tuple(cells)))
-            return original(block_m, block_o, rows, cells, fill_m, fill_o)
+            return original(block, rows, cells)
 
-        monkeypatch.setattr(metrics, "_pairs", counting)
+        monkeypatch.setattr(metrics, "_gather", counting)
         _run(tmp_path, cfg_path)
-        assert calls == per_pass * (2 * len(config["models"]))
+        sources = 1 + len(config["models"])  # the reference, then each model
+        assert calls == [atom for _ in range(2) for atoms in per_block for atom in atoms * sources]
         assert len(per_pass) < per_context <= 16 * len(blocks)
+
+    def test_one_model_block_is_alive_at_a_time(self, tmp_path):
+        """Six labels on one cube peak less than one model block above two
+        labels (traced numpy and Python allocations of the whole run): the
+        sweep holds one reference block's atoms and one model block at a
+        time, whatever the model count."""
+        nlat = nlon = 64
+        paths = make_ranking_fixture(str(tmp_path / "fixture"), seed=4242, nlat=nlat, nlon=nlon)
+        config = json.load(open(paths["config"]))
+        obs = gcf.read_cube(paths["obs"])
+        model = str(tmp_path / "model")
+        gcf.write_cube(regrid_bilinear(gcf.read_cube(config["models"][0]["path"]), obs.lat, obs.lon), model)
+        config["weights"] = "uniform"
+
+        def peak(labels):
+            config["models"] = [{"label": f"m{i}", "path": model} for i in range(labels)]
+            parsed = PipelineConfig.from_dict(config)
+            tracemalloc.start()
+            try:
+                run_rank(parsed, str(tmp_path / f"run{labels}"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # the first run also pays one-time allocations
+        assert peak(6) - peak(2) < metrics.BLOCK * nlat * nlon * 8
 
     def test_in_memory_and_full_scale_write_identical_bytes(self, tmp_path, setup):
         cfg_path, _ = setup
