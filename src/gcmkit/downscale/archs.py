@@ -11,9 +11,11 @@ Every model maps a coarse input sequence (n, t, c, h, w) to a fine field
               transformer encoder stack -> per-token regression head
   geostanet   patch embedding + positions + learned lat/lon encoding ->
               recurrent temporal encoder (one application per frame,
-              each frame's tokens added to the running state first;
-              full-sequence temporal attention available via config) ->
+              each frame's tokens added to the running state first) ->
               transposed-conv upsampling
+
+vit and geostanet share one patch encoder (`_PatchModel`), and every
+forward checks its input against the coarse grid the model was built for.
 
 Models standardize nothing themselves: `forward` is raw-in/raw-out, and
 `predict` applies the stored input/output normalization that the trainer
@@ -63,7 +65,6 @@ class ArchConfig:
     mlp_ratio: int = 2
     up_channels: int = 32
     alpha: float = 0.5
-    temporal_mode: str = "recurrent"
     seed: int = 0
 
     def __post_init__(self):
@@ -71,8 +72,6 @@ class ArchConfig:
             raise ValidationError(f"unknown architecture {self.kind!r}")
         if self.factor < 1:
             raise ValidationError("upsample factor must be >= 1")
-        if self.temporal_mode not in ("recurrent", "full_attention"):
-            raise ValidationError("temporal_mode must be recurrent or full_attention")
 
     @property
     def kernel(self) -> int:
@@ -134,12 +133,22 @@ class _NormState:
 
 
 class DownscaleModel(tc.Module):
-    """Shared surface: predict, the live state list and the checkpoint (entries, meta)."""
+    """Shared surface: the coarse grid, predict, the live state list and the checkpoint (entries, meta)."""
 
-    def __init__(self, cfg: ArchConfig):
+    def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
         self.cfg = cfg
+        self.h, self.w = coarse_hw
         self.norm = _NormState()
         self.step_count = 0
+
+    def _check_grid(self, x: np.ndarray) -> None:
+        """Fail unless `x` holds (n, t, c, h, w) frames on the coarse grid the model was built for."""
+        if x.shape[3:] != (self.h, self.w):
+            raise ValidationError(f"expected coarse grid {(self.h, self.w)}, got {x.shape[3:]}")
+
+    def coords(self, data) -> Optional[np.ndarray]:
+        """The `coords` argument of `forward` for samples of `data`: none, unless the model reads positions."""
+        return None
 
     def state_entries(self):
         """The live state arrays as (name, array): parameters, then buffers, then the norm."""
@@ -171,8 +180,7 @@ class CnnLstm(DownscaleModel):
     """Conv stack per frame, flatten, LSTM over time, dense head to the fine grid."""
 
     def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
-        super().__init__(cfg)
-        self.h, self.w = coarse_hw
+        super().__init__(cfg, coarse_hw)
         rng = SplitMix64(cfg.seed)
         self.convs = []
         c = cfg.in_channels
@@ -184,9 +192,8 @@ class CnnLstm(DownscaleModel):
         self.head = tc.Dense(rng.split(), cfg.lstm_hidden, (self.h * cfg.factor) * (self.w * cfg.factor), name="head")
 
     def forward(self, x: np.ndarray, coords=None, training: bool = False) -> Tensor:
+        self._check_grid(x)
         n, t, c, h, w = x.shape
-        if (h, w) != (self.h, self.w):
-            raise ValidationError(f"expected coarse grid {(self.h, self.w)}, got {(h, w)}")
         frames = Tensor(x.reshape(n * t, c, h, w))
         for conv in self.convs:
             frames = conv(frames).relu()
@@ -202,8 +209,7 @@ class ConvLstmNet(DownscaleModel):
     """Stacked ConvLSTM layers with batch-normalized gates, then upsampling."""
 
     def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
-        super().__init__(cfg)
-        self.h, self.w = coarse_hw
+        super().__init__(cfg, coarse_hw)
         rng = SplitMix64(cfg.seed)
         self.cells = []
         c = cfg.in_channels
@@ -214,10 +220,8 @@ class ConvLstmNet(DownscaleModel):
         self.head = _UpsampleHead(rng.split(), c, cfg.factor, cfg.up_channels, "head")
 
     def forward(self, x: np.ndarray, coords=None, training: bool = False) -> Tensor:
-        n, t, c, h, w = x.shape
-        if (h, w) != (self.h, self.w):
-            raise ValidationError(f"expected coarse grid {(self.h, self.w)}, got {(h, w)}")
-        seq = [Tensor(x[:, step]) for step in range(t)]
+        self._check_grid(x)
+        seq = [Tensor(x[:, step]) for step in range(x.shape[1])]
         for cell in self.cells:
             h_t = c_t = None
             outputs = []
@@ -232,54 +236,68 @@ def check_fit(cfg: ArchConfig, coarse_hw: Tuple[int, int]) -> None:
     """Fail unless a `cfg` model can run on a coarse grid of `coarse_hw`.
 
     The patch models (vit, geostanet) need a patch that divides both sides.
-    Their constructors and `_patchify` check it here, and
-    `pipeline.run_downscale` checks every requested architecture before it
-    trains the first.
+    Their constructors check it here, and `pipeline.run_downscale` checks
+    every requested architecture before it trains the first.
     """
     if cfg.kind in ("vit", "geostanet") and (coarse_hw[0] % cfg.patch or coarse_hw[1] % cfg.patch):
         raise ValidationError(f"{cfg.kind}: patch size {cfg.patch} does not divide grid {tuple(coarse_hw)}")
 
 
-def _patchify(frames: np.ndarray, cfg: ArchConfig) -> Tensor:
-    """(m, c, h, w) -> (m * N, patch*patch*c) token rows, N per frame in lat-major raster order.
+class _PatchModel(DownscaleModel):
+    """The patch encoder vit and geostanet share: patch embedding, positions,
+    geostanet's lat/lon encoding, the transformer blocks and the output norm.
 
-    The raw input needs no gradient, so the tokens are cut in numpy and
-    enter the graph as one leaf.
+    `rng` is the model's stream; the subclass draws its head from it next.
     """
-    m, c, h, w = frames.shape
-    check_fit(cfg, (h, w))
-    patch = cfg.patch
-    gh, gw = h // patch, w // patch
-    x = frames.reshape(m, c, gh, patch, gw, patch).transpose((0, 2, 4, 3, 5, 1))
-    return Tensor(x.reshape(m * gh * gw, patch * patch * c))
 
+    geo = False  # whether the model has a learned lat/lon encoding `w_geo`
 
-class ViTNet(DownscaleModel):
-    """Patch-embedding transformer; frames embed independently and are
-    mean-pooled before the encoder, so attention is purely spatial."""
-
-    def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
-        super().__init__(cfg)
-        self.h, self.w = coarse_hw
+    def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int], rng: SplitMix64):
+        super().__init__(cfg, coarse_hw)
         check_fit(cfg, coarse_hw)
         self.gh, self.gw = self.h // cfg.patch, self.w // cfg.patch
         self.n_tokens = self.gh * self.gw
-        rng = SplitMix64(cfg.seed)
         pc = cfg.patch * cfg.patch * cfg.in_channels
         self.embed = tc.Dense(rng.split(), pc, cfg.embed_dim, name="embed")
         self.pos = Tensor(rng.split().uniform((self.n_tokens, cfg.embed_dim), low=-0.1, high=0.1), requires_grad=True)
+        if self.geo:
+            self.w_geo = Tensor(tc.he_uniform(rng.split(), (2, cfg.embed_dim), 2), requires_grad=True)
         self.blocks = [
             tc.TransformerBlock(rng.split(), cfg.embed_dim, cfg.heads, cfg.mlp_ratio, name=f"blk{i}")
             for i in range(cfg.layers)
         ]
         self.ln = tc.LayerNorm(cfg.embed_dim, name="ln_out")
-        self.cell_out = cfg.patch * cfg.factor
-        self.head = tc.Dense(rng.split(), cfg.embed_dim, self.cell_out * self.cell_out, name="head")
+
+    def coords(self, data) -> np.ndarray:
+        return data.patch_coords(self.cfg.patch)
 
     def _embed_frames(self, x: np.ndarray) -> Tensor:
-        n, t, c, h, w = x.shape
-        tokens = _patchify(x.reshape(n * t, c, h, w), self.cfg)
-        return self.embed(tokens).reshape(n, t, self.n_tokens, self.cfg.embed_dim)
+        """(n, t, c, h, w) -> (n, t, N, embed_dim): each frame's N patches in lat-major raster order, embedded.
+
+        The raw input needs no gradient, so the patches are cut in numpy
+        and enter the graph as one leaf.
+        """
+        n, t, c = x.shape[:3]
+        p = self.cfg.patch
+        patches = x.reshape(n * t, c, self.gh, p, self.gw, p).transpose((0, 2, 4, 3, 5, 1))
+        tokens = self.embed(Tensor(patches.reshape(n * t * self.n_tokens, p * p * c)))
+        return tokens.reshape(n, t, self.n_tokens, self.cfg.embed_dim)
+
+    def _encode(self, tokens: Tensor) -> Tensor:
+        for blk in self.blocks:
+            tokens = blk(tokens)
+        return tokens
+
+
+class ViTNet(_PatchModel):
+    """Patch-embedding transformer; frames embed independently and are
+    mean-pooled before the encoder, so attention is purely spatial."""
+
+    def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
+        rng = SplitMix64(cfg.seed)
+        super().__init__(cfg, coarse_hw, rng)
+        self.cell_out = cfg.patch * cfg.factor
+        self.head = tc.Dense(rng.split(), cfg.embed_dim, self.cell_out * self.cell_out, name="head")
 
     def _tokens_to_field(self, tokens: Tensor, n: int) -> Tensor:
         out = self.head(self.ln(tokens).reshape(n * self.n_tokens, self.cfg.embed_dim))
@@ -288,63 +306,35 @@ class ViTNet(DownscaleModel):
         return out.reshape(n, self.gh * self.cell_out, self.gw * self.cell_out)
 
     def forward(self, x: np.ndarray, coords=None, training: bool = False) -> Tensor:
-        n = x.shape[0]
-        tokens = self._embed_frames(x).mean(axis=1) + self.pos
-        for blk in self.blocks:
-            tokens = blk(tokens)
-        return self._tokens_to_field(tokens, n)
+        self._check_grid(x)
+        tokens = self._encode(self._embed_frames(x).mean(axis=1) + self.pos)
+        return self._tokens_to_field(tokens, x.shape[0])
 
 
-class GeoSTANet(DownscaleModel):
+class GeoSTANet(_PatchModel):
     """Patch transformer with learned geospatial encodings and a temporal
     encoder applied recurrently, one application per input frame: the
     first frame's enriched tokens are encoded, and every later frame's
     tokens are added to the encoded state before the next application."""
 
+    geo = True
+
     def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
-        super().__init__(cfg)
-        self.h, self.w = coarse_hw
-        check_fit(cfg, coarse_hw)
-        self.gh, self.gw = self.h // cfg.patch, self.w // cfg.patch
-        self.n_tokens = self.gh * self.gw
         rng = SplitMix64(cfg.seed)
-        pc = cfg.patch * cfg.patch * cfg.in_channels
-        self.embed = tc.Dense(rng.split(), pc, cfg.embed_dim, name="embed")
-        self.pos = Tensor(rng.split().uniform((self.n_tokens, cfg.embed_dim), low=-0.1, high=0.1), requires_grad=True)
-        self.w_geo = Tensor(tc.he_uniform(rng.split(), (2, cfg.embed_dim), 2), requires_grad=True)
-        self.blocks = [
-            tc.TransformerBlock(rng.split(), cfg.embed_dim, cfg.heads, cfg.mlp_ratio, name=f"blk{i}")
-            for i in range(cfg.layers)
-        ]
-        self.ln = tc.LayerNorm(cfg.embed_dim, name="ln_out")
+        super().__init__(cfg, coarse_hw, rng)
         self.head = _UpsampleHead(rng.split(), cfg.embed_dim, cfg.patch * cfg.factor, cfg.up_channels, "head")
 
-    def _encode(self, tokens: Tensor) -> Tensor:
-        for blk in self.blocks:
-            tokens = blk(tokens)
-        return tokens
-
     def forward(self, x: np.ndarray, coords: Optional[np.ndarray] = None, training: bool = False) -> Tensor:
-        n, t, c, h, w = x.shape
-        if (h, w) != (self.h, self.w):
-            raise ValidationError(f"expected coarse grid {(self.h, self.w)}, got {(h, w)}")
-        emb = self.embed(_patchify(x.reshape(n * t, c, h, w), self.cfg))
-        emb = emb.reshape(n, t, self.n_tokens, self.cfg.embed_dim) + self.pos
+        self._check_grid(x)
+        n, t = x.shape[:2]
+        emb = self._embed_frames(x) + self.pos
         if coords is not None:
             if coords.shape != (self.n_tokens, 2):
                 raise ValidationError(f"expected patch coords of shape ({self.n_tokens}, 2)")
             emb = emb + Tensor(coords) @ self.w_geo
-
-        if self.cfg.temporal_mode == "recurrent":
-            state = self._encode(emb[:, 0])
-            for k in range(1, t):
-                state = self._encode(state + emb[:, k])
-        else:
-            # full-sequence temporal attention: tokens attend across frames
-            seq = emb.transpose((0, 2, 1, 3)).reshape(n * self.n_tokens, t, self.cfg.embed_dim)
-            seq = self._encode(seq)
-            state = seq[:, t - 1, :].reshape(n, self.n_tokens, self.cfg.embed_dim)
-
+        state = self._encode(emb[:, 0])
+        for k in range(1, t):
+            state = self._encode(state + emb[:, k])
         grid = self.ln(state).transpose((0, 2, 1)).reshape(n, self.cfg.embed_dim, self.gh, self.gw)
         return self.head(grid)[:, 0]
 

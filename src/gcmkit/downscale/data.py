@@ -84,7 +84,7 @@ class DownscaleDataset:
         grid_lat, grid_lon = np.meshgrid(lat_n, lon_n, indexing="ij")
         return np.stack([grid_lat.ravel(), grid_lon.ravel()], axis=-1)
 
-    def target_cube(self, values: Optional[np.ndarray] = None, variable: str = "synthetic") -> DataCube:
+    def target_cube(self, values: Optional[np.ndarray] = None) -> DataCube:
         """The targets (or same-shaped predictions) as a fine-grid cube."""
         data = self.targets if values is None else np.asarray(values, dtype=np.float64)
         return DataCube(
@@ -92,19 +92,8 @@ class DownscaleDataset:
             lon=self.fine_lon,
             time=self.times,
             calendar=self.calendar,
-            variable=variable,
-            data=data,
-        )
-
-    def coarse_last_cube(self) -> DataCube:
-        """The last coarse input frame per sample, as a coarse-grid cube."""
-        return DataCube(
-            lat=self.coarse_lat,
-            lon=self.coarse_lon,
-            time=self.times,
-            calendar=self.calendar,
             variable="synthetic",
-            data=self.inputs[:, -1, 0],
+            data=data,
         )
 
 

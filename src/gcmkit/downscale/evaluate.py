@@ -1,35 +1,33 @@
 """Scoring of downscaled fields against fine-grid targets.
 
-Predictions are reassembled into fine-grid cubes so the shared metric
-suite can pool them per (zone, season). Every comparison table carries a
-`bilinear` baseline row: the last coarse input frame interpolated onto
-the fine grid, which is what the downscalers have to beat.
+Predictions are reassembled into fine-grid cubes and scored by one
+`metrics.sweep` over the whole fine grid, as one all-land zone, and the
+whole year. Every comparison table carries a `bilinear` baseline row: the
+last coarse input frame interpolated onto the fine grid, which is what the
+downscalers have to beat.
 """
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..geogrid import SEASONS, ZoneMask, regrid_bilinear
-from ..metrics import ZONE_OVERALL, full_report
+from ..geogrid import DataCube, ZoneMask, bilinear_blend, bilinear_weights
+from ..metrics import ZONE_OVERALL, CubeBlocks, context_index, sweep
 from .archs import DownscaleModel
 from .data import DownscaleDataset
 
 BASELINE_LABEL = "bilinear"
 
 
-def predict_dataset(model: DownscaleModel, data: DownscaleDataset, batch: int = 64) -> np.ndarray:
-    coords = None
-    if model.cfg.kind in ("vit", "geostanet"):
-        coords = data.patch_coords(model.cfg.patch)
-    return model.predict(data.inputs, coords=coords, batch=batch)
+def predict_dataset(model: DownscaleModel, data: DownscaleDataset) -> np.ndarray:
+    return model.predict(data.inputs, coords=model.coords(data))
 
 
 def baseline_bilinear(data: DownscaleDataset) -> np.ndarray:
     """Bilinear upsampling of each sample's last coarse frame."""
-    coarse = data.coarse_last_cube()
-    return regrid_bilinear(coarse, data.fine_lat, data.fine_lon).data
+    corners = bilinear_weights(data.coarse_lat, data.coarse_lon, data.fine_lat, data.fine_lon)
+    return bilinear_blend(data.inputs[:, -1, 0], corners, DataCube.fill)
 
 
 def rmse_to_target(pred: np.ndarray, data: DownscaleDataset) -> float:
@@ -41,37 +39,19 @@ def bias_to_target(pred: np.ndarray, data: DownscaleDataset) -> float:
     return float(np.mean(np.asarray(pred) - data.targets))
 
 
-def comparison_table(
-    predictions: Dict[str, np.ndarray],
-    data: DownscaleDataset,
-    mask: Optional[ZoneMask] = None,
-    zones: Sequence = (ZONE_OVERALL,),
-    seasons: Sequence[str] = ("ANNUAL",),
-    bins: int = 100,
-    include_baseline: bool = True,
-) -> List[dict]:
-    """Per (architecture, zone, season) metric rows, baseline included.
+def comparison_table(predictions: Dict[str, np.ndarray], data: DownscaleDataset) -> List[dict]:
+    """One metric row per architecture label, then the baseline's, over the whole grid and year.
 
     `predictions` maps architecture labels to (n, h_f, w_f) arrays aligned
-    with the dataset samples. Without a mask the whole grid counts as one
-    all-land zone.
+    with the dataset samples.
     """
-    if mask is None:
-        ny, nx = data.targets.shape[1:]
-        mask = ZoneMask(data.fine_lat, data.fine_lon, np.full((ny, nx), 3, dtype=np.int64))
-    target_cube = data.target_cube()
-    named = dict(predictions)
-    if include_baseline:
-        if BASELINE_LABEL in named:
-            raise ValidationError(f"prediction label {BASELINE_LABEL!r} is reserved for the baseline")
-        named[BASELINE_LABEL] = baseline_bilinear(data)
-    rows = []
-    for label in named:
-        pred_cube = data.target_cube(values=named[label])
-        for zone in zones:
-            for season_id in seasons:
-                rep = full_report(pred_cube, target_cube, mask, zone, SEASONS[season_id], bins=bins)
-                row = {"arch": label, "zone": str(zone), "season": season_id}
-                row.update(rep.as_dict())
-                rows.append(row)
-    return rows
+    if BASELINE_LABEL in predictions:
+        raise ValidationError(f"prediction label {BASELINE_LABEL!r} is reserved for the baseline")
+    named = {**predictions, BASELINE_LABEL: baseline_bilinear(data)}
+    target = data.target_cube()
+    mask = ZoneMask(data.fine_lat, data.fine_lon, np.full(target.shape[1:], 3, dtype=np.int64))
+    index = context_index(target.months(), mask, {ZONE_OVERALL: ZONE_OVERALL}, ("ANNUAL",))
+    models = {label: CubeBlocks(data.target_cube(values=pred)) for label, pred in named.items()}
+    reports = sweep(models, CubeBlocks(target), index)
+    return [{"arch": label, "zone": ZONE_OVERALL, "season": "ANNUAL", **rep.as_dict()}
+            for label, by_context in reports.items() for rep in by_context.values()]

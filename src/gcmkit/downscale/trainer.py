@@ -103,10 +103,7 @@ def train(
     ys = (data.targets - model.norm.out_mean) / model.norm.out_sd
     raw_scale = float(model.norm.out_sd) ** 2
 
-    coords = None
-    if cfg.kind in ("vit", "geostanet"):
-        coords = data.patch_coords(cfg.patch)
-
+    coords = model.coords(data)
     params = [t for _, t in model.params()]
     opt = tc.make_optimizer(tcfg.optimizer, params, tcfg.learning_rate)
     shuffle_rng = SplitMix64(cfg.seed ^ 0xBA7C4E5)

@@ -323,7 +323,7 @@ def run_downscale(
             predictions[kind] = dsc.predict_dataset(result.model, test_set)
 
     with manifest.stage("evaluate"):
-        rows = dsc.comparison_table(predictions, test_set, zones=(ZONE_OVERALL,), seasons=("ANNUAL",))
+        rows = dsc.comparison_table(predictions, test_set)
         manifest.put("downscale_report.csv", report_rows_to_csv(rows))
 
     manifest.write()

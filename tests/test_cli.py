@@ -19,7 +19,7 @@ from gcmkit.artifacts import RunManifest, write_files
 from gcmkit.cli import main
 from gcmkit.downscale.data import PAIR_FIELDS
 from gcmkit.fixtures import GOOD_MODEL, make_csv_fixture, make_ranking_fixture
-from gcmkit.geogrid import LAND_ZONES
+from gcmkit.geogrid import LAND_ZONES, ZONE_NAMES
 from gcmkit.metrics import METRIC_NAMES, MetricReport
 from gcmkit.ranking import DEFAULT_CRITERIA_NAMES
 from specmutations import check_exit, field_paths, mutate, mutations, run_cli
@@ -305,20 +305,46 @@ class TestRank:
         err = capsys.readouterr().err
         assert "[weights]" in err and ckpt in err and str(list(DEFAULT_CRITERIA_NAMES)) in err and str(criteria) in err
 
-    def test_learned_weights_order_contexts_as_their_entropy_targets_do(self, rank_run):
-        """The net's weights give the entropy weights' TOPSIS order in at least 29 of the fixture's 30 contexts
-        (uniform weights give it in 20), and no learned weight is more than 0.1 from its entropy target."""
+    @staticmethod
+    def _run_matrices(rank_run):
+        """The decision matrix of every context of a rank run, rebuilt from its reports.json."""
         reports = collections.defaultdict(list)
         for row in json.load(open(os.path.join(rank_run, "reports.json"))):
             fields = {key: row[key] for key in (*METRIC_NAMES, "n", "flags")}
             reports[(row["zone"], row["season"])].append((row["model"], MetricReport(**fields)))
-        matrices = [rk.assemble_matrix(reports[ctx], rk.default_criteria(), ctx) for ctx in sorted(reports)]
+        return [rk.assemble_matrix(reports[ctx], rk.default_criteria(), ctx) for ctx in sorted(reports)]
+
+    def test_learned_weights_order_contexts_as_their_entropy_targets_do(self, rank_run):
+        """The net's weights give the entropy weights' TOPSIS order in at least 29 of the fixture's 30 contexts
+        (uniform weights give it in 20), and no learned weight is more than 0.1 from its entropy target."""
+        matrices = self._run_matrices(rank_run)
         learned = rk.rank_all(matrices, rk.WeightNet.load(os.path.join(rank_run, "weightnet.ckpt")))
         entropy = [rk.rank_matrix(dm, dm.target).order for dm in matrices]
         assert len(learned) == 30 and {res.source for res in learned} == {"weightnet"}
         assert max(np.max(np.abs(res.weights.w - dm.target.w)) for dm, res in zip(matrices, learned)) < 0.1
         assert sum(res.order == order for res, order in zip(learned, entropy)) >= 29
         assert sum(res.order == order for res, order in zip(rk.rank_all(matrices), entropy)) < 29
+
+    def test_weights_learned_on_four_zones_order_the_fifth_as_its_entropy_targets_do(self, rank_run):
+        """A net trained on four land zones' contexts, with the run's own net config, gives the held-out zone's
+        entropy order in at least 24 of the 25 held-out contexts (uniform weights give it in 19), within 0.1 of
+        every target weight. `overall` is left out of training, since it pools the held-out zone's cells."""
+        matrices = self._run_matrices(rank_run)
+        config = pipeline.PipelineConfig.from_file(os.path.join(rank_run, "config.json")).weightnet
+        scored = agree = uniform = 0
+        worst = 0.0
+        for zone in (ZONE_NAMES[code] for code in LAND_ZONES):
+            held = [dm for dm in matrices if dm.context[0] == zone]
+            net, _ = rk.train_weightnet([dm for dm in matrices if dm.context[0] not in (zone, "overall")], config)
+            for dm, res, flat in zip(held, rk.rank_all(held, net), rk.rank_all(held)):
+                order = rk.rank_matrix(dm, dm.target).order
+                scored += 1
+                agree += res.order == order
+                uniform += flat.order == order
+                worst = max(worst, float(np.max(np.abs(res.weights.w - dm.target.w))))
+        assert scored == 25
+        assert agree >= 24 and uniform < 24
+        assert worst < 0.1
 
     @staticmethod
     def _constant_fields_config(tmp_path, fixture_paths, weights):
@@ -733,10 +759,11 @@ class TestDownscaleCli:
             lambda manifest: manifest["meta"].update(colour="red"),
             lambda manifest: manifest["entries"][-1].update(offset=manifest["entries"][-2]["offset"]),
             lambda manifest: manifest["entries"][0].update(offset=False),
+            lambda manifest: manifest["meta"]["config"].update(temporal_mode="recurrent"),  # older checkpoints hold it
         ],
         ids=["manifest-not-json", "manifest-without-total", "meta-without-config", "unknown-config-key",
              "zero-heads", "config-short-of-entries", "missing-norm-entry", "huge-embed-dim", "negative-offset",
-             "unknown-meta-key", "overlapping-entries", "bool-offset"],
+             "unknown-meta-key", "overlapping-entries", "bool-offset", "removed-temporal-mode"],
     )
     def test_malformed_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vit_ckpt, edit):
         ckpt = tmp_path / "vit.ckpt"

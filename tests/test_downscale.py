@@ -103,14 +103,14 @@ class TestShapeContracts:
     @pytest.mark.parametrize("kind", ds.ARCH_KINDS)
     def test_output_shape(self, kind, mini_data):
         model = ds.build_model(mini_cfg(kind), (8, 8))
-        coords = mini_data.patch_coords(4) if kind in ("vit", "geostanet") else None
+        coords = model.coords(mini_data)
         y = model.forward(mini_data.inputs[:3], coords=coords, training=True)
         assert y.data.shape == (3, 16, 16)
 
     @pytest.mark.parametrize("kind", ds.ARCH_KINDS)
     def test_single_frame_sequence_runs(self, kind, mini_data):
         model = ds.build_model(mini_cfg(kind), (8, 8))
-        coords = mini_data.patch_coords(4) if kind in ("vit", "geostanet") else None
+        coords = model.coords(mini_data)
         x = mini_data.inputs[:2, :1]
         y = model.forward(x, coords=coords, training=False)
         assert y.data.shape == (2, 16, 16)
@@ -122,7 +122,7 @@ class TestShapeContracts:
     )
     def test_training_step_node_budget(self, kind, limit, mini_data, monkeypatch):
         model = ds.build_model(mini_cfg(kind), (8, 8))
-        coords = mini_data.patch_coords(4) if kind in ("vit", "geostanet") else None
+        coords = model.coords(mini_data)
         built = []
         real_init = Tensor.__init__
 
@@ -134,6 +134,13 @@ class TestShapeContracts:
         pred = model.forward(mini_data.inputs[:3], coords=coords, training=True)
         tc.mse(pred, mini_data.targets[:3]).backward()
         assert len(built) <= limit
+
+    @pytest.mark.parametrize("kind", ds.ARCH_KINDS)
+    def test_wrong_grid_names_both_grids(self, kind, mini_data):
+        model = ds.build_model(mini_cfg(kind), (8, 8))
+        wrong = ds.make_dataset(5, 2, t=2, fine_hw=(24, 24), factor=2)  # 12x12 coarse frames
+        with pytest.raises(ValidationError, match=r"\(8, 8\).*\(12, 12\)"):
+            model.forward(wrong.inputs, coords=model.coords(mini_data), training=False)
 
     def test_vit_token_count(self):
         model = ds.build_model(mini_cfg("vit"), (8, 8))
@@ -208,7 +215,7 @@ class TestGraphLifetime:
     @pytest.mark.parametrize("kind", ds.ARCH_KINDS)
     def test_backward_releases_the_graph_and_keeps_leaf_gradients(self, kind, mini_data):
         model = ds.build_model(mini_cfg(kind), (8, 8))
-        coords = mini_data.patch_coords(4) if kind in ("vit", "geostanet") else None
+        coords = model.coords(mini_data)
         params = [t for _, t in model.params()]
 
         def step(backward):
@@ -231,7 +238,7 @@ class TestGraphLifetime:
     @pytest.mark.parametrize("kind", ds.ARCH_KINDS)
     def test_no_grad_forward_matches_and_records_nothing(self, kind, mini_data, monkeypatch):
         model = ds.build_model(mini_cfg(kind), (8, 8))
-        coords = mini_data.patch_coords(4) if kind in ("vit", "geostanet") else None
+        coords = model.coords(mini_data)
         x = mini_data.inputs[:3]
         want = model.forward(x, coords=coords, training=False).data
         grads = [(p.grad, p.grad.copy()) for _, p in model.params()]
@@ -327,16 +334,9 @@ class TestArchitectureSemantics:
         b = model.forward(x, coords=flipped, training=False)
         assert np.max(np.abs(a.data - b.data)) > 1e-9
 
-    def test_geostanet_full_attention_mode_runs(self, mini_data):
-        cfg = mini_cfg("geostanet", temporal_mode="full_attention")
-        model = ds.build_model(cfg, (8, 8))
-        y = model.forward(mini_data.inputs[:2], coords=mini_data.patch_coords(4))
-        assert y.data.shape == (2, 16, 16)
-
-    @pytest.mark.parametrize("mode", ["recurrent", "full_attention"])
-    def test_geostanet_reads_every_frame(self, mode):
+    def test_geostanet_reads_every_frame(self):
         data = ds.make_dataset(5, 3, t=4, fine_hw=(16, 16), factor=2)
-        model = ds.build_model(mini_cfg("geostanet", temporal_mode=mode), (8, 8))
+        model = ds.build_model(mini_cfg("geostanet"), (8, 8))
         coords = data.patch_coords(4)
         x = data.inputs[:2]
         base = model.forward(x, coords=coords).data
@@ -482,13 +482,13 @@ class TestTrainer:
 
 
 GOLDEN_CHECKPOINTS = {
-    "cnn_lstm": ("d531e36fb8894a7d73b892741a20549b001fadc6ad73c22a8760214ae9ca1305",
+    "cnn_lstm": ("f1f7d7f27f933912e88a907f5d7d14627497993470622a0aa099545d30b27b1e",
                  "ae2b5f2579da5774333768e0092658bb95c0aebe97a62bda3173b20e4c5ebbb5"),
-    "convlstm": ("c3cc4fe52894c7fe49e9e6be7cebd630b7cb2cd56cdf4bcd45b0d1c2b98c45e0",
+    "convlstm": ("f5d72e31fc6719d318f9bdc569b217e42f47c8b4ce25f3af89e783840b7ef85a",
                  "a3473fb598f4346a20da5c536c7984e936c960ac447b5d710198d1dc9a2c7835"),
-    "vit": ("e8fe6aaf676fc4ab5e9f30555ba3bd1aefa6a6bf23e107c02b38b5089063f4c3",
+    "vit": ("b7426f44a0b207ffa465bea593f4889fe55744c680f338a31ea1f0d6fd2ea8e9",
             "2a51239522be1986295778f0674a898316eb624e18aacd85acd333457b5f043f"),
-    "geostanet": ("c6539e3692c4fa40869186e16dfe62a85fc2e11edbdb04cf4066e2d1fe26a1a5",
+    "geostanet": ("56bac8cfeea6483558949f0caec071ea80aa354a49a060104ede09f5e7551e72",
                   "afe27be8d33c14efc44e906fd42bef8dbe2bb730e0851626458a00b703fbc611"),
     "weightnet": ("54734559868a63726b07856340366577f6cea730dd85765c754c3eedc244e5e3",
                   "03a4255cb5a096d24bb9dfa2d3b5fa35e4db85f34cd07736463ed8f02d716678"),
@@ -521,7 +521,7 @@ class TestCheckpointReload:
         for (name_a, a), (name_b, b) in zip(res.model.state_entries(), back.state_entries()):
             assert name_a == name_b
             assert np.array_equal(a, b), name_a
-        coords = mini_data.patch_coords(4) if kind in ("vit", "geostanet") else None
+        coords = res.model.coords(mini_data)
         pred_a = res.model.predict(mini_data.inputs, coords=coords)
         pred_b = back.predict(mini_data.inputs, coords=coords)
         assert np.array_equal(pred_a, pred_b)
@@ -529,8 +529,8 @@ class TestCheckpointReload:
 
 class TestEvaluate:
     def test_perfect_prediction_row(self, mini_data):
-        rows = ds.comparison_table({"oracle": mini_data.targets.copy()}, mini_data, include_baseline=False)
-        row = rows[0]
+        rows = ds.comparison_table({"oracle": mini_data.targets.copy()}, mini_data)
+        (row,) = [r for r in rows if r["arch"] == "oracle"]
         assert row["rmse"] == 0.0 and row["bias"] == 0.0
         assert row["nse"] == 1.0
 
@@ -541,18 +541,19 @@ class TestEvaluate:
         base = [r for r in rows if r["arch"] == ds.BASELINE_LABEL][0]
         assert np.isfinite(base["rmse"])
 
-    def test_row_count_matches_contexts(self, mini_data):
-        from gcmkit.fixtures import banded_zone_mask
+    def test_one_sweep_rows_equal_each_label_scored_alone(self, mini_data):
+        from gcmkit.geogrid import SEASONS, ZoneMask
+        from gcmkit.metrics import ZONE_OVERALL, full_report
 
-        mask = banded_zone_mask(mini_data.fine_lat, mini_data.fine_lon, ocean_frac=0.0)
-        rows = ds.comparison_table(
-            {"a": mini_data.targets + 0.5, "b": mini_data.targets - 0.5},
-            mini_data,
-            mask=mask,
-            zones=(1, 3, "overall"),
-            seasons=("ANNUAL",),
-        )
-        assert len(rows) == 3 * 3 * 1  # (2 archs + baseline) x zones x seasons
+        predictions = {"a": mini_data.targets + 0.5, "b": mini_data.targets * 0.9 - 0.2}
+        rows = ds.comparison_table(predictions, mini_data)
+        alone = {**predictions, ds.BASELINE_LABEL: ds.baseline_bilinear(mini_data)}
+        all_land = ZoneMask(mini_data.fine_lat, mini_data.fine_lon, np.full(mini_data.targets.shape[1:], 3))
+        assert [r["arch"] for r in rows] == list(alone)
+        for row, (label, pred) in zip(rows, alone.items()):
+            rep = full_report(mini_data.target_cube(values=pred), mini_data.target_cube(), all_land,
+                              ZONE_OVERALL, SEASONS["ANNUAL"])
+            assert row == {"arch": label, "zone": ZONE_OVERALL, "season": "ANNUAL", **rep.as_dict()}
 
     def test_reserved_baseline_label(self, mini_data):
         with pytest.raises(ValidationError):
