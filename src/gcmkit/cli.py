@@ -50,7 +50,7 @@ def cmd_metrics(args) -> int:
     obs = gcf.read_cube(args.obs)
     mask = gcf.read_mask(args.mask)
     zone = ZONE_OVERALL if args.zone == "overall" else pipeline.ZONE_BY_NAME[args.zone]
-    rep = full_report(model, obs, mask, zone, SEASONS[args.season], bins=args.bins)
+    rep = full_report(model, obs, mask, zone, args.season, bins=args.bins)
     row = {"model": args.model, "zone": args.zone, "season": args.season}
     row.update(rep.as_dict())
     if args.dest:
@@ -101,7 +101,7 @@ def cmd_downscale_eval(args) -> int:
         _, test_set = dsc.spec_split(read_json(args.data, "data spec"), f"data spec {args.data}")
     else:
         _, test_set = dsc.benchmark_sets()
-    model = dsc.load_model(args.ckpt, test_set.coarse_hw)
+    model = dsc.load_model(args.ckpt, test_set.coarse_hw, test_set.factor)
     pred = dsc.predict_dataset(model, test_set)
     rows = dsc.comparison_table({model.cfg.kind: pred}, test_set)
     write_files(os.path.dirname(args.report) or ".", {os.path.basename(args.report): report_rows_to_csv(rows).encode()})

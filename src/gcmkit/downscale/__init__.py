@@ -24,10 +24,8 @@ from .data import (
 from .evaluate import (
     BASELINE_LABEL,
     baseline_bilinear,
-    bias_to_target,
     comparison_table,
     predict_dataset,
-    rmse_to_target,
 )
 from .presets import desk_arch_config, desk_train_config
 from .trainer import TrainConfig, TrainResult, train
@@ -46,7 +44,6 @@ __all__ = [
     "ViTNet",
     "baseline_bilinear",
     "benchmark_sets",
-    "bias_to_target",
     "build_model",
     "capacity_set",
     "check_fit",
@@ -57,7 +54,6 @@ __all__ = [
     "load_model",
     "make_dataset",
     "predict_dataset",
-    "rmse_to_target",
     "spec_split",
     "train",
     "windows_from_pair",

@@ -232,13 +232,18 @@ class ConvLstmNet(DownscaleModel):
         return self.head(seq[-1])[:, 0]
 
 
-def check_fit(cfg: ArchConfig, coarse_hw: Tuple[int, int]) -> None:
-    """Fail unless a `cfg` model can run on a coarse grid of `coarse_hw`.
+def check_fit(cfg: ArchConfig, coarse_hw: Tuple[int, int], factor: int) -> None:
+    """Fail unless a `cfg` model can run on data of upsample `factor` on a coarse grid of `coarse_hw`.
 
-    The patch models (vit, geostanet) need a patch that divides both sides.
-    Their constructors check it here, and `pipeline.run_downscale` checks
-    every requested architecture before it trains the first.
+    The factor must be the config's, and the patch models (vit, geostanet)
+    need a patch that divides both sides of the grid. `trainer.train` and
+    `load_model` check it before any work, and `pipeline.run_downscale`
+    checks every requested architecture before it trains the first. The
+    patch models' constructors, which know only the grid, check it with
+    the config's own factor.
     """
+    if factor != cfg.factor:
+        raise ValidationError(f"dataset factor {factor} does not match config factor {cfg.factor}")
     if cfg.kind in ("vit", "geostanet") and (coarse_hw[0] % cfg.patch or coarse_hw[1] % cfg.patch):
         raise ValidationError(f"{cfg.kind}: patch size {cfg.patch} does not divide grid {tuple(coarse_hw)}")
 
@@ -254,7 +259,7 @@ class _PatchModel(DownscaleModel):
 
     def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int], rng: SplitMix64):
         super().__init__(cfg, coarse_hw)
-        check_fit(cfg, coarse_hw)
+        check_fit(cfg, coarse_hw, cfg.factor)
         self.gh, self.gw = self.h // cfg.patch, self.w // cfg.patch
         self.n_tokens = self.gh * self.gw
         pc = cfg.patch * cfg.patch * cfg.in_channels
@@ -384,11 +389,13 @@ def _size_carriers(cfg: ArchConfig, coarse_hw: Tuple[int, int]):
         c = c_out
 
 
-def load_model(path: str, coarse_hw: Tuple[int, int]) -> DownscaleModel:
-    """The model saved at `path`; a malformed checkpoint raises ValidationError naming it.
+def load_model(path: str, coarse_hw: Tuple[int, int], factor: int) -> DownscaleModel:
+    """The model saved at `path`, for data of upsample `factor` on a coarse grid of `coarse_hw`.
 
-    The config's sizes are checked against the checkpoint's entry shapes
-    before the model is built, so an edited size cannot exhaust memory.
+    A malformed checkpoint, or one that does not fit the data (`check_fit`),
+    raises ValidationError naming it before any state is loaded. The
+    config's sizes are checked against the checkpoint's entry shapes before
+    the model is built, so an edited size cannot exhaust memory.
     """
     arrays, meta = tc.load_checkpoint(path)
     meta = parse(meta, META_FIELDS, f"checkpoint {path} meta")
@@ -401,6 +408,10 @@ def load_model(path: str, coarse_hw: Tuple[int, int]) -> DownscaleModel:
         model = build_model(cfg, coarse_hw)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"checkpoint {path} holds a bad architecture config: {exc}") from None
+    try:
+        check_fit(cfg, coarse_hw, factor)
+    except ValidationError as exc:
+        raise ValidationError(f"checkpoint {path} does not fit the data: {exc}") from None
     model.step_count = meta["step"]
     tc.load_state(model.state_entries(), arrays, path)
     return model

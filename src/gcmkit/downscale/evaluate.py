@@ -30,15 +30,6 @@ def baseline_bilinear(data: DownscaleDataset) -> np.ndarray:
     return bilinear_blend(data.inputs[:, -1, 0], corners, DataCube.fill)
 
 
-def rmse_to_target(pred: np.ndarray, data: DownscaleDataset) -> float:
-    diff = np.asarray(pred) - data.targets
-    return float(np.sqrt(np.mean(diff * diff)))
-
-
-def bias_to_target(pred: np.ndarray, data: DownscaleDataset) -> float:
-    return float(np.mean(np.asarray(pred) - data.targets))
-
-
 def comparison_table(predictions: Dict[str, np.ndarray], data: DownscaleDataset) -> List[dict]:
     """One metric row per architecture label, then the baseline's, over the whole grid and year.
 

@@ -20,7 +20,7 @@ from ..rng import SplitMix64
 from ..spec import ABSENT, FLOAT_MAX, POSITIVE, Field, parse
 from .. import tensorcore as tc
 from ..tensorcore.optim import OPTIMIZER_KINDS
-from .archs import ArchConfig, DownscaleModel, build_model, imbalance_weighted_mse
+from .archs import ArchConfig, DownscaleModel, build_model, check_fit, imbalance_weighted_mse
 from .data import DownscaleDataset
 
 LOSS_KINDS = ("mse", "imbalance_weighted_mse")
@@ -83,10 +83,9 @@ def train(
     validation signal. Identical configs and seeds reproduce identical
     logs (wall_ms aside) and identical checkpoints.
     """
+    check_fit(cfg, data.coarse_hw, data.factor)
     if model is None:
         model = build_model(cfg, data.coarse_hw)
-    if data.factor != cfg.factor:
-        raise ValidationError(f"dataset factor {data.factor} does not match config factor {cfg.factor}")
     n = len(data)
     split_rng = SplitMix64(cfg.seed ^ 0x5EED5EED)
     perm = split_rng.permutation(n)

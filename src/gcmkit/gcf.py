@@ -49,7 +49,7 @@ HEADER_FIELDS = (
 )
 
 
-def _format_date(date) -> str:
+def format_date(date) -> str:
     y, m, d = date
     return f"{y:04d}-{m:02d}-{d:02d}"
 
@@ -82,7 +82,7 @@ def encode_cube(cube: DataCube) -> Dict[str, bytes]:
         "dims": [len(cube.time), len(cube.lat), len(cube.lon)],
         "lat": [float(v) for v in cube.lat.values],
         "lon": [float(v) for v in cube.lon.values],
-        "time": [_format_date(t) for t in cube.time],
+        "time": [format_date(t) for t in cube.time],
     }
     payload = np.ascontiguousarray(cube.data, dtype="<f4").tobytes()
     return {_HEADER: json.dumps(header, sort_keys=True, separators=(",", ":")).encode(), _PAYLOAD: payload}
@@ -154,7 +154,7 @@ def read_block(path: str, head: CubeHeader, t0: int, n: int) -> np.ndarray:
     finite = np.isfinite(raw)
     if not finite.all():
         t = t0 + int(np.argmin(finite)) // slab
-        raise ValidationError(f"payload in {path} is non-finite at time index {t} ({_format_date(head.time[t])})")
+        raise ValidationError(f"payload in {path} is non-finite at time index {t} ({format_date(head.time[t])})")
     return raw.astype(np.float64).reshape(n, len(head.lat), len(head.lon))
 
 

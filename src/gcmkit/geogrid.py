@@ -1,13 +1,15 @@
-"""Gridded-data model: axes, cubes, zone masks, regridding and stratification.
+"""Gridded-data model: axes, cubes, zone masks, seasons and regridding.
 
-All containers are immutable after construction (their numpy payloads are
+A season is the set of months it pools (`SEASONS`); `metrics.context_index`
+turns it into time rows, the one season partition every report uses. All
+containers are immutable after construction (their numpy payloads are
 marked read-only), so they are safe to share across threads. Operations
 return new objects and never interpolate through missing values: a fill
 cell stays fill, and any output that touches a fill neighbor becomes fill.
 """
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 import numpy as np
 
@@ -191,37 +193,16 @@ class ZoneMask:
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
-    def cells_in(self, zones: Iterable[int]) -> np.ndarray:
-        return np.isin(self.codes, list(zones))
 
-
-@dataclass(frozen=True)
-class SeasonSelector:
-    """Named month subset; the four 3-month seasons plus the full year."""
-
-    id: str
-    months: frozenset = field(default=None)
-
-    _MONTHS = {
-        "DJF": frozenset({12, 1, 2}),
-        "MAM": frozenset({3, 4, 5}),
-        "JJA": frozenset({6, 7, 8}),
-        "SON": frozenset({9, 10, 11}),
-        "ANNUAL": frozenset(range(1, 13)),
-    }
-
-    def __post_init__(self):
-        if self.id not in self._MONTHS:
-            raise ValidationError(f"unknown season {self.id!r}")
-        object.__setattr__(self, "months", self._MONTHS[self.id])
-
-
-DJF = SeasonSelector("DJF")
-MAM = SeasonSelector("MAM")
-JJA = SeasonSelector("JJA")
-SON = SeasonSelector("SON")
-ANNUAL = SeasonSelector("ANNUAL")
-SEASONS = {s.id: s for s in (DJF, MAM, JJA, SON, ANNUAL)}
+# Each season is the set of months it pools: the four meteorological
+# seasons, which tile the year, and the full year.
+SEASONS = {
+    "DJF": frozenset({12, 1, 2}),
+    "MAM": frozenset({3, 4, 5}),
+    "JJA": frozenset({6, 7, 8}),
+    "SON": frozenset({9, 10, 11}),
+    "ANNUAL": frozenset(range(1, 13)),
+}
 
 
 def _bracket(src: np.ndarray, dst: np.ndarray):
@@ -321,20 +302,6 @@ def derive_dtr(tasmax: DataCube, tasmin: DataCube) -> DataCube:
     out = dtr_values(tasmax.data, tasmin.data, tasmax.fill, tasmin.fill,
                      where=lambda t, y, x: f"(t={t}, lat={lat[y]}, lon={lon[x]})")
     return replace(tasmax, data=out, variable="dtr")
-
-
-def select_season(cube: DataCube, season: SeasonSelector) -> DataCube:
-    """Keep exactly the time steps whose month belongs to the season.
-
-    Days pool across the whole record: a DJF selection keeps every
-    December, January and February day regardless of which winter they
-    fall in.
-    """
-    keep = [i for i, (_, m, _) in enumerate(cube.time) if m in season.months]
-    if not keep:
-        raise ValidationError(f"no time steps fall in season {season.id}")
-    times = tuple(cube.time[i] for i in keep)
-    return replace(cube, time=times, data=cube.data[keep])
 
 
 def block_mean(data: np.ndarray, factor: int) -> np.ndarray:

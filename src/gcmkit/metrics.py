@@ -17,15 +17,16 @@ context that contains the atom (`EdgeStack`, with `np.histogram`'s
 counts). Where neither side of an atom holds fill, every model shares the
 reference's pass-1 terms and its sort, so a report has the same bits
 whichever models are swept with it. `full_report` runs that sweep on one
-context of two in-memory cubes, and `compute_report` feeds one
-materialised `PooledSample` to one pool. The engine flags the metrics a
+context of two in-memory cubes. The engine flags the metrics a
 degenerate sample (constant series, zero means) cannot support instead
 of reporting them, because a silent NaN or a fake zero would poison the
 downstream ranking.
 
-The bare metric functions (`bias`, `rmse`, `pearson_r`, ...) take a
-`PooledSample` and are the reference implementations the engine is tested
-against; on a degenerate sample they raise `DegenerateSampleError`.
+A season is a set of months (`geogrid.SEASONS`), and `context_index` is
+the one place that turns it into time rows. The engine is the only
+implementation of each metric: the naive loop-based oracles it is tested
+against live in `tests/test_metrics.py`, and acceptance criterion C1
+checks the engine's reports against them.
 
 Standard deviations use the population (1/n) convention throughout, so
 the variability ratio inside KGE and the plain deviation difference stay
@@ -40,7 +41,7 @@ import numpy as np
 
 from .artifacts import csv_text
 from .errors import ValidationError
-from .geogrid import DataCube, LAND_ZONES, SEASONS, SeasonSelector, ZoneMask
+from .geogrid import DataCube, LAND_ZONES, SEASONS, ZoneMask
 
 # Pseudo-zone meaning "union of all land zones".
 ZONE_OVERALL = "overall"
@@ -50,8 +51,8 @@ ZONE_OVERALL = "overall"
 # run's memory small whatever bin count a config or --bins asks for.
 MAX_BINS = 10_000
 
-# The meteorological seasons that tile the year; every season selector is
-# a union of some of them.
+# The meteorological seasons that tile the year; every season is a union
+# of some of them.
 MET_SEASONS = ("DJF", "MAM", "JJA", "SON")
 
 # Time steps per block of a sweep. It is fixed so that every caller feeds
@@ -72,106 +73,6 @@ METRIC_NAMES = (
 )
 
 
-class DegenerateSampleError(ValidationError):
-    """The sample cannot support this metric (constant series, zero mean)."""
-
-
-@dataclass(frozen=True, eq=False)
-class PooledSample:
-    """Paired model/reference values pooled over one (zone, season) context."""
-
-    model: np.ndarray
-    obs: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.model, dtype=np.float64).ravel()
-        o = np.asarray(self.obs, dtype=np.float64).ravel()
-        if m.size != o.size:
-            raise ValidationError(f"paired series differ in length: {m.size} vs {o.size}")
-        if m.size < 2:
-            raise ValidationError("pooled sample needs at least 2 pairs")
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(o))):
-            raise ValidationError("pooled sample contains non-finite values")
-        m.setflags(write=False)
-        o.setflags(write=False)
-        object.__setattr__(self, "model", m)
-        object.__setattr__(self, "obs", o)
-
-    @property
-    def n(self) -> int:
-        return self.model.size
-
-
-def bias(s: PooledSample) -> float:
-    """Mean model value minus mean reference value (systematic error)."""
-    return float(np.mean(s.model) - np.mean(s.obs))
-
-
-def rmse(s: PooledSample) -> float:
-    """Root mean square of the paired differences."""
-    return float(np.sqrt(np.mean((s.model - s.obs) ** 2)))
-
-
-def pearson_r(s: PooledSample) -> float:
-    """Product-moment correlation; requires variance in both series."""
-    dm = s.model - np.mean(s.model)
-    do = s.obs - np.mean(s.obs)
-    den = np.sqrt(np.sum(dm * dm) * np.sum(do * do))
-    if den == 0.0:
-        raise DegenerateSampleError("correlation undefined: a series is constant")
-    return float(np.sum(dm * do) / den)
-
-
-def nse(s: PooledSample) -> float:
-    """Nash-Sutcliffe efficiency: 1 is perfect, 0 matches the mean baseline."""
-    num = np.sum((s.obs - s.model) ** 2)
-    den = np.sum((s.obs - np.mean(s.obs)) ** 2)
-    if den == 0.0:
-        raise DegenerateSampleError("NSE undefined: reference series is constant")
-    return float(1.0 - num / den)
-
-
-def kge(s: PooledSample) -> float:
-    """Kling-Gupta efficiency with the coefficient-of-variation variability ratio.
-
-    beta = mean(M)/mean(O), gamma = (sd(M)/mean(M)) / (sd(O)/mean(O)),
-    kge = 1 - sqrt((r-1)^2 + (beta-1)^2 + (gamma-1)^2).
-    """
-    mu_m = float(np.mean(s.model))
-    mu_o = float(np.mean(s.obs))
-    if mu_o == 0.0 or mu_m == 0.0:
-        raise DegenerateSampleError("KGE undefined: zero mean")
-    sd_m = float(np.std(s.model))
-    sd_o = float(np.std(s.obs))
-    if sd_o == 0.0 or sd_m == 0.0:
-        raise DegenerateSampleError("KGE undefined: constant series")
-    r = pearson_r(s)
-    beta = mu_m / mu_o
-    gamma = (sd_m / mu_m) / (sd_o / mu_o)
-    return float(1.0 - math.sqrt((r - 1.0) ** 2 + (beta - 1.0) ** 2 + (gamma - 1.0) ** 2))
-
-
-def pdf_overlap(s: PooledSample, bins: int = 100) -> float:
-    """Overlap of the two empirical distributions, in [0, 1].
-
-    Both series are histogrammed on `bins` shared equal-width bins spanning
-    the union range; the overlap is the sum of per-bin minima of the two
-    count fractions. Samples whose union range cannot hold strictly
-    increasing bin edges (identical constants, or a spread of a few ULPs)
-    overlap perfectly.
-    """
-    if not 2 <= bins <= MAX_BINS:
-        raise ValidationError(f"pdf_overlap needs between 2 and {MAX_BINS} bins, got {bins}")
-    lo = min(float(np.min(s.model)), float(np.min(s.obs)))
-    hi = max(float(np.max(s.model)), float(np.max(s.obs)))
-    edges = hist_edges(lo, hi, bins)
-    if edges is None:
-        return 1.0
-    pm = sorted_counts(np.sort(s.model), edges)
-    po = sorted_counts(np.sort(s.obs), edges)
-    return float(np.sum(np.minimum(pm / s.n, po / s.n)))
-
-
 def hist_edges(lo: float, hi: float, bins: int) -> Optional[np.ndarray]:
     """The bin edges `np.histogram(v, bins, range=(lo, hi))` builds, or None.
 
@@ -181,36 +82,6 @@ def hist_edges(lo: float, hi: float, bins: int) -> Optional[np.ndarray]:
     """
     edges = np.linspace(lo, hi, bins + 1)
     return edges if np.all(edges[:-1] < edges[1:]) else None
-
-
-def sorted_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Histogram counts of ascending `values` on `edges`.
-
-    Bin i holds edges[i] <= v < edges[i + 1] and the last bin is closed,
-    so the counts equal `np.histogram`'s on the same edges; values outside
-    [edges[0], edges[-1]] are not counted. It is the reference that
-    `EdgeStack`, the engine's counter, is tested against.
-    """
-    idx = np.searchsorted(values, edges)
-    idx[-1] = np.searchsorted(values, edges[-1], side="right")
-    return idx[1:] - idx[:-1]
-
-
-def extreme_errors(s: PooledSample) -> Tuple[float, float]:
-    """Absolute errors of the sample extremes.
-
-    Returns (high-extreme error, low-extreme error): |max(M) - max(O)| and
-    |min(M) - min(O)|. The raw extreme indices become absolute errors so
-    the ranking can treat them as cost criteria.
-    """
-    txx_err = abs(float(np.max(s.model)) - float(np.max(s.obs)))
-    tnn_err = abs(float(np.min(s.model)) - float(np.min(s.obs)))
-    return txx_err, tnn_err
-
-
-def sd_diff(s: PooledSample) -> float:
-    """Absolute difference of the population standard deviations."""
-    return abs(float(np.std(s.model)) - float(np.std(s.obs)))
 
 
 @dataclass
@@ -249,15 +120,6 @@ class MetricReport:
         return out
 
 
-def compute_report(s: PooledSample, bins: int = 100) -> MetricReport:
-    """Run every metric on one pooled sample, fed once to each engine pass."""
-    pool = StreamingPool(bins=bins)
-    pool.update(s.model, s.obs)
-    pool.freeze()
-    pool.update_hist(s.model, s.obs)
-    return pool.report()
-
-
 def context_index(months: np.ndarray, mask: ZoneMask, zones: Mapping, seasons: Sequence[str]):
     """[((zone key, season id), [(season, time rows)], [(code, flat cells)])] per context, zone-major.
 
@@ -266,11 +128,10 @@ def context_index(months: np.ndarray, mask: ZoneMask, zones: Mapping, seasons: S
     zone codes. The atoms depend only on `months` and `mask.codes`, so a
     context has the same atoms whichever contexts are indexed with it.
     """
-    met_rows = {s: np.flatnonzero(np.isin(months, sorted(SEASONS[s].months))) for s in MET_SEASONS}
+    met_rows = {s: np.flatnonzero(np.isin(months, sorted(SEASONS[s]))) for s in MET_SEASONS}
     rows = {}
     for season_id in seasons:
-        months_in = SEASONS[season_id].months
-        rows[season_id] = [(s, r) for s, r in met_rows.items() if r.size and SEASONS[s].months <= months_in]
+        rows[season_id] = [(s, r) for s, r in met_rows.items() if r.size and SEASONS[s] <= SEASONS[season_id]]
         if not rows[season_id]:
             raise ValidationError(f"no time steps fall in season {season_id}")
     code_cells = {code: np.flatnonzero(mask.codes.ravel() == code) for code in LAND_ZONES}
@@ -451,10 +312,10 @@ def full_report(
     obs: DataCube,
     mask: ZoneMask,
     zone,
-    season: SeasonSelector,
+    season: str,
     bins: int = 100,
 ) -> MetricReport:
-    """Every metric of one (zone, season) context of two in-memory cubes.
+    """Every metric of one (zone, season id) context of two in-memory cubes.
 
     The cubes must share axes with each other and with the mask; pairs where
     either side is fill are excluded.
@@ -467,7 +328,7 @@ def full_report(
         raise ValidationError("model and reference cubes cover different times")
     if not (np.array_equal(model.lat.values, mask.lat.values) and np.array_equal(model.lon.values, mask.lon.values)):
         raise ValidationError("mask grid does not match the cubes")
-    index = context_index(obs.months(), mask, {zone: zone}, (season.id,))
+    index = context_index(obs.months(), mask, {zone: zone}, (season,))
     (report,) = sweep({"model": CubeBlocks(model)}, CubeBlocks(obs), index, bins)["model"].values()
     return report
 
@@ -477,9 +338,9 @@ class EdgeStack:
 
     `rows` lists the positions of the contexts that have edges; a context
     whose range holds none (`hist_edges` gave None) takes no counts. Each
-    row of `counts` equals `sorted_counts` on that context's edges: with
-    the last edge raised to the next float, v <= e becomes v < e', so every
-    count is a difference of left insertion points.
+    row of `counts` equals `np.histogram`'s counts on that context's edges:
+    with the last edge raised to the next float, v <= e becomes v < e', so
+    every count is a difference of left insertion points.
     """
 
     def __init__(self, edges: Sequence[Optional[np.ndarray]]):
@@ -511,12 +372,11 @@ class StreamingPool:
     bounded by the chunk, not the pooled sample. Pass 1 (`update`)
     accumulates shifted moments, extremes and the count, and `merge` adds
     the pass-1 state of a pool fed a disjoint part; `freeze` then fixes the
-    shared bin `edges` from the extremes, and pass 2 counts values against
-    them (`update_hist`, or `add_counts` for counts an `EdgeStack` made of
-    sorted values). Moments are accumulated around the first value seen,
-    which keeps the centered statistics well-conditioned for large pooled
-    counts. `report` flags the metrics a degenerate sample cannot support;
-    the values match the bare reference functions up to rounding.
+    shared bin `edges` from the extremes, and pass 2 adds the counts an
+    `EdgeStack` made of sorted values against them (`add_counts`). Moments
+    are accumulated around the first value seen, which keeps the centered
+    statistics well-conditioned for large pooled counts. `report` flags the
+    metrics a degenerate sample cannot support.
     """
 
     def __init__(self, bins: int = 100):
@@ -609,21 +469,27 @@ class StreamingPool:
         self._hist_m = np.zeros(self.bins, dtype=np.int64)
         self._hist_o = np.zeros(self.bins, dtype=np.int64)
 
-    def update_hist(self, m: np.ndarray, o: np.ndarray) -> None:
-        """Count one paired chunk of pass 2, in any order."""
-        if self._hist_m is None:
-            raise ValidationError("freeze() must run before the histogram pass")
-        if self.edges is not None:
-            stack = EdgeStack([self.edges])
-            (hist_m,), (hist_o,) = (stack.counts(np.sort(np.asarray(v, dtype=np.float64).ravel())) for v in (m, o))
-            self.add_counts(hist_m, hist_o)
-
     def add_counts(self, hist_m: np.ndarray, hist_o: np.ndarray) -> None:
         """Add pass-2 bin counts of model and reference values, counted against this pool's frozen `edges`."""
         self._hist_m += hist_m
         self._hist_o += hist_o
 
     def report(self) -> MetricReport:
+        """Every metric of the pooled pairs (M model, O reference, n pairs).
+
+        bias = mean(M) - mean(O); rmse = sqrt(mean((M - O)^2)); r is the
+        product-moment correlation and r2 its square; nse = 1 - sum((O -
+        M)^2) / sum((O - mean(O))^2); kge = 1 - sqrt((r - 1)^2 + (beta -
+        1)^2 + (gamma - 1)^2) with beta = mean(M) / mean(O) and the
+        coefficient-of-variation ratio gamma = (sd(M) / mean(M)) / (sd(O) /
+        mean(O)) (Kling, Fuchs & Paulin 2012); pdf_overlap is the sum of
+        per-bin minima of the two count fractions on the shared bins, and 1
+        when the range holds no bins; txx_err = |max(M) - max(O)|, tnn_err
+        = |min(M) - min(O)|; sd_diff = |sd(M) - sd(O)|. r and r2 need both
+        series to vary, nse a varying reference, and kge both besides
+        non-zero means; a metric that lacks its condition is None and
+        flagged.
+        """
         if self._hist_m is None:
             raise ValidationError("freeze() and the histogram pass must run before report()")
         n = self.n

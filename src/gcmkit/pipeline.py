@@ -178,7 +178,7 @@ class _CubeSource:
         if len(self.paths) == 2:
             low = gcf.read_block(self.paths[1], self.heads[1], t0, BLOCK)
             block = dtr_values(block, low, self.fill, self.heads[1].fill, where=lambda t, y, x: (
-                f"time index {t0 + t} ({'%04d-%02d-%02d' % self.time[t0 + t]}) of {self.paths[1]}"))
+                f"time index {t0 + t} ({gcf.format_date(self.time[t0 + t])}) of {self.paths[1]}"))
         if self.corners is not None:
             block = bilinear_blend(block, self.corners, self.fill)
         return block
@@ -306,7 +306,7 @@ def run_downscale(
         train_set, test_set = dsc.spec_split(data_spec, f"data spec {data_path}") if data_path else dsc.benchmark_sets()
         cfgs = {kind: replace(desk_arch_config(kind, seed=seed), factor=train_set.factor) for kind in archs}
         for cfg in cfgs.values():
-            dsc.check_fit(cfg, train_set.coarse_hw)
+            dsc.check_fit(cfg, train_set.coarse_hw, train_set.factor)
 
     predictions = {}
     for kind in archs:

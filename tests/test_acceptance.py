@@ -22,18 +22,7 @@ from gcmkit import tensorcore as tc
 from gcmkit.artifacts import write_files
 from gcmkit.downscale.presets import desk_arch_config, desk_train_config
 from gcmkit.fixtures import GOOD_MODEL, make_ranking_fixture
-from gcmkit.geogrid import (
-    ANNUAL,
-    DJF,
-    JJA,
-    MAM,
-    SON,
-    DataCube,
-    GridAxis,
-    date_range,
-    regrid_bilinear,
-    select_season,
-)
+from gcmkit.geogrid import DataCube, GridAxis, ZoneMask, date_range, regrid_bilinear
 from gcmkit.rng import SplitMix64
 
 from gradcases import OPS
@@ -69,6 +58,24 @@ def rel_err(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def _engine_report(m, o):
+    """The engine's report of paired series `m`, `o` (one value per day from
+    1985-01-01): `full_report` on the ANNUAL context of an (n, 2, 2) cube
+    pair whose one land cell holds them. A series longer than one
+    meteorological season spans several atoms and blocks, so the report
+    goes through the sweep's gather, the atom merge and `EdgeStack`."""
+    n = len(m)
+    lat, lon = GridAxis([0.0, 1.0], "lat"), GridAxis([0.0, 1.0], "lon")
+    times = tuple(date_range("standard", (1985, 1, 1), n))
+    cubes = []
+    for values in (m, o):
+        data = np.zeros((n, 2, 2))
+        data[:, 0, 0] = values
+        cubes.append(DataCube(lat, lon, times, "standard", "t", data))
+    mask = ZoneMask(lat, lon, np.array([[3, 0], [0, 0]]))
+    return mx.full_report(*cubes, mask, mx.ZONE_OVERALL, "ANNUAL")
+
+
 def test_c1_metric_oracle_equivalence():
     with _Criterion("criterion 1: metric oracle equivalence", 10):
         rng = np.random.default_rng(20240101)
@@ -76,25 +83,25 @@ def test_c1_metric_oracle_equivalence():
             n = int(rng.integers(2, 257))
             m = list(12.0 + 4.0 * rng.normal(size=n))
             o = list(11.0 + 3.5 * rng.normal(size=n))
-            s = mx.PooledSample(np.array(m), np.array(o))
+            rep = _engine_report(m, o)
             r_naive = naive_r(m, o)
             pairs = [
-                (mx.bias(s), naive_bias(m, o)),
-                (mx.rmse(s), naive_rmse(m, o)),
-                (mx.pearson_r(s), r_naive),
-                (mx.pearson_r(s) ** 2, r_naive ** 2),
-                (mx.nse(s), naive_nse(m, o)),
-                (mx.kge(s), naive_kge(m, o)),
-                (mx.pdf_overlap(s), naive_pdf_overlap(m, o)),
-                (mx.extreme_errors(s)[0], abs(max(m) - max(o))),
-                (mx.extreme_errors(s)[1], abs(min(m) - min(o))),
-                (mx.sd_diff(s), abs(naive_sd(m) - naive_sd(o))),
+                (rep.bias, naive_bias(m, o)),
+                (rep.rmse, naive_rmse(m, o)),
+                (rep.r, r_naive),
+                (rep.r2, r_naive ** 2),
+                (rep.nse, naive_nse(m, o)),
+                (rep.kge, naive_kge(m, o)),
+                (rep.pdf_overlap, naive_pdf_overlap(m, o)),
+                (rep.txx_err, abs(max(m) - max(o))),
+                (rep.tnn_err, abs(min(m) - min(o))),
+                (rep.sd_diff, abs(naive_sd(m) - naive_sd(o))),
             ]
             for got, want in pairs:
                 assert rel_err(got, want) < 1e-9
 
         o = 10.0 + rng.normal(size=500)
-        perfect = mx.compute_report(mx.PooledSample(o, o))
+        perfect = _engine_report(o, o)
         assert abs(perfect.bias) <= 1e-12
         assert perfect.rmse <= 1e-12
         assert abs(perfect.r - 1.0) <= 1e-12
@@ -226,13 +233,15 @@ def test_c5_downscaler_capacity_and_benchmark():
             assert best < 0.01, f"{kind} capacity best train MSE {best:.4f}"
 
         train_set, test_set = ds.benchmark_sets()
-        baseline = ds.rmse_to_target(ds.baseline_bilinear(test_set), test_set)
-        results = {}
+        predictions = {}
         for kind in ds.ARCH_KINDS:
             cfg = desk_arch_config(kind, seed=101)
             res = ds.train(cfg, train_set, desk_train_config(kind, "benchmark"))
-            pred = ds.predict_dataset(res.model, test_set)
-            results[kind] = ds.rmse_to_target(pred, test_set)
+            predictions[kind] = ds.predict_dataset(res.model, test_set)
+        # the table `downscale train` writes: one row per architecture, then the baseline's
+        rmses = {row["arch"]: row["rmse"] for row in ds.comparison_table(predictions, test_set)}
+        baseline = rmses.pop(ds.BASELINE_LABEL)
+        results = {kind: rmses[kind] for kind in ds.ARCH_KINDS}
         for kind, rmse in results.items():
             assert rmse < baseline, f"{kind} test RMSE {rmse:.3f} vs baseline {baseline:.3f}"
         # desk-scale analog of the headline ordering: the geospatial
@@ -245,14 +254,16 @@ def test_c6_synthetic_bias_correction():
         data = ds.make_dataset(7117, 83, t=4, fine_hw=(64, 64), factor=4, bias=2.0, noise_sd=0.2)
         train_set = data.subset(list(range(60)))
         test_set = data.subset(list(range(60, 80)))
-        raw_bias = abs(ds.bias_to_target(ds.baseline_bilinear(test_set), test_set))
-        assert raw_bias > 1.5  # the uncorrected input carries the injected bias
-
         cfg = desk_arch_config("cnn_lstm", seed=5)
         tcfg = desk_train_config("cnn_lstm", "benchmark")
         tcfg.epochs = 15
         res = ds.train(cfg, train_set, tcfg)
-        model_bias = abs(ds.bias_to_target(ds.predict_dataset(res.model, test_set), test_set))
+        # the table `downscale train` writes, with the bilinear baseline row
+        biases = {row["arch"]: row["bias"] for row in
+                  ds.comparison_table({"cnn_lstm": ds.predict_dataset(res.model, test_set)}, test_set)}
+        raw_bias = abs(biases[ds.BASELINE_LABEL])
+        assert raw_bias > 1.5  # the uncorrected input carries the injected bias
+        model_bias = abs(biases["cnn_lstm"])
         assert model_bias < 0.5, f"downscaled bias {model_bias:.3f}"
         assert raw_bias / model_bias >= 3.0, f"reduction factor {raw_bias / model_bias:.1f}"
 
@@ -312,19 +323,17 @@ def test_c8_regrid_and_season_suite():
         center = regrid_bilinear(square, GridAxis([0.5, 1.0], "lat"), GridAxis([0.5, 1.0], "lon"))
         assert abs(center.data[0, 0, 0] - 1.5) < 1e-12
 
-        # season partition exactness on all three calendars
+        # season partition exactness on all three calendars: the time rows
+        # `context_index` pools for each season, as every report does
+        mask = ZoneMask(GridAxis([0.0, 1.0], "lat"), GridAxis([0.0, 1.0], "lon"), np.ones((2, 2), dtype=np.int64))
         for calendar, days in (("standard", 365), ("noleap", 365), ("360_day", 360)):
-            times = tuple(date_range(calendar, (1985, 1, 1), days))
-            c = DataCube(
-                GridAxis([0.0, 1.0], "lat"), GridAxis([0.0, 1.0], "lon"), times,
-                calendar, "t", np.zeros((days, 2, 2)),
-            )
-            collected = []
-            for season in (DJF, MAM, JJA, SON):
-                collected.extend(select_season(c, season).time)
-            assert sorted(collected) == sorted(c.time)
+            months = np.array([m for _, m, _ in date_range(calendar, (1985, 1, 1), days)])
+            index = mx.context_index(months, mask, {"all": mx.ZONE_OVERALL}, ("DJF", "MAM", "JJA", "SON", "ANNUAL"))
+            rows = {season: [int(t) for _, r in season_rows for t in r] for (_, season), season_rows, _ in index}
+            collected = [t for season in ("DJF", "MAM", "JJA", "SON") for t in rows[season]]
+            assert sorted(collected) == list(range(days))
             assert len(collected) == len(set(collected)) == days
-            assert select_season(c, ANNUAL).time == c.time
+            assert sorted(rows["ANNUAL"]) == list(range(days))
 
 
 def test_c9_round_trip_bit_identity(tmp_path):
@@ -364,6 +373,6 @@ def test_c9_round_trip_bit_identity(tmp_path):
             res = ds.train(cfg, data, ds.TrainConfig(epochs=2, batch_size=3, learning_rate=1e-3))
             path = str(tmp_path / f"{kind}.ckpt")
             write_files(path, tc.encode_checkpoint(*res.model.checkpoint()))
-            back = ds.load_model(path, data.coarse_hw)
+            back = ds.load_model(path, data.coarse_hw, data.factor)
             for (name, a), (_, b) in zip(res.model.state_entries(), back.state_entries()):
                 assert np.array_equal(a, b), f"{kind}: {name} differs after reload"

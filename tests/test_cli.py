@@ -671,6 +671,30 @@ class TestDownscaleCli:
         assert main(["downscale", "eval", "--ckpt", str(tmp_path / "ds" / "cnn_lstm.ckpt"), "--data", str(spec),
                      "--report", str(tmp_path / "eval.csv")]) == 0
 
+    def test_eval_on_a_pair_of_another_factor_exits_2_before_predicting(self, tmp_path, capsys, vit_ckpt,
+                                                                        monkeypatch):
+        """The bundled benchmark's vit upsamples by 4 from a 16x16 grid; a
+        factor-2 pair on the same coarse grid is refused up front, naming
+        the checkpoint and both factors."""
+        from gcmkit import downscale as dsc
+        from gcmkit.geogrid import synth_pair
+
+        coarse, fine = synth_pair(3, 2, 30, 32, 32)
+        gcf.write_cube(coarse, str(tmp_path / "coarse"))
+        gcf.write_cube(fine, str(tmp_path / "fine"))
+        spec = tmp_path / "pair.json"
+        spec.write_text(json.dumps({"coarse": str(tmp_path / "coarse"), "fine": str(tmp_path / "fine"), "window": 4}))
+
+        def no_predict(*args, **kwargs):
+            raise AssertionError("predicted before the factor check")
+
+        monkeypatch.setattr(dsc, "predict_dataset", no_predict)
+        argv = ["downscale", "eval", "--ckpt", vit_ckpt, "--data", str(spec), "--report", str(tmp_path / "eval.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert vit_ckpt in err and "dataset factor 2 does not match config factor 4" in err
+        assert not os.path.exists(tmp_path / "eval.csv")
+
     def test_arch_that_misfits_the_data_exits_2_before_any_training(self, tmp_path, capsys):
         """Without --arch every architecture is checked against the data
         first: vit's patch of 4 does not divide the 18x18 coarse grid, so the

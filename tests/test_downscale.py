@@ -517,7 +517,7 @@ class TestCheckpointReload:
         path = str(tmp_path / f"{kind}.ckpt")
         res = ds.train(cfg, mini_data, tcfg)
         write_files(path, tc.encode_checkpoint(*res.model.checkpoint()))
-        back = ds.load_model(path, mini_data.coarse_hw)
+        back = ds.load_model(path, mini_data.coarse_hw, mini_data.factor)
         for (name_a, a), (name_b, b) in zip(res.model.state_entries(), back.state_entries()):
             assert name_a == name_b
             assert np.array_equal(a, b), name_a
@@ -542,7 +542,7 @@ class TestEvaluate:
         assert np.isfinite(base["rmse"])
 
     def test_one_sweep_rows_equal_each_label_scored_alone(self, mini_data):
-        from gcmkit.geogrid import SEASONS, ZoneMask
+        from gcmkit.geogrid import ZoneMask
         from gcmkit.metrics import ZONE_OVERALL, full_report
 
         predictions = {"a": mini_data.targets + 0.5, "b": mini_data.targets * 0.9 - 0.2}
@@ -552,7 +552,7 @@ class TestEvaluate:
         assert [r["arch"] for r in rows] == list(alone)
         for row, (label, pred) in zip(rows, alone.items()):
             rep = full_report(mini_data.target_cube(values=pred), mini_data.target_cube(), all_land,
-                              ZONE_OVERALL, SEASONS["ANNUAL"])
+                              ZONE_OVERALL, "ANNUAL")
             assert row == {"arch": label, "zone": ZONE_OVERALL, "season": "ANNUAL", **rep.as_dict()}
 
     def test_reserved_baseline_label(self, mini_data):

@@ -18,13 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from gcmkit import gcf, geogrid, metrics
+from gcmkit import gcf, metrics
 from gcmkit.cli import main
 from gcmkit.fixtures import BIASED_MODEL, make_ranking_fixture
 from gcmkit.geogrid import LAND_ZONES, SEASONS, derive_dtr, regrid_bilinear
 from gcmkit.metrics import ZONE_OVERALL, StreamingPool, full_report
 from gcmkit.pipeline import ZONE_BY_NAME, PipelineConfig, run_rank
 from specmutations import check_exit, mutate, mutations, run_cli
+from test_metrics import add_counts
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,7 @@ def _contexts(config):
         codes = LAND_ZONES if zone == ZONE_OVERALL else {ZONE_BY_NAME[zone]}
         for season in config["seasons"]:
             for spec in config["models"]:
-                yield zone, season, spec, mask.cells_in(codes)
+                yield zone, season, spec, np.isin(mask.codes, list(codes))
 
 
 class TestContextSweep:
@@ -144,26 +145,16 @@ class TestContextSweep:
                 assert opens == Counter({**{(p, t0): 2 for p in models + obs for t0 in starts}, (config["mask"], 0): 1})
                 assert whole == Counter({config["mask"]: 1})
 
-    def test_in_memory_reports_equal_full_report(self, tmp_path, setup, monkeypatch):
+    def test_in_memory_reports_equal_full_report(self, tmp_path, setup):
         cfg_path, config = setup
-        seasons_selected = Counter()
-        original = geogrid.select_season
-
-        def counting(cube, season):
-            seasons_selected[season.id] += 1
-            return original(cube, season)
-
-        monkeypatch.setattr(geogrid, "select_season", counting)
         reports = _run(tmp_path, cfg_path)
-        assert not seasons_selected  # the sweep gathers each context by index, never through select_season
-
         obs = gcf.read_cube(config["reference"]["path"])
         mask = gcf.read_mask(config["mask"])
         assert len(reports) == 6 * 5 * 3
         for zone, season, spec, _ in _contexts(config):
             code = ZONE_OVERALL if zone == ZONE_OVERALL else ZONE_BY_NAME[zone]
             cube = regrid_bilinear(gcf.read_cube(spec["path"]), obs.lat, obs.lon)
-            expect = full_report(cube, obs, mask, code, SEASONS[season], bins=100)
+            expect = full_report(cube, obs, mask, code, season, bins=100)
             assert reports[(zone, season, spec["label"])] == expect.as_dict()
 
     def test_streaming_reports_equal_per_context_pools(self, tmp_path, setup):
@@ -199,17 +190,17 @@ class TestContextSweep:
 
             def finish(pool):
                 pool.freeze()
-                for m, o in chunks(SEASONS[season].months, cells):
-                    pool.update_hist(m, o)
+                for m, o in chunks(SEASONS[season], cells):
+                    add_counts(pool, m, o)
                 return pool.report().as_dict()
 
             merged = StreamingPool(bins=100)
             for met in ("DJF", "MAM", "JJA", "SON"):
-                if SEASONS[met].months <= SEASONS[season].months:
+                if SEASONS[met] <= SEASONS[season]:
                     for code in LAND_ZONES:
                         if cells[codes == code].any():
-                            merged.merge(fed(SEASONS[met].months, codes == code))
-            whole = fed(SEASONS[season].months, cells)
+                            merged.merge(fed(SEASONS[met], codes == code))
+            whole = fed(SEASONS[season], cells)
             extremes = ("n", "_min_m", "_max_m", "_min_o", "_max_o")
             assert [getattr(merged, k) for k in extremes] == [getattr(whole, k) for k in extremes]
             got = reports[(zone, season, spec["label"])]
@@ -306,7 +297,7 @@ class TestPairsAndRegrid:
         assert len(reports) == 6 * 5 * 3
         for zone, season, spec, _ in _contexts(config):
             code = ZONE_OVERALL if zone == ZONE_OVERALL else ZONE_BY_NAME[zone]
-            expect = full_report(_cube(spec, like=obs), obs, mask, code, SEASONS[season], bins=100)
+            expect = full_report(_cube(spec, like=obs), obs, mask, code, season, bins=100)
             assert reports[(zone, season, spec["label"])] == expect.as_dict()
 
     def test_full_scale_writes_the_same_manifest(self, tmp_path, pair_setup):
