@@ -3,13 +3,15 @@
 `write_files` writes every run file, GCF cube and checkpoint. `RunManifest.put`
 is the only way a file enters a run's `manifest.json`: it writes the bytes it
 is given and records their sha256 without reading them back. Stage wall times
-go to the unlisted `timing.json`, so the manifest is byte-stable across reruns.
+and the process's peak RSS at each stage's end go to the unlisted
+`timing.json`, so the manifest is byte-stable across reruns.
 `csv_text` and `json_text` are the two table layouts every artifact uses.
 """
 
 import hashlib
 import json
 import os
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -50,6 +52,7 @@ class RunManifest:
     config_hash: str
     outputs: Dict[str, str] = field(default_factory=dict)
     timing_ms: Dict[str, int] = field(default_factory=dict)
+    peak_rss_mb: Dict[str, float] = field(default_factory=dict)
 
     def put(self, rel: str, data: Union[str, bytes]) -> None:
         """Write text (as UTF-8) or bytes to run_dir/rel and register their sha256."""
@@ -59,10 +62,12 @@ class RunManifest:
 
     @contextmanager
     def stage(self, name: str):
-        """Record the wall time of the enclosed block as stage `name` in timing.json."""
+        """Record the wall time of the enclosed block as stage `name` in timing.json,
+        and the process's peak RSS so far (`ru_maxrss`) when it ends."""
         t0 = time.perf_counter()
         yield
         self.timing_ms[name] = int(round((time.perf_counter() - t0) * 1000))
+        self.peak_rss_mb[name] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
 
     def write(self) -> None:
         """Once the run has succeeded, write manifest.json and timing.json (neither registered).
@@ -75,7 +80,8 @@ class RunManifest:
         manifest = {"config_hash": self.config_hash, "version": __version__, "outputs": self.outputs}
         write_files(self.run_dir, {
             "manifest.json": json_text(manifest).encode(),
-            "timing.json": json_text({"stage_wall_ms": self.timing_ms}).encode(),
+            "timing.json": json_text({"stage_wall_ms": self.timing_ms,
+                                      "stage_peak_rss_mb": self.peak_rss_mb}).encode(),
         })
 
     def _remove_stale(self) -> None:

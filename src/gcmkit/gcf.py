@@ -106,8 +106,14 @@ class CubeHeader:
     fill: float  # canonical, see `canonical_fill`
 
 
-def read_header(path: str) -> CubeHeader:
-    """Read and validate a GCF header: keys, dims, both axes and every date."""
+def read_header(path: str, parsed_times: dict = None) -> CubeHeader:
+    """Read and validate a GCF header: keys, dims, both axes and every date.
+
+    `parsed_times`, when given, maps (calendar, raw `time` list as a tuple)
+    to the time axis an earlier header parsed from it. A header whose list
+    is already there reuses that axis and skips the date checks it passed;
+    any other list gets the full check and is then added.
+    """
     header_path = os.path.join(path, _HEADER)
     if not os.path.isfile(header_path):
         raise ValidationError(f"no {_HEADER} under {path}")
@@ -115,12 +121,17 @@ def read_header(path: str) -> CubeHeader:
     dims = header["dims"]
     if len(header["lat"]) != dims[1] or len(header["lon"]) != dims[2] or len(header["time"]) != dims[0]:
         raise ValidationError(f"header axis lengths disagree with dims in {path}")
+    key = (header["calendar"], tuple(header["time"]))
+    time = None if parsed_times is None else parsed_times.get(key)
     try:
         lat = GridAxis(np.asarray(header["lat"], dtype=np.float64), "lat")
         lon = GridAxis(np.asarray(header["lon"], dtype=np.float64), "lon")
-        time = validate_times(header["calendar"], [_parse_date(t) for t in header["time"]])
+        if time is None:
+            time = validate_times(header["calendar"], [_parse_date(t) for t in header["time"]])
     except ValidationError as exc:
         raise ValidationError(f"header in {path}: {exc}") from None
+    if parsed_times is not None:
+        parsed_times[key] = time
     return CubeHeader(lat, lon, time, header["calendar"], header["variable"], header["units"],
                       canonical_fill(header["fill_value"]))
 

@@ -148,17 +148,19 @@ class _CubeSource:
     """One rank source, a cube {"path"} or a tasmax/tasmin pair, read by time block (`block`).
 
     Opening it validates every header once, and a model's times against the
-    reference (`like`). Each block holds BLOCK time steps: a pair is read in
-    step and turned into DTR per block, and a model off the reference grid
-    is regridded per block, with the bits of that slice of the whole-cube
+    reference (`like`); sources opened with one `parsed_times` dict parse
+    and check each distinct raw time list once (`gcf.read_header`). Each
+    block holds BLOCK time steps: a pair is read in step and turned into
+    DTR per block, and a model off the reference grid is regridded per
+    block, with the bits of that slice of the whole-cube
     `regrid_bilinear(derive_dtr(...))`.
     """
 
-    def __init__(self, spec: dict, name: str, like: "_CubeSource" = None):
+    def __init__(self, spec: dict, name: str, like: "_CubeSource" = None, parsed_times: dict = None):
         keys = ("path",) if "path" in spec else ("tasmax", "tasmin")
         self.paths = tuple(spec[k] for k in keys)
         try:
-            self.heads = [gcf.read_header(path) for path in self.paths]
+            self.heads = [gcf.read_header(path, parsed_times) for path in self.paths]
             if len(self.heads) == 2:
                 check_dtr_pair(*self.heads)
         except ValidationError as exc:
@@ -197,9 +199,11 @@ def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
 
     with manifest.stage("load"):
         mask = gcf.read_mask(config.mask)
-        obs = _CubeSource(config.reference, "reference")
+        parsed_times = {}  # a model whose raw time list is the reference's reuses its parsed axis
+        obs = _CubeSource(config.reference, "reference", parsed_times=parsed_times)
         _require(mask.lat == obs.lat and mask.lon == obs.lon, "load", "zone mask must be on the reference grid")
-        models = {label: _CubeSource(specs[label], f"model {label}", like=obs) for label in sorted(specs)}
+        models = {label: _CubeSource(specs[label], f"model {label}", like=obs, parsed_times=parsed_times)
+                  for label in sorted(specs)}
 
     with manifest.stage("metrics"):
         months = np.array([m for _, m, _ in obs.time])

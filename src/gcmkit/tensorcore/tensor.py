@@ -27,10 +27,13 @@ except that the normalizations use the closed-form input gradient.
 There is one convolution form and one transposed form. `conv2d` is
 stride 1 with "same" padding; it takes one input and kernel or matching
 sequences of them: a sum of convolutions is one node over the
-channel-stacked inputs, with one im2col and one product, so it sums in a
-different order than separate convolutions plus an add and agrees with
-them to rounding. `conv2d_transpose` is the stride-fold upsampler whose
-stride equals its kernel size, so its windows never overlap.
+channel-stacked inputs, with one im2col and one product per sample, so it
+sums in a different order than separate convolutions plus an add and
+agrees with them to rounding. It never holds the im2col columns of a
+whole batch: its backward builds each sample's columns again, so the node
+keeps no more than its parents. `conv2d_transpose` is the stride-fold
+upsampler whose stride equals its kernel size, so its windows never
+overlap.
 
 All math is float64. Every op output, with or without a graph, is checked
 for NaN/Inf and a `NumericFault` is raised at the op that produced it.
@@ -452,23 +455,34 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Stride-1 columns (n, c*kh*kw, oh*ow) of an input that already holds its padding."""
-    n, c, hp, wp = xp.shape
+    """Stride-1 columns (c*kh*kw, oh*ow) of one sample (c, hp, wp) that already holds its padding."""
+    c, hp, wp = xp.shape
     oh, ow = hp - kh + 1, wp - kw + 1
-    s0, s1, s2, s3 = xp.strides
-    view = np.lib.stride_tricks.as_strided(xp, (n, c, kh, kw, oh, ow), (s0, s1, s2, s3, s2, s3))
-    return np.ascontiguousarray(view).reshape(n, c * kh * kw, oh * ow)
+    s0, s1, s2 = xp.strides
+    view = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, oh, ow), (s0, s1, s2, s1, s2))
+    return np.ascontiguousarray(view).reshape(c * kh * kw, oh * ow)
+
+
+def _sample_columns(xs, bounds, kh: int, kw: int):
+    """Yield each sample's columns of the channel-stacked inputs `xs` from one reused zero-bordered buffer."""
+    n, _, h, w = xs[0].data.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((bounds[-1], h + 2 * ph, w + 2 * pw))
+    for s in range(n):
+        for xi, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
+            xp[lo:hi, ph : ph + h, pw : pw + w] = xi.data[s]
+        yield _im2col(xp, kh, kw)
 
 
 def _col2im(cols: np.ndarray, c: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of `_im2col` on a same-padded (n, c, h, w) input: sums each window back."""
-    n, ph, pw = cols.shape[0], kh // 2, kw // 2
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw))
-    blocks = cols.reshape(n, c, kh, kw, h, w)
+    """Adjoint of `_im2col` on one same-padded (c, h, w) sample: sums each window back."""
+    ph, pw = kh // 2, kw // 2
+    out = np.zeros((c, h + 2 * ph, w + 2 * pw))
+    blocks = cols.reshape(c, kh, kw, h, w)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + h, j : j + w] += blocks[:, :, i, j]
-    return out[:, :, ph : h + ph, pw : w + pw]
+            out[:, i : i + h, j : j + w] += blocks[:, i, j]
+    return out[:, ph : h + ph, pw : w + pw]
 
 
 def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
@@ -477,10 +491,19 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
 
     x and kernel may also be matching sequences of inputs (same n, h, w)
     and kernels (same c_out, kh, kw). The result is then
-    sum_i conv(x_i, kernel_i) + bias, computed as one node: the inputs are
-    padded into one channel-stacked buffer, so there is one im2col and one
-    product with the kernels stacked along c_in, and the gradients are split
-    back per input and per kernel. A single input is the 1-tuple case.
+    sum_i conv(x_i, kernel_i) + bias, computed as one node: each sample's
+    inputs are padded into one channel-stacked buffer, so each sample takes
+    one im2col and one product with the kernels stacked along c_in, and the
+    gradients are split back per input and per kernel. A single input is
+    the 1-tuple case.
+
+    No batch's worth of columns is ever held: the forward builds one
+    sample's columns at a time, and the backward builds them again for the
+    kernel gradient and sums the input gradient's windows back one sample
+    at a time, so the node keeps nothing beyond its parents (Chen et al.
+    2016, arXiv:1604.06174). The per-sample kernel products are summed over
+    the batch in one reduction, the order a batched product would use, so
+    the bits are those of one batched im2col.
     """
     xs = tuple(x) if isinstance(x, (tuple, list)) else (x,)
     ks = tuple(kernel) if isinstance(kernel, (tuple, list)) else (kernel,)
@@ -496,16 +519,13 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
             raise ValidationError(f"kernel expects {c_k} input channels, input has {c_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValidationError(f"conv2d pads to 'same' size, which needs odd kernel sizes, got {kh}x{kw}")
-    ph, pw = kh // 2, kw // 2
     bounds = np.cumsum([0] + [xi.data.shape[1] for xi in xs])
-    xp = np.zeros((n, bounds[-1], h + 2 * ph, w + 2 * pw))
-    for xi, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
-        xp[:, lo:hi, ph : ph + h, pw : pw + w] = xi.data
-    cols = _im2col(xp, kh, kw)
-    del xp
     k2s = [ki.data.reshape(c_out, -1) for ki in ks]
     k2 = k2s[0] if len(k2s) == 1 else np.concatenate(k2s, axis=1)
-    y = (k2 @ cols).reshape(n, c_out, h, w)
+    y = np.empty((n, c_out, h * w))
+    for s, cols in enumerate(_sample_columns(xs, bounds, kh, kw)):
+        np.matmul(k2, cols, out=y[s])
+    y = y.reshape(n, c_out, h, w)
     if bias is not None:
         y += bias.data.reshape(1, c_out, 1, 1)
     parents = xs + ks + (() if bias is None else (bias,))
@@ -514,13 +534,19 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
     def back(g):
         g2 = g.reshape(n, c_out, h * w)
         if any(ki.requires_grad for ki in ks):
-            dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+            dks = np.empty((n, c_out, bounds[-1] * kh * kw))
+            for s, cols in enumerate(_sample_columns(xs, bounds, kh, kw)):
+                np.matmul(g2[s], cols.T, out=dks[s])
+            dk = dks.sum(axis=0)
             for ki, lo, hi in zip(ks, bounds[:-1] * (kh * kw), bounds[1:] * (kh * kw)):
                 if ki.requires_grad:
                     ki._accum(dk[:, lo:hi].reshape(ki.data.shape), fresh=True)
         for xi, k2i in zip(xs, k2s):
             if xi.requires_grad:
-                xi._accum(_col2im(np.matmul(k2i.T, g2), xi.data.shape[1], h, w, kh, kw), fresh=True)
+                dx = np.empty(xi.data.shape)
+                for s in range(n):
+                    dx[s] = _col2im(k2i.T @ g2[s], xi.data.shape[1], h, w, kh, kw)
+                xi._accum(dx, fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)), fresh=True)
 

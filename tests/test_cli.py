@@ -909,6 +909,14 @@ class TestManifest:
         outputs = _assert_manifest_covers(os.path.join(out, "rank"))
         assert not [rel for rel in outputs if rel.startswith("weightnet")]
 
+    def test_timing_records_wall_time_and_peak_rss_of_the_same_stages(self, rank_run):
+        timing = json.load(open(os.path.join(rank_run, "timing.json")))
+        assert sorted(timing) == ["stage_peak_rss_mb", "stage_wall_ms"]
+        walls, peaks = timing["stage_wall_ms"], timing["stage_peak_rss_mb"]
+        assert list(walls) == list(peaks) == ["load", "metrics", "rank", "weights"]  # json_text sorts keys
+        ordered = [peaks[stage] for stage in ("load", "metrics", "weights", "rank")]
+        assert 0 < ordered[0] and ordered == sorted(ordered)  # a process's peak never falls
+
     def test_rerun_removes_only_listed_files_inside_the_run_dir(self, tmp_path):
         run = tmp_path / "run"
         (run / "ckpt").mkdir(parents=True)

@@ -407,6 +407,26 @@ class TestGcf:
         parts = [gcf.read_block(path, head, t0, 50) for t0 in range(0, 365, 50)]
         assert np.array_equal(np.concatenate(parts), whole.data)
 
+    def test_shared_parsed_times_check_each_time_list_once(self, tmp_path, year_cube, monkeypatch):
+        import json
+
+        paths = [str(tmp_path / name) for name in ("a", "b", "bad")]
+        for path in paths:
+            gcf.write_cube(year_cube, path)
+        bad_header = os.path.join(paths[2], "header.json")
+        header = json.load(open(bad_header))
+        header["time"][7] = "1985/01/08"
+        json.dump(header, open(bad_header, "w"))
+        parsed, parse_date = [], gcf._parse_date
+        monkeypatch.setattr(gcf, "_parse_date", lambda text: parsed.append(text) or parse_date(text))
+        parsed_times = {}
+        a, b = (gcf.read_header(path, parsed_times) for path in paths[:2])
+        assert b.time is a.time and a.time == gcf.read_header(paths[0]).time
+        assert len(parsed) == 2 * len(year_cube.time)  # the shared list once, then once more unshared
+        with pytest.raises(ValidationError, match=r"header in .*bad: bad ISO date '1985/01/08'"):
+            gcf.read_header(paths[2], parsed_times)
+        assert len(parsed_times) == 1
+
 
 class TestCsvIngestion:
     def _write(self, tmp_path, rows):

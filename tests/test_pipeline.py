@@ -356,6 +356,19 @@ class TestSourceValidation:
         err = capsys.readouterr().err
         assert edited["reference"]["path"] in err and "1985/01/06" in err
 
+    @ARGV_FORMS
+    def test_malformed_model_date_exits_2_naming_the_model(self, tmp_path, setup, capsys, extra):
+        _, config = setup
+        model = config["models"][1]["path"]
+
+        def edit(header):
+            header["time"][9] = "1985-13-10"
+
+        cfg_path, edited = self._edit_headers(tmp_path, config, {model}, edit)
+        assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert edited["models"][1]["path"] in err and "month out of range" in err
+
     @pytest.mark.parametrize(
         "key, value",
         [("fill_value", "x"), ("fill_value", True), ("time", None), ("time", 5), ("lat", None),

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -331,6 +332,29 @@ class TestGraphModes:
             with tc.no_grad():
                 w * w
         assert (w * 2.0).requires_grad
+
+    def test_conv2d_holds_no_batch_of_columns(self):
+        # im2col columns of the whole batch would take n*c*9*h*w float64s
+        n, c, h, w = 8, 4, 16, 16
+        columns = n * c * 9 * h * w * 8
+        rng = SplitMix64(43)
+        x = Tensor(rand(rng, (n, c, h, w)))
+        k = Tensor(rand(rng, (c, c, 3, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = tc.conv2d(x, k)
+            held = tracemalloc.get_traced_memory()[0] - before
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with tc.no_grad():
+                z = tc.conv2d(x, k)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad and not z.requires_grad
+        assert held < columns, f"the graph holds {held} bytes after the forward"
+        assert peak < columns, f"a no_grad forward peaked at {peak} bytes"
 
 
 class TestGradChecks:
