@@ -87,7 +87,7 @@ def cmd_downscale_train(args) -> int:
         overrides["epochs"] = args.epochs
     manifest = pipeline.run_downscale(
         run_dir,
-        archs=tuple(args.arch),
+        archs=tuple(args.arch or dsc.ARCH_KINDS),
         data_path=args.data,
         seed=args.seed if args.seed is not None else 0,
         train_overrides=overrides or None,
@@ -204,8 +204,6 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_selftest)
 
     args = parser.parse_args(argv)
-    if getattr(args, "arch", "missing") is None:
-        args.arch = list(dsc.ARCH_KINDS)
     try:
         return args.func(args)
     except ValidationError as exc:

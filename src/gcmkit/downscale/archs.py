@@ -72,6 +72,8 @@ class ArchConfig:
             raise ValidationError(f"unknown architecture {self.kind!r}")
         if self.factor < 1:
             raise ValidationError("upsample factor must be >= 1")
+        if self.patch < 1:
+            raise ValidationError("patch size must be >= 1")
 
     @property
     def kernel(self) -> int:
@@ -392,26 +394,35 @@ def _size_carriers(cfg: ArchConfig, coarse_hw: Tuple[int, int]):
 def load_model(path: str, coarse_hw: Tuple[int, int], factor: int) -> DownscaleModel:
     """The model saved at `path`, for data of upsample `factor` on a coarse grid of `coarse_hw`.
 
-    A malformed checkpoint, or one that does not fit the data (`check_fit`),
-    raises ValidationError naming it before any state is loaded. The
-    config's sizes are checked against the checkpoint's entry shapes before
-    the model is built, so an edited size cannot exhaust memory.
+    A malformed checkpoint, or one that does not fit the data, raises
+    ValidationError naming it before any state is loaded. The data is
+    checked first (`check_fit`), then the config's sizes against the
+    checkpoint's entry shapes, before the model is built, so an edited size
+    cannot exhaust memory. A shape that differs names the data's coarse
+    grid, since a checkpoint trained on another grid fails there too.
     """
     arrays, meta = tc.load_checkpoint(path)
     meta = parse(meta, META_FIELDS, f"checkpoint {path} meta")
+    bad_config = f"checkpoint {path} holds a bad architecture config"
     try:
         cfg = ArchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()})
-        for name, shape in _size_carriers(cfg, coarse_hw):
-            if name not in arrays or arrays[name].shape != shape:
-                found = arrays[name].shape if name in arrays else "no such entry"
-                raise ValueError(f"it implies entry {name!r} of shape {shape}, the checkpoint holds {found}")
-        model = build_model(cfg, coarse_hw)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"checkpoint {path} holds a bad architecture config: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{bad_config}: {exc}") from None
     try:
         check_fit(cfg, coarse_hw, factor)
     except ValidationError as exc:
         raise ValidationError(f"checkpoint {path} does not fit the data: {exc}") from None
+    try:
+        misfit = next(((name, shape) for name, shape in _size_carriers(cfg, coarse_hw)
+                       if name not in arrays or arrays[name].shape != shape), None)
+        model = None if misfit else build_model(cfg, coarse_hw)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{bad_config}: {exc}") from None
+    if misfit:
+        name, shape = misfit
+        found = arrays[name].shape if name in arrays else "no such entry"
+        raise ValidationError(f"checkpoint {path} does not fit coarse grid {tuple(coarse_hw)}: "
+                              f"it implies entry {name!r} of shape {shape}, the checkpoint holds {found}")
     model.step_count = meta["step"]
     tc.load_state(model.state_entries(), arrays, path)
     return model

@@ -20,8 +20,7 @@ CALENDARS = ("standard", "noleap", "360_day")
 
 _DAYS_STD = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
-# Zone codes used by ZoneMask rasters.
-ZONE_OCEAN = 0
+# Zone codes used by ZoneMask rasters; 0 is ocean.
 ZONE_TROPICAL = 1
 ZONE_ARID = 2
 ZONE_TEMPERATE = 3

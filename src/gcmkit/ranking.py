@@ -35,7 +35,6 @@ from . import tensorcore as tc
 # better). Bias is folded to |bias| before it reaches the matrix, because
 # vector normalization of a signed column would break cost monotonicity.
 BENEFIT_METRICS = frozenset({"kge", "nse", "r", "r2", "pdf_overlap"})
-COST_METRICS = frozenset({"bias", "rmse", "txx_err", "tnn_err", "sd_diff"})
 
 # The nine default ranking criteria; r2 is available via config.
 DEFAULT_CRITERIA_NAMES = (

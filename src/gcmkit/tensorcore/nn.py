@@ -30,10 +30,6 @@ def he_uniform(rng: SplitMix64, shape, fan_in: int) -> np.ndarray:
 
 def dense(x: Tensor, weight: Tensor, bias_t: Tensor) -> Tensor:
     """Affine map x @ W + b for x (n, d_in), W (d_in, d_out), b (d_out)."""
-    if x.data.shape[-1] != weight.data.shape[0]:
-        raise ValidationError(
-            f"dense: input dim {x.data.shape[-1]} does not match weight dim {weight.data.shape[0]}"
-        )
     return x @ weight + bias_t
 
 
@@ -43,10 +39,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     Q (..., Lq, d_k), K (..., Lk, d_k), V (..., Lk, d_v); the softmax runs
     over the key axis, so every attention row sums to 1.
     """
-    if q.data.shape[-1] != k.data.shape[-1]:
-        raise ValidationError("query and key dims disagree")
-    if k.data.shape[-2] != v.data.shape[-2]:
-        raise ValidationError("key and value sequence lengths disagree")
     d_k, nd = q.data.shape[-1], k.data.ndim
     scores = (q @ k.transpose((*range(nd - 2), nd - 1, nd - 2))) * (1.0 / math.sqrt(d_k))
     return softmax(scores, axis=-1) @ v
@@ -103,8 +95,6 @@ class Conv2d(Module):
     """Stride-1, same-padded convolution with an odd k x k kernel."""
 
     def __init__(self, rng, c_in, c_out, k, name="conv"):
-        if k % 2 == 0:
-            raise ValidationError("conv kernels use an odd size (radius-based)")
         self.name = name
         self.w = Tensor(he_uniform(rng, (c_out, c_in, k, k), c_in * k * k), requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
@@ -148,8 +138,6 @@ class LSTMCell(Module):
 
 class ConvLSTMCell(Module):
     def __init__(self, rng, c_in, c_h, k, name="convlstm", bn: Optional["BatchNorm2d"] = None):
-        if k % 2 == 0:
-            raise ValidationError("convlstm kernels use an odd size")
         self.name, self.hidden = name, c_h
         self.wx = Tensor(he_uniform(rng, (4 * c_h, c_in, k, k), c_in * k * k), requires_grad=True)
         self.wh = Tensor(he_uniform(rng, (4 * c_h, c_h, k, k), c_h * k * k), requires_grad=True)

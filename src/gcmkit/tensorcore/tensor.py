@@ -1,7 +1,10 @@
 """Reverse-mode autodiff over numpy arrays.
 
-An op whose output requires a gradient records a node: its parents and a
-backward closure. `backward()` on a scalar output walks that graph once in
+Each op builds its output node in one call, `Tensor(value, _parents=...,
+_op=..., _back=closure)`. The node keeps its parents and its backward
+closure only when it requires a gradient, that is when some parent does
+and grad mode is on; so a closure runs only for a node whose parents need
+a gradient. `backward()` on a scalar output walks that graph once in
 reverse topological order. Parents are kept as ordered tuples and the
 traversal is iterative, so gradient accumulation order is fixed and runs
 are bit-reproducible. As soon as a non-leaf node's backward has run, the
@@ -23,7 +26,9 @@ Hot composites are single fused nodes with hand-written backwards: the
 LSTM gate step (`lstm_gates`, two nodes: cell state and hidden state),
 `batch_norm` and `layer_norm`. Their backwards evaluate the same
 expressions, in the same order, as the composite graphs they replace,
-except that the normalizations use the closed-form input gradient.
+except that the normalizations use the closed-form input gradient; they
+rebuild the normalized input from their parent in backward rather than
+hold it.
 There is one convolution form and one transposed form. `conv2d` is
 stride 1 with "same" padding; it takes one input and kernel or matching
 sequences of them: a sum of convolutions is one node over the
@@ -92,27 +97,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_back", "op", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
+    def __init__(self, data, requires_grad=False, _parents=(), _op="leaf", _back=None):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise NumericFault(f"non-finite values produced by op {_op!r}")
         self.requires_grad = bool(requires_grad) or (
             _grad_mode.enabled and any(p.requires_grad for p in _parents)
         )
+        # a node that needs no gradient keeps no parents and no closure: closures hold parents
         self._parents = _parents if self.requires_grad else ()
+        self._back = _back if self.requires_grad else None
         self.grad = np.zeros_like(self.data) if (self.requires_grad and not self._parents) else None
-        self._back = None
         self.op = _op
-
-    @property
-    def _backward(self):
-        return self._back
-
-    @_backward.setter
-    def _backward(self, fn):
-        # a node that needs no gradient keeps no closure: closures hold parents
-        if self.requires_grad:
-            self._back = fn
 
     # -- graph ----------------------------------------------------------
 
@@ -199,7 +195,6 @@ class Tensor:
 
     def __add__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data + other.data, _parents=(self, other), _op="add")
 
         def back(g):
             if self.requires_grad:
@@ -207,14 +202,12 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(g, other.data.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data + other.data, _parents=(self, other), _op="add", _back=back)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = self._lift(other)
-        out = Tensor(self.data * other.data, _parents=(self, other), _op="mul")
 
         def back(g):
             if self.requires_grad:
@@ -222,8 +215,7 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(g * self.data, other.data.shape), fresh=True)
 
-        out._backward = back
-        return out
+        return Tensor(self.data * other.data, _parents=(self, other), _op="mul", _back=back)
 
     __rmul__ = __mul__
 
@@ -240,7 +232,6 @@ class Tensor:
             raise ValidationError("matmul needs tensors with ndim >= 2")
         if a.shape[-1] != b.shape[-2]:
             raise ValidationError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-        out = Tensor(a @ b, _parents=(self, other), _op="matmul")
 
         def back(g):
             if self.requires_grad:
@@ -248,34 +239,27 @@ class Tensor:
             if other.requires_grad:
                 other._accum(_unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape), fresh=True)
 
-        out._backward = back
-        return out
+        return Tensor(a @ b, _parents=(self, other), _op="matmul", _back=back)
 
     # -- shape ----------------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), _parents=(self,), _op="reshape")
 
         def back(g):
-            if self.requires_grad:
-                self._accum(g.reshape(self.data.shape))
+            self._accum(g.reshape(self.data.shape))
 
-        out._backward = back
-        return out
+        return Tensor(self.data.reshape(shape), _parents=(self,), _op="reshape", _back=back)
 
     def transpose(self, axes):
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))
-        out = Tensor(self.data.transpose(axes), _parents=(self,), _op="transpose")
 
         def back(g):
-            if self.requires_grad:
-                self._accum(g.transpose(inverse))
+            self._accum(g.transpose(inverse))
 
-        out._backward = back
-        return out
+        return Tensor(self.data.transpose(axes), _parents=(self,), _op="transpose", _back=back)
 
     def __getitem__(self, key):
         """Basic indexing only (ints, slices, None, Ellipsis): the gradient
@@ -285,24 +269,18 @@ class Tensor:
             if not (k is None or k is Ellipsis or isinstance(k, slice)
                     or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))):
                 raise ValidationError(f"Tensor indexing takes ints, slices, None and Ellipsis, got {k!r}")
-        out = Tensor(self.data[key], _parents=(self,), _op="slice")
 
         def back(g):
-            if self.requires_grad:
-                self._accum_at(key, g)
+            self._accum_at(key, g)
 
-        out._backward = back
-        return out
+        return Tensor(self.data[key], _parents=(self,), _op="slice", _back=back)
 
     # -- reductions ------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _op="sum")
         shape = self.data.shape
 
         def back(g):
-            if not self.requires_grad:
-                return
             if axis is None:
                 self._accum(np.broadcast_to(g, shape).copy() if np.ndim(g) else np.full(shape, g), fresh=True)
             else:
@@ -313,8 +291,7 @@ class Tensor:
                         gg = np.expand_dims(gg, ax)
                 self._accum(np.broadcast_to(gg, shape).copy(), fresh=True)
 
-        out._backward = back
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), _parents=(self,), _op="sum", _back=back)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -327,14 +304,10 @@ class Tensor:
     # -- elementwise nonlinear -------------------------------------------
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), _parents=(self,), _op="relu")
-
         def back(g):
-            if self.requires_grad:
-                self._accum(g * (self.data > 0.0), fresh=True)
+            self._accum(g * (self.data > 0.0), fresh=True)
 
-        out._backward = back
-        return out
+        return Tensor(np.maximum(self.data, 0.0), _parents=(self,), _op="relu", _back=back)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -342,15 +315,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     z = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / np.sum(e, axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(x,), _op="softmax")
 
     def back(g):
-        if x.requires_grad:
-            dot = np.sum(g * y, axis=axis, keepdims=True)
-            x._accum(y * (g - dot), fresh=True)
+        dot = np.sum(g * y, axis=axis, keepdims=True)
+        x._accum(y * (g - dot), fresh=True)
 
-    out._backward = back
-    return out
+    return Tensor(y, _parents=(x,), _op="softmax", _back=back)
 
 
 def lstm_gates(z: Tensor, c_prev: Tensor = None):
@@ -368,8 +338,6 @@ def lstm_gates(z: Tensor, c_prev: Tensor = None):
     g = np.tanh(z.data[bands[3]])
     c = i * g if c_prev is None else f * c_prev.data + i * g
     tanh_c = np.tanh(c)
-    c_t = Tensor(c, _parents=(z,) if c_prev is None else (z, c_prev), _op="lstm_cell_state")
-    h_t = Tensor(o * tanh_c, _parents=(z, c_t), _op="lstm_hidden")
 
     def back_c(gc):
         if z.requires_grad:
@@ -380,15 +348,15 @@ def lstm_gates(z: Tensor, c_prev: Tensor = None):
         if c_prev is not None and c_prev.requires_grad:
             c_prev._accum(gc * f, fresh=True)
 
+    c_t = Tensor(c, _parents=(z,) if c_prev is None else (z, c_prev), _op="lstm_cell_state", _back=back_c)
+
     def back_h(gh):
         if z.requires_grad:
             z._accum_at(bands[2], gh * tanh_c * o * (1.0 - o))
         if c_t.requires_grad:
             c_t._accum(gh * o * (1.0 - tanh_c * tanh_c), fresh=True)
 
-    c_t._backward = back_c
-    h_t._backward = back_h
-    return h_t, c_t
+    return Tensor(o * tanh_c, _parents=(z, c_t), _op="lstm_hidden", _back=back_h), c_t
 
 
 def _normalize(
@@ -411,12 +379,11 @@ def _normalize(
         mu, var = (np.reshape(s, bshape) for s in stats)
         centered = x.data - mu
     std = np.sqrt(var + eps)
-    xhat = np.divide(centered, std, out=centered)
-    y = xhat * scale
+    y = np.divide(centered, std, out=centered) * scale
     y += beta.data.reshape(bshape)
-    out = Tensor(y, _parents=(x, gamma, beta), _op=op)
 
     def back(g):
+        xhat = np.divide(x.data - mu, std)  # rebuilt, not held: the same bits as the forward's
         if x.requires_grad:
             dxhat = g * scale
             if stats is None:  # the batch statistics depend on x too
@@ -431,8 +398,7 @@ def _normalize(
         if beta.requires_grad:
             beta._accum(g.sum(axis=param_axes).reshape(beta.data.shape), fresh=True)
 
-    out._backward = back
-    return out, mu, var
+    return Tensor(y, _parents=(x, gamma, beta), _op=op, _back=back), mu, var
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
@@ -528,8 +494,6 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
     y = y.reshape(n, c_out, h, w)
     if bias is not None:
         y += bias.data.reshape(1, c_out, 1, 1)
-    parents = xs + ks + (() if bias is None else (bias,))
-    out = Tensor(y, _parents=parents, _op="conv2d")
 
     def back(g):
         g2 = g.reshape(n, c_out, h * w)
@@ -550,8 +514,7 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)), fresh=True)
 
-    out._backward = back
-    return out
+    return Tensor(y, _parents=xs + ks + (() if bias is None else (bias,)), _op="conv2d", _back=back)
 
 
 def conv2d_transpose(x: Tensor, kernel: Tensor, bias: Tensor = None) -> Tensor:
@@ -576,8 +539,6 @@ def conv2d_transpose(x: Tensor, kernel: Tensor, bias: Tensor = None) -> Tensor:
     y = blocks.transpose(0, 1, 4, 2, 5, 3).reshape(n, c_in, h * k, w * k)
     if bias is not None:
         y += bias.data.reshape(1, c_in, 1, 1)
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    out = Tensor(y, _parents=parents, _op="conv2d_transpose")
 
     def back(g):
         gblocks = g.reshape(n, c_in, h, k, w, k).transpose(0, 1, 3, 5, 2, 4)
@@ -590,5 +551,4 @@ def conv2d_transpose(x: Tensor, kernel: Tensor, bias: Tensor = None) -> Tensor:
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)), fresh=True)
 
-    out._backward = back
-    return out
+    return Tensor(y, _parents=(x, kernel) + (() if bias is None else (bias,)), _op="conv2d_transpose", _back=back)

@@ -671,28 +671,35 @@ class TestDownscaleCli:
         assert main(["downscale", "eval", "--ckpt", str(tmp_path / "ds" / "cnn_lstm.ckpt"), "--data", str(spec),
                      "--report", str(tmp_path / "eval.csv")]) == 0
 
-    def test_eval_on_a_pair_of_another_factor_exits_2_before_predicting(self, tmp_path, capsys, vit_ckpt,
-                                                                        monkeypatch):
+    @pytest.mark.parametrize("factor, side, why", [
+        (2, 16, "does not fit the data: dataset factor 2 does not match config factor 4"),
+        (4, 18, "does not fit the data: vit: patch size 4 does not divide grid (18, 18)"),
+        (4, 24, "does not fit coarse grid (24, 24): it implies entry 'pos' of shape (36, 64), the checkpoint holds (16, 64)"),
+    ], ids=["factor-2", "grid-18x18", "grid-24x24"])
+    def test_eval_on_data_the_checkpoint_does_not_fit_exits_2_before_predicting(
+            self, tmp_path, capsys, vit_ckpt, monkeypatch, factor, side, why):
         """The bundled benchmark's vit upsamples by 4 from a 16x16 grid; a
-        factor-2 pair on the same coarse grid is refused up front, naming
-        the checkpoint and both factors."""
+        pair of another factor or on another coarse grid is refused up
+        front as a misfit of the data, not as a bad config, naming the
+        checkpoint and what differs."""
         from gcmkit import downscale as dsc
         from gcmkit.geogrid import synth_pair
 
-        coarse, fine = synth_pair(3, 2, 30, 32, 32)
+        coarse, fine = synth_pair(3, factor, 30, factor * side, factor * side)
         gcf.write_cube(coarse, str(tmp_path / "coarse"))
         gcf.write_cube(fine, str(tmp_path / "fine"))
         spec = tmp_path / "pair.json"
         spec.write_text(json.dumps({"coarse": str(tmp_path / "coarse"), "fine": str(tmp_path / "fine"), "window": 4}))
 
         def no_predict(*args, **kwargs):
-            raise AssertionError("predicted before the factor check")
+            raise AssertionError("predicted before the fit check")
 
         monkeypatch.setattr(dsc, "predict_dataset", no_predict)
         argv = ["downscale", "eval", "--ckpt", vit_ckpt, "--data", str(spec), "--report", str(tmp_path / "eval.csv")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert vit_ckpt in err and "dataset factor 2 does not match config factor 4" in err
+        assert f"checkpoint {vit_ckpt} {why}" in err
+        assert "bad architecture config" not in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "eval.csv")
 
     def test_arch_that_misfits_the_data_exits_2_before_any_training(self, tmp_path, capsys):
@@ -776,6 +783,7 @@ class TestDownscaleCli:
             lambda manifest: manifest["meta"].pop("config"),
             lambda manifest: manifest["meta"]["config"].update(colour="red"),
             lambda manifest: manifest["meta"]["config"].update(heads=0),
+            lambda manifest: manifest["meta"]["config"].update(patch=0),
             lambda manifest: manifest["meta"]["config"].update(layers=1),
             lambda manifest: manifest["entries"].pop(),  # norm.out_sd, the last entry
             lambda manifest: manifest["meta"]["config"].update(embed_dim=10**12),
@@ -786,8 +794,8 @@ class TestDownscaleCli:
             lambda manifest: manifest["meta"]["config"].update(temporal_mode="recurrent"),  # older checkpoints hold it
         ],
         ids=["manifest-not-json", "manifest-without-total", "meta-without-config", "unknown-config-key",
-             "zero-heads", "config-short-of-entries", "missing-norm-entry", "huge-embed-dim", "negative-offset",
-             "unknown-meta-key", "overlapping-entries", "bool-offset", "removed-temporal-mode"],
+             "zero-heads", "zero-patch", "config-short-of-entries", "missing-norm-entry", "huge-embed-dim",
+             "negative-offset", "unknown-meta-key", "overlapping-entries", "bool-offset", "removed-temporal-mode"],
     )
     def test_malformed_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vit_ckpt, edit):
         ckpt = tmp_path / "vit.ckpt"

@@ -207,8 +207,8 @@ def reference_backward(loss):
             stack.extend((p, False) for p in node._parents if id(p) not in seen)
     loss._accum(np.ones_like(loss.data))
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+        if node._back is not None:
+            node._back(node.grad)
 
 
 class TestGraphLifetime:
@@ -253,7 +253,7 @@ class TestGraphLifetime:
         with tc.no_grad():
             got = model.forward(x, coords=coords, training=False)
         assert np.array_equal(got.data, want)
-        assert built and all(t._parents == () and t._backward is None and not t.requires_grad for t in built)
+        assert built and all(t._parents == () and t._back is None and not t.requires_grad for t in built)
         for (_, p), (buffer, before) in zip(model.params(), grads):
             assert p.grad is buffer and np.array_equal(p.grad, before)
 

@@ -333,6 +333,36 @@ class TestGraphModes:
                 w * w
         assert (w * 2.0).requires_grad
 
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_ops_on_inputs_without_gradients_keep_no_node(self, name, monkeypatch):
+        f, params = OPS[name](SplitMix64(zlib.crc32(name.encode()) & 0xFFFF))
+        for p in params:
+            p.requires_grad = False
+        built = []
+        real_init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        f()
+        assert built and all(t._parents == () and t._back is None and not t.requires_grad for t in built)
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_one_parameter_alone_gets_the_same_gradient_bits(self, name):
+        # with the other parameters off, every closure still runs only for the
+        # parents that need it, and sums in the same order
+        f, params = OPS[name](SplitMix64(zlib.crc32(name.encode()) & 0xFFFF))
+        f().backward()
+        want = [p.grad.copy() for p in params]
+        for p, w in zip(params, want):
+            for q in params:
+                q.requires_grad = q is p
+            p.zero_grad()
+            f().backward()
+            assert np.array_equal(p.grad, w)
+
     def test_conv2d_holds_no_batch_of_columns(self):
         # im2col columns of the whole batch would take n*c*9*h*w float64s
         n, c, h, w = 8, 4, 16, 16
@@ -374,13 +404,10 @@ class TestGradChecks:
         x = Tensor(np.array([0.7, -0.3]), requires_grad=True)
 
         def broken_square(v):
-            out = Tensor(v.data ** 2, _parents=(v,), _op="broken")
-
             def back(g):
                 v._accum(g * 3.0 * v.data)  # wrong: true rule is 2x
 
-            out._backward = back
-            return out
+            return Tensor(v.data ** 2, _parents=(v,), _op="broken", _back=back)
 
         err = tc.grad_check(lambda: broken_square(x).sum(), [x])
         assert err > 1e-2
