@@ -27,7 +27,7 @@ from .evaluate import (
     comparison_table,
     predict_dataset,
 )
-from .presets import desk_arch_config, desk_train_config
+from .presets import desk_train_config
 from .trainer import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "capacity_set",
     "check_fit",
     "comparison_table",
-    "desk_arch_config",
     "desk_train_config",
     "imbalance_weighted_mse",
     "load_model",

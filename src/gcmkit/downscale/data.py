@@ -67,10 +67,7 @@ class DownscaleDataset:
         )
 
     def patch_coords(self, patch: int) -> np.ndarray:
-        """Patch-center (lat, lon) per token, min-max normalized to [-1, 1]."""
-        hc, wc = self.coarse_hw
-        if hc % patch or wc % patch:
-            raise ValidationError(f"patch size {patch} does not divide coarse grid ({hc}, {wc})")
+        """Patch-center (lat, lon) per token, min-max normalized to [-1, 1]; `patch` divides the grid (`check_fit`)."""
         lat_c = self.coarse_lat.values.reshape(-1, patch).mean(axis=1)
         lon_c = self.coarse_lon.values.reshape(-1, patch).mean(axis=1)
 

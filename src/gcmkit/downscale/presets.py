@@ -1,4 +1,4 @@
-"""Desk-scale default configurations per architecture.
+"""Desk-scale training configurations per architecture.
 
 The desk setup downscales 16x16 coarse frames to a 64x64 fine grid
 (factor 4) from 4-frame windows, sized so a full train-and-evaluate pass
@@ -9,10 +9,10 @@ more aggressive steps.
 
 Two training phases are preconfigured: "capacity" (small-batch overfit of
 the fixed 8-sample set) and "benchmark" (mini-batch training on the
-bundled 160-window training split).
+bundled 160-window training split). The architectures' desk sizes are
+`ArchConfig`'s defaults.
 """
 
-from .archs import ArchConfig
 from .trainer import TrainConfig
 
 _LR = {"cnn_lstm": 1e-3, "convlstm": 5e-3, "vit": 3e-3, "geostanet": 3e-3}
@@ -28,10 +28,6 @@ _BENCHMARK = {
     "vit": dict(epochs=40, batch_size=16),
     "geostanet": dict(epochs=40, batch_size=16),
 }
-
-
-def desk_arch_config(kind: str, seed: int = 0) -> ArchConfig:
-    return ArchConfig(kind=kind, seed=seed)
 
 
 def desk_train_config(kind: str, phase: str = "benchmark") -> TrainConfig:

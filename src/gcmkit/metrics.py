@@ -110,9 +110,6 @@ class MetricReport:
             raise ValidationError(f"unknown metric {name!r}")
         return getattr(self, name)
 
-    def valid(self, name: str) -> bool:
-        return self.flags.get(name, True)
-
     def as_dict(self) -> dict:
         out = {name: self.value(name) for name in METRIC_NAMES}
         out["n"] = self.n

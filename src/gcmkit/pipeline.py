@@ -39,18 +39,16 @@ from .geogrid import (
 from .metrics import BLOCK, MAX_BINS, METRIC_NAMES, ZONE_OVERALL, context_index, report_rows_to_csv, sweep
 from .ranking import (
     DEFAULT_CRITERIA_NAMES,
-    Criterion,
     WeightNet,
     WeightNetConfig,
     assemble_matrix,
-    default_criteria,
     heatmap_csv,
     order_by_cc,
     rank_all,
     train_weightnet,
 )
 from . import downscale as dsc
-from .downscale.presets import desk_arch_config, desk_train_config
+from .downscale.presets import desk_train_config
 from .downscale.trainer import MAX_EPOCHS
 from .spec import ABSENT, FLOAT_MAX, POSITIVE, Field, parse, read_json
 from .tensorcore import encode_checkpoint
@@ -98,7 +96,7 @@ class PipelineConfig:
     mask: str
     seasons: Tuple[str, ...]
     zones: Tuple[str, ...]
-    criteria: List[Criterion]
+    criteria: List[str]
     weights: object  # "uniform" | "train" | {"checkpoint": path}
     pdf_bins: int
     weightnet: WeightNetConfig
@@ -136,7 +134,7 @@ class PipelineConfig:
             mask=cfg["mask"],
             seasons=tuple(cfg["seasons"]),
             zones=tuple(cfg["zones"]),
-            criteria=default_criteria(tuple(cfg["criteria"]) or DEFAULT_CRITERIA_NAMES),
+            criteria=list(cfg["criteria"] or DEFAULT_CRITERIA_NAMES),
             weights=cfg["weights"],
             pdf_bins=cfg["pdf_bins"],
             weightnet=WeightNetConfig(**cfg.get("weightnet", {}), seed=cfg["seed"]),
@@ -212,31 +210,23 @@ def run_rank(config: PipelineConfig, run_dir: str) -> RunManifest:
         reports = {ctx: [(label, per_model[label][ctx]) for label in models] for ctx, _, _ in index}
 
     with manifest.stage("weights"):
+        # every context scores every configured criterion, so one net trains on and weighs them all
         matrices = [assemble_matrix(reports[ctx], config.criteria, context=ctx) for ctx in sorted(reports)]
-        names = [c.name for c in config.criteria]
         net = None
         if config.weights == "train":
-            # a context that dropped a criterion is ranked with uniform(fallback) weights
-            trained_on = [dm for dm in matrices if dm.has_criteria(names)]
-            if not trained_on:
-                dropped = {"/".join(dm.context): [c.name for c in config.criteria if c not in dm.criteria]
-                           for dm in matrices}
-                raise ValidationError(f"[weights] every context dropped a criterion, so the weight net has none "
-                                      f"to train on: {dropped}")
-            net, epoch_mse = train_weightnet(trained_on, config.weightnet)
+            net, epoch_mse = train_weightnet(matrices, config.weightnet)
             for name, blob in encode_checkpoint(*net.checkpoint()).items():
                 manifest.put(f"weightnet.ckpt/{name}", blob)
         elif isinstance(config.weights, dict):
             path = config.weights["checkpoint"]
             net = WeightNet.load(path)
-            _require(list(net.criteria) == names, "weights",
-                     f"checkpoint {path} weighs criteria {list(net.criteria)}, but the config ranks {names}")
+            _require(list(net.criteria) == config.criteria, "weights", f"checkpoint {path} weighs criteria "
+                     f"{list(net.criteria)}, but the config ranks {config.criteria}")
 
     with manifest.stage("rank"):
         results = rank_all(matrices, net)
         if config.weights == "train":
-            fit = [np.mean((res.weights.w - dm.target.w) ** 2)
-                   for dm, res in zip(matrices, results) if res.source == "weightnet"]
+            fit = [np.mean((res.weights.w - dm.target.w) ** 2) for dm, res in zip(matrices, results)]
             history = {"epoch_mse": epoch_mse, "context_mse": float(np.mean(fit))}
             manifest.put("weightnet_history.json", json.dumps(history, indent=1) + "\n")
         _write_rank_outputs(manifest, config, reports, results)
@@ -271,7 +261,7 @@ def _write_rank_outputs(manifest, config, reports, results) -> None:
 
     weights_obj = {
         "/".join(res.context): {"weights": [float(v) for v in res.weights.w], "source": res.source,
-                                "criteria": [c.name for c in res.criteria]}
+                                "criteria": config.criteria}
         for res in results
     }
     manifest.put("weights.json", json_text(weights_obj))
@@ -308,7 +298,7 @@ def run_downscale(
 
     with manifest.stage("data"):
         train_set, test_set = dsc.spec_split(data_spec, f"data spec {data_path}") if data_path else dsc.benchmark_sets()
-        cfgs = {kind: replace(desk_arch_config(kind, seed=seed), factor=train_set.factor) for kind in archs}
+        cfgs = {kind: dsc.ArchConfig(kind=kind, seed=seed, factor=train_set.factor) for kind in archs}
         for cfg in cfgs.values():
             dsc.check_fit(cfg, train_set.coarse_hw, train_set.factor)
 

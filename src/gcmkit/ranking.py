@@ -8,16 +8,19 @@ either from a static uniform vector or from a small softmax network
 trained to reproduce entropy-method weights from per-column summary
 features, which keeps the weighting data-driven and reproducible.
 
+A criterion is a metric name; it is a benefit when higher is better
+(`BENEFIT_METRICS`) and a cost otherwise. Every context scores every
+configured criterion, in order. A criterion with no valid value in a
+context is an all-zero column there: vector normalization keeps it at
+zero and its entropy is 1, so it moves neither TOPSIS distance and earns
+no entropy weight. One weight net therefore weighs every context.
+
 A rank builds each context's decision matrix once, and the matrix keeps
 its features and entropy targets once computed, so training, evaluation
 and ranking share them and the net predicts each context's weights once.
-A weight net holds the criterion names it weighs, and `has_criteria` alone
-decides where they apply: a context that dropped a criterion is ranked
-with uniform weights, and its result names their source `uniform(fallback)`.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -50,36 +53,20 @@ DEFAULT_CRITERIA_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class Criterion:
-    name: str
-    orientation: str = ""
-
-    def __post_init__(self):
-        if self.name not in METRIC_NAMES:
-            raise ValidationError(f"unknown criterion {self.name!r}")
-        if not self.orientation:
-            orient = "benefit" if self.name in BENEFIT_METRICS else "cost"
-            object.__setattr__(self, "orientation", orient)
-        if self.orientation not in ("benefit", "cost"):
-            raise ValidationError(f"orientation must be benefit or cost, got {self.orientation!r}")
-
-
-def default_criteria(names: Sequence[str] = DEFAULT_CRITERIA_NAMES) -> List[Criterion]:
-    return [Criterion(n) for n in names]
-
-
 @dataclass(eq=False)
 class DecisionMatrix:
     """Models x criteria value matrix for one (zone, season) context; its values are read-only,
     so its features and entropy targets are computed once, on first use."""
 
     models: List[str]
-    criteria: List[Criterion]
+    criteria: List[str]
     values: np.ndarray
     context: Tuple[str, str] = ("", "")
 
     def __post_init__(self):
+        unknown = [name for name in self.criteria if name not in METRIC_NAMES]
+        if unknown:
+            raise ValidationError(f"unknown criteria {unknown}")
         v = np.array(self.values, dtype=np.float64)
         if v.shape != (len(self.models), len(self.criteria)):
             raise ValidationError(
@@ -93,10 +80,6 @@ class DecisionMatrix:
             raise ValidationError("decision matrix contains non-finite entries")
         v.setflags(write=False)
         self.values = v
-
-    def has_criteria(self, names: Sequence[str]) -> bool:
-        """Whether this context scores exactly `names`, in order: the one rule for where a weight net applies."""
-        return [c.name for c in self.criteria] == list(names)
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -144,9 +127,8 @@ class RankingResult:
     d_plus: np.ndarray
     d_minus: np.ndarray
     order: List[str] = field(default_factory=list)
-    criteria: List[Criterion] = field(default_factory=list)  # the columns actually scored
     weights: Optional[WeightVector] = None
-    source: str = ""  # "weightnet", "uniform" or "uniform(fallback)"
+    source: str = ""  # "weightnet" or "uniform"
 
     def __post_init__(self):
         if not self.order:
@@ -155,37 +137,30 @@ class RankingResult:
 
 def assemble_matrix(
     reports: Sequence[Tuple[str, MetricReport]],
-    criteria: Sequence[Criterion],
+    criteria: Sequence[str],
     context: Tuple[str, str] = ("", ""),
 ) -> DecisionMatrix:
-    """Build the decision matrix from per-model reports.
+    """Build the decision matrix from per-model reports, one column per criterion, in order.
 
     Bias enters as |bias|. Entries whose metric is flagged invalid are
     imputed with the worst valid value in their column (max for cost, min
     for benefit) so a degenerate metric can never reward a model; a column
-    with no valid value at all is dropped with a warning.
+    with no valid value at all is all zero, which makes it inert. A context
+    with no valid value in any column cannot be ranked.
     """
-    labels = [label for label, _ in reports]
-    cols = []
-    kept: List[Criterion] = []
-    for j, crit in enumerate(criteria):
-        raw = []
-        for _, rep in reports:
-            v = rep.value(crit.name)
-            if v is not None and crit.name == "bias":
-                v = abs(v)
-            raw.append(v)
+    cols, usable = [], False
+    for name in criteria:
+        raw = [rep.value(name) for _, rep in reports]
+        raw = [abs(v) if v is not None and name == "bias" else v for v in raw]
         valid = [v for v in raw if v is not None]
-        if not valid:
-            warnings.warn(f"criterion {crit.name!r} has no valid value in context {context}; dropped")
-            continue
-        worst = max(valid) if crit.orientation == "cost" else min(valid)
+        usable = usable or bool(valid)
+        worst = (min(valid) if name in BENEFIT_METRICS else max(valid)) if valid else 0.0
         cols.append([worst if v is None else v for v in raw])
-        kept.append(crit)
-    if not kept:
+    if not usable:
         raise ValidationError(f"no usable criteria in context {context}")
     values = np.array(cols, dtype=np.float64).T
-    return DecisionMatrix(models=labels, criteria=kept, values=values, context=context)
+    return DecisionMatrix(models=[label for label, _ in reports], criteria=list(criteria), values=values,
+                          context=context)
 
 
 def normalize(matrix: Union[DecisionMatrix, np.ndarray]) -> np.ndarray:
@@ -202,45 +177,27 @@ def normalize(matrix: Union[DecisionMatrix, np.ndarray]) -> np.ndarray:
     return out
 
 
-def topsis_score(
-    n_matrix: np.ndarray,
-    weights: WeightVector,
-    criteria: Sequence[Criterion],
-    models: Sequence[str],
-    context: Tuple[str, str] = ("", ""),
-) -> RankingResult:
-    """Score every model by closeness to the ideal point.
+def topsis(dm: DecisionMatrix, weights: WeightVector, source: str = "") -> RankingResult:
+    """Score every model of `dm` by closeness to the ideal point under `weights`, which came from `source`.
 
-    Weighted matrix W = w_j * N_ij; the ideal takes per-column max for
-    benefit criteria and min for cost criteria (the anti-ideal the
-    opposite); distances are Euclidean and CC = D-/(D+ + D-). When a model
-    ties the ideal and anti-ideal simultaneously (all models identical),
-    its CC is 0.5 by convention.
+    Weighted matrix W = w_j * N_ij of the normalized matrix N; the ideal
+    takes per-column max for benefit criteria and min for cost criteria
+    (the anti-ideal the opposite); distances are Euclidean and
+    CC = D-/(D+ + D-). When a model ties the ideal and anti-ideal
+    simultaneously (all models identical), its CC is 0.5 by convention.
     """
-    n_matrix = np.asarray(n_matrix, dtype=np.float64)
-    if n_matrix.shape[1] != len(criteria):
-        raise ValidationError("normalized matrix columns do not match criteria")
-    if n_matrix.shape[0] != len(models):
-        raise ValidationError("normalized matrix rows do not match models")
-    if len(weights) != len(criteria):
+    if len(weights) != len(dm.criteria):
         raise ValidationError("weight count does not match criteria")
-    w = weights.w
-    weighted = n_matrix * w[None, :]
-    benefit = np.array([c.orientation == "benefit" for c in criteria])
+    weighted = normalize(dm) * weights.w[None, :]
+    benefit = np.array([name in BENEFIT_METRICS for name in dm.criteria])
     ideal = np.where(benefit, weighted.max(axis=0), weighted.min(axis=0))
     anti = np.where(benefit, weighted.min(axis=0), weighted.max(axis=0))
     d_plus = np.sqrt(np.sum((weighted - ideal[None, :]) ** 2, axis=1))
     d_minus = np.sqrt(np.sum((weighted - anti[None, :]) ** 2, axis=1))
     total = d_plus + d_minus
     cc = np.where(total > 0, d_minus / np.where(total > 0, total, 1.0), 0.5)
-    return RankingResult(context=context, models=list(models), cc=cc, d_plus=d_plus, d_minus=d_minus,
-                         criteria=list(criteria), weights=weights)
-
-
-def rank_matrix(dm: DecisionMatrix, weights: WeightVector, source: str = "") -> RankingResult:
-    result = topsis_score(normalize(dm), weights, dm.criteria, dm.models, dm.context)
-    result.source = source
-    return result
+    return RankingResult(context=dm.context, models=list(dm.models), cc=cc, d_plus=d_plus, d_minus=d_minus,
+                         weights=weights, source=source)
 
 
 def _column_stats(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -360,7 +317,7 @@ def train_weightnet(
     contexts: Sequence[DecisionMatrix],
     config: WeightNetConfig = None,
 ) -> Tuple[WeightNet, List[float]]:
-    """Fit the weight network to entropy-method targets across contexts.
+    """Fit the weight network to entropy-method targets across contexts, which all score the same criteria.
 
     Training runs `warm_epochs` of SGD before switching to Adam (both at
     the configured learning rate) and logs the mean training MSE per epoch.
@@ -369,17 +326,10 @@ def train_weightnet(
     if not contexts:
         raise ValidationError("train_weightnet needs at least one context")
     config = config or WeightNetConfig()
-    first = contexts[0]
-    names = [c.name for c in first.criteria]
-    others = ["/".join(dm.context) for dm in contexts if not dm.has_criteria(names)]
-    if others:
-        raise ValidationError(f"all contexts must share one criteria list; {others} differ from "
-                              f"{'/'.join(first.context)}'s {names}")
-
     feats = np.stack([dm.features for dm in contexts])
     targets = np.stack([dm.target.w for dm in contexts])
 
-    net = WeightNet(names, seed=config.seed)
+    net = WeightNet(contexts[0].criteria, seed=config.seed)
     params = [t for _, t in net.params()]
     sgd = tc.SGD(params, lr=config.learning_rate)
     adam = tc.Adam(params, lr=config.learning_rate)
@@ -410,24 +360,20 @@ def train_weightnet(
 def rank_all(matrices: Sequence[DecisionMatrix], net: Optional[WeightNet] = None) -> List[RankingResult]:
     """Rank every context's decision matrix, in the order given.
 
-    Without a net every context takes uniform weights. With one, a context
-    that scores the net's criteria takes the net's prediction, and any other
-    (one that dropped a criterion) falls back to uniform weights with a
-    warning. Each result carries its weights and their source.
+    Without a net every context takes uniform weights; with one, every
+    context takes the net's prediction. Each result carries its weights and
+    their source.
     """
     if not matrices:
         raise ValidationError("no contexts to rank")
     results: List[RankingResult] = []
     for dm in matrices:
-        if net is not None and dm.has_criteria(net.criteria):
-            weights, source = net.predict(dm.features), "weightnet"
-        else:
+        if net is None:
             n = len(dm.criteria)
-            weights, source = WeightVector(np.full(n, 1.0 / n)), "uniform" if net is None else "uniform(fallback)"
-            if net is not None:
-                warnings.warn(f"context {dm.context} scores {[c.name for c in dm.criteria]} but the weight net "
-                              f"weighs {list(net.criteria)}; using uniform weights")
-        results.append(rank_matrix(dm, weights, source))
+            weights, source = WeightVector(np.full(n, 1.0 / n)), "uniform"
+        else:
+            weights, source = net.predict(dm.features), "weightnet"
+        results.append(topsis(dm, weights, source))
     return results
 
 

@@ -12,7 +12,6 @@ import contextlib
 import copy
 import io
 import math
-import warnings
 
 from hypothesis import strategies as st
 
@@ -96,10 +95,9 @@ def must_fail(f, kind) -> bool:
 
 
 def run_cli(argv):
-    """(exit code, stderr) of `gcmkit argv`, with stdout and warnings muted."""
+    """(exit code, stderr) of `gcmkit argv`, with stdout muted."""
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # dropped criteria and fallback weights are warnings, not failures
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     return code, err.getvalue()
 

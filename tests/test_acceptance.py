@@ -20,7 +20,7 @@ from gcmkit import pipeline
 from gcmkit import ranking as rk
 from gcmkit import tensorcore as tc
 from gcmkit.artifacts import write_files
-from gcmkit.downscale.presets import desk_arch_config, desk_train_config
+from gcmkit.downscale.presets import desk_train_config
 from gcmkit.fixtures import GOOD_MODEL, make_ranking_fixture
 from gcmkit.geogrid import DataCube, GridAxis, ZoneMask, date_range, regrid_bilinear
 from gcmkit.rng import SplitMix64
@@ -113,53 +113,53 @@ def test_c1_metric_oracle_equivalence():
 def test_c2_topsis_property_suite():
     with _Criterion("criterion 2: TOPSIS property suite", 5):
         rng = np.random.default_rng(512)
-        crit9 = rk.default_criteria()
+        crit9 = rk.DEFAULT_CRITERIA_NAMES
 
         # CC in [0, 1] over random matrices and weights
         for _ in range(200):
             m = int(rng.integers(2, 10))
             c = np.abs(rng.normal(size=(m, 9))) + 1e-3
             w = rng.uniform(0.05, 1.0, size=9)
-            res = rk.topsis_score(rk.normalize(c), rk.WeightVector(w / w.sum()), crit9, [f"m{i}" for i in range(m)])
+            res = rk.topsis(rk.DecisionMatrix([f"m{i}" for i in range(m)], crit9, c), rk.WeightVector(w / w.sum()))
             assert np.all(res.cc >= 0.0) and np.all(res.cc <= 1.0)
 
         # dominance endpoints
-        crit2 = [rk.Criterion("kge"), rk.Criterion("nse")]
+        crit2 = ["kge", "nse"]
         dm = rk.DecisionMatrix(["top", "bottom"], crit2, np.array([[0.9, 0.8], [0.2, 0.1]]), ("z", "s"))
-        res = rk.rank_matrix(dm, rk.WeightVector(np.array([0.5, 0.5])))
+        res = rk.topsis(dm, rk.WeightVector(np.array([0.5, 0.5])))
         assert res.cc[0] == 1.0 and res.cc[1] == 0.0
 
         # identical rows score 0.5
         dm = rk.DecisionMatrix(["a", "b"], crit2, np.array([[0.4, 0.6], [0.4, 0.6]]), ("z", "s"))
-        assert np.all(rk.rank_matrix(dm, rk.WeightVector(np.array([0.5, 0.5]))).cc == 0.5)
+        assert np.all(rk.topsis(dm, rk.WeightVector(np.array([0.5, 0.5]))).cc == 0.5)
 
         # criterion scaling: bit-exact CC under power-of-two column scaling,
         # identical ordering under arbitrary positive scaling
         c = np.abs(rng.normal(size=(6, 9))) + 0.05
         w = rk.WeightVector(np.full(9, 1.0 / 9.0))
         models = [f"m{i}" for i in range(6)]
-        base = rk.topsis_score(rk.normalize(c), w, crit9, models)
+        base = rk.topsis(rk.DecisionMatrix(models, crit9, c), w)
         for j, k in ((0, 2.0), (3, 8.0)):
             scaled = c.copy()
             scaled[:, j] *= k
-            res = rk.topsis_score(rk.normalize(scaled), w, crit9, models)
+            res = rk.topsis(rk.DecisionMatrix(models, crit9, scaled), w)
             assert np.array_equal(res.cc, base.cc)
             assert res.order == base.order
         for j, k in ((1, 3.7), (5, 0.013)):
             scaled = c.copy()
             scaled[:, j] *= k
-            res = rk.topsis_score(rk.normalize(scaled), w, crit9, models)
+            res = rk.topsis(rk.DecisionMatrix(models, crit9, scaled), w)
             assert res.order == base.order
             assert int(np.argmax(res.cc)) == int(np.argmax(base.cc))
 
         # row-permutation equivariance
         perm = [4, 0, 5, 2, 1, 3]
-        res = rk.topsis_score(rk.normalize(c[perm]), w, crit9, [models[i] for i in perm])
+        res = rk.topsis(rk.DecisionMatrix([models[i] for i in perm], crit9, c[perm]), w)
         assert np.allclose(res.cc, base.cc[perm], atol=1e-15)
 
         # hand oracle
         dm = rk.DecisionMatrix(["A", "B", "C"], crit2, np.array([[1, 1], [0.5, 0.5], [0, 0.0]]), ("z", "s"))
-        res = rk.rank_matrix(dm, rk.WeightVector(np.array([0.5, 0.5])))
+        res = rk.topsis(dm, rk.WeightVector(np.array([0.5, 0.5])))
         assert np.allclose(res.cc, [1.0, 0.5, 0.0], atol=1e-12)
         assert res.order == ["A", "B", "C"]
 
@@ -201,7 +201,7 @@ def test_c4_weightnet_training():
             contexts.append(
                 rk.DecisionMatrix(
                     [f"m{j}" for j in range(m)],
-                    rk.default_criteria(),
+                    rk.DEFAULT_CRITERIA_NAMES,
                     np.abs(rng.normal(size=(m, 9))) + 0.01,
                     ("ctx", str(i)),
                 )
@@ -225,7 +225,7 @@ def test_c5_downscaler_capacity_and_benchmark():
     with _Criterion("criterion 5: downscaler capacity and benchmark", 1800):
         capacity = ds.capacity_set()
         for kind in ds.ARCH_KINDS:
-            cfg = desk_arch_config(kind, seed=12)
+            cfg = ds.ArchConfig(kind=kind, seed=12)
             tcfg = desk_train_config(kind, "capacity")
             assert tcfg.epochs <= 500
             res = ds.train(cfg, capacity, tcfg)
@@ -235,7 +235,7 @@ def test_c5_downscaler_capacity_and_benchmark():
         train_set, test_set = ds.benchmark_sets()
         predictions = {}
         for kind in ds.ARCH_KINDS:
-            cfg = desk_arch_config(kind, seed=101)
+            cfg = ds.ArchConfig(kind=kind, seed=101)
             res = ds.train(cfg, train_set, desk_train_config(kind, "benchmark"))
             predictions[kind] = ds.predict_dataset(res.model, test_set)
         # the table `downscale train` writes: one row per architecture, then the baseline's
@@ -254,7 +254,7 @@ def test_c6_synthetic_bias_correction():
         data = ds.make_dataset(7117, 83, t=4, fine_hw=(64, 64), factor=4, bias=2.0, noise_sd=0.2)
         train_set = data.subset(list(range(60)))
         test_set = data.subset(list(range(60, 80)))
-        cfg = desk_arch_config("cnn_lstm", seed=5)
+        cfg = ds.ArchConfig(kind="cnn_lstm", seed=5)
         tcfg = desk_train_config("cnn_lstm", "benchmark")
         tcfg.epochs = 15
         res = ds.train(cfg, train_set, tcfg)

@@ -306,20 +306,26 @@ class TestRank:
         assert "[weights]" in err and ckpt in err and str(list(DEFAULT_CRITERIA_NAMES)) in err and str(criteria) in err
 
     @staticmethod
-    def _run_matrices(rank_run):
-        """The decision matrix of every context of a rank run, rebuilt from its reports.json."""
+    def _run_reports(rank_run):
+        """{(zone, season): [(model, report)]} of a rank run, rebuilt from its reports.json."""
         reports = collections.defaultdict(list)
         for row in json.load(open(os.path.join(rank_run, "reports.json"))):
             fields = {key: row[key] for key in (*METRIC_NAMES, "n", "flags")}
             reports[(row["zone"], row["season"])].append((row["model"], MetricReport(**fields)))
-        return [rk.assemble_matrix(reports[ctx], rk.default_criteria(), ctx) for ctx in sorted(reports)]
+        return reports
+
+    @classmethod
+    def _run_matrices(cls, rank_run):
+        """The decision matrix of every context of a rank run, rebuilt from its reports.json."""
+        reports = cls._run_reports(rank_run)
+        return [rk.assemble_matrix(reports[ctx], DEFAULT_CRITERIA_NAMES, ctx) for ctx in sorted(reports)]
 
     def test_learned_weights_order_contexts_as_their_entropy_targets_do(self, rank_run):
         """The net's weights give the entropy weights' TOPSIS order in at least 29 of the fixture's 30 contexts
         (uniform weights give it in 20), and no learned weight is more than 0.1 from its entropy target."""
         matrices = self._run_matrices(rank_run)
         learned = rk.rank_all(matrices, rk.WeightNet.load(os.path.join(rank_run, "weightnet.ckpt")))
-        entropy = [rk.rank_matrix(dm, dm.target).order for dm in matrices]
+        entropy = [rk.topsis(dm, dm.target).order for dm in matrices]
         assert len(learned) == 30 and {res.source for res in learned} == {"weightnet"}
         assert max(np.max(np.abs(res.weights.w - dm.target.w)) for dm, res in zip(matrices, learned)) < 0.1
         assert sum(res.order == order for res, order in zip(learned, entropy)) >= 29
@@ -337,7 +343,7 @@ class TestRank:
             held = [dm for dm in matrices if dm.context[0] == zone]
             net, _ = rk.train_weightnet([dm for dm in matrices if dm.context[0] not in (zone, "overall")], config)
             for dm, res, flat in zip(held, rk.rank_all(held, net), rk.rank_all(held)):
-                order = rk.rank_matrix(dm, dm.target).order
+                order = rk.topsis(dm, dm.target).order
                 scored += 1
                 agree += res.order == order
                 uniform += flat.order == order
@@ -366,14 +372,15 @@ class TestRank:
         # bilinear regrid leaves a few ULPs of spread on a constant off-grid
         # model, too narrow a range for 100 strictly increasing bin edges
         config, cfg_path = self._constant_fields_config(tmp_path, fixture_paths, "uniform")
-        with pytest.warns(UserWarning, match="dropped"):  # r, nse, kge have no valid value on constant series
-            assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", "run"]) == 0
+        assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", "run"]) == 0
         rows = json.load(open(tmp_path / "run" / "reports.json"))
         overlaps = {row["pdf_overlap"] for row in rows if row["model"] == config["models"][0]["label"]}
         assert overlaps == {1.0}
 
-    def test_contexts_that_dropped_a_criterion_take_uniform_fallback_under_train(self, tmp_path):
-        # a constant reference over the first zone leaves r, nse and kge without a valid value there
+    @staticmethod
+    def _constant_tropical_run(tmp_path, weights):
+        """A rank of the seed-3 fixture whose reference is constant over the first land zone, where r, nse and
+        kge then have no valid value; the run directory."""
         paths = make_ranking_fixture(str(tmp_path / "fx"), seed=3)
         config = json.load(open(paths["config"]))
         obs, mask = gcf.read_cube(paths["obs"]), gcf.read_mask(paths["mask"])
@@ -382,27 +389,47 @@ class TestRank:
         config["reference"]["path"] = str(tmp_path / "obs")
         gcf.write_cube(dataclasses.replace(obs, data=data), config["reference"]["path"])
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**config, "weights": "train"}))
-        with pytest.warns(UserWarning, match="using uniform weights"):
-            assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 0
-        weights = json.load(open(tmp_path / "run" / "weights.json"))
-        fallback = sorted(ctx for ctx, spec in weights.items() if spec["source"] == "uniform(fallback)")
-        assert "tropical/SON" in fallback and len(fallback) < len(weights)
-        for ctx, spec in weights.items():
-            full = spec["criteria"] == list(DEFAULT_CRITERIA_NAMES)
-            assert spec["source"] == ("weightnet" if full else "uniform(fallback)"), ctx
-            if not full:
-                assert not {"kge", "nse", "r"} & set(spec["criteria"])
-                assert spec["weights"] == [1.0 / len(spec["criteria"])] * len(spec["criteria"])
-        assert os.path.isfile(tmp_path / "run" / "weightnet_history.json")
+        cfg_path.write_text(json.dumps({**config, "weights": weights}))
+        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 0
+        return str(tmp_path / "run")
 
-    def test_train_with_every_context_missing_a_criterion_exits_2_naming_them(self, tmp_path, fixture_paths,
-                                                                              capsys):
+    def test_a_criterion_without_a_valid_value_ranks_as_if_dropped_under_uniform(self, tmp_path):
+        """Its zero column is inert: each context's order and CCs are those of TOPSIS over the criteria that have a
+        valid value, under the uniform weights renormalized over them."""
+        run = self._constant_tropical_run(tmp_path, "uniform")
+        reports = self._run_reports(run)
+        rows = collections.defaultdict(list)
+        for row in csv.DictReader(open(os.path.join(run, "ranking.csv"))):
+            rows[row["context"]].append(row)
+        weights = json.load(open(os.path.join(run, "weights.json")))
+        dropped = {}
+        for ctx in sorted(reports):
+            key = "/".join(ctx)
+            assert weights[key]["criteria"] == list(DEFAULT_CRITERIA_NAMES) and weights[key]["source"] == "uniform"
+            kept = [name for name in DEFAULT_CRITERIA_NAMES
+                    if any(rep.value(name) is not None for _, rep in reports[ctx])]
+            dropped[key] = sorted(set(DEFAULT_CRITERIA_NAMES) - set(kept))
+            uniform = rk.WeightVector(np.full(len(kept), 1 / len(kept)))
+            want = rk.topsis(rk.assemble_matrix(reports[ctx], kept, ctx), uniform)
+            assert [row["model"] for row in rows[key]] == want.order, key
+            for row in rows[key]:
+                assert abs(float(row["cc"]) - want.cc[want.models.index(row["model"])]) <= 1e-12, key
+        assert dropped["tropical/SON"] == ["kge", "nse", "r"]
+        assert sum(map(bool, dropped.values())) < len(dropped)
+
+    def test_a_criterion_without_a_valid_value_is_weighed_by_the_net_under_train(self, tmp_path):
+        run = self._constant_tropical_run(tmp_path, "train")
+        weights = json.load(open(os.path.join(run, "weights.json")))
+        assert len(weights) == 30 and "tropical/SON" in weights
+        for ctx, spec in weights.items():
+            assert spec["source"] == "weightnet" and spec["criteria"] == list(DEFAULT_CRITERIA_NAMES), ctx
+        assert os.path.isfile(os.path.join(run, "weightnet_history.json"))
+
+    def test_train_on_constant_fields_exits_0(self, tmp_path, fixture_paths):
         _, cfg_path = self._constant_fields_config(tmp_path, fixture_paths, "train")
-        with pytest.warns(UserWarning, match="dropped"):
-            assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", "run"]) == 2
-        err = capsys.readouterr().err
-        assert "[weights]" in err and "'tropical/SON': ['kge', 'nse', 'r']" in err and "overall/ANNUAL" in err
+        assert main(["rank", "--config", cfg_path, "--out", str(tmp_path), "--name", "run"]) == 0
+        weights = json.load(open(tmp_path / "run" / "weights.json"))
+        assert {spec["source"] for spec in weights.values()} == {"weightnet"}
 
     def test_train_rank_builds_each_context_table_once(self, tmp_path, fixture_paths, monkeypatch):
         """One matrix, one featurization, one entropy target and one prediction per context."""

@@ -185,7 +185,7 @@ class TestOpCoverage:
             tcfg = replace(ds.desk_train_config(kind), epochs=1, batch_size=4)
             used |= self._ops_built(monkeypatch, lambda: ds.train(mini_cfg(kind), mini_data, tcfg))
         rng = np.random.default_rng(5)
-        contexts = [rk.DecisionMatrix(["a", "b", "c"], rk.default_criteria(),
+        contexts = [rk.DecisionMatrix(["a", "b", "c"], rk.DEFAULT_CRITERIA_NAMES,
                                       np.abs(rng.normal(size=(3, 9))) + 0.01, ("z", str(i))) for i in range(4)]
         wcfg = rk.WeightNetConfig(epochs=2, warm_epochs=1, batch_size=2)
         used |= self._ops_built(monkeypatch, lambda: rk.train_weightnet(contexts, wcfg))
@@ -505,7 +505,7 @@ class TestCheckpointReload:
         if kind == "weightnet":
             model = WeightNet(DEFAULT_CRITERIA_NAMES, seed=7)
         else:
-            model = ds.build_model(ds.desk_arch_config(kind, seed=0), (16, 16))
+            model = ds.build_model(ds.ArchConfig(kind=kind, seed=0), (16, 16))
         files = tc.encode_checkpoint(*model.checkpoint())
         digests = tuple(hashlib.sha256(files[name]).hexdigest() for name in ("manifest.json", "params.bin"))
         assert digests == GOLDEN_CHECKPOINTS[kind]

@@ -142,7 +142,7 @@ class TestHandValues:
         assert report(o, o).kge == pytest.approx(1.0)
         assert report(2 * o, o).kge == pytest.approx(0.0, abs=1e-12)
         rep = report([1.0, 2.0], [-1.0, 1.0])  # zero reference mean
-        assert rep.kge is None and not rep.valid("kge")
+        assert rep.kge is None and not rep.flags["kge"]
 
     def test_pdf_overlap(self):
         o = np.array([1.0, 2.0, 4.0])
@@ -157,7 +157,7 @@ class TestHandValues:
         # a spread of one ULP cannot hold 100 strictly increasing edges
         rep = report([280.0, np.nextafter(280.0, 300.0), 280.0], [280.0] * 3)
         assert hist_edges(280.0, float(np.nextafter(280.0, 300.0)), 100) is None
-        assert rep.pdf_overlap == 1.0 and rep.valid("pdf_overlap")
+        assert rep.pdf_overlap == 1.0 and rep.flags["pdf_overlap"]
 
     def test_extremes(self):
         rep = report([1, 2], [1, 2])
@@ -245,15 +245,15 @@ class TestProperties:
 class TestReportsAndFlags:
     def test_degenerate_flags(self):
         rep = report([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])  # constant model series
-        assert not rep.valid("r") and rep.r is None
-        assert not rep.valid("kge") and rep.kge is None
-        assert rep.valid("nse") and rep.nse is not None
-        assert rep.valid("bias") and rep.bias == pytest.approx(-1.0)
+        assert not rep.flags["r"] and rep.r is None
+        assert not rep.flags["kge"] and rep.kge is None
+        assert rep.flags["nse"] and rep.nse is not None
+        assert rep.flags["bias"] and rep.bias == pytest.approx(-1.0)
 
     def test_constant_obs_flags_nse(self):
         rep = report([1.0, 2.0], [3.0, 3.0])
-        assert not rep.valid("nse")
-        assert not rep.valid("r")
+        assert not rep.flags["nse"]
+        assert not rep.flags["r"]
 
     def test_r2_is_r_squared(self):
         rng = np.random.default_rng(0)
@@ -495,7 +495,7 @@ class TestMerge:
         for name in ("pdf_overlap", "txx_err", "tnn_err"):
             assert got.value(name) == want.value(name), name
         for name in MOMENT_METRICS:
-            if want.valid(name):
+            if want.flags[name]:
                 assert got.value(name) == pytest.approx(want.value(name), rel=1e-12, abs=1e-12), name
 
     def test_merge_into_an_empty_pool_copies_the_source(self):

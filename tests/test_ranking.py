@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,30 +28,27 @@ def report(**overrides):
 def benefit_matrix(values, models=None):
     values = np.asarray(values, dtype=float)
     models = models or [f"m{i}" for i in range(values.shape[0])]
-    crit = [rk.Criterion("kge"), rk.Criterion("nse")][: values.shape[1]]
+    crit = ["kge", "nse"][: values.shape[1]]
     return rk.DecisionMatrix(models, crit, values, ("z", "s"))
 
 
 class TestCriteria:
     def test_orientations(self):
-        assert rk.Criterion("kge").orientation == "benefit"
-        assert rk.Criterion("rmse").orientation == "cost"
-        assert rk.Criterion("r2").orientation == "benefit"
-        assert rk.Criterion("sd_diff").orientation == "cost"
-        with pytest.raises(ValidationError):
-            rk.Criterion("nope")
+        assert {"kge", "r2"} <= rk.BENEFIT_METRICS
+        assert not {"rmse", "sd_diff"} & rk.BENEFIT_METRICS
+        with pytest.raises(ValidationError, match="nope"):
+            rk.DecisionMatrix(["a", "b"], ["kge", "nope"], np.ones((2, 2)))
 
     def test_default_set_is_the_nine(self):
-        names = [c.name for c in rk.default_criteria()]
-        assert names == list(rk.DEFAULT_CRITERIA_NAMES)
+        names = rk.DEFAULT_CRITERIA_NAMES
         assert len(names) == 9 and "r2" not in names and "sd_diff" in names
 
 
 class TestAssemble:
     def test_verbatim_with_abs_bias(self):
         reports = [("a", report(bias=-2.0)), ("b", report(bias=0.5))]
-        dm = rk.assemble_matrix(reports, rk.default_criteria(), ("z", "s"))
-        j = [c.name for c in dm.criteria].index("bias")
+        dm = rk.assemble_matrix(reports, rk.DEFAULT_CRITERIA_NAMES, ("z", "s"))
+        j = dm.criteria.index("bias")
         assert dm.values[0, j] == 2.0 and dm.values[1, j] == 0.5
 
     def test_invalid_entry_imputes_worst_valid(self):
@@ -58,22 +57,29 @@ class TestAssemble:
             ("b", report(kge=None, flags={"kge": False})),
             ("c", report(kge=0.6)),
         ]
-        dm = rk.assemble_matrix(reports, rk.default_criteria(), ("z", "s"))
-        j = [c.name for c in dm.criteria].index("kge")
+        dm = rk.assemble_matrix(reports, rk.DEFAULT_CRITERIA_NAMES, ("z", "s"))
+        j = dm.criteria.index("kge")
         assert dm.values[1, j] == 0.6  # worst valid benefit value
 
-    def test_all_invalid_column_dropped_with_warning(self):
+    def test_all_invalid_column_is_kept_as_zeros(self):
         reports = [
             ("a", report(kge=None, flags={"kge": False})),
-            ("b", report(kge=None, flags={"kge": False})),
+            ("b", report(kge=None, rmse=2.0, flags={"kge": False})),
         ]
-        with pytest.warns(UserWarning, match="kge"):
-            dm = rk.assemble_matrix(reports, rk.default_criteria(), ("z", "s"))
-        assert "kge" not in [c.name for c in dm.criteria]
+        dm = rk.assemble_matrix(reports, rk.DEFAULT_CRITERIA_NAMES, ("z", "s"))
+        assert dm.criteria == list(rk.DEFAULT_CRITERIA_NAMES)
+        assert np.all(dm.values[:, dm.criteria.index("kge")] == 0.0)
+        assert dm.target.w[dm.criteria.index("kge")] == 0.0
+
+    def test_context_without_any_valid_value_rejected(self):
+        invalid = {name: None for name in ("kge", "nse", "r")}
+        reports = [(label, report(**invalid, flags={name: False for name in invalid})) for label in ("a", "b")]
+        with pytest.raises(ValidationError, match="no usable criteria in context"):
+            rk.assemble_matrix(reports, ["kge", "nse", "r"], ("z", "s"))
 
     def test_single_model_rejected(self):
         with pytest.raises(ValidationError):
-            rk.assemble_matrix([("a", report())], rk.default_criteria())
+            rk.assemble_matrix([("a", report())], rk.DEFAULT_CRITERIA_NAMES)
 
 
 class TestNormalize:
@@ -97,50 +103,49 @@ class TestNormalize:
 class TestTopsis:
     def test_hand_oracle_3x2(self):
         dm = benefit_matrix([[1, 1], [0.5, 0.5], [0, 0]], models=["A", "B", "C"])
-        res = rk.rank_matrix(dm, rk.WeightVector(np.array([0.5, 0.5])))
+        res = rk.topsis(dm, rk.WeightVector(np.array([0.5, 0.5])))
         assert np.allclose(res.cc, [1.0, 0.5, 0.0], atol=1e-12)
         assert res.order == ["A", "B", "C"]
 
     def test_dominance_endpoints(self):
         dm = benefit_matrix([[1.0, 0.9], [0.3, 0.2]])
-        res = rk.rank_matrix(dm, rk.WeightVector(np.array([0.5, 0.5])))
+        res = rk.topsis(dm, rk.WeightVector(np.array([0.5, 0.5])))
         assert res.cc[0] == 1.0 and res.cc[1] == 0.0
 
     def test_identical_rows_score_half(self):
         dm = benefit_matrix([[0.4, 0.7], [0.4, 0.7]])
-        res = rk.rank_matrix(dm, rk.WeightVector(np.array([0.5, 0.5])))
+        res = rk.topsis(dm, rk.WeightVector(np.array([0.5, 0.5])))
         assert np.all(res.cc == 0.5)
 
     def test_cost_orientation_flips_preference(self):
-        crit = [rk.Criterion("rmse")]
-        dm = rk.DecisionMatrix(["good", "bad"], crit, np.array([[0.5], [2.0]]), ("z", "s"))
-        res = rk.rank_matrix(dm, rk.WeightVector(np.array([1.0])))
+        dm = rk.DecisionMatrix(["good", "bad"], ["rmse"], np.array([[0.5], [2.0]]), ("z", "s"))
+        res = rk.topsis(dm, rk.WeightVector(np.array([1.0])))
         assert res.order == ["good", "bad"]
         assert res.cc[0] == 1.0
 
     def test_scale_invariance_of_ordering(self):
         rng = np.random.default_rng(7)
         c = np.abs(rng.normal(size=(6, 4))) + 0.05
-        crit = [rk.Criterion(n) for n in ("kge", "rmse", "pdf_overlap", "bias")]
+        crit = ["kge", "rmse", "pdf_overlap", "bias"]
         models = [f"m{i}" for i in range(6)]
         w = rk.WeightVector(np.full(4, 0.25))
-        base = rk.topsis_score(rk.normalize(c), w, crit, models)
+        base = rk.topsis(rk.DecisionMatrix(models, crit, c), w)
         for k in (4.0, 3.7, 0.001):
             scaled = c.copy()
             scaled[:, 2] *= k
-            res = rk.topsis_score(rk.normalize(scaled), w, crit, models)
+            res = rk.topsis(rk.DecisionMatrix(models, crit, scaled), w)
             assert res.order == base.order
             assert np.allclose(res.cc, base.cc, rtol=1e-12)
 
     def test_row_permutation_equivariance(self):
         rng = np.random.default_rng(8)
         c = np.abs(rng.normal(size=(5, 3))) + 0.1
-        crit = [rk.Criterion(n) for n in ("kge", "nse", "rmse")]
+        crit = ["kge", "nse", "rmse"]
         models = ["a", "b", "c", "d", "e"]
         w = rk.WeightVector(np.full(3, 1 / 3))
-        base = rk.topsis_score(rk.normalize(c), w, crit, models)
+        base = rk.topsis(rk.DecisionMatrix(models, crit, c), w)
         perm = [3, 0, 4, 1, 2]
-        res = rk.topsis_score(rk.normalize(c[perm]), w, crit, [models[i] for i in perm])
+        res = rk.topsis(rk.DecisionMatrix([models[i] for i in perm], crit, c[perm]), w)
         assert np.allclose(res.cc, base.cc[perm], atol=1e-15)
         assert res.order == base.order
 
@@ -149,10 +154,10 @@ class TestTopsis:
     def test_cc_always_in_unit_interval(self, m, n, seed):
         rng = np.random.default_rng(seed)
         c = np.abs(rng.normal(size=(m, n))) + 1e-3
-        crit = [rk.Criterion(name) for name in list(rk.DEFAULT_CRITERIA_NAMES)[:n]]
+        crit = rk.DEFAULT_CRITERIA_NAMES[:n]
         w = rng.uniform(0.1, 1.0, size=n)
         wv = rk.WeightVector(w / w.sum())
-        res = rk.topsis_score(rk.normalize(c), wv, crit, [f"m{i}" for i in range(m)])
+        res = rk.topsis(rk.DecisionMatrix([f"m{i}" for i in range(m)], crit, c), wv)
         assert np.all(res.cc >= 0.0) and np.all(res.cc <= 1.0)
         recompute = res.d_minus / np.where(res.d_plus + res.d_minus > 0, res.d_plus + res.d_minus, 1.0)
         mask = (res.d_plus + res.d_minus) > 0
@@ -161,15 +166,28 @@ class TestTopsis:
     def test_single_benefit_criterion_sorts_raw_values(self):
         rng = np.random.default_rng(11)
         vals = np.abs(rng.normal(size=(7, 1))) + 0.01
-        crit = [rk.Criterion("kge")]
         models = [f"m{i}" for i in range(7)]
-        res = rk.topsis_score(rk.normalize(vals), rk.WeightVector(np.array([1.0])), crit, models)
+        res = rk.topsis(rk.DecisionMatrix(models, ["kge"], vals), rk.WeightVector(np.array([1.0])))
         expected = [models[i] for i in np.argsort(-vals[:, 0], kind="stable")]
         assert res.order == expected
 
+    def test_zero_column_is_inert(self):
+        """A zero column scores as its absence does, under the other weights renormalized."""
+        rng = np.random.default_rng(12)
+        c = np.abs(rng.normal(size=(6, 4))) + 0.05
+        c[:, 1] = 0.0
+        models = [f"m{i}" for i in range(6)]
+        w = rng.uniform(0.1, 1.0, size=4)
+        full = rk.topsis(rk.DecisionMatrix(models, ["kge", "nse", "rmse", "bias"], c), rk.WeightVector(w / w.sum()))
+        kept = np.delete(w, 1)
+        without = rk.topsis(rk.DecisionMatrix(models, ["kge", "rmse", "bias"], np.delete(c, 1, axis=1)),
+                            rk.WeightVector(kept / kept.sum()))
+        assert full.order == without.order
+        assert np.allclose(full.cc, without.cc, rtol=0.0, atol=1e-12)
+
     def test_tie_break_is_lexicographic(self):
         dm = benefit_matrix([[0.4, 0.4], [0.4, 0.4], [0.1, 0.1]], models=["zeta", "alpha", "last"])
-        res = rk.rank_matrix(dm, rk.WeightVector(np.array([0.5, 0.5])))
+        res = rk.topsis(dm, rk.WeightVector(np.array([0.5, 0.5])))
         assert res.order[:2] == ["alpha", "zeta"]
 
 
@@ -198,7 +216,7 @@ class TestFeaturize:
     def test_length_and_minmax_markers(self):
         rng = np.random.default_rng(3)
         dm = rk.DecisionMatrix(
-            ["a", "b", "c"], rk.default_criteria(), np.abs(rng.normal(size=(3, 9))) + 0.01, ("z", "s")
+            ["a", "b", "c"], rk.DEFAULT_CRITERIA_NAMES, np.abs(rng.normal(size=(3, 9))) + 0.01, ("z", "s")
         )
         f = rk.featurize(dm)
         assert f.shape == (5 * 9,)
@@ -207,8 +225,7 @@ class TestFeaturize:
         assert np.all(mins == 0.0) and np.all(maxs == 1.0)
 
     def test_constant_column_features(self):
-        crit = [rk.Criterion("kge"), rk.Criterion("rmse")]
-        dm = rk.DecisionMatrix(["a", "b"], crit, np.array([[0.5, 1.0], [0.5, 2.0]]), ("z", "s"))
+        dm = rk.DecisionMatrix(["a", "b"], ["kge", "rmse"], np.array([[0.5, 1.0], [0.5, 2.0]]), ("z", "s"))
         f = rk.featurize(dm)
         assert f[1] == 0.0  # sd of constant column
         assert f[4] == 1.0  # entropy of constant column
@@ -278,7 +295,7 @@ class TestVectorizedColumnStats:
                 else:
                     cols.append(np.abs(rng.normal(size=m)) + 0.01)
             values = np.stack(cols, axis=1)
-            dm = rk.DecisionMatrix([f"m{i}" for i in range(m)], rk.default_criteria(), values, ("z", str(trial)))
+            dm = rk.DecisionMatrix([f"m{i}" for i in range(m)], rk.DEFAULT_CRITERIA_NAMES, values, ("z", str(trial)))
             got, want = rk.featurize(dm), _reference_featurize(values)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             n_matrix = rk.normalize(dm)
@@ -300,7 +317,7 @@ class TestWeightNet:
         contexts = [
             rk.DecisionMatrix(
                 ["a", "b", "c", "d"],
-                rk.default_criteria(),
+                rk.DEFAULT_CRITERIA_NAMES,
                 np.abs(rng.normal(size=(4, 9))) + 0.01,
                 ("z", str(i)),
             )
@@ -322,7 +339,7 @@ class TestWeightNet:
     def test_single_context_overfit(self):
         rng = np.random.default_rng(6)
         dm = rk.DecisionMatrix(
-            ["a", "b", "c"], rk.default_criteria(), np.abs(rng.normal(size=(3, 9))) + 0.01, ("z", "s")
+            ["a", "b", "c"], rk.DEFAULT_CRITERIA_NAMES, np.abs(rng.normal(size=(3, 9))) + 0.01, ("z", "s")
         )
         net, _ = rk.train_weightnet([dm], rk.WeightNetConfig(epochs=500, seed=2))
         target = rk.entropy_target_weights(rk.normalize(dm)).w
@@ -345,7 +362,7 @@ class TestRankAll:
 
     def _matrices(self, reports=None):
         reports = reports or self._reports()
-        return [rk.assemble_matrix(reports[ctx], rk.default_criteria(), ctx) for ctx in sorted(reports)]
+        return [rk.assemble_matrix(reports[ctx], rk.DEFAULT_CRITERIA_NAMES, ctx) for ctx in sorted(reports)]
 
     def test_dominant_model_wins_everywhere(self):
         results = rk.rank_all(self._matrices())
@@ -366,16 +383,13 @@ class TestRankAll:
         assert np.all(matrix >= 0.0) and np.all(matrix <= 1.0)
         assert models == ["bad", "good"]
 
-    def test_results_carry_the_criteria_actually_scored(self):
+    def test_a_context_without_a_valid_kge_takes_the_nets_weights(self):
         reports = self._reports()
-        reports[("polar", "DJF")] = [(label, report(kge=None, flags={"kge": False})) for label in ("good", "bad")]
-        with pytest.warns(UserWarning, match="kge"):
-            matrices = self._matrices(reports)
-        results = rk.rank_all(matrices)
-        for res in results:
-            names = [c.name for c in res.criteria]
-            assert len(names) == len(res.weights)
-            assert ("kge" in names) == (res.context != ("polar", "DJF"))
+        reports[("polar", "DJF")] = [(label, dataclasses.replace(rep, kge=None, flags={**rep.flags, "kge": False}))
+                                     for label, rep in reports[("polar", "DJF")]]
+        results = rk.rank_all(self._matrices(reports), rk.WeightNet(rk.DEFAULT_CRITERIA_NAMES, seed=1))
+        assert [res.source for res in results] == ["weightnet"] * 4
+        assert all(len(res.weights) == 9 and res.order[0] == "good" for res in results)
 
     def test_weightnet_source(self):
         net = rk.WeightNet(rk.DEFAULT_CRITERIA_NAMES, seed=1)
