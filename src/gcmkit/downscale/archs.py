@@ -157,8 +157,9 @@ class DownscaleModel(tc.Module):
         norm = [(f"norm.{key}", arr) for key, arr in vars(self.norm).items()]
         return super().state_entries() + norm
 
+    @tc.one_blas_thread()
     def predict(self, x: np.ndarray, coords: Optional[np.ndarray] = None, batch: int = 64) -> np.ndarray:
-        """Raw-unit inference in eval mode without a graph, batched to bound memory."""
+        """Raw-unit inference in eval mode without a graph, batched to bound memory, on one BLAS thread."""
         outs = []
         with tc.no_grad():
             for lo in range(0, x.shape[0], batch):
@@ -179,7 +180,12 @@ class DownscaleModel(tc.Module):
 
 
 class CnnLstm(DownscaleModel):
-    """Conv stack per frame, flatten, LSTM over time, dense head to the fine grid."""
+    """Conv stack per frame, flatten, LSTM over time, dense head to the fine grid.
+
+    The LSTM's input projection runs for every frame in one product before
+    the recurrence (Appleyard et al. 2016, arXiv:1604.01946); each step then
+    adds only the recurrent product.
+    """
 
     def __init__(self, cfg: ArchConfig, coarse_hw: Tuple[int, int]):
         super().__init__(cfg, coarse_hw)
@@ -199,10 +205,10 @@ class CnnLstm(DownscaleModel):
         frames = Tensor(x.reshape(n * t, c, h, w))
         for conv in self.convs:
             frames = conv(frames).relu()
-        flat = frames.reshape(n, t, -1)
+        zx = (frames.reshape(n * t, -1) @ self.cell.wx).reshape(n, t, -1)
         h_t = c_t = None
         for step in range(t):
-            h_t, c_t = self.cell.step(flat[:, step, :], h_t, c_t)
+            h_t, c_t = self.cell.step_projected(zx[:, step], h_t, c_t)
         out = self.head(h_t)
         return out.reshape(n, self.h * self.cfg.factor, self.w * self.cfg.factor)
 

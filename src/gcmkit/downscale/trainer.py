@@ -70,6 +70,7 @@ def _restore(model: DownscaleModel, snapshot):
     tc.load_state(model.state_entries(), snapshot, "training snapshot")
 
 
+@tc.one_blas_thread()
 def train(
     cfg: ArchConfig,
     data: DownscaleDataset,
@@ -81,7 +82,8 @@ def train(
     The validation split is carved from the sample list with a seeded
     permutation; with val_fraction 0 the training loss doubles as the
     validation signal. Identical configs and seeds reproduce identical
-    logs (wall_ms aside) and identical checkpoints.
+    logs (wall_ms aside) and identical checkpoints, under any BLAS thread
+    count where the OpenBLAS pin applies (`tc.one_blas_thread`).
     """
     check_fit(cfg, data.coarse_hw, data.factor)
     if model is None:

@@ -292,6 +292,7 @@ class WeightNet(tc.Module):
         h = self.fc2(h).relu()
         return tc.softmax(self.fc3(h), axis=-1)
 
+    @tc.one_blas_thread()
     def predict(self, features: np.ndarray) -> WeightVector:
         with tc.no_grad():
             out = self.forward(features).data[0]
@@ -313,6 +314,7 @@ class WeightNet(tc.Module):
         return net
 
 
+@tc.one_blas_thread()
 def train_weightnet(
     contexts: Sequence[DecisionMatrix],
     config: WeightNetConfig = None,

@@ -130,9 +130,11 @@ class LSTMCell(Module):
         `None` states are zero states: the recurrent product and the forget
         term are skipped.
         """
-        z = x @ self.wx
-        if h_prev is not None:
-            z = z + h_prev @ self.wh
+        return self.step_projected(x @ self.wx, h_prev, c_prev)
+
+    def step_projected(self, zx: Tensor, h_prev: Optional[Tensor] = None, c_prev: Optional[Tensor] = None):
+        """`step` from the input's projection zx = x @ wx, which a sequence can take for all steps in one product."""
+        z = zx if h_prev is None else zx + h_prev @ self.wh
         return lstm_gates(z + self.b, c_prev)
 
 

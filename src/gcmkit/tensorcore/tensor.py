@@ -34,17 +34,35 @@ stride 1 with "same" padding; it takes one input and kernel or matching
 sequences of them: a sum of convolutions is one node over the
 channel-stacked inputs, with one im2col and one product per sample, so it
 sums in a different order than separate convolutions plus an add and
-agrees with them to rounding. It never holds the im2col columns of a
-whole batch: its backward builds each sample's columns again, so the node
-keeps no more than its parents. `conv2d_transpose` is the stride-fold
+agrees with them to rounding. It builds im2col columns a chunk of
+samples at a time and its backward builds them again, so the node keeps
+no more than its parents. `conv2d_transpose` is the stride-fold
 upsampler whose stride equals its kernel size, so its windows never
 overlap.
+
+`conv2d`, `batch_norm` and `lstm_gates` fan their work out over one
+worker per usable CPU (`os.sched_getaffinity`, so `taskset` limits it):
+conv2d over chunks of samples, batch norm over bands of channels and the
+gate step over samples. The calling thread takes a share, and a pool of
+the other workers starts on the first fan-out that has more than one
+range. Workers only read arrays and write disjoint slices of outputs
+allocated beforehand; they build no node and touch no gradient, and every
+sum across slices runs on the calling thread after they finish. Each
+slice's arithmetic is the whole array's, so the bits are the same at any
+worker count. A range covers at most `_RANGE_BYTES` of an elementwise
+op's input (at least one sample, or two channels); conv2d's chunks hold at most
+`_COLUMN_BYTES` of im2col columns, which bounds its transient columns at
+the worker count times that budget. Work that fits in one range runs
+inline. Products are pinned to one OpenBLAS thread by
+`one_blas_thread`, which the trainers and `predict` wrap themselves in.
 
 All math is float64. Every op output, with or without a graph, is checked
 for NaN/Inf and a `NumericFault` is raised at the op that produced it.
 """
 
 import contextlib
+import functools
+import os
 import threading
 
 import numpy as np
@@ -73,14 +91,164 @@ def _consumed(g):
     raise ValidationError("backward() through a graph that an earlier backward() already consumed")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+# -- fan-out ----------------------------------------------------------------
+
+# The most bytes of an elementwise op's input a fan-out range covers (batch
+# norm's bands, the gate step's samples): a range holds as many items as
+# fit, and never fewer than one sample or two channels. Each range is a few
+# short numpy calls that hand the GIL between threads, so ranges are large:
+# at 256 KB a convlstm training call on a 2-CPU x86 VM switched threads
+# twice as often and ran about 10% slower.
+_RANGE_BYTES = 1 << 20
+# The most bytes of im2col columns one conv2d chunk builds (at least one
+# sample's). The columns are transient, kh*kw times the input, and this
+# bounds them at _WORKERS times this budget rather than a batch's worth.
+_COLUMN_BYTES = 1 << 18
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_WORKERS = _usable_cpus()
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads, so it starts its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(n: int, item_bytes: int, budget: int, least: int = 1):
+    """Contiguous (lo, hi) ranges over n items of `item_bytes` each.
+
+    A range holds no more items than fit `budget` bytes, unless that is
+    fewer than `least`: it then holds `least` to 2*least - 1 (or all n).
+    Several ranges come as a multiple of the worker count where n allows,
+    with sizes that differ by at most one, so every worker gets an even
+    share.
+    """
+    most = max(1, n // least)
+    count = max(1, min(most, -(-n // max(1, budget // max(item_bytes, 1)))))
+    if count > 1:
+        count = min(most, -(-count // _WORKERS) * _WORKERS)
+    return [(k * n // count, (k + 1) * n // count) for k in range(count)]
+
+
+def _fan_out(fn, ranges) -> None:
+    """Run fn(lo, hi) for every range, over up to `_WORKERS` threads.
+
+    The calling thread and the pool threads each take the next range not
+    yet taken until none is left, so a worker that gets no CPU delays no
+    one. A thread stops at its first error; the caller waits for every
+    thread and re-raises the error of the lowest range that failed. One
+    worker, or one range, runs inline and starts no thread. `fn` only
+    reads arrays and writes disjoint slices of preallocated outputs, so
+    the bits do not depend on which thread runs which range.
+    """
+    global _pool
+    workers = min(_WORKERS, len(ranges))
+    if workers <= 1:
+        for lo, hi in ranges:
+            fn(lo, hi)
+        return
+    todo, taking, errors = iter(ranges), threading.Lock(), []
+
+    def share():
+        while True:
+            with taking:
+                lo_hi = next(todo, None)
+            if lo_hi is None:
+                return
+            try:
+                fn(*lo_hi)
+            except BaseException as exc:  # re-raised on the calling thread once every thread is done
+                errors.append((lo_hi[0], exc))
+                return
+
+    with _pool_lock:
+        if _pool is None:
+            # imported here, not at module load: a process that never fans out (rank, one CPU) skips its cost
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=_WORKERS - 1, thread_name_prefix="tensorcore")
+        pool = _pool
+    futures = [pool.submit(share) for _ in range(workers - 1)]
+    share()
+    for future in futures:
+        future.result()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """(set, get) of the thread count of the OpenBLAS that numpy has loaded, or None if none is found."""
+    import ctypes
+    import glob
+
+    if not hasattr(os, "RTLD_NOLOAD"):  # no way to find a loaded library without loading one
+        return None
+    here = os.path.dirname(np.__file__)
+    libs = (glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*"))
+            + glob.glob(os.path.join(here, ".dylibs", "*openblas*")) + ["libopenblas.so.0"])
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # only a library that is already loaded
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            try:
+                set_, get = getattr(lib, name.format("set")), getattr(lib, name.format("get"))
+            except AttributeError:
+                continue
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            get.argtypes, get.restype = [], ctypes.c_int
+            return set_, get
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block, or the function it decorates, with OpenBLAS on one thread.
+
+    A BLAS product split over several threads may sum in another order,
+    so the pin keeps the bytes of a run independent of
+    OPENBLAS_NUM_THREADS, and the tensorcore workers do not each start
+    BLAS threads on the same CPUs. The previous count is restored on
+    exit. Where numpy's BLAS is not an OpenBLAS found here (MKL,
+    Accelerate) it does nothing.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    set_, get = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+def _sigmoid(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|)."""
     e = np.abs(x)
     np.exp(np.negative(e, out=e), out=e)
     d = 1.0 + e
-    y = np.divide(1.0, d)
-    np.divide(e, d, out=y, where=x < 0)
-    return y
+    num = np.maximum(e, x >= 0, out=out)
+    return np.divide(num, d, out=num)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -143,11 +311,11 @@ class Tensor:
         else:
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
 
-    def _accum_at(self, key, g: np.ndarray) -> None:
-        """Add `g` into the gradient entries a basic index `key` selects."""
+    def _grad_buffer(self) -> np.ndarray:
+        """The gradient, zeros until the first contribution, to add slices into."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        self.grad[key] += g
+        return self.grad
 
     def backward(self, grad=None) -> None:
         if not self.requires_grad:
@@ -271,7 +439,7 @@ class Tensor:
                 raise ValidationError(f"Tensor indexing takes ints, slices, None and Ellipsis, got {k!r}")
 
         def back(g):
-            self._accum_at(key, g)
+            self._grad_buffer()[key] += g
 
         return Tensor(self.data[key], _parents=(self,), _op="slice", _back=back)
 
@@ -331,32 +499,65 @@ def lstm_gates(z: Tensor, c_prev: Tensor = None):
     (the forget term then drops out). Returns (h_t, c_t) with
     c_t = f * c_prev + i * g and h_t = o * tanh(c_t) as two nodes: c_t
     writes the i, f and g bands of the gate gradient, h_t the o band.
+    Forward and backward run elementwise over sample ranges.
     """
-    d = z.data.shape[1] // 4
-    bands = [(slice(None), slice(k * d, (k + 1) * d)) for k in range(4)]
-    i, f, o = (_sigmoid(z.data[band]) for band in bands[:3])
-    g = np.tanh(z.data[bands[3]])
-    c = i * g if c_prev is None else f * c_prev.data + i * g
-    tanh_c = np.tanh(c)
+    n, d = z.data.shape[0], z.data.shape[1] // 4
+    gi, gf, go, gg = (slice(k * d, (k + 1) * d) for k in range(4))
+    i, f, o, g, c, tanh_c, h = (np.empty((n, d) + z.data.shape[2:]) for _ in range(7))
+    ranges = _split(n, z.data[:1].nbytes, _RANGE_BYTES)
+    forget = c_prev is not None
+
+    def forward(lo, hi):
+        s, zs = slice(lo, hi), z.data[lo:hi]
+        _sigmoid(zs[:, gi], out=i[s])
+        _sigmoid(zs[:, go], out=o[s])
+        np.tanh(zs[:, gg], out=g[s])
+        if forget:
+            _sigmoid(zs[:, gf], out=f[s])
+            np.add(f[s] * c_prev.data[s], i[s] * g[s], out=c[s])
+        else:
+            np.multiply(i[s], g[s], out=c[s])
+        np.tanh(c[s], out=tanh_c[s])
+        np.multiply(o[s], tanh_c[s], out=h[s])
+
+    _fan_out(forward, ranges)
 
     def back_c(gc):
-        if z.requires_grad:
-            z._accum_at(bands[0], gc * g * i * (1.0 - i))
-            if c_prev is not None:
-                z._accum_at(bands[1], gc * c_prev.data * f * (1.0 - f))
-            z._accum_at(bands[3], gc * i * (1.0 - g * g))
-        if c_prev is not None and c_prev.requires_grad:
-            c_prev._accum(gc * f, fresh=True)
+        dz = z._grad_buffer() if z.requires_grad else None
+        dc = np.empty(c.shape) if forget and c_prev.requires_grad else None
 
-    c_t = Tensor(c, _parents=(z,) if c_prev is None else (z, c_prev), _op="lstm_cell_state", _back=back_c)
+        def backward(lo, hi):
+            s = slice(lo, hi)
+            if dz is not None:
+                dz[s, gi] += gc[s] * g[s] * i[s] * (1.0 - i[s])
+                if forget:
+                    dz[s, gf] += gc[s] * c_prev.data[s] * f[s] * (1.0 - f[s])
+                dz[s, gg] += gc[s] * i[s] * (1.0 - g[s] * g[s])
+            if dc is not None:
+                np.multiply(gc[s], f[s], out=dc[s])
+
+        _fan_out(backward, ranges)
+        if dc is not None:
+            c_prev._accum(dc, fresh=True)
+
+    c_t = Tensor(c, _parents=(z, c_prev) if forget else (z,), _op="lstm_cell_state", _back=back_c)
 
     def back_h(gh):
-        if z.requires_grad:
-            z._accum_at(bands[2], gh * tanh_c * o * (1.0 - o))
-        if c_t.requires_grad:
-            c_t._accum(gh * o * (1.0 - tanh_c * tanh_c), fresh=True)
+        dz = z._grad_buffer() if z.requires_grad else None
+        dc = np.empty(c.shape) if c_t.requires_grad else None
 
-    return Tensor(o * tanh_c, _parents=(z, c_t), _op="lstm_hidden", _back=back_h), c_t
+        def backward(lo, hi):
+            s = slice(lo, hi)
+            if dz is not None:
+                dz[s, go] += gh[s] * tanh_c[s] * o[s] * (1.0 - o[s])
+            if dc is not None:
+                np.multiply(gh[s] * o[s], 1.0 - tanh_c[s] * tanh_c[s], out=dc[s])
+
+        _fan_out(backward, ranges)
+        if dc is not None:
+            c_t._accum(dc, fresh=True)
+
+    return Tensor(h, _parents=(z, c_t), _op="lstm_hidden", _back=back_h), c_t
 
 
 def _normalize(
@@ -364,39 +565,80 @@ def _normalize(
 ):
     """(x - mean) / sqrt(var + eps) * gamma + beta with gamma and beta along
     `channel_axis`; the statistics run over `stat_axes` unless `stats` fixes
-    them. Returns the output node and the (broadcastable) mean and var."""
+    them. Returns the output node and the (broadcastable) mean and var.
+
+    When the statistics do not reduce over the channel axis (batch norm),
+    forward and backward run over bands of channels: a band's reductions
+    give the bits of the whole array's, channel by channel. Otherwise
+    (layer norm) the whole array is one band.
+    """
     nd = x.data.ndim
+    channels = x.data.shape[channel_axis]
     bshape = [1] * nd
     bshape[channel_axis] = -1
     param_axes = tuple(a for a in range(nd) if a != channel_axis % nd)
-    scale = gamma.data.reshape(bshape)
+    scale, shift = gamma.data.reshape(bshape), beta.data.reshape(bshape)
+    reduced = {a % nd for a in stat_axes}
+    banded = channel_axis % nd not in reduced
+    # a one-channel band would reduce as one whole array, in another order, so bands hold two or more
+    item = x.data.nbytes // max(channels, 1)
+    ranges = _split(channels, item, _RANGE_BYTES, least=2) if banded else [(0, channels)]
+
+    def band(lo, hi):
+        return (slice(None),) * channel_axis + (slice(lo, hi),) if banded else Ellipsis
+
+    stat_shape = tuple(1 if a in reduced else m for a, m in enumerate(x.data.shape))
     if stats is None:
         count = int(np.prod([x.data.shape[a] for a in stat_axes]))
-        mu = x.data.sum(axis=stat_axes, keepdims=True) * (1.0 / count)
-        centered = x.data - mu
-        var = (centered * centered).sum(axis=stat_axes, keepdims=True) * (1.0 / count)
+        mu, var = np.empty(stat_shape), np.empty(stat_shape)
     else:
         mu, var = (np.reshape(s, bshape) for s in stats)
-        centered = x.data - mu
-    std = np.sqrt(var + eps)
-    y = np.divide(centered, std, out=centered) * scale
-    y += beta.data.reshape(bshape)
+    std = np.empty(mu.shape)
+    y = np.empty(x.data.shape)
+
+    def forward(lo, hi):
+        k = band(lo, hi)
+        if stats is None:
+            mu[k] = x.data[k].sum(axis=stat_axes, keepdims=True) * (1.0 / count)
+            centered = x.data[k] - mu[k]
+            var[k] = (centered * centered).sum(axis=stat_axes, keepdims=True) * (1.0 / count)
+        else:
+            centered = x.data[k] - mu[k]
+        std[k] = np.sqrt(var[k] + eps)
+        np.multiply(np.divide(centered, std[k], out=centered), scale[k], out=y[k])
+        y[k] += shift[k]
+
+    _fan_out(forward, ranges)
 
     def back(g):
-        xhat = np.divide(x.data - mu, std)  # rebuilt, not held: the same bits as the forward's
-        if x.requires_grad:
-            dxhat = g * scale
-            if stats is None:  # the batch statistics depend on x too
-                mean_dxhat = dxhat.mean(axis=stat_axes, keepdims=True)
-                projection = (dxhat * xhat).mean(axis=stat_axes, keepdims=True)
-                dxhat -= mean_dxhat
-                dxhat -= xhat * projection
-            dxhat /= std
-            x._accum(dxhat, fresh=True)
-        if gamma.requires_grad:
-            gamma._accum((g * xhat).sum(axis=param_axes).reshape(gamma.data.shape), fresh=True)
-        if beta.requires_grad:
-            beta._accum(g.sum(axis=param_axes).reshape(beta.data.shape), fresh=True)
+        dx = np.empty(x.data.shape) if x.requires_grad else None
+        dgamma = np.empty(channels) if gamma.requires_grad else None
+        dbeta = np.empty(channels) if beta.requires_grad else None
+
+        def backward(lo, hi):
+            k = band(lo, hi)
+            gk = g[k]
+            xhat = np.divide(x.data[k] - mu[k], std[k])  # rebuilt, not held: the same bits as the forward's
+            if dx is not None:
+                dxhat = np.multiply(gk, scale[k], out=dx[k])
+                if stats is None:  # the batch statistics depend on x too
+                    mean_dxhat = dxhat.mean(axis=stat_axes, keepdims=True)
+                    projection = (dxhat * xhat).mean(axis=stat_axes, keepdims=True)
+                    dxhat -= mean_dxhat
+                    dxhat -= xhat * projection
+                dxhat /= std[k]
+            if dgamma is not None:
+                dgamma[lo:hi] = (gk * xhat).sum(axis=param_axes).reshape(-1)
+            if dbeta is not None:
+                dbeta[lo:hi] = gk.sum(axis=param_axes).reshape(-1)
+
+        _fan_out(backward, ranges)
+        if dx is not None:
+            x._accum(dx, fresh=True)
+        if dgamma is not None:
+            gamma._accum(dgamma.reshape(gamma.data.shape), fresh=True)
+        if dbeta is not None:
+            beta._accum(dbeta.reshape(beta.data.shape), fresh=True)
 
     return Tensor(y, _parents=(x, gamma, beta), _op=op, _back=back), mu, var
 
@@ -420,35 +662,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 # -- convolution ----------------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Stride-1 columns (c*kh*kw, oh*ow) of one sample (c, hp, wp) that already holds its padding."""
-    c, hp, wp = xp.shape
-    oh, ow = hp - kh + 1, wp - kw + 1
-    s0, s1, s2 = xp.strides
-    view = np.lib.stride_tricks.as_strided(xp, (c, kh, kw, oh, ow), (s0, s1, s2, s1, s2))
-    return np.ascontiguousarray(view).reshape(c * kh * kw, oh * ow)
-
-
-def _sample_columns(xs, bounds, kh: int, kw: int):
-    """Yield each sample's columns of the channel-stacked inputs `xs` from one reused zero-bordered buffer."""
-    n, _, h, w = xs[0].data.shape
+def _columns(xs, bounds, lo: int, hi: int, kh: int, kw: int) -> np.ndarray:
+    """Stride-1 columns (m, c*kh*kw, h*w) of samples lo:hi of the channel-stacked inputs `xs`, "same"-padded,
+    built at once from one zero-bordered buffer; each sample's columns are laid out as a lone sample's."""
+    _, _, h, w = xs[0].data.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((bounds[-1], h + 2 * ph, w + 2 * pw))
-    for s in range(n):
-        for xi, lo, hi in zip(xs, bounds[:-1], bounds[1:]):
-            xp[lo:hi, ph : ph + h, pw : pw + w] = xi.data[s]
-        yield _im2col(xp, kh, kw)
+    xp = np.zeros((hi - lo, bounds[-1], h + 2 * ph, w + 2 * pw))
+    for xi, a, b in zip(xs, bounds[:-1], bounds[1:]):
+        xp[:, a:b, ph : ph + h, pw : pw + w] = xi.data[lo:hi]
+    m, c = xp.shape[:2]
+    s0, s1, s2, s3 = xp.strides
+    view = np.lib.stride_tricks.as_strided(xp, (m, c, kh, kw, h, w), (s0, s1, s2, s3, s2, s3))
+    return np.ascontiguousarray(view).reshape(m, c * kh * kw, h * w)
 
 
 def _col2im(cols: np.ndarray, c: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of `_im2col` on one same-padded (c, h, w) sample: sums each window back."""
+    """Adjoint of `_columns` on same-padded (m, c, h, w) samples: sums each window back."""
     ph, pw = kh // 2, kw // 2
-    out = np.zeros((c, h + 2 * ph, w + 2 * pw))
-    blocks = cols.reshape(c, kh, kw, h, w)
+    m = cols.shape[0]
+    out = np.zeros((m, c, h + 2 * ph, w + 2 * pw))
+    blocks = cols.reshape(m, c, kh, kw, h, w)
     for i in range(kh):
         for j in range(kw):
-            out[:, i : i + h, j : j + w] += blocks[:, i, j]
-    return out[:, ph : h + ph, pw : w + pw]
+            out[:, :, i : i + h, j : j + w] += blocks[:, :, i, j]
+    return out[:, :, ph : h + ph, pw : w + pw]
 
 
 def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
@@ -463,13 +700,15 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
     gradients are split back per input and per kernel. A single input is
     the 1-tuple case.
 
-    No batch's worth of columns is ever held: the forward builds one
-    sample's columns at a time, and the backward builds them again for the
-    kernel gradient and sums the input gradient's windows back one sample
-    at a time, so the node keeps nothing beyond its parents (Chen et al.
-    2016, arXiv:1604.06174). The per-sample kernel products are summed over
-    the batch in one reduction, the order a batched product would use, so
-    the bits are those of one batched im2col.
+    Forward and backward run over contiguous chunks of samples, each as
+    many as `_COLUMN_BYTES` of columns hold, and no batch's worth of
+    columns is ever held: the backward builds each chunk's columns again
+    for the kernel gradient and sums the input gradient's windows back
+    chunk by chunk, so the node keeps nothing beyond its parents (Chen et
+    al. 2016, arXiv:1604.06174). A chunk's products are one stacked
+    product, one BLAS call per sample, and the per-sample kernel products
+    are summed over the batch in one reduction, the order a batched
+    product would use, so the bits are those of one batched im2col.
     """
     xs = tuple(x) if isinstance(x, (tuple, list)) else (x,)
     ks = tuple(kernel) if isinstance(kernel, (tuple, list)) else (kernel,)
@@ -488,28 +727,37 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
     bounds = np.cumsum([0] + [xi.data.shape[1] for xi in xs])
     k2s = [ki.data.reshape(c_out, -1) for ki in ks]
     k2 = k2s[0] if len(k2s) == 1 else np.concatenate(k2s, axis=1)
+    chunks = _split(n, bounds[-1] * kh * kw * h * w * 8, _COLUMN_BYTES)
     y = np.empty((n, c_out, h * w))
-    for s, cols in enumerate(_sample_columns(xs, bounds, kh, kw)):
-        np.matmul(k2, cols, out=y[s])
+
+    def forward(lo, hi):
+        np.matmul(k2, _columns(xs, bounds, lo, hi, kh, kw), out=y[lo:hi])
+
+    _fan_out(forward, chunks)
     y = y.reshape(n, c_out, h, w)
     if bias is not None:
         y += bias.data.reshape(1, c_out, 1, 1)
 
     def back(g):
         g2 = g.reshape(n, c_out, h * w)
-        if any(ki.requires_grad for ki in ks):
-            dks = np.empty((n, c_out, bounds[-1] * kh * kw))
-            for s, cols in enumerate(_sample_columns(xs, bounds, kh, kw)):
-                np.matmul(g2[s], cols.T, out=dks[s])
+        dks = np.empty((n, c_out, bounds[-1] * kh * kw)) if any(ki.requires_grad for ki in ks) else None
+        dxs = [np.empty(xi.data.shape) if xi.requires_grad else None for xi in xs]
+
+        def backward(lo, hi):
+            if dks is not None:
+                np.matmul(g2[lo:hi], _columns(xs, bounds, lo, hi, kh, kw).transpose(0, 2, 1), out=dks[lo:hi])
+            for dx, k2i in zip(dxs, k2s):
+                if dx is not None:
+                    dx[lo:hi] = _col2im(np.matmul(k2i.T, g2[lo:hi]), dx.shape[1], h, w, kh, kw)
+
+        _fan_out(backward, chunks)
+        if dks is not None:
             dk = dks.sum(axis=0)
             for ki, lo, hi in zip(ks, bounds[:-1] * (kh * kw), bounds[1:] * (kh * kw)):
                 if ki.requires_grad:
                     ki._accum(dk[:, lo:hi].reshape(ki.data.shape), fresh=True)
-        for xi, k2i in zip(xs, k2s):
-            if xi.requires_grad:
-                dx = np.empty(xi.data.shape)
-                for s in range(n):
-                    dx[s] = _col2im(k2i.T @ g2[s], xi.data.shape[1], h, w, kh, kw)
+        for xi, dx in zip(xs, dxs):
+            if dx is not None:
                 xi._accum(dx, fresh=True)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=(0, 2, 3)), fresh=True)

@@ -1,12 +1,15 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import gcmkit
 from gcmkit import downscale as ds
 from gcmkit import ranking as rk
 from gcmkit import tensorcore as tc
@@ -15,6 +18,7 @@ from gcmkit.downscale.archs import _stride_plan
 from gcmkit.errors import ValidationError
 from gcmkit.pipeline import run_downscale
 from gcmkit.rng import SplitMix64
+from gcmkit.tensorcore import tensor as tensor_mod
 from gcmkit.tensorcore.tensor import Tensor
 
 from gradcases import OPS
@@ -479,6 +483,23 @@ class TestTrainer:
         cfg = mini_cfg("vit", seed=25)
         res = ds.train(cfg, mini_data, ds.TrainConfig(epochs=50, batch_size=3, learning_rate=1e-3, patience=2))
         assert len(res.log) <= 50
+
+    @pytest.mark.skipif(tensor_mod._usable_cpus() < 2, reason="two BLAS threads need two usable CPUs")
+    def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # unpinned, this run's convlstm parameters differ in the last digits between 1 and 2 OpenBLAS threads
+        src = os.path.dirname(os.path.dirname(gcmkit.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            argv = ["downscale", "train", "--arch", "convlstm", "--epochs", "1", "--seed", "1",
+                    "--out", str(tmp_path), "--name", f"threads{threads}"]
+            done = subprocess.run([sys.executable, "-m", "gcmkit.cli"] + argv, env=env, capture_output=True,
+                                  text=True, timeout=600)
+            assert done.returncode == 0, done.stderr
+            with open(tmp_path / f"threads{threads}" / "convlstm.ckpt" / "params.bin", "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+        assert digests[0] == digests[1]
 
 
 GOLDEN_CHECKPOINTS = {

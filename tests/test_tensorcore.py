@@ -1,13 +1,18 @@
+import sys
+import threading
+import time
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from gcmkit import downscale as ds
 from gcmkit import tensorcore as tc
 from gcmkit.artifacts import write_files
 from gcmkit.errors import NumericFault, ValidationError
 from gcmkit.rng import SplitMix64
+from gcmkit.tensorcore import tensor as tensor_mod
 from gcmkit.tensorcore.tensor import Tensor
 
 from gradcases import OPS
@@ -510,3 +515,124 @@ class TestDeterminism:
         (l1, g1), (l2, g2) = run(), run()
         assert l1 == l2
         assert np.array_equal(g1, g2)
+
+
+# (workers, range bytes): one, two and three workers, three splitting most
+# batches unevenly, with ranges of one item and with one range for the batch
+FAN_OUTS = [(w, b) for w in (1, 2, 3) for b in (1, 1 << 40)]
+
+
+def fanned(monkeypatch, workers, range_bytes, run):
+    """run() under a patched worker count and range budgets, as a list of arrays."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor_mod, "_WORKERS", workers)
+        patch.setattr(tensor_mod, "_RANGE_BYTES", range_bytes)
+        patch.setattr(tensor_mod, "_COLUMN_BYTES", range_bytes)
+        return [np.array(a) for a in run()]
+
+
+def leaves(seed, *shapes):
+    rng = SplitMix64(seed)
+    return [Tensor(rand(rng, shape), requires_grad=True) for shape in shapes]
+
+
+def conv_single():
+    x, k, b = leaves(50, (5, 3, 6, 7), (4, 3, 3, 3), (4,))
+    y = tc.conv2d(x, k, b)
+    y.backward(np.cos(np.arange(y.data.size)).reshape(y.data.shape))
+    return y.data, x.grad, k.grad, b.grad
+
+
+def conv_paired():
+    x, h, kx, kh, b = leaves(51, (5, 2, 6, 6), (5, 3, 6, 6), (4, 2, 3, 3), (4, 3, 3, 3), (4,))
+    y = tc.conv2d((x, h), (kx, kh), b)
+    y.backward(np.cos(np.arange(y.data.size)).reshape(y.data.shape))
+    return y.data, x.grad, h.grad, kx.grad, kh.grad, b.grad
+
+
+def norm(training):
+    def run():
+        x, gamma, beta = leaves(52, (4, 7, 5, 3), (7,), (7,))
+        stats = None if training else (np.linspace(-1.0, 1.0, 7), np.linspace(0.5, 2.0, 7))
+        y, mu, var = tc.batch_norm(x, gamma, beta, 1e-5, stats)
+        y.backward(np.sin(np.arange(y.data.size)).reshape(y.data.shape))
+        return y.data, mu, var, x.grad, gamma.grad, beta.grad
+    return run
+
+
+def gates(with_state):
+    def run():
+        z, c = leaves(53, (5, 12, 4, 3), (5, 3, 4, 3))
+        h, c_t = tc.lstm_gates(z, c if with_state else None)
+        (h * Tensor(np.cos(np.arange(h.data.size)).reshape(h.data.shape)) + c_t).sum().backward()
+        return (h.data, c_t.data, z.grad) + ((c.grad,) if with_state else ())
+    return run
+
+
+def trained(kind):
+    def run():
+        cfg = ds.ArchConfig(kind=kind, seed=4, factor=2, conv_channels=(3, 3), lstm_hidden=6, convlstm_hidden=(3, 3),
+                            up_channels=4)
+        res = ds.train(cfg, ds.make_dataset(5, 7, t=2, fine_hw=(12, 12), factor=2),
+                       ds.TrainConfig(epochs=1, batch_size=5, learning_rate=1e-3))
+        return [np.frombuffer(tc.encode_checkpoint(*res.model.checkpoint())["params.bin"], np.uint8)]
+    return run
+
+
+class TestWorkerInvariance:
+    """Every fanned-out op writes the same bits at any worker count and range size."""
+
+    @pytest.mark.parametrize("run", [conv_single, conv_paired, norm(True), norm(False), gates(True), gates(False),
+                                     trained("convlstm"), trained("cnn_lstm")],
+                             ids=["conv2d", "conv2d-paired", "batch_norm-train", "batch_norm-eval",
+                                  "lstm_gates", "lstm_gates-zero-state", "train-convlstm", "train-cnn_lstm"])
+    def test_bits_do_not_depend_on_the_fan_out(self, monkeypatch, run):
+        reference = fanned(monkeypatch, 1, 1 << 40, run)
+        for workers, range_bytes in FAN_OUTS[1:]:
+            got = fanned(monkeypatch, workers, range_bytes, run)
+            assert len(got) == len(reference)
+            for a, b in zip(got, reference):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (workers, range_bytes)
+
+    def test_bits_hold_under_frequent_thread_switches(self, monkeypatch):
+        runs = (conv_paired, norm(True), gates(True))
+        reference = [fanned(monkeypatch, 1, 1 << 40, run) for run in runs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [fanned(monkeypatch, 4, 1, run) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for arrays, want in zip(got, reference):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, want))
+
+    def test_split_covers_every_item_once_in_even_ranges(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "_WORKERS", 3)
+        for n, item, least in ((16, 30, 1), (7, 1000, 1), (7, 1000, 2), (1, 1000, 2), (5, 1, 1), (64, 40, 1)):
+            ranges = tensor_mod._split(n, item, 100, least)
+            assert [r[0] for r in ranges[1:]] == [r[1] for r in ranges[:-1]] and (ranges[0][0], ranges[-1][1]) == (0, n)
+            sizes = {hi - lo for lo, hi in ranges}
+            assert max(sizes) - min(sizes) <= 1 and min(sizes) >= min(least, n)
+            assert len(ranges) == 1 or len(ranges) % 3 == 0 or len(ranges) == n // least
+            assert max(sizes) * item <= 100 or max(sizes) < 2 * least
+
+    def test_the_lowest_failed_range_raises_after_every_range_ended(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "_WORKERS", 3)
+        ended = []
+
+        def fn(lo, hi):
+            time.sleep(0.01 * (lo % 3))
+            ended.append(lo)
+            if lo in (2, 4):
+                raise ValueError(f"range {lo}")
+
+        with pytest.raises(ValueError, match="range 2"):
+            tensor_mod._fan_out(fn, [(k, k + 1) for k in range(8)])
+        # a thread stops at its error and the others take what is left, so every range ran, and was waited for
+        assert sorted(ended) == list(range(8))
+
+    def test_one_worker_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "_WORKERS", 1)
+        threads = set()
+        tensor_mod._fan_out(lambda lo, hi: threads.add(threading.get_ident()), [(0, 1), (1, 2), (2, 3)])
+        assert threads == {threading.get_ident()}
