@@ -50,11 +50,13 @@ allocated beforehand; they build no node and touch no gradient, and every
 sum across slices runs on the calling thread after they finish. Each
 slice's arithmetic is the whole array's, so the bits are the same at any
 worker count. A range covers at most `_RANGE_BYTES` of an elementwise
-op's input (at least one sample, or two channels); conv2d's chunks hold at most
-`_COLUMN_BYTES` of im2col columns, which bounds its transient columns at
-the worker count times that budget. Work that fits in one range runs
-inline. Products are pinned to one OpenBLAS thread by
-`one_blas_thread`, which the trainers and `predict` wrap themselves in.
+op's input (at least one sample, or two channels). conv2d's chunks
+together hold at most `_COLUMN_BYTES` of im2col columns (one sample's at
+least, else half a batch's at most), whatever the worker count: when one
+sample's columns leave no room for a chunk per worker, fewer workers run.
+Work that fits in one range runs inline. Products are pinned to one
+OpenBLAS thread by `one_blas_thread`, which the trainers and `predict`
+wrap themselves in.
 
 All math is float64. Every op output, with or without a graph, is checked
 for NaN/Inf and a `NumericFault` is raised at the op that produced it.
@@ -100,10 +102,13 @@ def _consumed(g):
 # at 256 KB a convlstm training call on a 2-CPU x86 VM switched threads
 # twice as often and ran about 10% slower.
 _RANGE_BYTES = 1 << 20
-# The most bytes of im2col columns one conv2d chunk builds (at least one
-# sample's). The columns are transient, kh*kw times the input, and this
-# bounds them at _WORKERS times this budget rather than a batch's worth.
-_COLUMN_BYTES = 1 << 18
+# The most bytes of im2col columns a conv2d call holds at once, over all
+# its workers: at least one sample's, else half a batch's at most, so a
+# small batch is not held whole either. The columns are transient, kh*kw
+# times the input; the budget is shared out as chunks, and fewer workers
+# run when one sample's columns leave no room for a chunk each. Two
+# workers take one 590 KB sample each at the ConvLSTM's widest layer.
+_COLUMN_BYTES = 1 << 21
 
 
 def _usable_cpus() -> int:
@@ -128,24 +133,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _split(n: int, item_bytes: int, budget: int, least: int = 1):
+def _split(n: int, item_bytes: int, budget: int, least: int = 1, workers: int = None):
     """Contiguous (lo, hi) ranges over n items of `item_bytes` each.
 
     A range holds no more items than fit `budget` bytes, unless that is
     fewer than `least`: it then holds `least` to 2*least - 1 (or all n).
-    Several ranges come as a multiple of the worker count where n allows,
-    with sizes that differ by at most one, so every worker gets an even
-    share.
+    Several ranges come as a multiple of `workers` (the worker count by
+    default) where n allows, with sizes that differ by at most one, so
+    every worker gets an even share.
     """
+    workers = workers or _WORKERS
     most = max(1, n // least)
     count = max(1, min(most, -(-n // max(1, budget // max(item_bytes, 1)))))
     if count > 1:
-        count = min(most, -(-count // _WORKERS) * _WORKERS)
+        count = min(most, -(-count // workers) * workers)
     return [(k * n // count, (k + 1) * n // count) for k in range(count)]
 
 
-def _fan_out(fn, ranges) -> None:
-    """Run fn(lo, hi) for every range, over up to `_WORKERS` threads.
+def _fan_out(fn, ranges, most: int = None) -> None:
+    """Run fn(lo, hi) for every range, over up to `_WORKERS` threads, and
+    no more than `most` of them if given.
 
     The calling thread and the pool threads each take the next range not
     yet taken until none is left, so a worker that gets no CPU delays no
@@ -156,7 +163,7 @@ def _fan_out(fn, ranges) -> None:
     the bits do not depend on which thread runs which range.
     """
     global _pool
-    workers = min(_WORKERS, len(ranges))
+    workers = min(_WORKERS, len(ranges), most or _WORKERS)
     if workers <= 1:
         for lo, hi in ranges:
             fn(lo, hi)
@@ -503,9 +510,10 @@ def lstm_gates(z: Tensor, c_prev: Tensor = None):
     """
     n, d = z.data.shape[0], z.data.shape[1] // 4
     gi, gf, go, gg = (slice(k * d, (k + 1) * d) for k in range(4))
-    i, f, o, g, c, tanh_c, h = (np.empty((n, d) + z.data.shape[2:]) for _ in range(7))
-    ranges = _split(n, z.data[:1].nbytes, _RANGE_BYTES)
     forget = c_prev is not None
+    i, o, g, c, tanh_c, h = (np.empty((n, d) + z.data.shape[2:]) for _ in range(6))
+    f = np.empty(c.shape) if forget else None
+    ranges = _split(n, z.data[:1].nbytes, _RANGE_BYTES)
 
     def forward(lo, hi):
         s, zs = slice(lo, hi), z.data[lo:hi]
@@ -570,7 +578,8 @@ def _normalize(
     When the statistics do not reduce over the channel axis (batch norm),
     forward and backward run over bands of channels: a band's reductions
     give the bits of the whole array's, channel by channel. Otherwise
-    (layer norm) the whole array is one band.
+    (layer norm) they run inline on the whole array, whose arrays become
+    the node's with no copy.
     """
     nd = x.data.ndim
     channels = x.data.shape[channel_axis]
@@ -580,59 +589,78 @@ def _normalize(
     scale, shift = gamma.data.reshape(bshape), beta.data.reshape(bshape)
     reduced = {a % nd for a in stat_axes}
     banded = channel_axis % nd not in reduced
-    # a one-channel band would reduce as one whole array, in another order, so bands hold two or more
-    item = x.data.nbytes // max(channels, 1)
-    ranges = _split(channels, item, _RANGE_BYTES, least=2) if banded else [(0, channels)]
 
     def band(lo, hi):
-        return (slice(None),) * channel_axis + (slice(lo, hi),) if banded else Ellipsis
+        return (slice(None),) * channel_axis + (slice(lo, hi),)
 
-    stat_shape = tuple(1 if a in reduced else m for a, m in enumerate(x.data.shape))
     if stats is None:
         count = int(np.prod([x.data.shape[a] for a in stat_axes]))
-        mu, var = np.empty(stat_shape), np.empty(stat_shape)
     else:
         mu, var = (np.reshape(s, bshape) for s in stats)
-    std = np.empty(mu.shape)
-    y = np.empty(x.data.shape)
 
-    def forward(lo, hi):
-        k = band(lo, hi)
+    def normalized(k, out=None):
+        """(mu, var, std, y) of band k, y written into `out` if given."""
         if stats is None:
-            mu[k] = x.data[k].sum(axis=stat_axes, keepdims=True) * (1.0 / count)
-            centered = x.data[k] - mu[k]
-            var[k] = (centered * centered).sum(axis=stat_axes, keepdims=True) * (1.0 / count)
+            mu_k = x.data[k].sum(axis=stat_axes, keepdims=True) * (1.0 / count)
+            centered = x.data[k] - mu_k
+            var_k = (centered * centered).sum(axis=stat_axes, keepdims=True) * (1.0 / count)
         else:
-            centered = x.data[k] - mu[k]
-        std[k] = np.sqrt(var[k] + eps)
-        np.multiply(np.divide(centered, std[k], out=centered), scale[k], out=y[k])
-        y[k] += shift[k]
+            mu_k, var_k = mu[k], var[k]
+            centered = x.data[k] - mu_k
+        std_k = np.sqrt(var_k + eps)
+        y_k = np.multiply(np.divide(centered, std_k, out=centered), scale[k], out=out)
+        y_k += shift[k]
+        return mu_k, var_k, std_k, y_k
 
-    _fan_out(forward, ranges)
+    if banded:
+        # a one-channel band would reduce as one whole array, in another order, so bands hold two or more
+        ranges = _split(channels, x.data.nbytes // max(channels, 1), _RANGE_BYTES, least=2)
+        stat_shape = tuple(1 if a in reduced else m for a, m in enumerate(x.data.shape))
+        if stats is None:
+            mu, var = np.empty(stat_shape), np.empty(stat_shape)
+        std, y = np.empty(stat_shape), np.empty(x.data.shape)
+
+        def forward(lo, hi):
+            k = band(lo, hi)
+            mu_k, var_k, std[k], _ = normalized(k, out=y[k])
+            if stats is None:
+                mu[k], var[k] = mu_k, var_k
+
+        _fan_out(forward, ranges)
+    else:  # one band: its arrays are the node's, with no copy
+        mu, var, std, y = normalized(Ellipsis)
+
+    def grads(k, g, dx):
+        """Band k's input gradient, written into `dx` unless it is None, and its gamma and beta gradients."""
+        xhat = np.divide(x.data[k] - mu[k], std[k])  # rebuilt, not held: the same bits as the forward's
+        if dx is not None:
+            np.multiply(g, scale[k], out=dx)
+            if stats is None:  # the batch statistics depend on x too
+                mean_dxhat = dx.mean(axis=stat_axes, keepdims=True)
+                projection = (dx * xhat).mean(axis=stat_axes, keepdims=True)
+                dx -= mean_dxhat
+                dx -= xhat * projection
+            dx /= std[k]
+        return ((g * xhat).sum(axis=param_axes).reshape(-1) if gamma.requires_grad else None,
+                g.sum(axis=param_axes).reshape(-1) if beta.requires_grad else None)
 
     def back(g):
         dx = np.empty(x.data.shape) if x.requires_grad else None
-        dgamma = np.empty(channels) if gamma.requires_grad else None
-        dbeta = np.empty(channels) if beta.requires_grad else None
+        if banded:
+            dgamma = np.empty(channels) if gamma.requires_grad else None
+            dbeta = np.empty(channels) if beta.requires_grad else None
 
-        def backward(lo, hi):
-            k = band(lo, hi)
-            gk = g[k]
-            xhat = np.divide(x.data[k] - mu[k], std[k])  # rebuilt, not held: the same bits as the forward's
-            if dx is not None:
-                dxhat = np.multiply(gk, scale[k], out=dx[k])
-                if stats is None:  # the batch statistics depend on x too
-                    mean_dxhat = dxhat.mean(axis=stat_axes, keepdims=True)
-                    projection = (dxhat * xhat).mean(axis=stat_axes, keepdims=True)
-                    dxhat -= mean_dxhat
-                    dxhat -= xhat * projection
-                dxhat /= std[k]
-            if dgamma is not None:
-                dgamma[lo:hi] = (gk * xhat).sum(axis=param_axes).reshape(-1)
-            if dbeta is not None:
-                dbeta[lo:hi] = gk.sum(axis=param_axes).reshape(-1)
+            def backward(lo, hi):
+                k = band(lo, hi)
+                dgamma_k, dbeta_k = grads(k, g[k], None if dx is None else dx[k])
+                if dgamma is not None:
+                    dgamma[lo:hi] = dgamma_k
+                if dbeta is not None:
+                    dbeta[lo:hi] = dbeta_k
 
-        _fan_out(backward, ranges)
+            _fan_out(backward, ranges)
+        else:
+            dgamma, dbeta = grads(Ellipsis, g, dx)
         if dx is not None:
             x._accum(dx, fresh=True)
         if dgamma is not None:
@@ -700,8 +728,9 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
     gradients are split back per input and per kernel. A single input is
     the 1-tuple case.
 
-    Forward and backward run over contiguous chunks of samples, each as
-    many as `_COLUMN_BYTES` of columns hold, and no batch's worth of
+    Forward and backward run over contiguous chunks of samples, on as
+    many workers at once as `_COLUMN_BYTES` of columns hold (one sample's
+    at least, else half the batch's at most), so no batch's worth of
     columns is ever held: the backward builds each chunk's columns again
     for the kernel gradient and sums the input gradient's windows back
     chunk by chunk, so the node keeps nothing beyond its parents (Chen et
@@ -727,13 +756,16 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
     bounds = np.cumsum([0] + [xi.data.shape[1] for xi in xs])
     k2s = [ki.data.reshape(c_out, -1) for ki in ks]
     k2 = k2s[0] if len(k2s) == 1 else np.concatenate(k2s, axis=1)
-    chunks = _split(n, bounds[-1] * kh * kw * h * w * 8, _COLUMN_BYTES)
+    sample = max(1, bounds[-1] * kh * kw * h * w * 8)
+    budget = max(sample, min(_COLUMN_BYTES, n * sample // 2))
+    workers = max(1, min(_WORKERS, budget // sample))
+    chunks = _split(n, sample, budget // workers, workers=workers)
     y = np.empty((n, c_out, h * w))
 
     def forward(lo, hi):
         np.matmul(k2, _columns(xs, bounds, lo, hi, kh, kw), out=y[lo:hi])
 
-    _fan_out(forward, chunks)
+    _fan_out(forward, chunks, workers)
     y = y.reshape(n, c_out, h, w)
     if bias is not None:
         y += bias.data.reshape(1, c_out, 1, 1)
@@ -750,7 +782,7 @@ def conv2d(x, kernel, bias: Tensor = None) -> Tensor:
                 if dx is not None:
                     dx[lo:hi] = _col2im(np.matmul(k2i.T, g2[lo:hi]), dx.shape[1], h, w, kh, kw)
 
-        _fan_out(backward, chunks)
+        _fan_out(backward, chunks, workers)
         if dks is not None:
             dk = dks.sum(axis=0)
             for ki, lo, hi in zip(ks, bounds[:-1] * (kh * kw), bounds[1:] * (kh * kw)):

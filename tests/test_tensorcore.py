@@ -391,6 +391,18 @@ class TestGraphModes:
         assert held < columns, f"the graph holds {held} bytes after the forward"
         assert peak < columns, f"a no_grad forward peaked at {peak} bytes"
 
+    @pytest.mark.parametrize("workers", [3, 4, 8])
+    def test_conv2d_holds_no_batch_of_columns_at_any_worker_count(self, workers, monkeypatch):
+        # every worker holds a chunk at once, so the bound must cover them together;
+        # a fresh pool has a thread for each worker
+        monkeypatch.setattr(tensor_mod, "_WORKERS", workers)
+        monkeypatch.setattr(tensor_mod, "_pool", None)
+        try:
+            self.test_conv2d_holds_no_batch_of_columns()
+        finally:
+            if tensor_mod._pool is not None:
+                tensor_mod._pool.shutdown()
+
 
 class TestGradChecks:
     @pytest.mark.parametrize("name", sorted(OPS))
