@@ -16,7 +16,6 @@ from .archs import (
 from .data import (
     DownscaleDataset,
     benchmark_sets,
-    capacity_set,
     make_dataset,
     spec_split,
     windows_from_pair,
@@ -45,7 +44,6 @@ __all__ = [
     "baseline_bilinear",
     "benchmark_sets",
     "build_model",
-    "capacity_set",
     "check_fit",
     "comparison_table",
     "desk_train_config",

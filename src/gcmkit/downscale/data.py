@@ -149,18 +149,6 @@ def make_dataset(
     return windows_from_pair(coarse, fine, t)
 
 
-def capacity_set(seed: int = 90210) -> DownscaleDataset:
-    """The fixed 8-sample overfit set: clean pairing, no bias, no noise.
-
-    Windows sit 40 days apart so the samples are decorrelated; consecutive
-    windows would be near-duplicates and turn a capacity check into a
-    near-duplicate discrimination problem.
-    """
-    spacing = 40
-    full = make_dataset(seed, 8 * spacing + 1, t=4, fine_hw=(64, 64), factor=4, bias=0.0, noise_sd=0.0)
-    return full.subset(list(range(0, 8 * spacing, spacing)))
-
-
 def benchmark_sets(seed: int = 424242) -> Tuple[DownscaleDataset, DownscaleDataset]:
     """The bundled 200-sample benchmark: 160 train / 40 test windows.
 

@@ -66,6 +66,11 @@ def _snapshot(model: DownscaleModel):
     return {name: arr.copy() for name, arr in model.state_entries()}
 
 
+def _refresh(snapshot, model: DownscaleModel):
+    for name, arr in model.state_entries():
+        np.copyto(snapshot[name], arr)
+
+
 def _restore(model: DownscaleModel, snapshot):
     tc.load_state(model.state_entries(), snapshot, "training snapshot")
 
@@ -84,6 +89,11 @@ def train(
     validation signal. Identical configs and seeds reproduce identical
     logs (wall_ms aside) and identical checkpoints, under any BLAS thread
     count where the OpenBLAS pin applies (`tc.one_blas_thread`).
+
+    A step holds its graph, the optimizer state and two state sets made
+    once per call and refreshed in place: the best epoch's, restored at
+    the end, and the last good step's, restored on a non-finite step.
+    Batches are standardized as they are used, from the dataset.
     """
     check_fit(cfg, data.coarse_hw, data.factor)
     if model is None:
@@ -97,17 +107,22 @@ def train(
     if train_idx.size == 0:
         raise ValidationError("validation split leaves no training samples")
 
-    x_train = data.inputs[train_idx]
-    y_train = data.targets[train_idx]
-    model.norm.fit(x_train, y_train)
-    xs = (data.inputs - model.norm.in_mean) / model.norm.in_sd
-    ys = (data.targets - model.norm.out_mean) / model.norm.out_sd
-    raw_scale = float(model.norm.out_sd) ** 2
+    norm = model.norm
+    norm.fit(data.inputs[train_idx], data.targets[train_idx])
+    raw_scale = float(norm.out_sd) ** 2
 
     coords = model.coords(data)
     params = [t for _, t in model.params()]
     opt = tc.make_optimizer(tcfg.optimizer, params, tcfg.learning_rate)
     shuffle_rng = SplitMix64(cfg.seed ^ 0xBA7C4E5)
+
+    def standardized(sel):
+        """The inputs and targets of samples `sel`, standardized."""
+        x = data.inputs[sel] - norm.in_mean
+        x /= norm.in_sd
+        y = data.targets[sel] - norm.out_mean
+        y /= norm.out_sd
+        return x, y
 
     def batch_loss(pred, target):
         if tcfg.loss == "imbalance_weighted_mse":
@@ -120,15 +135,13 @@ def train(
         total = 0.0
         with tc.no_grad():
             for lo in range(0, idx.size, tcfg.batch_size):
-                sel = idx[lo : lo + tcfg.batch_size]
-                pred = model.forward(xs[sel], coords=coords, training=False)
-                diff = pred.data - ys[sel]
+                x, y = standardized(idx[lo : lo + tcfg.batch_size])
+                diff = model.forward(x, coords=coords, training=False).data - y
                 total += float(np.sum(diff * diff))
-        return total / (idx.size * ys.shape[1] * ys.shape[2]) * raw_scale
+        return total / (idx.size * data.targets.shape[1] * data.targets.shape[2]) * raw_scale
 
     result = TrainResult(model=model)
-    best = _snapshot(model)
-    last_good = best
+    best, last_good = _snapshot(model), _snapshot(model)
     since_best = 0
 
     for epoch in range(1, tcfg.epochs + 1):
@@ -137,11 +150,10 @@ def train(
         epoch_losses = []
         bad = False
         for lo in range(0, order.size, tcfg.batch_size):
-            sel = order[lo : lo + tcfg.batch_size]
+            x, y = standardized(order[lo : lo + tcfg.batch_size])
             opt.zero_grad()
             try:
-                pred = model.forward(xs[sel], coords=coords, training=True)
-                loss = batch_loss(pred, ys[sel])
+                loss = batch_loss(model.forward(x, coords=coords, training=True), y)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise NumericFault("non-finite training loss")
@@ -153,7 +165,7 @@ def train(
                 bad = True
                 break
             epoch_losses.append(value)
-            last_good = _snapshot(model)
+            _refresh(last_good, model)
         if bad:
             _restore(model, last_good)
             result.aborted = True
@@ -168,7 +180,7 @@ def train(
         if val_loss < result.best_val:
             result.best_val = val_loss
             result.best_epoch = epoch
-            best = _snapshot(model)
+            _refresh(best, model)
             since_best = 0
         else:
             since_best += 1

@@ -90,16 +90,3 @@ def make_ranking_fixture(out_dir: str, seed: int = 4242, nlat: int = 20, nlon: i
     paths["config"] = os.path.join(out_dir, "config.json")
     write_files(out_dir, {"config.json": json_text(config).encode()})
     return paths
-
-
-def make_csv_fixture(path: str) -> str:
-    """An 8-row CSV covering a 2x2x2 (date, lat, lon) grid."""
-    rows = ["date,lat,lon,value"]
-    value = 1.0
-    for date in ("1985-01-01", "1985-01-02"):
-        for lat in ("40.0", "41.0"):
-            for lon in ("10.0", "11.0"):
-                rows.append(f"{date},{lat},{lon},{value}")
-                value += 0.5
-    write_files(os.path.dirname(path) or ".", {os.path.basename(path): ("\n".join(rows) + "\n").encode()})
-    return path

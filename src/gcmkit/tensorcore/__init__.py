@@ -21,7 +21,6 @@ from .nn import (
 from .optim import SGD, Adam, make_optimizer
 from .tensor import (
     Tensor,
-    batch_norm,
     conv2d,
     conv2d_transpose,
     layer_norm,
@@ -46,7 +45,6 @@ __all__ = [
     "Tensor",
     "TransformerBlock",
     "attention",
-    "batch_norm",
     "conv2d",
     "conv2d_transpose",
     "dense",

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..rng import SplitMix64
-from .tensor import Tensor, batch_norm, conv2d, conv2d_transpose, layer_norm, lstm_gates, softmax
+from .tensor import Tensor, conv2d, conv2d_transpose, layer_norm, lstm_gates, softmax
 
 
 def he_uniform(rng: SplitMix64, shape, fan_in: int) -> np.ndarray:
@@ -152,18 +152,26 @@ class ConvLSTMCell(Module):
         2-D convolution; hidden and cell states are spatial fields.
 
         The cell's batch norm, when it has one, normalizes the stacked gate
-        pre-activations before the nonlinearities, in training or eval mode.
-        `None` states are zero states, as in `LSTMCell.step`. With a state, the
-        x- and h-convolutions are one convolution over [x, h_prev] (Shi et al.
-        2015), stacked inside `conv2d` from the separate `wx` and `wh`.
+        pre-activations inside the gate op, so no node holds them normalized:
+        with batch statistics, which update its running ones, in training,
+        and with the running ones in eval. `None` states are zero states, as
+        in `LSTMCell.step`. With a state, the x- and h-convolutions are one
+        convolution over [x, h_prev] (Shi et al. 2015), stacked inside
+        `conv2d` from the separate `wx` and `wh`.
         """
         if h_prev is None:
             z = conv2d(x, self.wx, self.b)
         else:
             z = conv2d((x, h_prev), (self.wx, self.wh), self.b)
-        if self.bn is not None:
-            z = self.bn(z, training=training)
-        return lstm_gates(z, c_prev)
+        bn = self.bn
+        if bn is None:
+            return lstm_gates(z, c_prev)
+        stats = None if training else (bn.running_mean, bn.running_var)
+        h, c, mu, var = lstm_gates(z, c_prev, norm=(bn.gamma, bn.beta, bn.eps, stats))
+        if training:
+            bn.running_mean[...] = bn.momentum * bn.running_mean + (1 - bn.momentum) * mu
+            bn.running_var[...] = bn.momentum * bn.running_var + (1 - bn.momentum) * var
+        return h, c
 
 
 class LayerNorm(Module):
@@ -177,7 +185,7 @@ class LayerNorm(Module):
 
 
 class BatchNorm2d(Module):
-    """Per-channel batch normalization with running statistics.
+    """Per-channel batch-normalization state, which `ConvLSTMCell.step` applies inside the gate op.
 
     Training mode normalizes with batch statistics and updates the running
     mean/var in place (momentum 0.9), so the buffers stay the live state;
@@ -191,14 +199,6 @@ class BatchNorm2d(Module):
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-
-    def __call__(self, x: Tensor, training: bool = True) -> Tensor:
-        stats = None if training else (self.running_mean, self.running_var)
-        out, mu, var = batch_norm(x, self.gamma, self.beta, self.eps, stats)
-        if training:
-            self.running_mean[...] = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var[...] = self.momentum * self.running_var + (1 - self.momentum) * var
-        return out
 
 
 class MultiHeadAttention(Module):

@@ -1,11 +1,28 @@
-"""SGD and Adam updates; deterministic given parameters and gradients."""
+"""SGD and Adam updates; deterministic given parameters and gradients.
+
+Both update a parameter a flat slice of at most `_RANGE_BYTES` at a time, so no temporary spans a large
+weight; each element takes the whole-array update's operations, so the slicing does not change the bits.
+"""
 
 from typing import List
 
 import numpy as np
 
 from ..errors import ValidationError
+from . import tensor
 from .tensor import Tensor
+
+
+def _slices(*arrays):
+    """Aligned flat slices of at most `_RANGE_BYTES` of equally shaped arrays, or the arrays whole
+    when one of them is not laid out contiguously."""
+    if not all(a.flags.c_contiguous for a in arrays):
+        yield arrays
+        return
+    flat = [a.reshape(-1) for a in arrays]
+    step = max(1, tensor._RANGE_BYTES // flat[0].itemsize)
+    for lo in range(0, flat[0].size, step):
+        yield tuple(a[lo : lo + step] for a in flat)
 
 
 class SGD:
@@ -22,7 +39,8 @@ class SGD:
         self.step_count += 1
         for p in self.params:
             if p.grad is not None:
-                p.data -= self.lr * p.grad
+                for data, grad in _slices(p.data, p.grad):
+                    data -= self.lr * grad
 
 
 class Adam:
@@ -43,22 +61,23 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, m_all, v_all in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            # in place, but the same operations in the same order as
-            # p -= lr * m_hat / (sqrt(v_hat) + eps)
-            m *= self.beta1
-            m += (1 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1 - self.beta2) * (p.grad * p.grad)
-            update = m / (1 - self.beta1 ** t)
-            update *= self.lr
-            denom = v / (1 - self.beta2 ** t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            update /= denom
-            p.data -= update
+            for data, grad, m, v in _slices(p.data, p.grad, m_all, v_all):
+                # in place, but the same operations in the same order as
+                # p -= lr * m_hat / (sqrt(v_hat) + eps)
+                m *= self.beta1
+                m += (1 - self.beta1) * grad
+                v *= self.beta2
+                v += (1 - self.beta2) * (grad * grad)
+                update = m / (1 - self.beta1 ** t)
+                update *= self.lr
+                denom = v / (1 - self.beta2 ** t)
+                np.sqrt(denom, out=denom)
+                denom += self.eps
+                update /= denom
+                data -= update
 
 
 OPTIMIZER_KINDS = ("sgd", "adam")

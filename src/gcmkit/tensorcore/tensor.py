@@ -22,39 +22,38 @@ sub built from them), matmul, reshape, transpose, basic-index slicing,
 sum/mean, relu and softmax, plus the fused nodes below. Each has a
 gradient check in the test suite.
 
-Hot composites are single fused nodes with hand-written backwards: the
-LSTM gate step (`lstm_gates`, two nodes: cell state and hidden state),
-`batch_norm` and `layer_norm`. Their backwards evaluate the same
-expressions, in the same order, as the composite graphs they replace,
-except that the normalizations use the closed-form input gradient; they
-rebuild the normalized input from their parent in backward rather than
-hold it.
-There is one convolution form and one transposed form. `conv2d` is
-stride 1 with "same" padding; it takes one input and kernel or matching
-sequences of them: a sum of convolutions is one node over the
-channel-stacked inputs, with one im2col and one product per sample, so it
-sums in a different order than separate convolutions plus an add and
-agrees with them to rounding. It builds im2col columns a chunk of
-samples at a time and its backward builds them again, so the node keeps
-no more than its parents. `conv2d_transpose` is the stride-fold
-upsampler whose stride equals its kernel size, so its windows never
-overlap.
+Hot composites are single fused nodes with hand-written backwards that
+evaluate the same expressions, in the same order, as the composite graphs
+they replace, except that the normalizations use the closed-form input
+gradient: the LSTM gate step (`lstm_gates`, two nodes: cell state and
+hidden state), which can batch-normalize its pre-activations first, and
+`layer_norm`. The normalizations rebuild the normalized input in
+backward rather than hold it, and write the input gradient over their
+output's. `conv2d` is stride 1 with "same" padding; it takes one input
+and kernel or matching sequences of them: a sum of convolutions is one
+node over the channel-stacked inputs, with one im2col and one product
+per sample, so it sums in a different order than separate convolutions
+plus an add and agrees with them to rounding. It builds im2col columns a
+chunk of samples at a time and its backward builds them again, so the
+node keeps no more than its parents. `conv2d_transpose` is the
+stride-fold upsampler whose stride equals its kernel size, so its
+windows never overlap.
 
-`conv2d`, `batch_norm` and `lstm_gates` fan their work out over one
-worker per usable CPU (`os.sched_getaffinity`, so `taskset` limits it):
-conv2d over chunks of samples, batch norm over bands of channels and the
-gate step over samples. The calling thread takes a share, and a pool of
-the other workers starts on the first fan-out that has more than one
-range. Workers only read arrays and write disjoint slices of outputs
-allocated beforehand; they build no node and touch no gradient, and every
-sum across slices runs on the calling thread after they finish. Each
-slice's arithmetic is the whole array's, so the bits are the same at any
-worker count. A range covers at most `_RANGE_BYTES` of an elementwise
-op's input (at least one sample, or two channels). conv2d's chunks
-together hold at most `_COLUMN_BYTES` of im2col columns (one sample's at
-least, else half a batch's at most), whatever the worker count: when one
-sample's columns leave no room for a chunk per worker, fewer workers run.
-Work that fits in one range runs inline. Products are pinned to one
+`conv2d` and `lstm_gates` fan their work out over one worker per usable
+CPU (`os.sched_getaffinity`, so `taskset` limits it): conv2d over chunks
+of samples, the gate step over samples and its normalization over bands
+of channels. The calling thread takes a share, and a pool of the other
+workers starts on the first fan-out that has more than one range.
+Workers only read arrays and write disjoint slices of outputs allocated
+beforehand; they build no node and touch no gradient, and every sum
+across slices runs on the calling thread after they finish. Each slice's
+arithmetic is the whole array's, so the bits are the same at any worker
+count. A range covers at most `_RANGE_BYTES` of an elementwise op's
+input (at least one sample, or two channels). conv2d's chunks together
+hold at most `_COLUMN_BYTES` of im2col columns (one sample's at least,
+else half a batch's at most), whatever the worker count: when one
+sample's columns leave no room for a chunk per worker, fewer workers
+run. Work that fits in one range runs inline. Products are pinned to one
 OpenBLAS thread by `one_blas_thread`, which the trainers and `predict`
 wrap themselves in.
 
@@ -95,12 +94,12 @@ def _consumed(g):
 
 # -- fan-out ----------------------------------------------------------------
 
-# The most bytes of an elementwise op's input a fan-out range covers (batch
-# norm's bands, the gate step's samples): a range holds as many items as
-# fit, and never fewer than one sample or two channels. Each range is a few
-# short numpy calls that hand the GIL between threads, so ranges are large:
-# at 256 KB a convlstm training call on a 2-CPU x86 VM switched threads
-# twice as often and ran about 10% slower.
+# The most bytes of an elementwise op's input a fan-out range covers (the
+# gate step's samples, its normalization's bands): a range holds as many
+# items as fit, and never fewer than one sample or two channels. Ranges
+# are a few short numpy calls that hand the GIL between threads, so they
+# are large: at 256 KB a convlstm training call on a 2-CPU x86 VM switched
+# threads twice as often and ran about 10% slower.
 _RANGE_BYTES = 1 << 20
 # The most bytes of im2col columns a conv2d call holds at once, over all
 # its workers: at least one sample's, else half a batch's at most, so a
@@ -301,7 +300,10 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        if self.requires_grad:
+        """Zero the gradient, in place when there is one."""
+        if self.requires_grad and self.grad is not None:
+            self.grad.fill(0.0)
+        elif self.requires_grad:
             self.grad = np.zeros_like(self.data)
 
     def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
@@ -498,7 +500,43 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor(y, _parents=(x,), _op="softmax", _back=back)
 
 
-def lstm_gates(z: Tensor, c_prev: Tensor = None):
+def _moments(x: np.ndarray, axes, count: int):
+    """Mean and biased variance of x over `axes` (kept as size-1 axes), and x - mean."""
+    mu = x.sum(axis=axes, keepdims=True) * (1.0 / count)
+    centered = x - mu
+    return mu, (centered * centered).sum(axis=axes, keepdims=True) * (1.0 / count), centered
+
+
+def _norm_grads(x, mu, std, scale, g, axes, param_axes, batch_stats: bool, need_x: bool, dgamma, dbeta):
+    """Gradients of y = (x - mu) / std * scale + shift from y's gradient g.
+
+    Writes the gamma and beta sums into `dgamma` and `dbeta` unless they
+    are None, then, if `need_x`, x's gradient over g; with batch
+    statistics mu and std depend on x too, which the closed form covers.
+    """
+    xhat = np.divide(x - mu, std)  # rebuilt, not held: the same bits as the forward's
+    if dgamma is not None:
+        dgamma[...] = (g * xhat).sum(axis=param_axes).reshape(-1)
+    if dbeta is not None:
+        dbeta[...] = g.sum(axis=param_axes).reshape(-1)
+    if need_x:
+        g *= scale
+        if batch_stats:
+            mean_dxhat = g.mean(axis=axes, keepdims=True)
+            projection = (g * xhat).mean(axis=axes, keepdims=True)
+            g -= mean_dxhat
+            g -= xhat * projection
+        g /= std
+
+
+def _accum_norm(x: Tensor, gamma: Tensor, beta: Tensor, dx, dgamma, dbeta) -> None:
+    """Hand a normalization's input, gamma and beta gradients (each None if not wanted) over, in that order."""
+    for t, grad in ((x, dx), (gamma, dgamma), (beta, dbeta)):
+        if t.requires_grad and grad is not None:
+            t._accum(grad.reshape(t.data.shape), fresh=True)
+
+
+def lstm_gates(z: Tensor, c_prev: Tensor = None, norm=None):
     """LSTM state update from stacked gate pre-activations.
 
     z holds the gates on axis 1 in the order input, forget, output,
@@ -507,16 +545,48 @@ def lstm_gates(z: Tensor, c_prev: Tensor = None):
     c_t = f * c_prev + i * g and h_t = o * tanh(c_t) as two nodes: c_t
     writes the i, f and g bands of the gate gradient, h_t the o band.
     Forward and backward run elementwise over sample ranges.
+
+    `norm` = (gamma, beta, eps, stats) batch-normalizes z per channel
+    first: over every other axis with `stats` None (training), else with
+    the per-channel (mean, var) pair it gives (eval); the return is then
+    (h_t, c_t, mean, var). The normalized gates are built a sample range
+    at a time and are no node's data (Rota Bulo et al. 2018,
+    arXiv:1712.02616): c_t's node holds z, gamma, beta and c_prev, and its
+    backward takes the gate gradient both nodes wrote into one fresh array
+    back through the normalization, over bands of channels, in place.
     """
-    n, d = z.data.shape[0], z.data.shape[1] // 4
+    n, channels = z.data.shape[:2]
+    d = channels // 4
     gi, gf, go, gg = (slice(k * d, (k + 1) * d) for k in range(4))
     forget = c_prev is not None
     i, o, g, c, tanh_c, h = (np.empty((n, d) + z.data.shape[2:]) for _ in range(6))
     f = np.empty(c.shape) if forget else None
     ranges = _split(n, z.data[:1].nbytes, _RANGE_BYTES)
+    need = (z.requires_grad,)
+    if norm is not None:
+        gamma, beta, eps, stats = norm
+        need += (gamma.requires_grad, beta.requires_grad)
+        axes = (0,) + tuple(range(2, z.data.ndim))
+        bshape = (1, channels) + (1,) * (z.data.ndim - 2)
+        scale, shift = gamma.data.reshape(bshape), beta.data.reshape(bshape)
+        # a one-channel band would reduce as one whole array, in another order, so bands hold two or more
+        bands = _split(channels, z.data.nbytes // max(channels, 1), _RANGE_BYTES, least=2)
+        if stats is None:
+            mu, var = np.empty(bshape), np.empty(bshape)
+
+            def moments(lo, hi):
+                mu[:, lo:hi], var[:, lo:hi], _ = _moments(z.data[:, lo:hi], axes, z.data.size // channels)
+
+            _fan_out(moments, bands)
+        else:
+            mu, var = (np.reshape(s, bshape) for s in stats)
+        std = np.sqrt(var + eps)
 
     def forward(lo, hi):
         s, zs = slice(lo, hi), z.data[lo:hi]
+        if norm is not None:
+            zs = zs - mu
+            zs = np.add(np.multiply(np.divide(zs, std, out=zs), scale, out=zs), shift, out=zs)
         _sigmoid(zs[:, gi], out=i[s])
         _sigmoid(zs[:, go], out=o[s])
         np.tanh(zs[:, gg], out=g[s])
@@ -529,9 +599,21 @@ def lstm_gates(z: Tensor, c_prev: Tensor = None):
         np.multiply(o[s], tanh_c[s], out=h[s])
 
     _fan_out(forward, ranges)
+    dy = None  # with `norm`, the gate gradient both nodes write into
+
+    def gate_grad():
+        nonlocal dy
+        if not any(need):
+            return None
+        if norm is None:
+            return z._grad_buffer()
+        if dy is None:
+            dy = np.zeros(z.data.shape)
+        return dy
 
     def back_c(gc):
-        dz = z._grad_buffer() if z.requires_grad else None
+        nonlocal dy
+        dz = gate_grad()
         dc = np.empty(c.shape) if forget and c_prev.requires_grad else None
 
         def backward(lo, hi):
@@ -547,11 +629,23 @@ def lstm_gates(z: Tensor, c_prev: Tensor = None):
         _fan_out(backward, ranges)
         if dc is not None:
             c_prev._accum(dc, fresh=True)
+        if norm is not None and dz is not None:
+            dy = None
+            dgamma, dbeta = (np.empty(channels) if p.requires_grad else None for p in (gamma, beta))
 
-    c_t = Tensor(c, _parents=(z, c_prev) if forget else (z,), _op="lstm_cell_state", _back=back_c)
+            def band_backward(lo, hi):
+                k = (slice(None), slice(lo, hi))
+                _norm_grads(z.data[k], mu[k], std[k], scale[k], dz[k], axes, axes, stats is None, z.requires_grad,
+                            *(None if t is None else t[lo:hi] for t in (dgamma, dbeta)))
+
+            _fan_out(band_backward, bands)
+            _accum_norm(z, gamma, beta, dz, dgamma, dbeta)
+
+    parents, prefix = ((z,), "") if norm is None else ((z, gamma, beta), "bn_")
+    c_t = Tensor(c, _parents=parents + ((c_prev,) if forget else ()), _op=prefix + "lstm_cell_state", _back=back_c)
 
     def back_h(gh):
-        dz = z._grad_buffer() if z.requires_grad else None
+        dz = gate_grad()
         dc = np.empty(c.shape) if c_t.requires_grad else None
 
         def backward(lo, hi):
@@ -565,126 +659,29 @@ def lstm_gates(z: Tensor, c_prev: Tensor = None):
         if dc is not None:
             c_t._accum(dc, fresh=True)
 
-    return Tensor(h, _parents=(z, c_t), _op="lstm_hidden", _back=back_h), c_t
-
-
-def _normalize(
-    x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stat_axes, channel_axis: int, op: str, stats=None
-):
-    """(x - mean) / sqrt(var + eps) * gamma + beta with gamma and beta along
-    `channel_axis`; the statistics run over `stat_axes` unless `stats` fixes
-    them. Returns the output node and the (broadcastable) mean and var.
-
-    When the statistics do not reduce over the channel axis (batch norm),
-    forward and backward run over bands of channels: a band's reductions
-    give the bits of the whole array's, channel by channel. Otherwise
-    (layer norm) they run inline on the whole array, whose arrays become
-    the node's with no copy.
-    """
-    nd = x.data.ndim
-    channels = x.data.shape[channel_axis]
-    bshape = [1] * nd
-    bshape[channel_axis] = -1
-    param_axes = tuple(a for a in range(nd) if a != channel_axis % nd)
-    scale, shift = gamma.data.reshape(bshape), beta.data.reshape(bshape)
-    reduced = {a % nd for a in stat_axes}
-    banded = channel_axis % nd not in reduced
-
-    def band(lo, hi):
-        return (slice(None),) * channel_axis + (slice(lo, hi),)
-
-    if stats is None:
-        count = int(np.prod([x.data.shape[a] for a in stat_axes]))
-    else:
-        mu, var = (np.reshape(s, bshape) for s in stats)
-
-    def normalized(k, out=None):
-        """(mu, var, std, y) of band k, y written into `out` if given."""
-        if stats is None:
-            mu_k = x.data[k].sum(axis=stat_axes, keepdims=True) * (1.0 / count)
-            centered = x.data[k] - mu_k
-            var_k = (centered * centered).sum(axis=stat_axes, keepdims=True) * (1.0 / count)
-        else:
-            mu_k, var_k = mu[k], var[k]
-            centered = x.data[k] - mu_k
-        std_k = np.sqrt(var_k + eps)
-        y_k = np.multiply(np.divide(centered, std_k, out=centered), scale[k], out=out)
-        y_k += shift[k]
-        return mu_k, var_k, std_k, y_k
-
-    if banded:
-        # a one-channel band would reduce as one whole array, in another order, so bands hold two or more
-        ranges = _split(channels, x.data.nbytes // max(channels, 1), _RANGE_BYTES, least=2)
-        stat_shape = tuple(1 if a in reduced else m for a, m in enumerate(x.data.shape))
-        if stats is None:
-            mu, var = np.empty(stat_shape), np.empty(stat_shape)
-        std, y = np.empty(stat_shape), np.empty(x.data.shape)
-
-        def forward(lo, hi):
-            k = band(lo, hi)
-            mu_k, var_k, std[k], _ = normalized(k, out=y[k])
-            if stats is None:
-                mu[k], var[k] = mu_k, var_k
-
-        _fan_out(forward, ranges)
-    else:  # one band: its arrays are the node's, with no copy
-        mu, var, std, y = normalized(Ellipsis)
-
-    def grads(k, g, dx):
-        """Band k's input gradient, written into `dx` unless it is None, and its gamma and beta gradients."""
-        xhat = np.divide(x.data[k] - mu[k], std[k])  # rebuilt, not held: the same bits as the forward's
-        if dx is not None:
-            np.multiply(g, scale[k], out=dx)
-            if stats is None:  # the batch statistics depend on x too
-                mean_dxhat = dx.mean(axis=stat_axes, keepdims=True)
-                projection = (dx * xhat).mean(axis=stat_axes, keepdims=True)
-                dx -= mean_dxhat
-                dx -= xhat * projection
-            dx /= std[k]
-        return ((g * xhat).sum(axis=param_axes).reshape(-1) if gamma.requires_grad else None,
-                g.sum(axis=param_axes).reshape(-1) if beta.requires_grad else None)
-
-    def back(g):
-        dx = np.empty(x.data.shape) if x.requires_grad else None
-        if banded:
-            dgamma = np.empty(channels) if gamma.requires_grad else None
-            dbeta = np.empty(channels) if beta.requires_grad else None
-
-            def backward(lo, hi):
-                k = band(lo, hi)
-                dgamma_k, dbeta_k = grads(k, g[k], None if dx is None else dx[k])
-                if dgamma is not None:
-                    dgamma[lo:hi] = dgamma_k
-                if dbeta is not None:
-                    dbeta[lo:hi] = dbeta_k
-
-            _fan_out(backward, ranges)
-        else:
-            dgamma, dbeta = grads(Ellipsis, g, dx)
-        if dx is not None:
-            x._accum(dx, fresh=True)
-        if dgamma is not None:
-            gamma._accum(dgamma.reshape(gamma.data.shape), fresh=True)
-        if dbeta is not None:
-            beta._accum(dbeta.reshape(beta.data.shape), fresh=True)
-
-    return Tensor(y, _parents=(x, gamma, beta), _op=op, _back=back), mu, var
-
-
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float, stats=None):
-    """Per-channel normalization of x (n, c, h, w) over (n, h, w).
-
-    With `stats` None (training) the batch mean and biased variance are
-    used; a (mean, var) pair of per-channel arrays (eval) is used instead.
-    Returns (output, mean, var), the statistics as per-channel arrays.
-    """
-    out, mu, var = _normalize(x, gamma, beta, eps, (0, 2, 3), 1, "batch_norm", stats)
-    return out, mu.reshape(-1), var.reshape(-1)
+    h_t = Tensor(h, _parents=(z, c_t), _op=prefix + "lstm_hidden", _back=back_h)
+    return (h_t, c_t) if norm is None else (h_t, c_t, mu.reshape(-1), var.reshape(-1))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Normalization over the last axis, scaled and shifted per feature."""
-    return _normalize(x, gamma, beta, eps, (-1,), -1, "layer_norm")[0]
+    """Normalization over the last axis, scaled and shifted per feature.
+
+    It runs inline on the whole array, whose statistics and output become
+    the node's with no copy; the backward writes x's gradient over the
+    output's.
+    """
+    axes, param_axes = (-1,), tuple(range(x.data.ndim - 1))
+    mu, var, centered = _moments(x.data, axes, x.data.shape[-1])
+    std = np.sqrt(var + eps)
+    y = np.multiply(np.divide(centered, std, out=centered), gamma.data)
+    y += beta.data
+
+    def back(g):
+        dgamma, dbeta = (np.empty(p.data.shape) if p.requires_grad else None for p in (gamma, beta))
+        _norm_grads(x.data, mu, std, gamma.data, g, axes, param_axes, True, x.requires_grad, dgamma, dbeta)
+        _accum_norm(x, gamma, beta, g, dgamma, dbeta)
+
+    return Tensor(y, _parents=(x, gamma, beta), _op="layer_norm", _back=back)
 
 
 # -- convolution ----------------------------------------------------------

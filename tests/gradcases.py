@@ -185,23 +185,35 @@ def _case_ln(rng):
     return lambda: tc.mse(ln(x), t), [x, ln.gamma, ln.beta]
 
 
-@op_case("batch_norm_train")
-def _case_bn(rng):
-    bn = tc.BatchNorm2d(3)
-    x = Tensor(rand(rng, (4, 3, 5, 5)), requires_grad=True)
-    t = rand(rng, (4, 3, 5, 5))
-    return lambda: tc.mse(bn(x, training=True), t), [x, bn.gamma, bn.beta]
+def _bn_gates(rng, training, with_state):
+    # the gate step on batch-normalized pre-activations, as a ConvLSTM cell with batch norm runs it
+    z = Tensor(rand(rng, (3, 8, 4, 4)), requires_grad=True)
+    gamma = Tensor(rand(rng, (8,)), requires_grad=True)
+    beta = Tensor(rand(rng, (8,)), requires_grad=True)
+    c0 = Tensor(rand(rng, (3, 2, 4, 4)), requires_grad=True) if with_state else None
+    stats = None if training else (rand(rng, (8,)), np.abs(rand(rng, (8,))) + 0.5)
+    t = rand(rng, (3, 2, 4, 4))
+
+    def f():
+        h1, c1, _, _ = tc.lstm_gates(z, c0, norm=(gamma, beta, 1e-5, stats))
+        return tc.mse(h1 * c1, t)
+
+    return f, [z, gamma, beta] + ([c0] if with_state else [])
 
 
-@op_case("batch_norm_eval")
-def _case_bn_eval(rng):
-    bn = tc.BatchNorm2d(3)
-    bn.running_mean = rand(rng, (3,))
-    bn.running_var = np.abs(rand(rng, (3,))) + 0.5
-    bn.gamma.data[...] = rand(rng, (3,))
-    x = Tensor(rand(rng, (4, 3, 5, 5)), requires_grad=True)
-    t = rand(rng, (4, 3, 5, 5))
-    return lambda: tc.mse(bn(x, training=False), t), [x, bn.gamma, bn.beta]
+@op_case("bn_lstm_gates_train")
+def _case_bn_gates_train(rng):
+    return _bn_gates(rng, training=True, with_state=True)
+
+
+@op_case("bn_lstm_gates_train_zero_state")
+def _case_bn_gates_train_zero_state(rng):
+    return _bn_gates(rng, training=True, with_state=False)
+
+
+@op_case("bn_lstm_gates_eval")
+def _case_bn_gates_eval(rng):
+    return _bn_gates(rng, training=False, with_state=True)
 
 
 @op_case("reductions_and_shapes")

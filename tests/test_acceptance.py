@@ -26,6 +26,7 @@ from gcmkit.geogrid import DataCube, GridAxis, ZoneMask, date_range, regrid_bili
 from gcmkit.rng import SplitMix64
 
 from gradcases import OPS
+from helpers import capacity_set
 from test_metrics import (
     naive_bias,
     naive_kge,
@@ -223,7 +224,7 @@ def test_c4_weightnet_training():
 @pytest.mark.slow
 def test_c5_downscaler_capacity_and_benchmark():
     with _Criterion("criterion 5: downscaler capacity and benchmark", 1800):
-        capacity = ds.capacity_set()
+        capacity = capacity_set()
         for kind in ds.ARCH_KINDS:
             cfg = ds.ArchConfig(kind=kind, seed=12)
             tcfg = desk_train_config(kind, "capacity")

@@ -18,10 +18,11 @@ from gcmkit import tensorcore as tc
 from gcmkit.artifacts import RunManifest, write_files
 from gcmkit.cli import main
 from gcmkit.downscale.data import PAIR_FIELDS
-from gcmkit.fixtures import GOOD_MODEL, make_csv_fixture, make_ranking_fixture
+from gcmkit.fixtures import GOOD_MODEL, make_ranking_fixture
 from gcmkit.geogrid import LAND_ZONES, ZONE_NAMES
 from gcmkit.metrics import METRIC_NAMES, MetricReport
 from gcmkit.ranking import DEFAULT_CRITERIA_NAMES
+from helpers import make_csv_fixture
 from specmutations import check_exit, field_paths, mutate, mutations, run_cli
 
 

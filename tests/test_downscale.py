@@ -14,6 +14,7 @@ from gcmkit import downscale as ds
 from gcmkit import ranking as rk
 from gcmkit import tensorcore as tc
 from gcmkit.artifacts import write_files
+from gcmkit.downscale import trainer as trainer_mod
 from gcmkit.downscale.archs import _stride_plan
 from gcmkit.errors import ValidationError
 from gcmkit.pipeline import run_downscale
@@ -22,6 +23,7 @@ from gcmkit.tensorcore import tensor as tensor_mod
 from gcmkit.tensorcore.tensor import Tensor
 
 from gradcases import OPS
+from helpers import capacity_set
 
 
 MINI = dict(
@@ -97,8 +99,8 @@ class TestDatasets:
         assert len(months) >= 8  # test windows spread over the year
 
     def test_capacity_set_is_fixed(self):
-        a = ds.capacity_set()
-        b = ds.capacity_set()
+        a = capacity_set()
+        b = capacity_set()
         assert len(a) == 8
         assert np.array_equal(a.inputs, b.inputs)
 
@@ -471,6 +473,40 @@ class TestTrainer:
         assert names == ["bn0.running_mean", "bn0.running_var", "bn1.running_mean", "bn1.running_var"]
         for (name, arr), saved in zip(model.buffers(), after_first):
             assert np.array_equal(arr, saved), name
+
+    def test_abort_after_a_new_best_restores_the_last_good_step(self, mini_data, monkeypatch):
+        # epoch 1 refreshes the best state set and step 2 of epoch 2 writes NaN into a parameter:
+        # the restore brings back the state after step 1 of epoch 2, not the best epoch's
+        cfg = mini_cfg("convlstm", seed=28)
+        model = ds.build_model(cfg, mini_data.coarse_hw)
+        tcfg = ds.TrainConfig(epochs=3, batch_size=3, learning_rate=1e-3)
+        per_epoch = -(-(len(mini_data) - round(tcfg.val_fraction * len(mini_data))) // tcfg.batch_size)
+        real_step = tc.Adam.step
+        states = []
+
+        def poisoned_step(opt):
+            real_step(opt)
+            if opt.step_count == per_epoch + 2:
+                opt.params[0].data[0] = np.nan
+            else:
+                states.append([arr.copy() for _, arr in model.state_entries()])
+
+        monkeypatch.setattr(tc.Adam, "step", poisoned_step)
+        res = ds.train(cfg, mini_data, tcfg, model=model)
+        assert res.aborted and res.best_epoch == 1 and len(states) == per_epoch + 1
+        restored = [arr for _, arr in model.state_entries()]
+        assert all(np.array_equal(a, b) for a, b in zip(restored, states[per_epoch]))
+        assert not all(np.array_equal(a, b) for a, b in zip(restored, states[per_epoch - 1]))
+
+    def test_state_sets_are_allocated_twice_per_call(self, mini_data, monkeypatch):
+        # the best and last-good sets are made once, and never share an array
+        made = []
+        real_snapshot = trainer_mod._snapshot
+        monkeypatch.setattr(trainer_mod, "_snapshot", lambda model: made.append(real_snapshot(model)) or made[-1])
+        res = ds.train(mini_cfg("cnn_lstm", seed=29), mini_data,
+                       ds.TrainConfig(epochs=3, batch_size=3, learning_rate=1e-3))
+        assert len(res.log) == 3 and len(made) == 2
+        assert not any(np.shares_memory(a, b) for a in made[0].values() for b in made[1].values())
 
     def test_log_csv_columns(self, tmp_path):
         overrides = {"epochs": 2, "batch_size": 3, "learning_rate": 1e-3}

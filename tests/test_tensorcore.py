@@ -292,19 +292,70 @@ class TestFusedNodes:
         if not zero_state:
             assert np.max(np.abs(c_prev.grad - dc_prev_ref)) <= 1e-12
 
-    def test_batch_norm_returns_the_statistics_it_used(self):
+    def test_normalized_gates_return_the_statistics_they_used(self):
         rng = SplitMix64(41)
-        x = Tensor(rand(rng, (4, 3, 5, 5)) * 2.0 + 1.0)
-        gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
-        out, mu, var = tc.batch_norm(x, gamma, beta, 1e-5)
-        assert np.allclose(mu, x.data.mean(axis=(0, 2, 3)), atol=1e-12)
-        assert np.allclose(var, x.data.var(axis=(0, 2, 3)), atol=1e-12)
-        assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
-        stats = (np.array([0.5, -1.0, 2.0]), np.array([1.0, 4.0, 0.25]))
-        out, mu, var = tc.batch_norm(x, gamma, beta, 0.0, stats)
+        z = Tensor(rand(rng, (4, 12, 5, 5)) * 2.0 + 1.0)
+        gamma, beta = Tensor(np.ones(12)), Tensor(np.zeros(12))
+        h, c, mu, var = tc.lstm_gates(z, None, norm=(gamma, beta, 1e-5, None))
+        assert np.allclose(mu, z.data.mean(axis=(0, 2, 3)), atol=1e-12)
+        assert np.allclose(var, z.data.var(axis=(0, 2, 3)), atol=1e-12)
+        # the gates read zero-mean, unit-variance pre-activations
+        zhat = (z.data - z.data.mean(axis=(0, 2, 3), keepdims=True)) / np.sqrt(z.data.var(axis=(0, 2, 3), keepdims=True) + 1e-5)
+        assert np.allclose(zhat.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
+        for got, want in zip((h, c), tc.lstm_gates(Tensor(zhat))):
+            assert np.allclose(got.data, want.data, atol=1e-12)
+        stats = (np.linspace(-1.0, 2.0, 12), np.linspace(0.25, 4.0, 12))
+        h, c, mu, var = tc.lstm_gates(z, None, norm=(gamma, beta, 0.0, stats))
         assert np.array_equal(mu, stats[0]) and np.array_equal(var, stats[1])
-        expected = (x.data - stats[0].reshape(1, -1, 1, 1)) / np.sqrt(stats[1]).reshape(1, -1, 1, 1)
-        assert np.allclose(out.data, expected, atol=1e-12)
+        expected = (z.data - stats[0].reshape(1, -1, 1, 1)) / np.sqrt(stats[1]).reshape(1, -1, 1, 1)
+        for got, want in zip((h, c), tc.lstm_gates(Tensor(expected))):
+            assert np.allclose(got.data, want.data, atol=1e-12)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("with_state", [True, False], ids=["state", "zero-state"])
+    def test_normalized_gates_equal_batch_norm_then_gates_bit_for_bit(self, monkeypatch, training, with_state):
+        # outputs, statistics and every gradient, at any fan-out of either side
+        reference = fanned(monkeypatch, 1, 1 << 40, normalized_gates(training, with_state, fused=False))
+        for workers, range_bytes in FAN_OUTS:
+            got = fanned(monkeypatch, workers, range_bytes, normalized_gates(training, with_state))
+            assert len(got) == len(reference)
+            for a, b in zip(got, reference):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (workers, range_bytes)
+
+    def test_normalized_gate_step_holds_no_normalized_gates(self):
+        # the unfused graph held the batch-norm output, one (n, 4*hidden, h, w) array, as a node's data;
+        # the shapes are the convlstm benchmark layer's, whose gates span two 1 MB sample ranges
+        n, hidden, hw = 16, 16, 16
+        gates_bytes = n * 4 * hidden * hw * hw * 8
+        rng = SplitMix64(44)
+        cell = tc.ConvLSTMCell(rng.split(), 1, hidden, 3, bn=tc.BatchNorm2d(4 * hidden))
+        bn = cell.bn
+        x, h0, c0 = (Tensor(rand(rng, (n, ch, hw, hw))) for ch in (1, hidden, hidden))
+
+        def held(step):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = step()
+                assert out[0].requires_grad
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        cell.step(x, h0, c0, training=True)  # a pool's threads start untraced
+        fused = held(lambda: cell.step(x, h0, c0, training=True))
+        unfused = held(lambda: tc.lstm_gates(
+            batch_norm_node(tc.conv2d((x, h0), (cell.wx, cell.wh), cell.b), bn.gamma, bn.beta, bn.eps)[0], c0))
+        assert fused <= unfused - gates_bytes, f"the fused step holds {fused} bytes, the unfused graph {unfused}"
+
+    def test_normalized_gate_step_holds_no_normalized_gates_on_three_workers(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "_WORKERS", 3)
+        monkeypatch.setattr(tensor_mod, "_pool", None)
+        try:
+            self.test_normalized_gate_step_holds_no_normalized_gates()
+        finally:
+            if tensor_mod._pool is not None:
+                tensor_mod._pool.shutdown()
 
 
 class TestGraphModes:
@@ -482,6 +533,54 @@ class TestOptimizers:
         assert np.array_equal(run(), run())
 
 
+    @staticmethod
+    def _whole_array_step(kind, p, g, m, v, t, lr):
+        """One SGD or Adam update of the whole arrays at once, the expressions each slice runs."""
+        if kind == "sgd":
+            p -= lr * g
+            return
+        m *= 0.9
+        m += (1 - 0.9) * g
+        v *= 0.999
+        v += (1 - 0.999) * (g * g)
+        update = m / (1 - 0.9 ** t)
+        update *= lr
+        denom = v / (1 - 0.999 ** t)
+        np.sqrt(denom, out=denom)
+        denom += 1e-8
+        update /= denom
+        p -= update
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_sliced_steps_equal_whole_array_steps_and_hold_few_slices(self, kind):
+        # a parameter of four and a half slices: a whole-array temporary would pass the bound
+        slice_bytes = tensor_mod._RANGE_BYTES
+        rng = SplitMix64(45)
+        w = Tensor(rand(rng, (9 * slice_bytes // (2 * 7 * 8), 7)), requires_grad=True)
+        p, m, v = w.data.copy(), np.zeros_like(w.data), np.zeros_like(w.data)
+        opt = tc.make_optimizer(kind, [w], 1e-2)
+        for t in (1, 2, 3):
+            w.grad = rand(rng, w.data.shape)
+            self._whole_array_step(kind, p, w.grad, m, v, t, 1e-2)
+            tracemalloc.start()
+            try:
+                opt.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert w.data.tobytes() == p.tobytes(), t
+            assert peak < 4 * slice_bytes, f"{kind} step {t} peaked at {peak} bytes"
+        if kind == "adam":
+            assert opt.m[0].tobytes() == m.tobytes() and opt.v[0].tobytes() == v.tobytes()
+
+    def test_zero_grad_zeroes_in_place(self):
+        w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        (w * w).sum().backward()
+        grad = w.grad
+        tc.SGD([w], lr=0.1).zero_grad()
+        assert w.grad is grad and np.array_equal(grad, np.zeros(2))
+
+
 class TestCheckpoints:
     def test_save_load_bit_identity(self, tmp_path):
         rng = SplitMix64(31)
@@ -562,13 +661,50 @@ def conv_paired():
     return y.data, x.grad, h.grad, kx.grad, kh.grad, b.grad
 
 
-def norm(training):
+def batch_norm_node(x, gamma, beta, eps, stats=None):
+    """The standalone batch-norm node that the normalized gate op replaced, on the whole array, holding its
+    output as the node's data: (output, mean, var), with the same expressions forward and backward."""
+    axes, shape = (0, 2, 3), (1, -1, 1, 1)
+    scale, shift = gamma.data.reshape(shape), beta.data.reshape(shape)
+    if stats is None:
+        count = x.data.size // x.data.shape[1]
+        mu = x.data.sum(axis=axes, keepdims=True) * (1.0 / count)
+        centered = x.data - mu
+        var = (centered * centered).sum(axis=axes, keepdims=True) * (1.0 / count)
+    else:
+        mu, var = (np.reshape(s, shape) for s in stats)
+    std = np.sqrt(var + eps)
+
+    def back(g):
+        xhat = (x.data - mu) / std
+        dx = g * scale
+        if stats is None:
+            mean_dxhat = dx.mean(axis=axes, keepdims=True)
+            projection = (dx * xhat).mean(axis=axes, keepdims=True)
+            dx -= mean_dxhat
+            dx -= xhat * projection
+        dx /= std
+        x._accum(dx, fresh=True)
+        gamma._accum((g * xhat).sum(axis=axes), fresh=True)
+        beta._accum(g.sum(axis=axes), fresh=True)
+
+    y = (x.data - mu) / std * scale + shift
+    return Tensor(y, _parents=(x, gamma, beta), _op="batch_norm", _back=back), mu.reshape(-1), var.reshape(-1)
+
+
+def normalized_gates(training, with_state, fused=True):
+    """The gate step on batch-normalized pre-activations, fused or as `batch_norm_node` then `lstm_gates`."""
     def run():
-        x, gamma, beta = leaves(52, (4, 7, 5, 3), (7,), (7,))
-        stats = None if training else (np.linspace(-1.0, 1.0, 7), np.linspace(0.5, 2.0, 7))
-        y, mu, var = tc.batch_norm(x, gamma, beta, 1e-5, stats)
-        y.backward(np.sin(np.arange(y.data.size)).reshape(y.data.shape))
-        return y.data, mu, var, x.grad, gamma.grad, beta.grad
+        z, gamma, beta, c = leaves(52, (5, 20, 4, 3), (20,), (20,), (5, 5, 4, 3))
+        stats = None if training else (np.linspace(-1.0, 1.0, 20), np.linspace(0.5, 2.0, 20))
+        c_prev = c if with_state else None
+        if fused:
+            h, c_t, mu, var = tc.lstm_gates(z, c_prev, norm=(gamma, beta, 1e-5, stats))
+        else:
+            y, mu, var = batch_norm_node(z, gamma, beta, 1e-5, stats)
+            h, c_t = tc.lstm_gates(y, c_prev)
+        (h * Tensor(np.cos(np.arange(h.data.size)).reshape(h.data.shape)) + c_t).sum().backward()
+        return (h.data, c_t.data, mu, var, z.grad, gamma.grad, beta.grad) + ((c.grad,) if with_state else ())
     return run
 
 
@@ -594,10 +730,14 @@ def trained(kind):
 class TestWorkerInvariance:
     """Every fanned-out op writes the same bits at any worker count and range size."""
 
-    @pytest.mark.parametrize("run", [conv_single, conv_paired, norm(True), norm(False), gates(True), gates(False),
+    @pytest.mark.parametrize("run", [conv_single, conv_paired, gates(True), gates(False),
+                                     normalized_gates(True, True), normalized_gates(True, False),
+                                     normalized_gates(False, True), normalized_gates(False, False),
                                      trained("convlstm"), trained("cnn_lstm")],
-                             ids=["conv2d", "conv2d-paired", "batch_norm-train", "batch_norm-eval",
-                                  "lstm_gates", "lstm_gates-zero-state", "train-convlstm", "train-cnn_lstm"])
+                             ids=["conv2d", "conv2d-paired", "lstm_gates", "lstm_gates-zero-state",
+                                  "bn_lstm_gates-train", "bn_lstm_gates-train-zero-state",
+                                  "bn_lstm_gates-eval", "bn_lstm_gates-eval-zero-state",
+                                  "train-convlstm", "train-cnn_lstm"])
     def test_bits_do_not_depend_on_the_fan_out(self, monkeypatch, run):
         reference = fanned(monkeypatch, 1, 1 << 40, run)
         for workers, range_bytes in FAN_OUTS[1:]:
@@ -607,7 +747,7 @@ class TestWorkerInvariance:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (workers, range_bytes)
 
     def test_bits_hold_under_frequent_thread_switches(self, monkeypatch):
-        runs = (conv_paired, norm(True), gates(True))
+        runs = (conv_paired, normalized_gates(True, True), gates(True))
         reference = [fanned(monkeypatch, 1, 1 << 40, run) for run in runs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
