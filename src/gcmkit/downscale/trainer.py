@@ -3,9 +3,9 @@
 Training runs on standardized inputs/targets (statistics fitted on the
 training split and stored with the model), with seeded shuffling, per-epoch
 train/validation logging, best-validation checkpointing and an abort path
-that keeps the last good parameters when the loss or a parameter goes
-non-finite. Logged losses are converted back to squared data units so they
-are comparable across configurations.
+that keeps the last good parameters when a step (`Optimizer.minimize`)
+raises `NumericFault`. Logged losses are converted back to squared data
+units so they are comparable across configurations.
 """
 
 import math
@@ -19,7 +19,7 @@ from ..errors import NumericFault, ValidationError
 from ..rng import SplitMix64
 from ..spec import ABSENT, FLOAT_MAX, POSITIVE, Field, parse
 from .. import tensorcore as tc
-from ..tensorcore.optim import OPTIMIZER_KINDS
+from ..tensorcore.optim import OPTIMIZERS
 from .archs import ArchConfig, DownscaleModel, build_model, check_fit, imbalance_weighted_mse
 from .data import DownscaleDataset
 
@@ -32,7 +32,7 @@ TRAIN_FIELDS = (
     Field("epochs", (int,), ABSENT, low=1, high=MAX_EPOCHS),
     Field("batch_size", (int,), ABSENT, low=1),
     Field("learning_rate", (int, float), ABSENT, low=POSITIVE, high=FLOAT_MAX),
-    Field("optimizer", (str,), ABSENT, choices=OPTIMIZER_KINDS),
+    Field("optimizer", (str,), ABSENT, choices=tuple(OPTIMIZERS)),
     Field("loss", (str,), ABSENT, choices=LOSS_KINDS),
     Field("patience", (int,), ABSENT, low=0),
     Field("val_fraction", (int, float), ABSENT, low=0, high=math.nextafter(1.0, 0.0)),
@@ -59,7 +59,12 @@ class TrainResult:
     log: List[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_val: float = math.inf
-    aborted: bool = False
+    abort_epoch: int = 0  # the epoch a NumericFault ended, 0 when training finished
+    abort_reason: str = ""  # that NumericFault's message
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_epoch > 0
 
 
 def _snapshot(model: DownscaleModel):
@@ -90,9 +95,9 @@ def train(
     logs (wall_ms aside) and identical checkpoints, under any BLAS thread
     count where the OpenBLAS pin applies (`tc.one_blas_thread`).
 
-    A step holds its graph, the optimizer state and two state sets made
-    once per call and refreshed in place: the best epoch's, restored at
-    the end, and the last good step's, restored on a non-finite step.
+    A step (`opt.minimize`) holds its graph, the optimizer state and two
+    state sets made once per call and refreshed in place: the best epoch's,
+    restored at the end, and the last good step's, restored on a NumericFault.
     Batches are standardized as they are used, from the dataset.
     """
     check_fit(cfg, data.coarse_hw, data.factor)
@@ -112,8 +117,7 @@ def train(
     raw_scale = float(norm.out_sd) ** 2
 
     coords = model.coords(data)
-    params = [t for _, t in model.params()]
-    opt = tc.make_optimizer(tcfg.optimizer, params, tcfg.learning_rate)
+    opt = tc.make_optimizer(tcfg.optimizer, [t for _, t in model.params()], tcfg.learning_rate)
     shuffle_rng = SplitMix64(cfg.seed ^ 0xBA7C4E5)
 
     def standardized(sel):
@@ -148,27 +152,16 @@ def train(
         t0 = time.perf_counter()
         order = train_idx[shuffle_rng.permutation(train_idx.size)]
         epoch_losses = []
-        bad = False
         for lo in range(0, order.size, tcfg.batch_size):
             x, y = standardized(order[lo : lo + tcfg.batch_size])
-            opt.zero_grad()
             try:
-                loss = batch_loss(model.forward(x, coords=coords, training=True), y)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise NumericFault("non-finite training loss")
-                loss.backward()
-                opt.step()
-                if not all(np.all(np.isfinite(p.data)) for p in params):
-                    raise NumericFault("non-finite parameters after an optimizer step")
-            except NumericFault:
-                bad = True
+                epoch_losses.append(opt.minimize(lambda: batch_loss(model.forward(x, coords=coords, training=True), y)))
+            except NumericFault as exc:
+                result.abort_epoch, result.abort_reason = epoch, str(exc)
                 break
-            epoch_losses.append(value)
             _refresh(last_good, model)
-        if bad:
+        if result.aborted:
             _restore(model, last_good)
-            result.aborted = True
             break
         train_loss = float(np.mean(epoch_losses)) * raw_scale
         val_loss = eval_loss(val_idx) if val_idx.size else train_loss

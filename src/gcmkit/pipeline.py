@@ -313,7 +313,8 @@ def run_downscale(
             for name, blob in encode_checkpoint(*result.model.checkpoint()).items():
                 manifest.put(f"{kind}.ckpt/{name}", blob)
             if result.aborted:
-                raise NumericFault(f"[train.{kind}] training aborted on non-finite loss")
+                raise NumericFault(f"[train.{kind}] training aborted in epoch {result.abort_epoch}: "
+                                   f"{result.abort_reason}")
             predictions[kind] = dsc.predict_dataset(result.model, test_set)
 
     with manifest.stage("evaluate"):

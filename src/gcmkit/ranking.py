@@ -322,8 +322,8 @@ def train_weightnet(
     """Fit the weight network to entropy-method targets across contexts, which all score the same criteria.
 
     Training runs `warm_epochs` of SGD before switching to Adam (both at
-    the configured learning rate) and logs the mean training MSE per epoch.
-    Deterministic for a fixed config seed.
+    the configured learning rate, one `minimize` per batch) and logs the
+    mean training MSE per epoch. Deterministic for a fixed config seed.
     """
     if not contexts:
         raise ValidationError("train_weightnet needs at least one context")
@@ -345,12 +345,7 @@ def train_weightnet(
         losses = []
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            opt.zero_grad()
-            pred = net.forward(feats[idx])
-            loss = tc.mse(pred, targets[idx])
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
+            losses.append(opt.minimize(lambda: tc.mse(net.forward(feats[idx]), targets[idx])))
         mean_loss = float(np.mean(losses))
         if not math.isfinite(mean_loss):
             raise NumericFault(f"weight-network training diverged at epoch {epoch + 1}")

@@ -6,8 +6,8 @@ count); params.bin holds the concatenated little-endian float64 payload.
 A network's entries are its `state_entries()`, one ordered list of live
 arrays. `encode_checkpoint` turns them into files for
 `artifacts.write_files`, and `load_state` copies loaded arrays back into
-them. Reload is bit-exact, and a malformed checkpoint raises
-ValidationError naming its file.
+them. Reload is bit-exact, and a malformed checkpoint, or one whose
+payload holds NaN or Inf, raises ValidationError naming its file.
 """
 
 import json
@@ -53,7 +53,7 @@ def encode_checkpoint(entries: List[Tuple[str, np.ndarray]], meta: dict) -> Dict
 
 
 def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], dict]:
-    """({entry name: array}, meta) of the checkpoint directory `path`, whose entries must tile its payload."""
+    """({entry name: array}, meta) of the checkpoint directory `path`, whose entries must tile its finite payload."""
     manifest_path = os.path.join(path, _MANIFEST)
     if not os.path.isfile(manifest_path):
         raise ValidationError(f"no checkpoint manifest under {path}")
@@ -73,6 +73,9 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], dict]:
     out = {name: raw[offset:offset + size].reshape(shape).copy() for offset, size, name, shape in spans}
     if len(out) < len(spans):
         raise ValidationError(f"{where}: an entry name is listed twice")
+    for name, arr in out.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"payload of checkpoint {manifest_path} is non-finite in entry {name!r}")
     return out, manifest["meta"]
 
 

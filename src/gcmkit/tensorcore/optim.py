@@ -1,14 +1,14 @@
-"""SGD and Adam updates; deterministic given parameters and gradients.
+"""SGD and Adam updates, deterministic given parameters and gradients, and the one training step `minimize`.
 
 Both update a parameter a flat slice of at most `_RANGE_BYTES` at a time, so no temporary spans a large
 weight; each element takes the whole-array update's operations, so the slicing does not change the bits.
 """
 
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import NumericFault, ValidationError
 from . import tensor
 from .tensor import Tensor
 
@@ -25,7 +25,9 @@ def _slices(*arrays):
         yield tuple(a[lo : lo + step] for a in flat)
 
 
-class SGD:
+class Optimizer:
+    """The parameters, learning rate and step count of an optimizer, and its training step."""
+
     def __init__(self, params: List[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
@@ -35,6 +37,19 @@ class SGD:
         for p in self.params:
             p.zero_grad()
 
+    def minimize(self, loss_of: Callable[[], Tensor]) -> float:
+        """Zero, backpropagate the scalar `loss_of()`, update, and return the loss; NumericFault on a
+        non-finite parameter after the update (an op that makes NaN or Inf raises it in the forward)."""
+        self.zero_grad()
+        loss = loss_of()
+        loss.backward()
+        self.step()
+        if not all(np.all(np.isfinite(p.data)) for p in self.params):
+            raise NumericFault("non-finite parameters after an optimizer step")
+        return loss.item()
+
+
+class SGD(Optimizer):
     def step(self):
         self.step_count += 1
         for p in self.params:
@@ -43,20 +58,14 @@ class SGD:
                     data -= self.lr * grad
 
 
-class Adam:
+class Adam(Optimizer):
     """Adam with bias-corrected first and second moments."""
 
     def __init__(self, params: List[Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
-        self.lr = lr
+        super().__init__(params, lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        self.step_count = 0
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
 
     def step(self):
         self.step_count += 1
@@ -80,12 +89,10 @@ class Adam:
                 data -= update
 
 
-OPTIMIZER_KINDS = ("sgd", "adam")
+OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 
 
-def make_optimizer(kind: str, params: List[Tensor], lr: float):
-    if kind == "sgd":
-        return SGD(params, lr)
-    if kind == "adam":
-        return Adam(params, lr)
-    raise ValidationError(f"unknown optimizer kind {kind!r}")
+def make_optimizer(kind: str, params: List[Tensor], lr: float) -> Optimizer:
+    if kind not in OPTIMIZERS:
+        raise ValidationError(f"unknown optimizer kind {kind!r}")
+    return OPTIMIZERS[kind](params, lr)

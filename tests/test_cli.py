@@ -48,6 +48,24 @@ def vit_ckpt(tmp_path_factory):
     return os.path.join(out_root, "ds", "vit.ckpt")
 
 
+@pytest.fixture(scope="module")
+def convlstm_ckpt(tmp_path_factory):
+    """The checkpoint of an untrained convlstm for the bundled benchmark's grid; tests copy it before editing."""
+    from gcmkit import downscale as ds
+
+    path = str(tmp_path_factory.mktemp("ds") / "convlstm.ckpt")
+    write_files(path, tc.encode_checkpoint(*ds.build_model(ds.ArchConfig(kind="convlstm"), (16, 16)).checkpoint()))
+    return path
+
+
+def poison_entry(ckpt, name, value):
+    """Write `value` over the first value of checkpoint entry `name`, in place."""
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    payload = np.fromfile(ckpt / "params.bin", dtype="<f8")
+    payload[next(rec["offset"] for rec in manifest["entries"] if rec["name"] == name)] = value
+    payload.tofile(ckpt / "params.bin")
+
+
 class TestIngest:
     def test_csv_to_gcf(self, tmp_path):
         csv_path = make_csv_fixture(str(tmp_path / "fx.csv"))
@@ -283,6 +301,35 @@ class TestRank:
         assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and drop in err
+
+    def test_non_finite_weight_checkpoint_exits_2_naming_the_entry(self, tmp_path, fixture_paths, rank_run, capsys):
+        ckpt = tmp_path / "weightnet.ckpt"
+        shutil.copytree(os.path.join(rank_run, "weightnet.ckpt"), ckpt)
+        poison_entry(ckpt, "fc2.w", np.nan)
+        config = {**json.load(open(fixture_paths["config"])), "weights": {"checkpoint": str(ckpt)}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 2
+        err = capsys.readouterr().err
+        assert f"payload of checkpoint {ckpt / 'manifest.json'} is non-finite in entry 'fc2.w'" in err
+
+    def test_weight_net_step_that_leaves_a_parameter_non_finite_exits_3(self, tmp_path, fixture_paths, capsys,
+                                                                         monkeypatch):
+        # Adam runs only the last epoch, in one step for the fixture's 30 contexts; it writes NaN
+        real_step = tc.Adam.step
+
+        def poisoned_step(opt):
+            real_step(opt)
+            opt.params[-1].data[0] = np.nan
+
+        monkeypatch.setattr(tc.Adam, "step", poisoned_step)
+        config = {**json.load(open(fixture_paths["config"])), "weights": "train",
+                  "weightnet": {"epochs": 6, "warm_epochs": 5}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["rank", "--config", str(cfg_path), "--out", str(tmp_path), "--name", "run"]) == 3
+        assert "non-finite parameters after an optimizer step" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "run" / "weightnet.ckpt" / "params.bin")
 
     @pytest.mark.parametrize(
         "criteria",
@@ -840,6 +887,16 @@ class TestDownscaleCli:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("entry, value", [("bn0.running_var", np.inf), ("head.up0.b", np.nan)])
+    def test_non_finite_checkpoint_exits_2_naming_the_entry(self, tmp_path, capsys, convlstm_ckpt, entry, value):
+        ckpt = tmp_path / "convlstm.ckpt"
+        shutil.copytree(convlstm_ckpt, ckpt)
+        poison_entry(ckpt, entry, value)
+        assert main(["downscale", "eval", "--ckpt", str(ckpt), "--report", str(tmp_path / "eval.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"payload of checkpoint {ckpt / 'manifest.json'} is non-finite in entry {entry!r}" in err
+        assert not os.path.exists(tmp_path / "eval.csv")
+
 
 class TestReport:
     def test_report_bundle_shapes(self, tmp_path, fixture_paths):
@@ -1046,6 +1103,29 @@ class TestExitCodes:
         assert "numeric fault" in capsys.readouterr().err
         arrays, _ = load_checkpoint(str(tmp_path / "poisoned" / "cnn_lstm.ckpt"))
         assert all(np.all(np.isfinite(arr)) for arr in arrays.values())
+
+    def test_abort_names_its_epoch_and_cause(self, tmp_path, capsys, monkeypatch):
+        from gcmkit.downscale import desk_train_config
+
+        tcfg = desk_train_config("cnn_lstm")
+        train = 160 - round(tcfg.val_fraction * 160)  # of the bundled split's 160 windows
+        per_epoch = -(-train // tcfg.batch_size)
+        real_step = tc.Adam.step
+
+        def poisoned_step(opt):
+            real_step(opt)
+            if opt.step_count > per_epoch:
+                opt.params[0].data[...] = np.nan
+
+        monkeypatch.setattr(tc.Adam, "step", poisoned_step)
+        code = main(["downscale", "train", "--arch", "cnn_lstm", "--epochs", "2", "--name", "poisoned",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert ("[train.cnn_lstm] training aborted in epoch 2: non-finite parameters after an optimizer step"
+                in err)
+        log = (tmp_path / "poisoned" / "cnn_lstm_train_log.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in log[1:]] == ["1"]
 
     def test_io_error_exits_4(self, tmp_path, capsys):
         csv_path = make_csv_fixture(str(tmp_path / "fx.csv"))

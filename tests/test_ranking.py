@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gcmkit import ranking as rk
 from gcmkit import tensorcore as tc
 from gcmkit.artifacts import write_files
-from gcmkit.errors import ValidationError
+from gcmkit.errors import NumericFault, ValidationError
 from gcmkit.metrics import METRIC_NAMES, MetricReport
 
 
@@ -345,6 +345,24 @@ class TestWeightNet:
         target = rk.entropy_target_weights(rk.normalize(dm)).w
         pred = net.predict(rk.featurize(dm)).w
         assert np.max(np.abs(pred - target)) <= 0.05
+
+
+    def test_a_step_that_leaves_a_parameter_non_finite_raises(self, monkeypatch):
+        # Adam runs only the last epoch; its last step writes NaN into a parameter
+        rng = np.random.default_rng(8)
+        contexts = [rk.DecisionMatrix(["a", "b", "c"], rk.DEFAULT_CRITERIA_NAMES,
+                                      np.abs(rng.normal(size=(3, 9))) + 0.01, ("z", str(i))) for i in range(12)]
+        cfg = rk.WeightNetConfig(epochs=6, warm_epochs=5, batch_size=5)
+        real_step = tc.Adam.step
+
+        def poisoned_step(opt):
+            real_step(opt)
+            if opt.step_count == 3:  # 12 contexts in batches of 5
+                opt.params[0].data[0, 0] = np.nan
+
+        monkeypatch.setattr(tc.Adam, "step", poisoned_step)
+        with pytest.raises(NumericFault, match="non-finite parameters after an optimizer step"):
+            rk.train_weightnet(contexts, cfg)
 
 
 class TestRankAll:
