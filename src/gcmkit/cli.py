@@ -14,13 +14,12 @@ import tempfile
 
 from . import __version__, downscale as dsc, gcf, pipeline
 from .artifacts import json_text, write_files
-from .downscale.trainer import TRAIN_FIELDS
 from .errors import NumericFault, ValidationError
 from .fixtures import GOOD_MODEL, make_ranking_fixture
 from .geogrid import SEASONS, regrid_bilinear
 from .metrics import ZONE_OVERALL, full_report, report_rows_to_csv
 from .ranking import order_by_cc
-from .spec import ABSENT, Field, parse, read_json
+from .spec import ABSENT, Field, optional, parse, read_json
 
 
 def _out_root(args) -> str:
@@ -74,7 +73,7 @@ def cmd_rank(args) -> int:
 
 
 # a `downscale train --config` file
-TRAIN_FILE_FIELDS = (Field("train", (dict,), ABSENT, fields=TRAIN_FIELDS),)
+TRAIN_FILE_FIELDS = (Field("train", (dict,), ABSENT, fields=optional(dsc.TrainConfig.FIELDS)),)
 
 
 def cmd_downscale_train(args) -> int:

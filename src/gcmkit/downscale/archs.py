@@ -28,56 +28,52 @@ then buffers, then the norm); checkpoints, the trainer's snapshots and
 ValidationError naming it.
 """
 
-from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ValidationError
 from ..rng import SplitMix64
-from ..spec import Field, parse
+from ..spec import FLOAT_MAX, Config, Field, parse
 from .. import tensorcore as tc
 from ..tensorcore.tensor import Tensor
 
 ARCH_KINDS = ("cnn_lstm", "convlstm", "vit", "geostanet")
-# the keys of a downscaler checkpoint's meta; `config` holds the ArchConfig fields
-META_FIELDS = (
-    Field("kind", (str,), choices=ARCH_KINDS),
-    Field("config", (dict,)),
-    Field("seed", (int,)),
-    Field("step", (int,), low=0),
-)
 
 
-@dataclass
-class ArchConfig:
-    kind: str
-    factor: int = 4
-    in_channels: int = 1
-    kernel_radius: int = 1
-    conv_channels: Tuple[int, ...] = (16, 16)
-    lstm_hidden: int = 48
-    convlstm_hidden: Tuple[int, ...] = (16, 16)
-    patch: int = 4
-    embed_dim: int = 64
-    heads: int = 4
-    layers: int = 2
-    mlp_ratio: int = 2
-    up_channels: int = 32
-    alpha: float = 0.5
-    seed: int = 0
+class ArchConfig(Config):
+    """One architecture and its sizes, the desk sizes by default; a layer count may be 0, a width not."""
 
-    def __post_init__(self):
-        if self.kind not in ARCH_KINDS:
-            raise ValidationError(f"unknown architecture {self.kind!r}")
-        if self.factor < 1:
-            raise ValidationError("upsample factor must be >= 1")
-        if self.patch < 1:
-            raise ValidationError("patch size must be >= 1")
+    FIELDS = (
+        Field("kind", (str,), choices=ARCH_KINDS),
+        Field("factor", (int,), 4, low=1),
+        Field("in_channels", (int,), 1, low=1),
+        Field("kernel_radius", (int,), 1, low=0),
+        Field("conv_channels", (list,), (16, 16), items=(int,), low=1),
+        Field("lstm_hidden", (int,), 48, low=1),
+        Field("convlstm_hidden", (list,), (16, 16), items=(int,), low=1),
+        Field("patch", (int,), 4, low=1),
+        Field("embed_dim", (int,), 64, low=1),
+        Field("heads", (int,), 4, low=1),
+        Field("layers", (int,), 2, low=0),
+        Field("mlp_ratio", (int,), 2, low=1),
+        Field("up_channels", (int,), 32, low=1),
+        Field("alpha", (int, float), 0.5, low=-FLOAT_MAX, high=FLOAT_MAX),
+        Field("seed", (int,), 0),
+    )
 
     @property
     def kernel(self) -> int:
         return 2 * self.kernel_radius + 1
+
+
+# the keys of a downscaler checkpoint's meta; `kind` and `seed` repeat the config's
+META_FIELDS = (
+    Field("kind", (str,), choices=ARCH_KINDS),
+    Field("config", (dict,), fields=ArchConfig.FIELDS),
+    Field("seed", (int,)),
+    Field("step", (int,), low=0),
+)
 
 
 def _stride_plan(total: int) -> List[int]:
@@ -172,7 +168,7 @@ class DownscaleModel(tc.Module):
         """(entries, meta) for `tc.encode_checkpoint`."""
         meta = {
             "kind": self.cfg.kind,
-            "config": asdict(self.cfg),
+            "config": dict(vars(self.cfg)),
             "seed": self.cfg.seed,
             "step": self.step_count,
         }
@@ -401,34 +397,35 @@ def load_model(path: str, coarse_hw: Tuple[int, int], factor: int) -> DownscaleM
     """The model saved at `path`, for data of upsample `factor` on a coarse grid of `coarse_hw`.
 
     A malformed checkpoint, or one that does not fit the data, raises
-    ValidationError naming it before any state is loaded. The data is
-    checked first (`check_fit`), then the config's sizes against the
+    ValidationError naming it before any state is loaded. The meta's
+    `kind` and `seed` must repeat its config's. The data is checked first
+    (`check_fit`), then the config's sizes against the
     checkpoint's entry shapes, before the model is built, so an edited size
     cannot exhaust memory. A shape that differs names the data's coarse
     grid, since a checkpoint trained on another grid fails there too.
     """
     arrays, meta = tc.load_checkpoint(path)
     meta = parse(meta, META_FIELDS, f"checkpoint {path} meta")
-    bad_config = f"checkpoint {path} holds a bad architecture config"
-    try:
-        cfg = ArchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in meta["config"].items()})
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{bad_config}: {exc}") from None
+    cfg = ArchConfig(**meta["config"])
+    for key in ("kind", "seed"):
+        if meta[key] != getattr(cfg, key):
+            raise ValidationError(f"checkpoint {path} meta: {key} {meta[key]!r} differs from "
+                                  f"config.{key} {getattr(cfg, key)!r}")
     try:
         check_fit(cfg, coarse_hw, factor)
     except ValidationError as exc:
         raise ValidationError(f"checkpoint {path} does not fit the data: {exc}") from None
-    try:
-        misfit = next(((name, shape) for name, shape in _size_carriers(cfg, coarse_hw)
-                       if name not in arrays or arrays[name].shape != shape), None)
-        model = None if misfit else build_model(cfg, coarse_hw)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{bad_config}: {exc}") from None
+    misfit = next(((name, shape) for name, shape in _size_carriers(cfg, coarse_hw)
+                   if name not in arrays or arrays[name].shape != shape), None)
     if misfit:
         name, shape = misfit
         found = arrays[name].shape if name in arrays else "no such entry"
         raise ValidationError(f"checkpoint {path} does not fit coarse grid {tuple(coarse_hw)}: "
                               f"it implies entry {name!r} of shape {shape}, the checkpoint holds {found}")
+    try:
+        model = build_model(cfg, coarse_hw)
+    except ValidationError as exc:  # e.g. heads that do not divide embed_dim
+        raise ValidationError(f"checkpoint {path} holds a bad architecture config: {exc}") from None
     model.step_count = meta["step"]
     tc.load_state(model.state_entries(), arrays, path)
     return model

@@ -16,37 +16,20 @@ bundled 160-window training split). The architectures' desk sizes are
 from .trainer import TrainConfig
 
 _LR = {"cnn_lstm": 1e-3, "convlstm": 5e-3, "vit": 3e-3, "geostanet": 3e-3}
-_CAPACITY = {
-    "cnn_lstm": dict(epochs=300, batch_size=2),
-    "convlstm": dict(epochs=150, batch_size=4),
-    "vit": dict(epochs=250, batch_size=2),
-    "geostanet": dict(epochs=150, batch_size=4),
-}
-_BENCHMARK = {
-    "cnn_lstm": dict(epochs=30, batch_size=16),
-    "convlstm": dict(epochs=25, batch_size=16),
-    "vit": dict(epochs=40, batch_size=16),
-    "geostanet": dict(epochs=40, batch_size=16),
+# (epochs, batch size) per phase and architecture
+_SIZES = {
+    "capacity": {"cnn_lstm": (300, 2), "convlstm": (150, 4), "vit": (250, 2), "geostanet": (150, 4)},
+    "benchmark": {"cnn_lstm": (30, 16), "convlstm": (25, 16), "vit": (40, 16), "geostanet": (40, 16)},
 }
 
 
 def desk_train_config(kind: str, phase: str = "benchmark") -> TrainConfig:
-    if phase == "capacity":
-        spec = _CAPACITY[kind]
-        return TrainConfig(
-            epochs=spec["epochs"],
-            batch_size=spec["batch_size"],
-            learning_rate=_LR[kind],
-            loss="mse",
-            val_fraction=0.0,
-        )
-    if phase == "benchmark":
-        spec = _BENCHMARK[kind]
-        return TrainConfig(
-            epochs=spec["epochs"],
-            batch_size=spec["batch_size"],
-            learning_rate=_LR[kind],
-            loss="imbalance_weighted_mse" if kind == "geostanet" else "mse",
-            val_fraction=0.2,
-        )
-    raise ValueError(f"unknown phase {phase!r}")
+    """The preset of `kind` for `phase`: the benchmark holds out a fifth for
+    validation and trains geostanet on the imbalance-weighted loss."""
+    if phase not in _SIZES:
+        raise ValueError(f"unknown phase {phase!r}")
+    epochs, batch_size = _SIZES[phase][kind]
+    benchmark = phase == "benchmark"
+    return TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=_LR[kind],
+                       loss="imbalance_weighted_mse" if benchmark and kind == "geostanet" else "mse",
+                       val_fraction=0.2 if benchmark else 0.0)

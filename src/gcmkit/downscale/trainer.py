@@ -17,40 +17,27 @@ import numpy as np
 
 from ..errors import NumericFault, ValidationError
 from ..rng import SplitMix64
-from ..spec import ABSENT, FLOAT_MAX, POSITIVE, Field, parse
+from ..spec import FLOAT_MAX, MAX_EPOCHS, POSITIVE, Config, Field
 from .. import tensorcore as tc
 from ..tensorcore.optim import OPTIMIZERS
 from .archs import ArchConfig, DownscaleModel, build_model, check_fit, imbalance_weighted_mse
 from .data import DownscaleDataset
 
 LOSS_KINDS = ("mse", "imbalance_weighted_mse")
-# the most epochs any training loop may be configured for, so a mistyped count
-# fails validation instead of training for ever
-MAX_EPOCHS = 10_000
-# the keys of a TrainConfig, and of a `downscale train --config` file's train block
-TRAIN_FIELDS = (
-    Field("epochs", (int,), ABSENT, low=1, high=MAX_EPOCHS),
-    Field("batch_size", (int,), ABSENT, low=1),
-    Field("learning_rate", (int, float), ABSENT, low=POSITIVE, high=FLOAT_MAX),
-    Field("optimizer", (str,), ABSENT, choices=tuple(OPTIMIZERS)),
-    Field("loss", (str,), ABSENT, choices=LOSS_KINDS),
-    Field("patience", (int,), ABSENT, low=0),
-    Field("val_fraction", (int, float), ABSENT, low=0, high=math.nextafter(1.0, 0.0)),
-)
 
 
-@dataclass
-class TrainConfig:
-    epochs: int = 60
-    batch_size: int = 16
-    learning_rate: float = 2e-3
-    optimizer: str = "adam"
-    loss: str = "mse"
-    patience: int = 0  # 0 disables early stopping
-    val_fraction: float = 0.2
+class TrainConfig(Config):
+    """How `train` fits a model; the train block of a `downscale train --config` file overrides it."""
 
-    def __post_init__(self):
-        parse(vars(self), TRAIN_FIELDS, "train config")
+    FIELDS = (
+        Field("epochs", (int,), 60, low=1, high=MAX_EPOCHS),
+        Field("batch_size", (int,), 16, low=1),
+        Field("learning_rate", (int, float), 2e-3, low=POSITIVE, high=FLOAT_MAX),
+        Field("optimizer", (str,), "adam", choices=tuple(OPTIMIZERS)),
+        Field("loss", (str,), "mse", choices=LOSS_KINDS),
+        Field("patience", (int,), 0, low=0),  # 0 disables early stopping
+        Field("val_fraction", (int, float), 0.2, low=0, high=math.nextafter(1.0, 0.0)),
+    )
 
 
 @dataclass

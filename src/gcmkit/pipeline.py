@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,8 +49,7 @@ from .ranking import (
 )
 from . import downscale as dsc
 from .downscale.presets import desk_train_config
-from .downscale.trainer import MAX_EPOCHS
-from .spec import ABSENT, FLOAT_MAX, POSITIVE, Field, parse, read_json
+from .spec import ABSENT, Field, optional, parse, read_json
 from .tensorcore import encode_checkpoint
 
 ZONE_BY_NAME = {name: code for code, name in ZONE_NAMES.items()}
@@ -77,12 +76,7 @@ RANK_FIELDS = (
           fields=(Field("checkpoint", (str,), what=_PATH),), what='"uniform", "train" or {"checkpoint": path}'),
     Field("seed", (int,), 0),
     Field("pdf_bins", (int,), 100, low=2, high=MAX_BINS),
-    Field("weightnet", (dict,), ABSENT, fields=(
-        Field("epochs", (int,), ABSENT, low=1, high=MAX_EPOCHS),
-        Field("warm_epochs", (int,), ABSENT, low=0),
-        Field("batch_size", (int,), ABSENT, low=1),
-        Field("learning_rate", (int, float), ABSENT, low=POSITIVE, high=FLOAT_MAX),
-    )),
+    Field("weightnet", (dict,), ABSENT, fields=optional(f for f in WeightNetConfig.FIELDS if f.key != "seed")),
 )
 
 
@@ -292,7 +286,7 @@ def run_downscale(
     architecture is checked against the data's grid (`check_fit`) before
     the first one trains, so a misfit writes no checkpoint or log.
     """
-    tcfgs = {kind: replace(desk_train_config(kind, "benchmark"), **(train_overrides or {})) for kind in archs}
+    tcfgs = {kind: desk_train_config(kind, "benchmark").replace(**(train_overrides or {})) for kind in archs}
     data_spec = read_json(data_path, "data spec") if data_path else "bundled"
     manifest = RunManifest(run_dir, config_hash({"archs": list(archs), "seed": seed, "data": data_spec}))
 

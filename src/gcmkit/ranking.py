@@ -31,7 +31,7 @@ from .artifacts import csv_text
 from .errors import NumericFault, ValidationError
 from .metrics import METRIC_NAMES, MetricReport
 from .rng import SplitMix64
-from .spec import Field, parse
+from .spec import FLOAT_MAX, MAX_EPOCHS, POSITIVE, Config, Field, parse
 from . import tensorcore as tc
 
 # Higher is better for these; everything else enters as a cost (lower is
@@ -265,13 +265,16 @@ META_FIELDS = (
 )
 
 
-@dataclass
-class WeightNetConfig:
-    epochs: int = 50
-    warm_epochs: int = 5  # SGD phase before Adam takes over
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    seed: int = 7
+class WeightNetConfig(Config):
+    """How `train_weightnet` fits the net; the rank config's `weightnet` block overrides all but the seed."""
+
+    FIELDS = (
+        Field("epochs", (int,), 50, low=1, high=MAX_EPOCHS),
+        Field("warm_epochs", (int,), 5, low=0),  # SGD phase before Adam takes over
+        Field("batch_size", (int,), 32, low=1),
+        Field("learning_rate", (int, float), 1e-3, low=POSITIVE, high=FLOAT_MAX),
+        Field("seed", (int,), 7),
+    )
 
 
 class WeightNet(tc.Module):

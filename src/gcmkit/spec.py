@@ -4,13 +4,14 @@ Each boundary (the rank config, a `--data` pair spec, a `downscale train
 --config` file, a GCF header, a checkpoint manifest and its meta) declares
 its keys as `Field`s, reads its file with `read_json` and calls `parse`. Types are exact, so a bool never passes for an
 int, and a number outside [low, high], NaN included, is out of range.
-Checks that tie fields together stay with their boundary.
+Checks that tie fields together stay with their boundary. A `Config`
+subclass declares a settings object the same way, and checks it when built.
 """
 
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ValidationError
@@ -19,6 +20,9 @@ REQUIRED = object()  # the key must be present
 ABSENT = object()  # the key may be left out, and is then left out of the result
 POSITIVE = math.ulp(0.0)  # as `low`: above zero
 FLOAT_MAX = sys.float_info.max  # as `high`: no infinity, and no int too large for a float
+# the most epochs any training loop may be configured for, so a mistyped count
+# fails validation instead of training for ever
+MAX_EPOCHS = 10_000
 
 
 @dataclass(frozen=True)
@@ -115,3 +119,32 @@ def _check(f: Field, value, where: str, path: str):
     if type(value) is list and f.fields is not None:
         return [parse(v, f.fields, where, f"{path}[{i}]") for i, v in enumerate(value)]
     return value
+
+
+def optional(fields) -> tuple:
+    """`fields` with every key optional and left out when absent: an override block of a `Config`."""
+    return tuple(replace(f, default=ABSENT) for f in fields)
+
+
+class Config:
+    """Settings whose keys, types, bounds and defaults are the class's `FIELDS`, checked when built.
+
+    The keyword arguments are parsed like a JSON object, so an absent key
+    takes its default and a bad value raises ValidationError naming it; a
+    tuple may stand for a list, and a list is kept as a tuple. `parse` does
+    not check defaults, so the tests do.
+    """
+
+    FIELDS: tuple = ()
+
+    def __init__(self, **values):
+        values = {k: list(v) if type(v) is tuple else v for k, v in values.items()}
+        parsed = parse(values, self.FIELDS, type(self).__name__)
+        self.__dict__.update({k: tuple(v) if type(v) is list else v for k, v in parsed.items()})
+
+    def replace(self, **values) -> "Config":
+        """A copy with `values` in place of its own, checked again."""
+        return type(self)(**{**vars(self), **values})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"

@@ -17,6 +17,7 @@ from gcmkit import ranking as rk
 from gcmkit import tensorcore as tc
 from gcmkit.artifacts import RunManifest, write_files
 from gcmkit.cli import main
+from gcmkit.downscale import archs
 from gcmkit.downscale.data import PAIR_FIELDS
 from gcmkit.fixtures import GOOD_MODEL, make_ranking_fixture
 from gcmkit.geogrid import LAND_ZONES, ZONE_NAMES
@@ -625,6 +626,38 @@ def test_any_one_bad_weight_checkpoint_meta_key_exits_cleanly(tmp_path_factory, 
 
 
 @pytest.fixture(scope="module")
+def small_vit_checkpoint(tmp_path_factory):
+    """The checkpoint of a small untrained vit for the bundled benchmark's 16x16 coarse grid."""
+    from gcmkit import downscale as ds
+
+    path = str(tmp_path_factory.mktemp("vit") / "vit.ckpt")
+    cfg = ds.ArchConfig(kind="vit", embed_dim=8, heads=2, layers=1, mlp_ratio=1)
+    write_files(path, tc.encode_checkpoint(*ds.build_model(cfg, (16, 16)).checkpoint()))
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=mutations(archs.META_FIELDS))
+def test_any_one_bad_downscaler_checkpoint_meta_key_exits_cleanly(tmp_path_factory, small_vit_checkpoint, mutation):
+    """One declared key of a downscaler's checkpoint meta, its architecture
+    config's keys included, given a wrong type or an out-of-range value,
+    left out, or joined by an undeclared key never ends in a traceback of
+    `downscale eval`, and exits 2 unless an optional config key was left out."""
+    path, f, kind, value = mutation
+    work = tempfile.mkdtemp(dir=str(tmp_path_factory.getbasetemp()))
+    ckpt = os.path.join(work, "vit.ckpt")
+    shutil.copytree(small_vit_checkpoint, ckpt)
+    with open(os.path.join(ckpt, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    manifest["meta"] = mutate(manifest["meta"], path, kind, value)
+    with open(os.path.join(ckpt, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh)
+    code, err = run_cli(["downscale", "eval", "--ckpt", ckpt, "--report", os.path.join(work, "eval.csv")])
+    shutil.rmtree(work)
+    check_exit(code, err, f, kind)
+
+
+@pytest.fixture(scope="module")
 def tiny_pair(tmp_path_factory):
     """A valid data spec: 15 steps at 32x32 (coarse 8x8), windows of 4."""
     from gcmkit.geogrid import synth_pair
@@ -851,28 +884,43 @@ class TestDownscaleCli:
         assert "not valid JSON" in err and str(config) in err
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, names",
         [
-            None,
-            lambda manifest: manifest.pop("total"),
-            lambda manifest: manifest["meta"].pop("config"),
-            lambda manifest: manifest["meta"]["config"].update(colour="red"),
-            lambda manifest: manifest["meta"]["config"].update(heads=0),
-            lambda manifest: manifest["meta"]["config"].update(patch=0),
-            lambda manifest: manifest["meta"]["config"].update(layers=1),
-            lambda manifest: manifest["entries"].pop(),  # norm.out_sd, the last entry
-            lambda manifest: manifest["meta"]["config"].update(embed_dim=10**12),
-            lambda manifest: manifest["entries"][-1].update(offset=-2),  # would read norm.out_mean's value
-            lambda manifest: manifest["meta"].update(colour="red"),
-            lambda manifest: manifest["entries"][-1].update(offset=manifest["entries"][-2]["offset"]),
-            lambda manifest: manifest["entries"][0].update(offset=False),
-            lambda manifest: manifest["meta"]["config"].update(temporal_mode="recurrent"),  # older checkpoints hold it
+            pytest.param(None, "", id="manifest-not-json"),
+            pytest.param(lambda m: m.pop("total"), "", id="manifest-without-total"),
+            pytest.param(lambda m: m["meta"].pop("config"), "lacks key 'config'", id="meta-without-config"),
+            pytest.param(lambda m: m["meta"]["config"].update(colour="red"), "config.colour", id="unknown-config-key"),
+            pytest.param(lambda m: m["meta"]["config"].update(heads=0), "config.heads", id="zero-heads"),
+            pytest.param(lambda m: m["meta"]["config"].update(patch=0), "config.patch", id="zero-patch"),
+            pytest.param(lambda m: m["meta"]["config"].update(layers=1), "", id="config-short-of-entries"),
+            pytest.param(lambda m: m["entries"].pop(), "", id="missing-norm-entry"),  # norm.out_sd, the last entry
+            pytest.param(lambda m: m["meta"]["config"].update(embed_dim=10**12), "'embed.w'", id="huge-embed-dim"),
+            # would read norm.out_mean's value
+            pytest.param(lambda m: m["entries"][-1].update(offset=-2), "", id="negative-offset"),
+            pytest.param(lambda m: m["meta"].update(colour="red"), "colour", id="unknown-meta-key"),
+            pytest.param(lambda m: m["entries"][-1].update(offset=m["entries"][-2]["offset"]), "",
+                         id="overlapping-entries"),
+            pytest.param(lambda m: m["entries"][0].update(offset=False), "", id="bool-offset"),
+            # older checkpoints hold it
+            pytest.param(lambda m: m["meta"]["config"].update(temporal_mode="recurrent"), "config.temporal_mode",
+                         id="removed-temporal-mode"),
+            pytest.param(lambda m: m["meta"]["config"].update(alpha="0.5"), "config.alpha", id="string-alpha"),
+            pytest.param(lambda m: m["meta"]["config"].update(seed=1.5), "config.seed", id="float-seed"),
+            pytest.param(lambda m: m["meta"]["config"].update(kernel_radius=True), "config.kernel_radius",
+                         id="bool-kernel-radius"),
+            pytest.param(lambda m: m["meta"]["config"].update(conv_channels=[16.0, 16.0]), "config.conv_channels",
+                         id="float-channels"),
+            pytest.param(lambda m: m["meta"]["config"].update(factor=4.0), "config.factor", id="float-factor"),
+            pytest.param(lambda m: m["meta"]["config"].update(heads=3),
+                         "holds a bad architecture config: embed dim 64 not divisible by 3 heads",
+                         id="heads-not-dividing"),
+            pytest.param(lambda m: m["meta"].update(kind="convlstm"),
+                         "meta: kind 'convlstm' differs from config.kind 'vit'", id="kind-mismatch"),
+            pytest.param(lambda m: m["meta"].update(seed=99), "meta: seed 99 differs from config.seed 0",
+                         id="seed-mismatch"),
         ],
-        ids=["manifest-not-json", "manifest-without-total", "meta-without-config", "unknown-config-key",
-             "zero-heads", "zero-patch", "config-short-of-entries", "missing-norm-entry", "huge-embed-dim",
-             "negative-offset", "unknown-meta-key", "overlapping-entries", "bool-offset", "removed-temporal-mode"],
     )
-    def test_malformed_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vit_ckpt, edit):
+    def test_malformed_checkpoint_exits_2_naming_it(self, tmp_path, capsys, vit_ckpt, edit, names):
         ckpt = tmp_path / "vit.ckpt"
         shutil.copytree(vit_ckpt, ckpt)
         text = (ckpt / "manifest.json").read_text()
@@ -885,7 +933,7 @@ class TestDownscaleCli:
         (ckpt / "manifest.json").write_text(text)
         assert main(["downscale", "eval", "--ckpt", str(ckpt), "--report", str(tmp_path / "eval.csv")]) == 2
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "Traceback" not in err
+        assert str(ckpt) in err and names in err and "Traceback" not in err
 
     @pytest.mark.parametrize("entry, value", [("bn0.running_var", np.inf), ("head.up0.b", np.nan)])
     def test_non_finite_checkpoint_exits_2_naming_the_entry(self, tmp_path, capsys, convlstm_ckpt, entry, value):

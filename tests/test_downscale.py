@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,7 +187,7 @@ class TestOpCoverage:
         used = set()
         for kind in ds.ARCH_KINDS:
             # the benchmark preset's loss and optimizer, one epoch: training steps plus an eval pass
-            tcfg = replace(ds.desk_train_config(kind), epochs=1, batch_size=4)
+            tcfg = ds.desk_train_config(kind).replace(epochs=1, batch_size=4)
             used |= self._ops_built(monkeypatch, lambda: ds.train(mini_cfg(kind), mini_data, tcfg))
         rng = np.random.default_rng(5)
         contexts = [rk.DecisionMatrix(["a", "b", "c"], rk.DEFAULT_CRITERIA_NAMES,
@@ -534,6 +533,25 @@ class TestTrainer:
                                   text=True, timeout=600)
             assert done.returncode == 0, done.stderr
             with open(tmp_path / f"threads{threads}" / "convlstm.ckpt" / "params.bin", "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest())
+        assert digests[0] == digests[1]
+
+    @pytest.mark.skipif(tensor_mod._usable_cpus() < 2, reason="two workers need two usable CPUs")
+    def test_checkpoint_bytes_do_not_depend_on_the_worker_count(self, tmp_path):
+        """A training run pinned to one CPU runs every tensorcore op inline;
+        unpinned, conv2d and the gate step fan out over one worker per
+        usable CPU. Both write the same parameters."""
+        src = os.path.dirname(os.path.dirname(gcmkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        one_cpu = min(os.sched_getaffinity(0))
+        digests = []
+        for name, pin in (("one", lambda: os.sched_setaffinity(0, {one_cpu})), ("all", None)):
+            argv = ["downscale", "train", "--arch", "convlstm", "--epochs", "1", "--seed", "1",
+                    "--out", str(tmp_path), "--name", name]
+            done = subprocess.run([sys.executable, "-m", "gcmkit.cli"] + argv, env=env, capture_output=True,
+                                  text=True, timeout=600, preexec_fn=pin)
+            assert done.returncode == 0, done.stderr
+            with open(tmp_path / name / "convlstm.ckpt" / "params.bin", "rb") as fh:
                 digests.append(hashlib.sha256(fh.read()).hexdigest())
         assert digests[0] == digests[1]
 
